@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import aspif
 from .asplang import (
@@ -19,9 +19,9 @@ from .asplang import (
     GroundProgram,
     Nogood,
     ObjectiveFunction,
+    PositiveRules,
     SemanticsError,
     enumerate_answer_sets,
-    least_model,
     pos,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
@@ -157,6 +157,13 @@ def _check_acyclic(rules: Sequence, heads: set[int]) -> None:
                 stack.pop()
 
 
+# Closing every choice subset costs about 2^n x (normal rules + n) steps.  The
+# budget admits bare binomial programs up to n = 17 and full sorters up to
+# n = 14, whose pch runs take under a minute; one size more takes minutes to
+# hours, mostly in run_pch's nogood filter.
+CANDIDATE_COST_BUDGET = 1 << 22
+
+
 def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
     """Total supported-model candidates, fast when the program is layered.
 
@@ -177,21 +184,30 @@ def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
     n = len(order)
     if n > 24:
         raise SemanticsError(f"{n} choice atoms exceed the enumeration guard")
-    seen: set[frozenset[int]] = set()
+    cost = (1 << n) * (len(program.normal_rules) + n)
+    if cost > CANDIDATE_COST_BUDGET:
+        raise SemanticsError(
+            f"closing 2^{n} choice subsets over {len(program.normal_rules)} rules "
+            f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
+        )
     candidates = []
-    derivations = [(r.head, r.pos_body) for r in program.normal_rules]
+    rules = PositiveRules((r.head, r.pos_body) for r in program.normal_rules)
     for mask in range(1 << n):
-        chosen = frozenset(order[b] for b in range(n) if mask >> b & 1)
-        model = least_model(list(derivations) + [(a, frozenset()) for a in chosen])
-        if model in seen:
+        model = rules.closure(order[b] for b in range(n) if mask >> b & 1)
+        # A closure that derives further choice atoms is also the closure of
+        # exactly those choice atoms, so only that subset keeps it.
+        if len(model & choice_atoms) != mask.bit_count():
             continue
-        seen.add(model)
         if all(cc.satisfied_by(model) for cc in program.cardinality_constraints) and all(
             ng.satisfied_by(model) for ng in program.nogoods
         ):
             candidates.append(model)
     candidates.sort(key=lambda m: tuple(sorted(m)))
     return candidates
+
+
+def _bits(atoms: Iterable[int]) -> int:
+    return sum(1 << a for a in atoms)
 
 
 def run_pch(
@@ -210,16 +226,22 @@ def run_pch(
     candidates = _supported_candidates(program)
     if shuffle_rng is not None:
         shuffle_rng.shuffle(candidates)
+    # Candidate sets are distinct, so each is keyed by its bitmask (bit a set
+    # when atom a is true); a nogood prunes a mask when mask & care == value.
+    by_mask = {_bits(c): c for c in candidates}
+    masks = list(by_mask)
     assignments: list[frozenset[int]] = []
     learned: list[Nogood] = []
-    while candidates:
-        current = candidates[0]
+    while masks:
+        current = by_mask[masks[0]]
         if not propagator.conflicts_with(current):
             return PropagatorTrace(tuple(assignments), tuple(learned), False)
         explanation = propagator.explain(current)
         assignments.append(current)
         learned.append(explanation)
-        candidates = [c for c in candidates if not explanation.conflicts_with(c)]
+        care = _bits(a for a, _ in explanation.signed_literals)
+        value = _bits(a for a, sign in explanation.signed_literals if sign)
+        masks = [m for m in masks if m & care != value]
     return PropagatorTrace(tuple(assignments), tuple(learned), True)
 
 

@@ -279,29 +279,51 @@ def _derivations(
     return out
 
 
-def least_model(derivation_rules: Iterable[tuple[int, frozenset[int]]]) -> frozenset[int]:
-    """Least fixpoint of a set of positive (head, positive-body) rules.
+class PositiveRules:
+    """Positive (head, positive-body) rules compiled for repeated closure.
 
-    Linear in the total body size, via unsatisfied-premise counting.
+    Compiling builds the premise counts and the atom-to-rule index once;
+    each closure copies only the counts, so closing many fact sets over the
+    same rules costs no rebuild.
     """
-    rules = list(derivation_rules)
-    missing = [len(body) for _, body in rules]
-    waiting: dict[int, list[int]] = {}
-    for idx, (_, body) in enumerate(rules):
-        for atom in body:
-            waiting.setdefault(atom, []).append(idx)
-    stack = [rules[idx][0] for idx, count in enumerate(missing) if count == 0]
-    model: set[int] = set()
-    while stack:
-        atom = stack.pop()
-        if atom in model:
-            continue
-        model.add(atom)
-        for idx in waiting.get(atom, ()):
-            missing[idx] -= 1
-            if missing[idx] == 0:
-                stack.append(rules[idx][0])
-    return frozenset(model)
+
+    def __init__(self, derivation_rules: Iterable[tuple[int, frozenset[int]]]):
+        self._heads: list[int] = []
+        self._premises: list[int] = []
+        self._waiting: dict[int, list[int]] = {}
+        self._facts: list[int] = []
+        for idx, (head, body) in enumerate(derivation_rules):
+            self._heads.append(head)
+            self._premises.append(len(body))
+            if not body:
+                self._facts.append(head)
+            for atom in body:
+                self._waiting.setdefault(atom, []).append(idx)
+
+    def closure(self, facts: Iterable[int] = ()) -> frozenset[int]:
+        """Least model of the rules plus the given facts.
+
+        Linear in the total body size, via unsatisfied-premise counting.
+        """
+        heads, waiting = self._heads, self._waiting
+        missing = self._premises.copy()
+        stack = [*self._facts, *facts]
+        model: set[int] = set()
+        while stack:
+            atom = stack.pop()
+            if atom in model:
+                continue
+            model.add(atom)
+            for idx in waiting.get(atom, ()):
+                missing[idx] -= 1
+                if missing[idx] == 0:
+                    stack.append(heads[idx])
+        return frozenset(model)
+
+
+def least_model(derivation_rules: Iterable[tuple[int, frozenset[int]]]) -> frozenset[int]:
+    """Least fixpoint of a set of positive (head, positive-body) rules."""
+    return PositiveRules(derivation_rules).closure()
 
 
 def satisfies(program: GroundProgram, interpretation: frozenset[int]) -> bool:

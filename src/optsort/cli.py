@@ -59,7 +59,15 @@ def _sparseness(value: str) -> int | None:
     return parsed
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _env_jobs() -> int:
+    value = os.environ.get("OPTSORT_JOBS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"OPTSORT_JOBS must be an integer, got {value!r}") from None
+
+
+def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optsort",
         description="Rewrite aspif optimization statements through sorting networks.",
@@ -107,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("OPTSORT_JOBS", "1")),
+        default=default_jobs,
         help="parallel workers for the random sweep",
     )
 
@@ -277,6 +285,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     annotations = None
     if args.weights:
         weights = [int(w) for w in args.weights.split(",")]
+        if len(weights) != args.n:
+            print(f"error: expected {args.n} weights, got {len(weights)}", file=sys.stderr)
+            return 2
         matrix = from_input_weights(weights, network.depth)
         if not args.no_propagate and network.depth >= 1:
             k = args.sparseness if args.sparseness is not None else network.depth
@@ -297,7 +308,12 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        default_jobs = _env_jobs()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    args = _build_parser(default_jobs).parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (aspif.AspifParseError, aspif.UnsupportedStatementError) as error:

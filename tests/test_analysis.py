@@ -20,10 +20,51 @@ from optsort.asplang import (
     SemanticsError,
     enumerate_answer_sets,
     evaluate,
+    least_model,
     optimal_value,
     rule,
 )
 from optsort.network import limit_depth, oe_sorter
+
+
+def reference_pch(program, propagator, shuffle_rng=None):
+    """run_pch with per-subset closures and a frozenset nogood filter."""
+    choice = sorted(set().union(*(c.head_atoms for c in program.choice_rules)))
+    derivations = [(r.head, r.pos_body) for r in program.normal_rules]
+    models = {
+        least_model(derivations + [(a, frozenset()) for b, a in enumerate(choice) if mask >> b & 1])
+        for mask in range(1 << len(choice))
+    }
+    candidates = sorted(
+        (
+            m
+            for m in models
+            if all(cc.satisfied_by(m) for cc in program.cardinality_constraints)
+            and all(ng.satisfied_by(m) for ng in program.nogoods)
+        ),
+        key=lambda m: tuple(sorted(m)),
+    )
+    if shuffle_rng is not None:
+        shuffle_rng.shuffle(candidates)
+    assignments, learned = [], []
+    while candidates:
+        current = candidates[0]
+        if not propagator.conflicts_with(current):
+            return tuple(assignments), tuple(learned), False
+        explanation = propagator.explain(current)
+        assignments.append(current)
+        learned.append(explanation)
+        candidates = [c for c in candidates if not explanation.conflicts_with(c)]
+    return tuple(assignments), tuple(learned), True
+
+
+def assert_matches_reference(program, propagator, seed=None):
+    def order():
+        return None if seed is None else random.Random(seed)
+
+    trace = run_pch(program, propagator, order())
+    expected = reference_pch(program, propagator, order())
+    assert (trace.assignments, trace.nogoods, trace.complete) == expected
 
 
 class TestBinomialPrograms:
@@ -119,6 +160,40 @@ class TestBarePch:
         trace = run_pch(binomial_program(3, 2), card_propagator([1, 2, 3], 2))
         assert trace.summary() == "m=3 complete=true"
         assert trace.to_text().splitlines()[-1] == trace.summary()
+
+
+class TestReferencePch:
+    @pytest.mark.parametrize("networked", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_frozenset_filter(self, n, networked):
+        for k in range(n + 1):
+            program = binomial_program(n, k)
+            atoms = list(range(1, n + 1))
+            if networked:
+                program, wire_map = attach_network(program, atoms, oe_sorter(n))
+                atoms = output_atoms(wire_map)
+            propagator = card_propagator(atoms, k)
+            for seed in (None, 0, 1, 2, 3, 4):
+                assert_matches_reference(program, propagator, seed)
+
+    def test_rules_deriving_choice_atoms_match_the_frozenset_filter(self):
+        base = binomial_program(4, 2)
+        program = type(base)(
+            signature=base.signature | {5},
+            normal_rules=(rule(2, body=[1]), rule(5, body=[2, 3]), rule(4, body=[5])),
+            choice_rules=base.choice_rules,
+            cardinality_constraints=base.cardinality_constraints,
+        )
+        for seed in (None, 0, 1, 2, 3, 4):
+            assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2), seed)
+
+    def test_incomplete_history_matches_the_frozenset_filter(self):
+        program, wire_map = attach_network(
+            binomial_program(4, 1), [1, 2, 3, 4], limit_depth(oe_sorter(4), 1)
+        )
+        propagator = card_propagator(output_atoms(wire_map), 3)
+        assert not run_pch(program, propagator).complete
+        assert_matches_reference(program, propagator)
 
 
 class TestNetworkedPch:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optsort.asplang import (
     CardinalityConstraint,
@@ -10,6 +12,7 @@ from optsort.asplang import (
     Nogood,
     NormalRule,
     ObjectiveFunction,
+    PositiveRules,
     SemanticsError,
     enumerate_answer_sets,
     enumerate_answer_sets_layered,
@@ -20,6 +23,7 @@ from optsort.asplang import (
     expand_choice,
     fact,
     is_answer_set,
+    least_model,
     neg,
     nogood,
     optimal_value,
@@ -138,6 +142,36 @@ class TestReduct:
         p = program({1}, choices=[ChoiceRule(frozenset({1}))])
         with pytest.raises(SemanticsError):
             reduct(p, frozenset())
+
+
+def naive_fixpoint(rules):
+    model: set[int] = set()
+    while True:
+        derived = {head for head, body in rules if body <= model}
+        if derived <= model:
+            return frozenset(model)
+        model |= derived
+
+
+positive_rules = st.lists(
+    st.tuples(st.integers(1, 8), st.frozensets(st.integers(1, 8), max_size=3)),
+    max_size=12,
+)
+
+
+class TestPositiveRules:
+    def test_compiled_rules_close_many_fact_sets_independently(self):
+        compiled = PositiveRules([(3, frozenset({1, 2}))])
+        assert compiled.closure([1]) == frozenset({1})
+        assert compiled.closure([1, 2]) == frozenset({1, 2, 3})
+        assert compiled.closure([2]) == frozenset({2})
+
+    @given(positive_rules, st.frozensets(st.integers(1, 8), max_size=4))
+    @settings(max_examples=200)
+    def test_closure_with_facts_is_the_least_model_with_fact_rules(self, rules, facts):
+        with_facts = rules + [(a, frozenset()) for a in facts]
+        expected = naive_fixpoint(with_facts)
+        assert PositiveRules(rules).closure(facts) == least_model(with_facts) == expected
 
 
 class TestAnswerSets:

@@ -174,6 +174,11 @@ class TestPchCommand:
         code, _, err = run(capsys, monkeypatch, ["pch", "3", "2", "--network", "magic"])
         assert code == 2 and "unknown network kind" in err
 
+    def test_over_budget_enumeration_is_refused(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["pch", "24", "12"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+
 
 class TestRenderCommand:
     def test_bare_diagram(self, capsys, monkeypatch):
@@ -193,6 +198,12 @@ class TestRenderCommand:
         code, _, err = run(capsys, monkeypatch, ["render", "4", "--weights", "1,2"])
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--no-propagate"]])
+    def test_weight_count_is_checked_before_drawing(self, capsys, monkeypatch, extra):
+        code, out, err = run(capsys, monkeypatch, ["render", "3", "--weights", "1,2", *extra])
+        assert code == 2 and out == ""
+        assert err == "error: expected 3 weights, got 2\n"
+
 
 class TestUsage:
     def test_missing_subcommand_exits_with_two(self, capsys, monkeypatch):
@@ -204,3 +215,9 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["rewrite", "--bogus"])
         assert excinfo.value.code == 2
+
+    def test_non_integer_jobs_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPTSORT_JOBS", "abc")
+        code, out, err = run(capsys, monkeypatch, ["gen-sorter", "2"])
+        assert code == 2 and out == ""
+        assert err == "error: OPTSORT_JOBS must be an integer, got 'abc'\n"
