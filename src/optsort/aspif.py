@@ -124,6 +124,12 @@ class _Tokens:
                 f"line {self.line_no}: non-integer token {token!r} for {what}"
             ) from None
 
+    def take_literal(self, what: str) -> int:
+        lit = self.take_int(what)
+        if lit == 0:
+            raise AspifParseError(f"line {self.line_no}: {what} 0 is not allowed")
+        return lit
+
     def finish(self) -> None:
         if self.pos != len(self.parts):
             raise AspifParseError(
@@ -140,13 +146,13 @@ def _parse_rule(tokens: _Tokens) -> Rule:
     body_kind = tokens.take_int("body kind")
     if body_kind == 0:
         n = tokens.take_int("body literal count")
-        lits = tuple(tokens.take_int("body literal") for _ in range(n))
+        lits = tuple(tokens.take_literal("body literal") for _ in range(n))
         body: Union[NormalBody, WeightBody] = NormalBody(lits)
     elif body_kind == 1:
         bound = tokens.take_int("lower bound")
         n = tokens.take_int("body element count")
         terms = tuple(
-            (tokens.take_int("body literal"), tokens.take_int("weight"))
+            (tokens.take_literal("body literal"), tokens.take_int("weight"))
             for _ in range(n)
         )
         body = WeightBody(bound, terms)
@@ -162,15 +168,16 @@ def _parse_minimize(tokens: _Tokens) -> Minimize:
     priority = tokens.take_int("priority")
     n = tokens.take_int("term count")
     terms = tuple(
-        (tokens.take_int("literal"), tokens.take_int("weight")) for _ in range(n)
+        (tokens.take_literal("minimize literal"), tokens.take_int("weight"))
+        for _ in range(n)
     )
     tokens.finish()
     return Minimize(priority, terms)
 
 
 def _parse_output(line: str, line_no: int) -> Output:
-    head, _, rest = line.partition(" ")
-    assert head == "4"
+    # the statement code before the first space was read by the caller
+    _, _, rest = line.partition(" ")
     len_token, _, tail = rest.partition(" ")
     try:
         length = int(len_token)
@@ -184,7 +191,7 @@ def _parse_output(line: str, line_no: int) -> Output:
         raise AspifParseError(f"line {line_no}: output string length mismatch")
     tokens = _Tokens(remainder.split(), line_no)
     n = tokens.take_int("condition count")
-    condition = tuple(tokens.take_int("condition literal") for _ in range(n))
+    condition = tuple(tokens.take_literal("condition literal") for _ in range(n))
     tokens.finish()
     return Output(name, condition)
 

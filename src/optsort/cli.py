@@ -23,28 +23,16 @@ from .analysis import (
     run_pch,
 )
 from .asplang import SemanticsError
-from .network import (
-    NetworkError,
-    decompose_sparse,
-    limit_depth,
-    oe_sorter,
-    render_diagram,
-)
-from .propagate import from_input_weights, propagate_decomposition
+from .network import NetworkError, limit_depth, oe_sorter, render_diagram
+from .propagate import from_input_weights, propagate_sparse
 from .rewrite import (
+    VERIFY_GRID,
     RewriteConfig,
     RewriteError,
     random_opt_document,
     rewrite_objective,
-    verify_rewrite,
+    verify_grid,
 )
-
-VERIFY_GRID = [
-    (depth, sparseness, propagate)
-    for depth in (0, 1, 2, 4, None)
-    for sparseness in (1, 2, None)
-    for propagate in (True, False)
-]
 
 
 def _sparseness(value: str) -> int | None:
@@ -209,14 +197,12 @@ def _verify_document(doc: aspif.AspifDocument, max_atoms: int) -> tuple[bool, li
     base = enumerate_answer_sets_layered(before[0])
     lines = []
     ok = True
-    for depth, sparseness, propagate in VERIFY_GRID:
-        config = RewriteConfig(depth_limit=depth, sparseness=sparseness, propagate=propagate)
-        rewritten, _ = rewrite_objective(doc, config)
-        report = verify_rewrite(before, aspif.to_ground_program(rewritten), before_models=base)
+    for config, report in verify_grid(doc, before, base):
+        depth, sparseness = config.depth_limit, config.sparseness
         label = (
             f"depth={'inf' if depth is None else depth} "
             f"sparseness={'inf' if sparseness is None else sparseness} "
-            f"propagate={'on' if propagate else 'off'}"
+            f"propagate={'on' if config.propagate else 'off'}"
         )
         if report.ok:
             lines.append(f"{label} ok answer_sets={report.answer_sets}")
@@ -289,9 +275,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
             print(f"error: expected {args.n} weights, got {len(weights)}", file=sys.stderr)
             return 2
         matrix = from_input_weights(weights, network.depth)
-        if not args.no_propagate and network.depth >= 1:
-            k = args.sparseness if args.sparseness is not None else network.depth
-            matrix = propagate_decomposition(matrix, decompose_sparse(network, k))
+        if not args.no_propagate:
+            matrix = propagate_sparse(matrix, network, args.sparseness)
         annotations = {(i, j): str(w) for i, j, w in matrix.nonzero_entries()}
     print(render_diagram(network, annotations))
     return 0

@@ -112,22 +112,3 @@ def input_facts(x: Sequence[int], map: WireAtomMap) -> list[NormalRule]:
     if any(bit not in (0, 1) for bit in x):
         raise SemanticsError(f"input vector {list(x)} is not binary")
     return [NormalRule(map.atom(i + 1, 0)) for i, bit in enumerate(x) if bit]
-
-
-def prune_dead_wires(
-    rules: Sequence[NormalRule], keep_atoms: Sequence[int]
-) -> list[NormalRule]:
-    """Drop rules defining wire atoms that feed neither a kept atom nor a body.
-
-    Optional pass, not applied anywhere by default: the full translation keeps
-    the per-level correspondence exact, pruning trades that for size.  Rule
-    order is preserved.
-    """
-    keep = set(keep_atoms)
-    rules = list(rules)
-    while True:
-        read = {a for r in rules for a in r.pos_body | r.neg_body}
-        alive = [r for r in rules if r.head in keep or r.head in read]
-        if len(alive) == len(rules):
-            return alive
-        rules = alive

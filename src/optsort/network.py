@@ -43,18 +43,12 @@ class Network:
     depth: int
     comparators: tuple[Comparator, ...]
 
-    def layer(self, level: int) -> tuple[Comparator, ...]:
-        return tuple(c for c in self.comparators if c.level == level)
-
     def layers(self) -> dict[int, list[Comparator]]:
         """Comparators grouped by level; levels with no gates are absent."""
         out: dict[int, list[Comparator]] = {}
         for c in self.comparators:
             out.setdefault(c.level, []).append(c)
         return out
-
-    def wires_touched_at(self, level: int) -> set[int]:
-        return {w for c in self.comparators if c.level == level for w in (c.i, c.j)}
 
     def size(self) -> int:
         return len(self.comparators)
@@ -217,10 +211,6 @@ class ConfinedNetwork:
         for c in self.network.comparators:
             if not ({c.i, c.j} <= self.wires and self.min_level <= c.level <= self.max_level):
                 raise NetworkError(f"comparator {c} escapes the confined region")
-
-    @property
-    def levels(self) -> range:
-        return range(self.min_level, self.max_level + 1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .network import ConfinedNetwork, Decomposition, Network, apply
+from .network import ConfinedNetwork, Decomposition, Network, apply, decompose_sparse
 
 
 class WeightError(ValueError):
@@ -134,3 +134,18 @@ def propagate_decomposition(weights: WeightMatrix, decomposition: Decomposition)
     for component in decomposition.components:
         weights = propagate_confined(weights, component)
     return weights
+
+
+def propagate_sparse(
+    weights: WeightMatrix, network: Network, sparseness: int | None
+) -> WeightMatrix:
+    """Propagate over the sparse decomposition of the network into level blocks.
+
+    ``sparseness`` is the block size; None means one block over the whole
+    depth, so weight lands only on the input and output columns.  A depth-0
+    network has nothing to propagate over: the weights come back unchanged.
+    """
+    if network.depth == 0:
+        return weights
+    k = network.depth if sparseness is None else sparseness
+    return propagate_decomposition(weights, decompose_sparse(network, k))

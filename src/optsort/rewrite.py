@@ -23,9 +23,9 @@ from .asplang import (
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
 )
-from .encode import asp_of_network, dense_wire_atom_map
-from .network import limit_depth, oe_sorter, decompose_sparse
-from .propagate import from_input_weights, propagate_decomposition
+from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
+from .network import limit_depth, oe_sorter
+from .propagate import from_input_weights, propagate_sparse
 
 
 class RewriteError(ValueError):
@@ -34,28 +34,28 @@ class RewriteError(ValueError):
 
 @dataclass(frozen=True)
 class RewriteConfig:
-    """Pipeline knobs.
+    """The four pipeline knobs.
 
-    ``depth_limit`` of None means the full network; 0 disables rewriting
-    entirely.  ``sparseness`` of None collapses every connected region into a
-    single block (weights land only on the input and output columns).  With
-    ``propagate`` off the network is still attached but weights stay on the
-    input column.
+    - ``depth_limit``: levels of the odd-even sorter kept; None means the
+      full network, 0 disables rewriting entirely.
+    - ``sparseness``: level-block size of the propagation decomposition;
+      None collapses every connected region into a single block (weights
+      land only on the input and output columns).
+    - ``propagate``: with it off the network is still attached but weights
+      stay on the input column.
+    - ``sort_inputs``: wire the terms in descending weight order.
     """
 
     depth_limit: int | None = None
     sparseness: int | None = 1
     propagate: bool = True
     sort_inputs: bool = False
-    network_scheme: str = "odd-even"
 
     def __post_init__(self) -> None:
         if self.depth_limit is not None and self.depth_limit < 0:
             raise RewriteError(f"depth limit must be >= 0, got {self.depth_limit}")
         if self.sparseness is not None and self.sparseness < 1:
             raise RewriteError(f"sparseness must be >= 1, got {self.sparseness}")
-        if self.network_scheme != "odd-even":
-            raise RewriteError(f"unknown network scheme {self.network_scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class LevelReport:
     output_terms: int
     atoms_added: int
     rules_added: int
-    wire_atom_lines: tuple[str, ...] = ()
+    wire_map: WireAtomMap | None = None
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,9 @@ class RewriteReport:
         """Debug dump of every (wire, level) -> atom allocation, per priority."""
         lines = []
         for lv in self.levels:
-            for entry in lv.wire_atom_lines:
-                lines.append(f"priority {lv.priority} {entry}")
+            if lv.wire_map is not None:
+                for entry in lv.wire_map.sidecar_lines():
+                    lines.append(f"priority {lv.priority} {entry}")
         return "\n".join(lines)
 
 
@@ -132,6 +133,11 @@ def _normalize(
     return rewritable, passthrough, list(merged.items())
 
 
+def _passthrough_report(priority: int, input_terms: int, kept_terms: int) -> LevelReport:
+    """Report of a level that is not wired: its kept terms pass through."""
+    return LevelReport(priority, input_terms, 0, kept_terms, 0, 0, 0, kept_terms, 0, 0)
+
+
 def _rule_statement(rule: NormalRule) -> aspif.Rule:
     body = tuple(sorted(rule.pos_body)) + tuple(-a for a in sorted(rule.neg_body))
     return aspif.Rule(aspif.DISJUNCTIVE, (rule.head,), aspif.NormalBody(body))
@@ -148,18 +154,7 @@ def _rewrite_level(
         rewritable.sort(key=lambda t: -t[1])
     if len(rewritable) < 2:
         statement = aspif.Minimize(priority, tuple(merged))
-        return [statement], LevelReport(
-            priority=priority,
-            input_terms=len(terms),
-            rewritten_terms=0,
-            passthrough_terms=len(merged),
-            network_width=0,
-            network_depth=0,
-            network_size=0,
-            output_terms=len(merged),
-            atoms_added=0,
-            rules_added=0,
-        )
+        return [statement], _passthrough_report(priority, len(terms), len(merged))
 
     literals = [aspif.literal_from_int(lit) for lit, _ in rewritable]
     weights = [w for _, w in rewritable]
@@ -174,9 +169,8 @@ def _rewrite_level(
     network_rules = asp_of_network(network, wire_map)
 
     matrix = from_input_weights(weights, network.depth)
-    if config.propagate and network.depth >= 1:
-        k = config.sparseness if config.sparseness is not None else network.depth
-        matrix = propagate_decomposition(matrix, decompose_sparse(network, k))
+    if config.propagate:
+        matrix = propagate_sparse(matrix, network, config.sparseness)
 
     wire_terms = [
         (wire_map.atom(i, j), w) for i, j, w in matrix.nonzero_entries()
@@ -197,7 +191,7 @@ def _rewrite_level(
         output_terms=len(out_terms),
         atoms_added=len(input_atoms) + network.width * network.depth,
         rules_added=len(bridge_rules) + len(network_rules),
-        wire_atom_lines=tuple(wire_map.sidecar_lines()),
+        wire_map=wire_map,
     )
     return statements, report
 
@@ -211,17 +205,16 @@ def rewrite_objective(
     statements sharing a priority are merged into one.  A depth limit of 0
     leaves the document exactly as parsed.
     """
-    minimizes = [s for s in document.statements if isinstance(s, aspif.Minimize)]
-    if config.depth_limit == 0 or not minimizes:
+    by_priority: dict[int, list[tuple[int, int]]] = {}
+    for s in document.statements:
+        if isinstance(s, aspif.Minimize):
+            by_priority.setdefault(s.priority, []).extend(s.terms)
+    if config.depth_limit == 0 or not by_priority:
         levels = tuple(
-            LevelReport(s.priority, len(s.terms), 0, len(s.terms), 0, 0, 0, len(s.terms), 0, 0)
-            for s in minimizes
+            _passthrough_report(priority, len(terms), len(terms))
+            for priority, terms in sorted(by_priority.items())
         )
         return document, RewriteReport(levels)
-
-    by_priority: dict[int, list[tuple[int, int]]] = {}
-    for s in minimizes:
-        by_priority.setdefault(s.priority, []).extend(s.terms)
 
     fresh = FreshAtoms(document.max_atom_id() + 1)
     replacements: dict[int, list[aspif.Statement]] = {}
@@ -305,6 +298,32 @@ def verify_rewrite(
                     f"{value} vs {new_value}",
                 )
     return VerifyReport(True, len(base))
+
+
+VERIFY_GRID = tuple(
+    RewriteConfig(depth_limit=depth, sparseness=sparseness, propagate=propagate)
+    for depth in (0, 1, 2, 4, None)
+    for sparseness in (1, 2, None)
+    for propagate in (True, False)
+)
+
+
+def verify_grid(
+    document: aspif.AspifDocument,
+    before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
+    before_models: list[frozenset[int]],
+) -> list[tuple[RewriteConfig, VerifyReport]]:
+    """Rewrite under every ``VERIFY_GRID`` configuration and verify each result.
+
+    ``before`` is the document's own ground program and ``before_models`` its
+    answer sets, enumerated once for the whole grid.
+    """
+    results = []
+    for config in VERIFY_GRID:
+        rewritten, _ = rewrite_objective(document, config)
+        after = aspif.to_ground_program(rewritten)
+        results.append((config, verify_rewrite(before, after, before_models)))
+    return results
 
 
 def random_opt_document(rng: random.Random, max_objective_atoms: int = 10) -> aspif.AspifDocument:

@@ -46,20 +46,14 @@ from optsort.propagate import (
     weight_function,
 )
 from optsort.rewrite import (
+    VERIFY_GRID,
     RewriteConfig,
     random_opt_document,
     rewrite_objective,
-    verify_rewrite,
+    verify_grid,
 )
 
 from conftest import binary_vectors
-
-GRID = [
-    (depth, sparseness, propagate)
-    for depth in (0, 1, 2, 4, None)
-    for sparseness in (1, 2, None)
-    for propagate in (True, False)
-]
 
 
 def announce(tag: str, detail: str = "") -> None:
@@ -230,15 +224,8 @@ def test_05_network_translation_has_one_answer_set_per_input():
 def _verify_document_on_grid(doc, label):
     before = aspif.to_ground_program(doc)
     base = enumerate_answer_sets_layered(before[0])
-    for depth, sparseness, propagate in GRID:
-        config = RewriteConfig(
-            depth_limit=depth, sparseness=sparseness, propagate=propagate
-        )
-        rewritten, _ = rewrite_objective(doc, config)
-        report = verify_rewrite(
-            before, aspif.to_ground_program(rewritten), before_models=base
-        )
-        assert report.ok, (label, depth, sparseness, propagate, report.detail)
+    for config, report in verify_grid(doc, before, base):
+        assert report.ok, (label, config, report.detail)
 
 
 def test_06_rewriting_preserves_answer_sets_and_values():
@@ -252,7 +239,7 @@ def test_06_rewriting_preserves_answer_sets_and_values():
         )
     announce(
         "A6 rewrite equivalence",
-        f"7 binomial + 200 random programs x {len(GRID)} configurations",
+        f"7 binomial + 200 random programs x {len(VERIFY_GRID)} configurations",
     )
 
 

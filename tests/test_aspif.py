@@ -65,6 +65,21 @@ class TestParse:
         with pytest.raises(aspif.AspifParseError):
             aspif.parse(text)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1 0 1 1 0 1 0",
+            "1 0 1 1 0 2 2 0",
+            "1 0 0 1 1 2 0 1 3 1",
+            "2 0 2 0 5 1 -3",
+            "2 0 2 0 5 1 3",
+            "4 1 a 2 1 0",
+        ],
+    )
+    def test_literal_zero_is_refused_with_its_line(self, line):
+        with pytest.raises(aspif.AspifParseError, match="^line 3: .*literal 0 is not allowed"):
+            aspif.parse(f"asp 1 0 0\n1 1 1 1 0 0\n{line}\n0\n")
+
 
 class TestWrite:
     def test_header_only_document(self):
@@ -231,3 +246,27 @@ def documents(draw):
 @settings(max_examples=80)
 def test_parse_inverts_write(doc):
     assert aspif.parse(aspif.write(doc)) == doc
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["04", "+4", "-0", "1_0", "x", "", "a b"]),
+    st.text(alphabet="014+- a\t\r\n", max_size=3),
+)
+
+
+@st.composite
+def statement_lines(draw):
+    code = draw(st.sampled_from(["1", "2", "4", "04", "+4", "0", "3", "-1", " 1", "x"]))
+    return " ".join([code, *draw(st.lists(_TOKENS, max_size=9))])
+
+
+@given(st.lists(statement_lines(), max_size=4), st.booleans())
+@settings(max_examples=300)
+def test_random_statement_lines_parse_or_raise_a_parse_error(lines, terminated):
+    text = "\n".join(["asp 1 0 0", *lines, *(["0"] if terminated else [])]) + "\n"
+    try:
+        doc = aspif.parse(text)
+    except aspif.AspifParseError:
+        return
+    assert aspif.parse(aspif.write(doc)).statements == doc.statements

@@ -74,6 +74,24 @@ class TestRewriteCommand:
         code, out, err = run(capsys, monkeypatch, ["rewrite"], stdin="garbage\n")
         assert code == 2 and out == "" and "error" in err
 
+    @pytest.mark.parametrize("command", ["rewrite", "verify"])
+    @pytest.mark.parametrize("line", ["1 0 1 1 0 1 0", "2 0 2 0 5 1 -3"])
+    def test_literal_zero_is_a_parse_error(self, capsys, monkeypatch, command, line):
+        doc = f"asp 1 0 0\n1 1 1 1 0 0\n{line}\n0\n"
+        code, out, err = run(capsys, monkeypatch, [command], stdin=doc)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+        assert "literal 0 is not allowed" in err
+
+    @pytest.mark.parametrize("code_token", ["04", "+4"])
+    def test_output_code_spelled_differently_is_rewritten(
+        self, capsys, monkeypatch, code_token
+    ):
+        doc = f"asp 1 0 0\n{code_token} 1 a 0\n0\n"
+        code, out, err = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
+        assert code == 0 and err == ""
+        assert out == "asp 1 0 0\n4 1 a 0\n0\n"
+
     def test_unknown_statements_pass_through(self, capsys, monkeypatch):
         doc = "asp 1 0 0\n3 4 2\n1 1 2 1 2 0 0\n2 0 2 1 4 2 9\n0\n"
         code, out, _ = run(capsys, monkeypatch, ["rewrite"], stdin=doc)

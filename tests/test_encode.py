@@ -10,12 +10,7 @@ from optsort.asplang import (
     enumerate_answer_sets,
     enumerate_answer_sets_layered,
 )
-from optsort.encode import (
-    asp_of_network,
-    dense_wire_atom_map,
-    input_facts,
-    prune_dead_wires,
-)
+from optsort.encode import asp_of_network, dense_wire_atom_map, input_facts
 from optsort.network import apply, new_network, oe_sorter
 
 from conftest import binary_vectors, random_network
@@ -91,40 +86,6 @@ class TestInputFacts:
     def test_rejects_non_binary_values(self):
         with pytest.raises(SemanticsError):
             input_facts([0, 2], dense_wire_atom_map(2, 0, 1))
-
-
-class TestDeadWirePruning:
-    def test_unread_wires_are_dropped(self):
-        # keep only the last level of one wire: the other wire's chain dies
-        net = new_network(2, 2, [(1, 2, 1)])
-        wire_map = dense_wire_atom_map(2, 2, 1)
-        rules = asp_of_network(net, wire_map)
-        kept = prune_dead_wires(rules, [wire_map.atom(2, 2)])
-        heads = {r.head for r in kept}
-        assert wire_map.atom(2, 2) in heads
-        assert wire_map.atom(1, 2) not in heads
-
-    def test_keeping_every_atom_prunes_nothing(self):
-        net = oe_sorter(4)
-        wire_map = dense_wire_atom_map(4, net.depth, 1)
-        rules = asp_of_network(net, wire_map)
-        assert prune_dead_wires(rules, wire_map.atoms()) == rules
-
-    def test_pruned_translation_still_tracks_the_kept_outputs(self):
-        # wire 3 never feeds the comparator outputs, so its inertia chain dies
-        net = new_network(3, 1, [(1, 2, 1)])
-        wire_map = dense_wire_atom_map(3, 1, 1)
-        rules = asp_of_network(net, wire_map)
-        outputs = [wire_map.atom(1, 1), wire_map.atom(2, 1)]
-        kept = prune_dead_wires(rules, outputs)
-        assert len(kept) == len(rules) - 1
-        from optsort.asplang import least_model
-
-        for bits in binary_vectors(3):
-            facts = input_facts(bits, wire_map)
-            full = least_model((r.head, r.pos_body) for r in rules + facts)
-            pruned = least_model((r.head, r.pos_body) for r in kept + facts)
-            assert full & set(outputs) == pruned & set(outputs)
 
 
 def network_program(net, bits):

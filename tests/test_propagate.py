@@ -8,6 +8,7 @@ from optsort.network import (
     ConfinedNetwork,
     Network,
     decompose_sparse,
+    limit_depth,
     new_network,
     oe_sorter,
     whole_network_decomposition,
@@ -19,6 +20,7 @@ from optsort.propagate import (
     propagate_confined,
     propagate_decomposition,
     propagate_full,
+    propagate_sparse,
     weight_function,
 )
 
@@ -245,3 +247,23 @@ class TestPreservation:
             allowed = {0, net.depth} | {j for j in range(net.depth + 1) if j % k == 0}
             hot = {j for _, j, _ in result.nonzero_entries()}
             assert hot <= allowed, (net, k, sorted(hot))
+
+
+class TestPropagateSparse:
+    def test_matches_the_fold_over_the_sparse_decomposition(self):
+        rng = random.Random(31)
+        for n in range(9):
+            full = oe_sorter(n)
+            for d in range(full.depth + 1):
+                net = limit_depth(full, d)
+                weights = random_matrix(rng, net.width, net.depth)
+                for sparseness in (1, 2, None):
+                    k = sparseness or net.depth
+                    expected = (
+                        propagate_decomposition(weights, decompose_sparse(net, k))
+                        if k
+                        else weights
+                    )
+                    assert propagate_sparse(weights, net, sparseness) == expected, (
+                        n, d, sparseness
+                    )

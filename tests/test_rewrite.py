@@ -5,22 +5,17 @@ import pytest
 from optsort import aspif
 from optsort.asplang import FreshAtoms, Literal, NormalRule, enumerate_answer_sets
 from optsort.rewrite import (
+    VERIFY_GRID,
     RewriteConfig,
     RewriteError,
     random_opt_document,
     rewrite_objective,
+    verify_grid,
     verify_rewrite,
     wire_inputs,
 )
 
 TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
-
-GRID = [
-    (depth, sparseness, propagate)
-    for depth in (0, 1, 2, 4, None)
-    for sparseness in (1, 2, None)
-    for propagate in (True, False)
-]
 
 
 def bridge(doc):
@@ -52,8 +47,22 @@ class TestConfig:
             RewriteConfig(depth_limit=-1)
         with pytest.raises(RewriteError):
             RewriteConfig(sparseness=0)
-        with pytest.raises(RewriteError):
-            RewriteConfig(network_scheme="bitonic")
+
+    def test_verify_grid_holds_the_thirty_documented_configurations(self):
+        # depth 0/1/2/4/full x sparseness 1/2/inf x propagation on/off, in
+        # the order `optsort verify` prints them
+        expected = [
+            (0, 1, True), (0, 1, False), (0, 2, True), (0, 2, False), (0, None, True), (0, None, False),
+            (1, 1, True), (1, 1, False), (1, 2, True), (1, 2, False), (1, None, True), (1, None, False),
+            (2, 1, True), (2, 1, False), (2, 2, True), (2, 2, False), (2, None, True), (2, None, False),
+            (4, 1, True), (4, 1, False), (4, 2, True), (4, 2, False), (4, None, True), (4, None, False),
+            (None, 1, True), (None, 1, False), (None, 2, True), (None, 2, False),
+            (None, None, True), (None, None, False),
+        ]
+        assert [
+            (c.depth_limit, c.sparseness, c.propagate) for c in VERIFY_GRID
+        ] == expected
+        assert not any(c.sort_inputs for c in VERIFY_GRID)
 
 
 class TestTwoTermRewrite:
@@ -102,6 +111,24 @@ class TestTrivialCases:
         out, report = rewrite_objective(aspif.parse(text), RewriteConfig())
         assert aspif.write(out) == text
         assert report.levels == ()
+
+    @pytest.mark.parametrize("depth", [0, None])
+    def test_unwired_levels_report_one_line_per_priority(self, depth):
+        # at depth 0 the two priority-0 statements stay as they are; with
+        # fewer than two positive terms a level is merged into one statement
+        text = "asp 1 0 0\n1 1 3 1 2 3 0 0\n2 1 1 3 -2\n2 0 2 1 5 2 0\n2 0 1 2 -4\n0\n"
+        _, report = rewrite_objective(aspif.parse(text), RewriteConfig(depth_limit=depth))
+        assert [lv.priority for lv in report.levels] == [0, 1]
+        zero, one = report.levels
+        kept = 3 if depth == 0 else 2
+        assert (zero.input_terms, zero.passthrough_terms, zero.output_terms) == (3, kept, kept)
+        assert (one.input_terms, one.passthrough_terms, one.output_terms) == (1, 1, 1)
+        assert all(lv.rewritten_terms == lv.rules_added == 0 for lv in report.levels)
+        assert report.to_text().splitlines()[0] == (
+            f"priority 0: terms 3 -> {kept} (wired 0, passed {kept}), "
+            "network 0x0 size 0, atoms +0, rules +0"
+        )
+        assert report.sidecar_text() == ""
 
     def test_identity_rewrite_verifies(self):
         doc = aspif.parse(TWO_TERM_DOC)
@@ -276,10 +303,7 @@ class TestVerifyRewrite:
         doc = random_opt_document(rng)
         before = bridge(doc)
         base = enumerate_answer_sets(before[0])
-        for depth, sparseness, propagate in GRID:
-            config = RewriteConfig(
-                depth_limit=depth, sparseness=sparseness, propagate=propagate
-            )
-            out, _ = rewrite_objective(doc, config)
-            report = verify_rewrite(before, bridge(out), before_models=base)
-            assert report.ok, (seed, depth, sparseness, propagate, report.detail)
+        results = verify_grid(doc, before, base)
+        assert [config for config, _ in results] == list(VERIFY_GRID)
+        for config, report in results:
+            assert report.ok, (seed, config, report.detail)
