@@ -14,50 +14,31 @@ from typing import Iterable, Sequence
 
 from . import aspif
 from .asplang import (
-    CardinalityConstraint,
-    ChoiceRule,
     GroundProgram,
     Nogood,
     ObjectiveFunction,
     PositiveRules,
     SemanticsError,
     enumerate_answer_sets,
-    pos,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
 from .network import Network, apply
 
 
-def binomial_program(n: int, k: int) -> GroundProgram:
-    """Free choice over n atoms constrained to keep at least k of them."""
+def binomial_document(n: int, k: int, opt: bool = False) -> aspif.AspifDocument:
+    """Free choice over n atoms constrained to keep at least k of them.
+
+    The constraint fires when at least n - k + 1 atoms are false; with n = 0
+    and k > 0 it has no terms and always fires.  ``opt`` adds the unit-weight
+    objective over the atoms.
+    """
     if n < 0 or k < 0:
         raise SemanticsError("binomial parameters must be non-negative")
-    atoms = frozenset(range(1, n + 1))
-    choice = (ChoiceRule(atoms),) if n else ()
-    bound = min(k, n + 1)
-    constraint = (
-        (CardinalityConstraint(tuple(pos(a) for a in sorted(atoms)), bound),)
-        if n and k
-        else ()
-    )
-    if n == 0 and k > 0:
-        return GroundProgram(frozenset(), nogoods=(Nogood(frozenset()),))
-    return GroundProgram(atoms, choice_rules=choice, cardinality_constraints=constraint)
-
-
-def binomial_opt_program(n: int, k: int) -> tuple[GroundProgram, ObjectiveFunction]:
-    """The binomial program with the unit-weight objective over its atoms."""
-    program = binomial_program(n, k)
-    objective = ObjectiveFunction(tuple((1, pos(a)) for a in range(1, n + 1)))
-    return program, objective
-
-
-def binomial_document(n: int, k: int, opt: bool = False) -> aspif.AspifDocument:
-    """The binomial (optimization) program in aspif form."""
     atoms = tuple(range(1, n + 1))
     statements: list[aspif.Statement] = []
     if n:
         statements.append(aspif.Rule(aspif.CHOICE, atoms, aspif.NormalBody(())))
+    if n or k:
         statements.append(
             aspif.Rule(
                 aspif.DISJUNCTIVE,
@@ -68,6 +49,17 @@ def binomial_document(n: int, k: int, opt: bool = False) -> aspif.AspifDocument:
     if opt:
         statements.append(aspif.Minimize(0, tuple((a, 1) for a in atoms)))
     return aspif.AspifDocument(statements=tuple(statements))
+
+
+def binomial_program(n: int, k: int) -> GroundProgram:
+    """The binomial document in the semantic model."""
+    return aspif.to_ground_program(binomial_document(n, k))[0]
+
+
+def binomial_opt_program(n: int, k: int) -> tuple[GroundProgram, ObjectiveFunction]:
+    """The binomial program with the unit-weight objective over its atoms."""
+    program, objectives = aspif.to_ground_program(binomial_document(n, k, opt=True))
+    return program, objectives[0]
 
 
 @dataclass(frozen=True)
@@ -286,10 +278,11 @@ def attach_network(
     wire_map = dense_wire_atom_map(
         network.width, network.depth, first_free, inputs=list(input_atoms)
     )
-    rules = asp_of_network(network, wire_map)
+    translation = aspif.AspifDocument(statements=tuple(asp_of_network(network, wire_map)))
+    rules = aspif.to_ground_program(translation)[0].normal_rules
     merged = GroundProgram(
         signature=program.signature | frozenset(wire_map.atoms()),
-        normal_rules=program.normal_rules + tuple(rules),
+        normal_rules=program.normal_rules + rules,
         choice_rules=program.choice_rules,
         cardinality_constraints=program.cardinality_constraints,
         nogoods=program.nogoods,

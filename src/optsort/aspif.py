@@ -99,11 +99,22 @@ class AspifDocument:
                 top = max(top, *(abs(l) for l in s.condition), 0)
             else:
                 for token in s.line.split():
-                    try:
-                        top = max(top, abs(int(token)))
-                    except ValueError:
-                        pass
+                    value = _integer(token)
+                    if value is not None:
+                        top = max(top, abs(value))
         return top
+
+
+def _integer(token: str) -> int | None:
+    """Value of an aspif integer token (optional sign, ASCII digits), else None."""
+    try:
+        value = int(token)
+    except ValueError:  # also digit strings longer than the interpreter converts
+        return None
+    # int() also takes underscores, surrounding whitespace and non-ASCII digits
+    if not token.isascii() or "_" in token or token != token.strip():
+        return None
+    return value
 
 
 class _Tokens:
@@ -117,12 +128,18 @@ class _Tokens:
             raise AspifParseError(f"line {self.line_no}: truncated statement, missing {what}")
         token = self.parts[self.pos]
         self.pos += 1
-        try:
-            return int(token)
-        except ValueError:
+        value = _integer(token)
+        if value is None:
             raise AspifParseError(
                 f"line {self.line_no}: non-integer token {token!r} for {what}"
-            ) from None
+            )
+        return value
+
+    def take_count(self, what: str) -> int:
+        count = self.take_int(what)
+        if count < 0:
+            raise AspifParseError(f"line {self.line_no}: negative {what} {count}")
+        return count
 
     def take_literal(self, what: str) -> int:
         lit = self.take_int(what)
@@ -141,16 +158,16 @@ def _parse_rule(tokens: _Tokens) -> Rule:
     head_kind = tokens.take_int("head kind")
     if head_kind not in (DISJUNCTIVE, CHOICE):
         raise AspifParseError(f"line {tokens.line_no}: unknown head kind {head_kind}")
-    m = tokens.take_int("head atom count")
+    m = tokens.take_count("head atom count")
     heads = tuple(tokens.take_int("head atom") for _ in range(m))
     body_kind = tokens.take_int("body kind")
     if body_kind == 0:
-        n = tokens.take_int("body literal count")
+        n = tokens.take_count("body literal count")
         lits = tuple(tokens.take_literal("body literal") for _ in range(n))
         body: Union[NormalBody, WeightBody] = NormalBody(lits)
     elif body_kind == 1:
         bound = tokens.take_int("lower bound")
-        n = tokens.take_int("body element count")
+        n = tokens.take_count("body element count")
         terms = tuple(
             (tokens.take_literal("body literal"), tokens.take_int("weight"))
             for _ in range(n)
@@ -166,7 +183,7 @@ def _parse_rule(tokens: _Tokens) -> Rule:
 
 def _parse_minimize(tokens: _Tokens) -> Minimize:
     priority = tokens.take_int("priority")
-    n = tokens.take_int("term count")
+    n = tokens.take_count("term count")
     terms = tuple(
         (tokens.take_literal("minimize literal"), tokens.take_int("weight"))
         for _ in range(n)
@@ -179,10 +196,9 @@ def _parse_output(line: str, line_no: int) -> Output:
     # the statement code before the first space was read by the caller
     _, _, rest = line.partition(" ")
     len_token, _, tail = rest.partition(" ")
-    try:
-        length = int(len_token)
-    except ValueError:
-        raise AspifParseError(f"line {line_no}: bad output string length") from None
+    length = _integer(len_token)
+    if length is None:
+        raise AspifParseError(f"line {line_no}: bad output string length")
     if length < 0 or len(tail) < length:
         raise AspifParseError(f"line {line_no}: output string shorter than declared")
     name = tail[:length]
@@ -190,7 +206,7 @@ def _parse_output(line: str, line_no: int) -> Output:
     if remainder and not remainder.startswith(" "):
         raise AspifParseError(f"line {line_no}: output string length mismatch")
     tokens = _Tokens(remainder.split(), line_no)
-    n = tokens.take_int("condition count")
+    n = tokens.take_count("condition count")
     condition = tuple(tokens.take_literal("condition literal") for _ in range(n))
     tokens.finish()
     return Output(name, condition)
@@ -210,10 +226,9 @@ def parse(text: str) -> AspifDocument:
     header = lines[0].split(" ")
     if len(header) < 4 or header[0] != "asp":
         raise AspifParseError(f"bad header {lines[0]!r}, expected 'asp 1 0 0'")
-    try:
-        version = (int(header[1]), int(header[2]), int(header[3]))
-    except ValueError:
-        raise AspifParseError(f"bad header version in {lines[0]!r}") from None
+    version = tuple(_integer(token) for token in header[1:4])
+    if None in version:
+        raise AspifParseError(f"bad header version in {lines[0]!r}")
     if version != (1, 0, 0):
         raise AspifParseError(f"unsupported aspif version {version}")
     tags = tuple(header[4:])
@@ -228,12 +243,11 @@ def parse(text: str) -> AspifDocument:
         if not line.strip():
             raise AspifParseError(f"line {line_no}: blank statement line")
         code_token = line.split(" ", 1)[0]
-        try:
-            code = int(code_token)
-        except ValueError:
+        code = _integer(code_token)
+        if code is None:
             raise AspifParseError(
                 f"line {line_no}: non-integer statement code {code_token!r}"
-            ) from None
+            )
         if code == 1:
             statements.append(_parse_rule(_Tokens(line.split()[1:], line_no)))
         elif code == 2:

@@ -1,8 +1,10 @@
-"""Translation of comparator networks into negation-free rule programs.
+"""Translation of comparator networks into negation-free aspif rules.
 
 Each comparator becomes three rules (min output needs both inputs, max output
 needs either) and every wire untouched at a level gets an inertia rule, so
-wire values at every level are captured bit-for-bit by atoms.
+wire values at every level are captured bit-for-bit by atoms.  The rules are
+the aspif statements the rewrite prints; ``aspif.to_ground_program`` maps
+them into the semantic model.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .asplang import NormalRule, SemanticsError
+from .aspif import DISJUNCTIVE, NormalBody, Rule
+from .asplang import SemanticsError
 from .network import Network
 
 
@@ -78,37 +81,42 @@ def dense_wire_atom_map(
     return WireAtomMap(width, depth, grid)
 
 
-def asp_of_network(network: Network, map: WireAtomMap) -> list[NormalRule]:
+def _rule(head: int, *body: int) -> Rule:
+    return Rule(DISJUNCTIVE, (head,), NormalBody(body))
+
+
+def asp_of_network(network: Network, map: WireAtomMap) -> list[Rule]:
     """Rules capturing every wire value of the network.
 
     Rule count is 3 * |comparators| plus one inertia rule per untouched
-    (wire, level) position.
+    (wire, level) position.  Each rule has one head and a positive body in
+    ascending atom order.
     """
     if (map.width, map.depth) != (network.width, network.depth):
         raise SemanticsError("wire atom map shape does not match the network")
-    rules: list[NormalRule] = []
+    rules: list[Rule] = []
     layers = network.layers()
     for level in range(1, network.depth + 1):
         touched: set[int] = set()
         for c in sorted(layers.get(level, []), key=lambda c: (c.i, c.j)):
             below_i = map.atom(c.i, level - 1)
             below_j = map.atom(c.j, level - 1)
-            rules.append(NormalRule(map.atom(c.i, level), frozenset({below_i, below_j})))
-            rules.append(NormalRule(map.atom(c.j, level), frozenset({below_i})))
-            rules.append(NormalRule(map.atom(c.j, level), frozenset({below_j})))
+            rules.append(
+                _rule(map.atom(c.i, level), min(below_i, below_j), max(below_i, below_j))
+            )
+            rules.append(_rule(map.atom(c.j, level), below_i))
+            rules.append(_rule(map.atom(c.j, level), below_j))
             touched |= {c.i, c.j}
         for wire in range(1, network.width + 1):
             if wire not in touched:
-                rules.append(
-                    NormalRule(map.atom(wire, level), frozenset({map.atom(wire, level - 1)}))
-                )
+                rules.append(_rule(map.atom(wire, level), map.atom(wire, level - 1)))
     return rules
 
 
-def input_facts(x: Sequence[int], map: WireAtomMap) -> list[NormalRule]:
+def input_facts(x: Sequence[int], map: WireAtomMap) -> list[Rule]:
     """Facts asserting the 1-entries of a binary input vector."""
     if len(x) != map.width:
         raise SemanticsError(f"expected {map.width} input bits, got {len(x)}")
     if any(bit not in (0, 1) for bit in x):
         raise SemanticsError(f"input vector {list(x)} is not binary")
-    return [NormalRule(map.atom(i + 1, 0)) for i, bit in enumerate(x) if bit]
+    return [_rule(map.atom(i + 1, 0)) for i, bit in enumerate(x) if bit]

@@ -16,8 +16,6 @@ from . import aspif
 from .asplang import (
     FreshAtoms,
     GroundProgram,
-    Literal,
-    NormalRule,
     ObjectiveFunction,
     evaluate,
     enumerate_answer_sets_layered,
@@ -99,9 +97,9 @@ class RewriteReport:
 
 
 def wire_inputs(
-    terms: list[tuple[int, Literal]], fresh: FreshAtoms
-) -> tuple[list[NormalRule], list[int]]:
-    """Bridge each weighted literal onto a fresh network input atom.
+    terms: list[tuple[int, int]], fresh: FreshAtoms
+) -> tuple[list[aspif.Rule], list[int]]:
+    """Bridge each weighted signed aspif literal onto a fresh network input atom.
 
     One rule per term: the input atom is derived exactly when the literal
     holds.  Weights must be positive (normalization runs first).
@@ -111,11 +109,10 @@ def wire_inputs(
     for w, lit in terms:
         if w <= 0:
             raise RewriteError(f"cannot wire non-positive weight {w}")
+        if lit == 0:
+            raise RewriteError("cannot wire literal 0")
         atom = fresh.take()
-        if lit.positive:
-            rules.append(NormalRule(atom, frozenset({lit.atom})))
-        else:
-            rules.append(NormalRule(atom, frozenset(), frozenset({lit.atom})))
+        rules.append(aspif.Rule(aspif.DISJUNCTIVE, (atom,), aspif.NormalBody((lit,))))
         inputs.append(atom)
     return rules, inputs
 
@@ -138,11 +135,6 @@ def _passthrough_report(priority: int, input_terms: int, kept_terms: int) -> Lev
     return LevelReport(priority, input_terms, 0, kept_terms, 0, 0, 0, kept_terms, 0, 0)
 
 
-def _rule_statement(rule: NormalRule) -> aspif.Rule:
-    body = tuple(sorted(rule.pos_body)) + tuple(-a for a in sorted(rule.neg_body))
-    return aspif.Rule(aspif.DISJUNCTIVE, (rule.head,), aspif.NormalBody(body))
-
-
 def _rewrite_level(
     priority: int,
     terms: tuple[tuple[int, int], ...],
@@ -156,9 +148,8 @@ def _rewrite_level(
         statement = aspif.Minimize(priority, tuple(merged))
         return [statement], _passthrough_report(priority, len(terms), len(merged))
 
-    literals = [aspif.literal_from_int(lit) for lit, _ in rewritable]
     weights = [w for _, w in rewritable]
-    bridge_rules, input_atoms = wire_inputs(list(zip(weights, literals)), fresh)
+    bridge_rules, input_atoms = wire_inputs([(w, lit) for lit, w in rewritable], fresh)
     network = oe_sorter(len(input_atoms))
     if config.depth_limit is not None:
         network = limit_depth(network, config.depth_limit)
@@ -177,9 +168,10 @@ def _rewrite_level(
     ]
     out_terms = tuple(wire_terms) + tuple(passthrough)
     statements: list[aspif.Statement] = [
-        _rule_statement(r) for r in bridge_rules + network_rules
+        *bridge_rules,
+        *network_rules,
+        aspif.Minimize(priority, out_terms),
     ]
-    statements.append(aspif.Minimize(priority, out_terms))
     report = LevelReport(
         priority=priority,
         input_terms=len(terms),

@@ -22,11 +22,7 @@ from optsort.analysis import (
     output_atoms,
     run_pch,
 )
-from optsort.asplang import (
-    GroundProgram,
-    enumerate_answer_sets,
-    enumerate_answer_sets_layered,
-)
+from optsort.asplang import enumerate_answer_sets, enumerate_answer_sets_layered
 from optsort.encode import asp_of_network, dense_wire_atom_map, input_facts
 from optsort.network import (
     ConfinedNetwork,
@@ -202,13 +198,13 @@ def test_05_network_translation_has_one_answer_set_per_input():
         nets.append(random_network(random.Random(n), n, 3))
         for net in nets:
             wire_map = dense_wire_atom_map(net.width, net.depth, 1)
-            rules = tuple(asp_of_network(net, wire_map))
-            assert all(not r.neg_body for r in rules)
+            rules = asp_of_network(net, wire_map)
+            assert all(lit > 0 for r in rules for lit in r.body.literals)
             for bits in binary_vectors(n):
-                program = GroundProgram(
-                    frozenset(wire_map.atoms()),
-                    rules + tuple(input_facts(bits, wire_map)),
+                document = aspif.AspifDocument(
+                    statements=tuple(rules + input_facts(bits, wire_map))
                 )
+                program, _ = aspif.to_ground_program(document)
                 models = enumerate_answer_sets_layered(program)
                 assert len(models) == 1, (n, bits)
                 model = models[0]

@@ -3,11 +3,9 @@ import random
 
 import pytest
 
-from optsort import aspif
 from optsort.analysis import (
     Propagator,
     attach_network,
-    binomial_document,
     binomial_opt_program,
     binomial_program,
     card_propagator,
@@ -94,11 +92,17 @@ class TestBinomialPrograms:
         assert enumerate_answer_sets(program) == [frozenset({1})]
         assert optimal_value(program, objective) == 1
 
-    def test_document_form_matches_the_native_program(self):
-        doc_program, _ = aspif.to_ground_program(binomial_document(4, 2, opt=True))
-        assert enumerate_answer_sets(doc_program) == enumerate_answer_sets(
-            binomial_program(4, 2)
-        )
+    def test_negative_parameters_are_refused(self):
+        with pytest.raises(SemanticsError):
+            binomial_program(-1, 0)
+        with pytest.raises(SemanticsError):
+            binomial_opt_program(2, -1)
+
+    def test_answer_set_counts_are_binomial_tails(self):
+        for n in range(7):
+            for k in range(n + 2):
+                expected = sum(math.comb(n, j) for j in range(k, n + 1))
+                assert len(enumerate_answer_sets(binomial_program(n, k))) == expected, (n, k)
 
 
 class TestCardPropagator:

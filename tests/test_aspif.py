@@ -13,6 +13,8 @@ from optsort.asplang import (
     optimal_value,
 )
 
+from conftest import aspif_texts
+
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.aspif"))
 
 # these two are deliberately non-canonical (missing terminator, loose spacing)
@@ -59,6 +61,16 @@ class TestParse:
             "asp 1 0 0\n1 0 1 1 0 0 99\n0\n",
             "asp 1 0 0\n0\n1 0 1 1 0 0\n",
             "asp 1 0 0\n4 9 abc 0\n0\n",
+            # negative counts
+            "asp 1 0 0\n1 0 -1 0 0\n0\n",
+            "asp 1 0 0\n1 0 1 1 0 -2 1 2\n0\n",
+            "asp 1 0 0\n1 0 1 1 1 -5 -1\n0\n",
+            "asp 1 0 0\n2 0 -3\n0\n",
+            "asp 1 0 0\n4 1 a -2\n0\n",
+            # integers outside the aspif syntax
+            "asp 1 0 0\n1 0 1 1_0 0 0\n0\n",
+            "asp 1 0 0\n1 0 1 \u0663 0 0\n0\n",
+            "asp 1 0 0\n\u0661 0 1 1 0 0\n0\n",
         ],
     )
     def test_malformed_inputs_raise(self, text):
@@ -248,23 +260,9 @@ def test_parse_inverts_write(doc):
     assert aspif.parse(aspif.write(doc)) == doc
 
 
-_TOKENS = st.one_of(
-    st.integers(-3, 6).map(str),
-    st.sampled_from(["04", "+4", "-0", "1_0", "x", "", "a b"]),
-    st.text(alphabet="014+- a\t\r\n", max_size=3),
-)
-
-
-@st.composite
-def statement_lines(draw):
-    code = draw(st.sampled_from(["1", "2", "4", "04", "+4", "0", "3", "-1", " 1", "x"]))
-    return " ".join([code, *draw(st.lists(_TOKENS, max_size=9))])
-
-
-@given(st.lists(statement_lines(), max_size=4), st.booleans())
+@given(aspif_texts())
 @settings(max_examples=300)
-def test_random_statement_lines_parse_or_raise_a_parse_error(lines, terminated):
-    text = "\n".join(["asp 1 0 0", *lines, *(["0"] if terminated else [])]) + "\n"
+def test_random_statement_lines_parse_or_raise_a_parse_error(text):
     try:
         doc = aspif.parse(text)
     except aspif.AspifParseError:

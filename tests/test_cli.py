@@ -1,9 +1,15 @@
 import io
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from optsort import aspif
+from optsort.asplang import enumerate_answer_sets
 from optsort.cli import main
+
+from conftest import aspif_texts
 
 TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
 
@@ -83,6 +89,16 @@ class TestRewriteCommand:
         assert err.startswith("error: line 3: ") and err.count("\n") == 1
         assert "literal 0 is not allowed" in err
 
+    @pytest.mark.parametrize("command", ["rewrite", "verify"])
+    @pytest.mark.parametrize(
+        "line", ["1 0 -1 0 0", "1 0 1 1 1 -5 -1", "2 0 -3", "4 1 a -2"]
+    )
+    def test_negative_count_is_a_parse_error(self, capsys, monkeypatch, command, line):
+        doc = f"asp 1 0 0\n1 1 1 1 0 0\n{line}\n0\n"
+        code, out, err = run(capsys, monkeypatch, [command], stdin=doc)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3: negative ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("code_token", ["04", "+4"])
     def test_output_code_spelled_differently_is_rewritten(
         self, capsys, monkeypatch, code_token
@@ -98,6 +114,19 @@ class TestRewriteCommand:
         assert code == 0 and "\n3 4 2\n" in out
 
 
+@given(aspif_texts())
+@settings(max_examples=100, deadline=None)
+def test_random_documents_exit_cleanly(text):
+    for command in ("rewrite", "verify"):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+            code = main([command])
+        assert code in (0, 1, 2), (command, code)
+        assert "Traceback" not in err.getvalue()
+        if command == "rewrite" and code == 0:
+            aspif.parse(out.getvalue())
+
+
 class TestGenerators:
     def test_gen_binomial_round_trips(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["gen-binomial", "4", "2", "--opt"])
@@ -106,8 +135,11 @@ class TestGenerators:
         assert any(isinstance(s, aspif.Minimize) for s in doc.statements)
 
     def test_gen_binomial_warns_on_unsatisfiable_bounds(self, capsys, monkeypatch):
-        code, out, err = run(capsys, monkeypatch, ["gen-binomial", "2", "3"])
-        assert code == 0 and "no answer sets" in err
+        for n, k in [("2", "3"), ("0", "3")]:
+            code, out, err = run(capsys, monkeypatch, ["gen-binomial", n, k])
+            assert code == 0 and "no answer sets" in err
+            program, _ = aspif.to_ground_program(aspif.parse(out))
+            assert enumerate_answer_sets(program) == [], (n, k)
 
     def test_gen_sorter_stats(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["gen-sorter", "8"])

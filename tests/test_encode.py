@@ -3,9 +3,8 @@ from itertools import product
 
 import pytest
 
+from optsort import aspif
 from optsort.asplang import (
-    GroundProgram,
-    NormalRule,
     SemanticsError,
     enumerate_answer_sets,
     enumerate_answer_sets_layered,
@@ -47,9 +46,9 @@ class TestNetworkRules:
         net = new_network(2, 1, [(1, 2, 1)])
         m = dense_wire_atom_map(2, 1, 3, inputs=[1, 2])
         assert asp_of_network(net, m) == [
-            NormalRule(3, frozenset({1, 2})),
-            NormalRule(4, frozenset({1})),
-            NormalRule(4, frozenset({2})),
+            aspif.Rule(aspif.DISJUNCTIVE, (3,), aspif.NormalBody((1, 2))),
+            aspif.Rule(aspif.DISJUNCTIVE, (4,), aspif.NormalBody((1,))),
+            aspif.Rule(aspif.DISJUNCTIVE, (4,), aspif.NormalBody((2,))),
         ]
 
     def test_rule_count_matches_gates_plus_inertia(self, four_wire_sorter):
@@ -64,7 +63,7 @@ class TestNetworkRules:
     def test_translation_is_negation_free(self):
         net = oe_sorter(5)
         rules = asp_of_network(net, dense_wire_atom_map(5, net.depth, 1))
-        assert all(not r.neg_body for r in rules)
+        assert all(lit > 0 for r in rules for lit in r.body.literals)
 
     def test_map_shape_must_match(self):
         net = oe_sorter(3)
@@ -75,7 +74,10 @@ class TestNetworkRules:
 class TestInputFacts:
     def test_facts_for_one_entries_only(self):
         m = dense_wire_atom_map(4, 0, 1)
-        assert [f.head for f in input_facts([0, 1, 1, 0], m)] == [2, 3]
+        assert input_facts([0, 1, 1, 0], m) == [
+            aspif.Rule(aspif.DISJUNCTIVE, (2,), aspif.NormalBody(())),
+            aspif.Rule(aspif.DISJUNCTIVE, (3,), aspif.NormalBody(())),
+        ]
 
     def test_all_zero_gives_no_facts(self):
         assert input_facts([0, 0], dense_wire_atom_map(2, 0, 1)) == []
@@ -91,7 +93,8 @@ class TestInputFacts:
 def network_program(net, bits):
     wire_map = dense_wire_atom_map(net.width, net.depth, 1)
     rules = asp_of_network(net, wire_map) + input_facts(bits, wire_map)
-    return GroundProgram(frozenset(wire_map.atoms()), tuple(rules)), wire_map
+    program, _ = aspif.to_ground_program(aspif.AspifDocument(statements=tuple(rules)))
+    return program, wire_map
 
 
 class TestWireValueCorrespondence:

@@ -240,13 +240,14 @@ class TestPreservation:
         rng = random.Random(k * 17)
         for _ in range(10):
             net = random_network(rng, rng.randint(3, 7), rng.randint(2, 7))
-            matrix = from_input_weights(
-                [rng.randint(0, 30) for _ in range(net.width)], net.depth
-            )
+            weights = [rng.randint(0, 30) for _ in range(net.width)]
+            matrix = from_input_weights(weights, net.depth)
             result = propagate_decomposition(matrix, decompose_sparse(net, k))
             allowed = {0, net.depth} | {j for j in range(net.depth + 1) if j % k == 0}
             hot = {j for _, j, _ in result.nonzero_entries()}
             assert hot <= allowed, (net, k, sorted(hot))
+            # no position ever carries more than the largest input weight
+            assert all(w <= max(weights) for _, _, w in result.nonzero_entries())
 
 
 class TestPropagateSparse:

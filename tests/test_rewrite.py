@@ -3,7 +3,7 @@ import random
 import pytest
 
 from optsort import aspif
-from optsort.asplang import FreshAtoms, Literal, NormalRule, enumerate_answer_sets
+from optsort.asplang import FreshAtoms, enumerate_answer_sets
 from optsort.rewrite import (
     VERIFY_GRID,
     RewriteConfig,
@@ -24,13 +24,11 @@ def bridge(doc):
 
 class TestWireInputs:
     def test_positive_and_negated_literals(self):
-        rules, atoms = wire_inputs(
-            [(40, Literal(1, True)), (70, Literal(2, False))], FreshAtoms(10)
-        )
+        rules, atoms = wire_inputs([(40, 1), (70, -2)], FreshAtoms(10))
         assert atoms == [10, 11]
         assert rules == [
-            NormalRule(10, frozenset({1})),
-            NormalRule(11, frozenset(), frozenset({2})),
+            aspif.Rule(aspif.DISJUNCTIVE, (10,), aspif.NormalBody((1,))),
+            aspif.Rule(aspif.DISJUNCTIVE, (11,), aspif.NormalBody((-2,))),
         ]
 
     def test_empty_terms(self):
@@ -38,7 +36,11 @@ class TestWireInputs:
 
     def test_rejects_non_positive_weights(self):
         with pytest.raises(RewriteError):
-            wire_inputs([(0, Literal(1))], FreshAtoms(5))
+            wire_inputs([(0, 1)], FreshAtoms(5))
+
+    def test_rejects_literal_zero(self):
+        with pytest.raises(RewriteError):
+            wire_inputs([(3, 0)], FreshAtoms(5))
 
 
 class TestConfig:
