@@ -423,7 +423,6 @@ def optimal_value(program: GroundProgram, objective: ObjectiveFunction) -> int |
 class _SplitParts:
     bottom: GroundProgram
     top_rules: tuple[NormalRule, ...]
-    top_choices: tuple[ChoiceRule, ...]
     straddling_cardinality: tuple[CardinalityConstraint, ...]
     straddling_nogoods: tuple[Nogood, ...]
 
@@ -437,16 +436,20 @@ def _split(program: GroundProgram, bottom_atoms: frozenset[int]) -> _SplitParts:
                     f"rule for {r.head} reaches outside the splitting set"
                 )
             bottom_rules.append(r)
+        elif r.neg_body - bottom_atoms:
+            raise SemanticsError(
+                f"rule for {r.head} negates atoms "
+                f"{sorted(r.neg_body - bottom_atoms)} above the splitting set"
+            )
         else:
             top_rules.append(r)
-    bottom_choices, top_choices = [], []
     for c in program.choice_rules:
-        if c.head_atoms & bottom_atoms:
-            if not c.atoms() <= bottom_atoms:
-                raise SemanticsError("choice rule straddles the splitting set")
-            bottom_choices.append(c)
-        else:
-            top_choices.append(c)
+        if not c.head_atoms & bottom_atoms:
+            raise SemanticsError(
+                f"choice rule for {sorted(c.head_atoms)} lies above the splitting set"
+            )
+        if not c.atoms() <= bottom_atoms:
+            raise SemanticsError("choice rule straddles the splitting set")
     bottom_cc, straddle_cc = [], []
     for cc in program.cardinality_constraints:
         (bottom_cc if cc.atoms() <= bottom_atoms else straddle_cc).append(cc)
@@ -456,36 +459,11 @@ def _split(program: GroundProgram, bottom_atoms: frozenset[int]) -> _SplitParts:
     bottom = GroundProgram(
         signature=frozenset(bottom_atoms),
         normal_rules=tuple(bottom_rules),
-        choice_rules=tuple(bottom_choices),
+        choice_rules=program.choice_rules,
         cardinality_constraints=tuple(bottom_cc),
         nogoods=tuple(bottom_ng),
     )
-    return _SplitParts(
-        bottom, tuple(top_rules), tuple(top_choices), tuple(straddle_cc), tuple(straddle_ng)
-    )
-
-
-def _reduce_top(
-    parts: _SplitParts, bottom_atoms: frozenset[int], bottom_model: frozenset[int]
-) -> tuple[list[NormalRule], list[ChoiceRule]]:
-    rules = []
-    for r in parts.top_rules:
-        if (r.pos_body & bottom_atoms) - bottom_model:
-            continue
-        if r.neg_body & bottom_model:
-            continue
-        rules.append(
-            NormalRule(r.head, r.pos_body - bottom_atoms, r.neg_body - bottom_atoms)
-        )
-    choices = []
-    for c in parts.top_choices:
-        bottom_part = [l for l in c.body if l.atom in bottom_atoms]
-        if any(not l.satisfied_by(bottom_model) for l in bottom_part):
-            continue
-        choices.append(
-            ChoiceRule(c.head_atoms, frozenset(l for l in c.body if l.atom not in bottom_atoms))
-        )
-    return rules, choices
+    return _SplitParts(bottom, tuple(top_rules), tuple(straddle_cc), tuple(straddle_ng))
 
 
 def auto_split_atoms(program: GroundProgram) -> frozenset[int]:
@@ -534,30 +512,27 @@ def enumerate_answer_sets_split(
     """Enumerate answer sets layer by layer across a splitting set.
 
     ``bottom_atoms`` must be closed under rule heads: any rule defining a
-    bottom atom may only mention bottom atoms.  Each bottom answer set is
-    extended through the remaining rules; when the residual upper part is
-    negation-free its extension is its least model, otherwise it is
-    enumerated brute-force.
+    bottom atom may only mention bottom atoms.  The part above the split may
+    negate bottom atoms only and may hold no choice rule; anything else
+    raises SemanticsError.  By the splitting-set theorem each bottom answer
+    set M then extends to exactly one candidate, the least model of the
+    upper rules over M.  The upper rules are compiled once, with ``-b``
+    standing for ``not b``, and each M is closed together with ``-b`` for
+    every negated bottom atom b outside M.
     """
     parts = _split(program, bottom_atoms)
-    top_sig = program.signature - bottom_atoms
+    upper = PositiveRules(
+        (r.head, r.pos_body | {-b for b in r.neg_body}) for r in parts.top_rules
+    )
+    negated = sorted({b for r in parts.top_rules for b in r.neg_body})
     results: list[frozenset[int]] = []
     for bottom_model in enumerate_answer_sets_layered(parts.bottom):
-        rules, choices = _reduce_top(parts, bottom_atoms, bottom_model)
-        negation_free = not choices and all(not r.neg_body for r in rules)
-        if negation_free:
-            tops = [least_model((r.head, r.pos_body) for r in rules)]
-        else:
-            residual = GroundProgram(
-                signature=top_sig,
-                normal_rules=tuple(rules),
-                choice_rules=tuple(choices),
-            )
-            tops = enumerate_answer_sets(residual)
-        for top in tops:
-            combined = bottom_model | top
-            if all(cc.satisfied_by(combined) for cc in parts.straddling_cardinality) and all(
-                ng.satisfied_by(combined) for ng in parts.straddling_nogoods
-            ):
-                results.append(combined)
+        closed = upper.closure(
+            [*bottom_model, *(-b for b in negated if b not in bottom_model)]
+        )
+        combined = frozenset(a for a in closed if a > 0)
+        if all(cc.satisfied_by(combined) for cc in parts.straddling_cardinality) and all(
+            ng.satisfied_by(combined) for ng in parts.straddling_nogoods
+        ):
+            results.append(combined)
     return _lex_sorted(results)

@@ -224,6 +224,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok, lines = _verify_document(doc, args.max_atoms)
         print("\n".join(lines))
         return 0 if ok else 1
+    if args.count < 0:
+        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
+        return 2
     seeds = [args.seed + i for i in range(args.count)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -243,17 +246,25 @@ def _cmd_pch(args: argparse.Namespace) -> int:
     if not (0 <= args.k <= args.n):
         print("error: need 0 <= k <= n", file=sys.stderr)
         return 2
+    kind, _, depth = args.network.partition(":")
+    if not (
+        args.network in ("none", "full")
+        or (kind == "depth" and depth.isascii() and depth.isdigit())
+    ):
+        print(
+            f"error: unknown network kind {args.network!r} for --network, "
+            "expected 'none', 'full' or 'depth:D' with an integer D >= 0",
+            file=sys.stderr,
+        )
+        return 2
     program = binomial_program(args.n, args.k)
     inputs = list(range(1, args.n + 1))
     if args.network == "none":
         propagator = card_propagator(inputs, args.k)
     else:
         network = oe_sorter(args.n)
-        if args.network.startswith("depth:"):
-            network = limit_depth(network, int(args.network.split(":", 1)[1]))
-        elif args.network != "full":
-            print(f"error: unknown network kind {args.network!r}", file=sys.stderr)
-            return 2
+        if kind == "depth":
+            network = limit_depth(network, int(depth))
         program, wire_map = attach_network(program, inputs, network)
         propagator = card_propagator(output_atoms(wire_map), args.k)
     trace = run_pch(program, propagator)

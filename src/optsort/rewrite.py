@@ -117,14 +117,28 @@ def wire_inputs(
     return rules, inputs
 
 
+def _fits_32_bits(weight: int) -> bool:
+    return -(2**31) <= weight < 2**31
+
+
 def _normalize(
     terms: tuple[tuple[int, int], ...]
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
     # Merge duplicate literals (weights summed, first occurrence keeps the
-    # slot), then split off non-positive weights as pass-through terms.
+    # slot), then split off non-positive weights as pass-through terms.  A
+    # merge may not carry 32-bit parts out of the 32-bit range that aspif
+    # consumers store weights in; a part already outside it is the user's.
     merged: dict[int, int] = {}
+    wide_parts: set[int] = set()
     for lit, w in terms:
         merged[lit] = merged.get(lit, 0) + w
+        if not _fits_32_bits(w):
+            wide_parts.add(lit)
+    for lit, w in merged.items():
+        if lit not in wide_parts and not _fits_32_bits(w):
+            raise RewriteError(
+                f"merged weight {w} of literal {lit} leaves the 32-bit range"
+            )
     rewritable = [(lit, w) for lit, w in merged.items() if w > 0]
     passthrough = [(lit, w) for lit, w in merged.items() if w <= 0]
     return rewritable, passthrough, list(merged.items())
@@ -308,13 +322,20 @@ def verify_grid(
     """Rewrite under every ``VERIFY_GRID`` configuration and verify each result.
 
     ``before`` is the document's own ground program and ``before_models`` its
-    answer sets, enumerated once for the whole grid.
+    answer sets, enumerated once for the whole grid.  Configurations often
+    give the same program (depth 0 ignores the other knobs, small networks
+    reach full depth early), so each distinct ``aspif.write`` text is
+    verified once and its report reused.
     """
+    reports: dict[str, VerifyReport] = {}
     results = []
     for config in VERIFY_GRID:
         rewritten, _ = rewrite_objective(document, config)
-        after = aspif.to_ground_program(rewritten)
-        results.append((config, verify_rewrite(before, after, before_models)))
+        text = aspif.write(rewritten)
+        if text not in reports:
+            after = aspif.to_ground_program(rewritten)
+            reports[text] = verify_rewrite(before, after, before_models)
+        results.append((config, reports[text]))
     return results
 
 

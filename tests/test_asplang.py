@@ -287,6 +287,65 @@ class TestSplitEnumeration:
         p = program(bottom | top, rules=rules, choices=[ChoiceRule(bottom)])
         assert enumerate_answer_sets_split(p, bottom) == enumerate_answer_sets(p)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_split_equals_direct_with_straddling_constraints(self, seed):
+        # upper rules mix positive and negated bottom atoms with positive
+        # upper atoms, cycles included; constraints straddle the split
+        rng = random.Random(1000 + seed)
+        n_bottom, n_top = rng.randint(2, 5), rng.randint(1, 4)
+        bottom = frozenset(range(1, n_bottom + 1))
+        top = frozenset(range(n_bottom + 1, n_bottom + n_top + 1))
+        everything = sorted(bottom | top)
+        free = frozenset(rng.sample(sorted(bottom), k=rng.randint(1, n_bottom)))
+        rules = [
+            rule(b, rng.sample(sorted(free), k=1), rng.sample(sorted(free), k=1))
+            for b in sorted(bottom - free)
+        ]
+        for _ in range(rng.randint(n_top, 2 * n_top + 2)):
+            body = rng.sample(everything, k=rng.randint(0, 3))
+            not_body = rng.sample(sorted(bottom), k=rng.randint(0, 2))
+            rules.append(rule(rng.choice(sorted(top)), body, not_body))
+        cardinality = []
+        for _ in range(rng.randint(0, 2)):
+            picked = rng.sample(everything, k=rng.randint(2, min(4, len(everything))))
+            lits = tuple(pos(a) if rng.random() < 0.6 else neg(a) for a in picked)
+            bound = rng.randint(1, len(lits) - 1)
+            cardinality.append(CardinalityConstraint(lits, bound))
+        nogoods = []
+        for _ in range(rng.randint(0, 2)):
+            atoms = rng.sample(everything, k=rng.randint(2, 3))
+            nogoods.append(Nogood(frozenset((a, rng.random() < 0.5) for a in atoms)))
+        p = program(
+            bottom | top,
+            rules=rules,
+            choices=[ChoiceRule(free)],
+            cardinality=cardinality,
+            nogoods=nogoods,
+        )
+        direct = enumerate_answer_sets(p)
+        assert enumerate_answer_sets_split(p, bottom) == direct
+        assert enumerate_answer_sets_layered(p) == direct
+
+    def test_split_refuses_an_upper_choice_rule(self):
+        p = program(
+            {1, 2},
+            choices=[
+                ChoiceRule(frozenset({1})),
+                ChoiceRule(frozenset({2}), frozenset({pos(1)})),
+            ],
+        )
+        with pytest.raises(SemanticsError, match="above the splitting set"):
+            enumerate_answer_sets_split(p, frozenset({1}))
+
+    def test_split_refuses_a_negated_upper_atom(self):
+        p = program(
+            {1, 2, 3},
+            rules=[rule(2, body=[1], not_body=[3]), rule(3, not_body=[2])],
+            choices=[ChoiceRule(frozenset({1}))],
+        )
+        with pytest.raises(SemanticsError, match="negates atoms"):
+            enumerate_answer_sets_split(p, frozenset({1}))
+
     def test_layered_enumeration_matches_direct(self):
         p = program(
             {1, 2, 3, 4},

@@ -108,6 +108,23 @@ class TestRewriteCommand:
         assert code == 0 and err == ""
         assert out == "asp 1 0 0\n4 1 a 0\n0\n"
 
+    @pytest.mark.parametrize(
+        "line,literal,weight",
+        [
+            ("2 0 2 1 2147483647 1 1", "1", "2147483648"),
+            ("2 0 2 -1 -2147483648 -1 -1", "-1", "-2147483649"),
+        ],
+    )
+    def test_merged_weight_overflow_is_refused(
+        self, capsys, monkeypatch, line, literal, weight
+    ):
+        doc = f"asp 1 0 0\n{line}\n0\n"
+        code, out, err = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: merged weight {weight} of literal {literal} leaves the 32-bit range\n"
+        )
+
     def test_unknown_statements_pass_through(self, capsys, monkeypatch):
         doc = "asp 1 0 0\n3 4 2\n1 1 2 1 2 0 0\n2 0 2 1 4 2 9\n0\n"
         code, out, _ = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
@@ -182,6 +199,11 @@ class TestVerifyCommand:
         )
         assert code == 2 and "exceed" in err
 
+    def test_negative_count_is_refused(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["verify", "--random", "--count", "-3"])
+        assert code == 2 and out == ""
+        assert err == "error: --count must be >= 0, got -3\n"
+
     def test_parallel_sweep_matches_the_serial_one(self, capsys, monkeypatch):
         serial = run(
             capsys, monkeypatch, ["verify", "--random", "--count", "2", "--jobs", "1"]
@@ -223,6 +245,15 @@ class TestPchCommand:
     def test_unknown_network_kind(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["pch", "3", "2", "--network", "magic"])
         assert code == 2 and "unknown network kind" in err
+
+    @pytest.mark.parametrize("kind", ["depth:x", "depth:-1", "depth:", "depth", "Full"])
+    def test_malformed_network_names_the_option_and_its_forms(
+        self, capsys, monkeypatch, kind
+    ):
+        code, out, err = run(capsys, monkeypatch, ["pch", "3", "1", "--network", kind])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"{kind!r} for --network" in err
+        assert "'none', 'full' or 'depth:D'" in err
 
     def test_over_budget_enumeration_is_refused(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["pch", "24", "12"])

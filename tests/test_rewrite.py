@@ -1,9 +1,15 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from optsort import aspif
-from optsort.asplang import FreshAtoms, enumerate_answer_sets
+from optsort import aspif, rewrite
+from optsort.analysis import binomial_document
+from optsort.asplang import (
+    FreshAtoms,
+    enumerate_answer_sets,
+    enumerate_answer_sets_layered,
+)
 from optsort.rewrite import (
     VERIFY_GRID,
     RewriteConfig,
@@ -164,6 +170,36 @@ class TestNormalization:
         assert minimize.terms == ((1, 0), (2, -3))
         assert report.levels[0].rules_added == 0
 
+    @pytest.mark.parametrize(
+        "minimize,message",
+        [
+            ("2 0 2 1 2147483647 1 1", "merged weight 2147483648 of literal 1"),
+            ("2 0 3 -1 -2147483648 2 4 -1 -1", "merged weight -2147483649 of literal -1"),
+        ],
+    )
+    def test_merged_weight_leaving_32_bits_is_refused(self, minimize, message):
+        text = f"asp 1 0 0\n1 1 2 1 2 0 0\n{minimize}\n0\n"
+        with pytest.raises(RewriteError, match=message):
+            rewrite_objective(aspif.parse(text), RewriteConfig())
+
+    def test_merge_reaching_the_32_bit_bounds_is_kept(self):
+        text = (
+            "asp 1 0 0\n1 1 2 1 2 0 0\n"
+            "2 0 4 1 2147483646 1 1 -2 -2147483647 -2 -1\n0\n"
+        )
+        out, _ = rewrite_objective(aspif.parse(text), RewriteConfig())
+        (minimize,) = [s for s in out.statements if isinstance(s, aspif.Minimize)]
+        assert minimize.terms == ((1, 2147483647), (-2, -2147483648))
+
+    def test_weights_written_past_32_bits_are_left_alone(self):
+        text = (Path(__file__).parent / "corpus" / "24_big_ids.aspif").read_text()
+        out, _ = rewrite_objective(aspif.parse(text), RewriteConfig())
+        assert aspif.write(out) == text
+        merged = "asp 1 0 0\n1 1 1 1 0 0\n2 0 2 1 4294967296 1 -1\n0\n"
+        out, _ = rewrite_objective(aspif.parse(merged), RewriteConfig())
+        (minimize,) = [s for s in out.statements if isinstance(s, aspif.Minimize)]
+        assert minimize.terms == ((1, 4294967295),)
+
 
 class TestWeightAccounting:
     @pytest.mark.parametrize("depth,sparseness", [(None, 1), (None, 2), (2, 1), (1, None)])
@@ -309,3 +345,46 @@ class TestVerifyRewrite:
         assert [config for config, _ in results] == list(VERIFY_GRID)
         for config, report in results:
             assert report.ok, (seed, config, report.detail)
+
+
+def _grid_reference(document):
+    """Every configuration rewritten and verified on its own, no sharing."""
+    before = bridge(document)
+    base = enumerate_answer_sets_layered(before[0])
+    results = []
+    for config in VERIFY_GRID:
+        rewritten, _ = rewrite_objective(document, config)
+        results.append((config, verify_rewrite(before, bridge(rewritten), base)))
+    return results, before, base
+
+
+class TestVerifyGridSharing:
+    def _counted_grid(self, monkeypatch, document, before, base):
+        calls = []
+        original = rewrite.verify_rewrite
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rewrite, "verify_rewrite", counted)
+        return verify_grid(document, before, base), len(calls)
+
+    def test_binomial_ten_five_verifies_nine_distinct_rewrites(self, monkeypatch):
+        document = binomial_document(10, 5, opt=True)
+        expected, before, base = _grid_reference(document)
+        results, calls = self._counted_grid(monkeypatch, document, before, base)
+        assert results == expected
+        assert calls == 9
+        assert all(report.ok and report.answer_sets == 638 for _, report in results)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_programs_verify_each_distinct_text_once(self, monkeypatch, seed):
+        document = random_opt_document(random.Random(seed))
+        expected, before, base = _grid_reference(document)
+        results, calls = self._counted_grid(monkeypatch, document, before, base)
+        assert results == expected
+        texts = {
+            aspif.write(rewrite_objective(document, config)[0]) for config in VERIFY_GRID
+        }
+        assert calls == len(texts)
