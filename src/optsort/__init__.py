@@ -3,69 +3,5 @@
 The package splits into the combinatorial core (`network`, `propagate`), the
 semantic oracle (`asplang`, `encode`), the wire format (`aspif`), the rewrite
 pipeline (`rewrite`), the propagator-model analysis (`analysis`) and a CLI
-(`cli`).
+(`cli`).  The package itself re-exports nothing: import from the modules.
 """
-
-from .network import (
-    Comparator,
-    ConfinedNetwork,
-    Decomposition,
-    Network,
-    NetworkError,
-    WireValueMatrix,
-    apply,
-    decompose_sparse,
-    limit_depth,
-    new_network,
-    oe_sorter,
-    permutation_of,
-    render_diagram,
-    whole_network_decomposition,
-)
-from .propagate import (
-    WeightError,
-    WeightMatrix,
-    from_input_weights,
-    propagate_confined,
-    propagate_decomposition,
-    propagate_full,
-    weight_function,
-)
-from .rewrite import (
-    RewriteConfig,
-    RewriteError,
-    RewriteReport,
-    VerifyReport,
-    rewrite_objective,
-    verify_rewrite,
-)
-
-__all__ = [
-    "Comparator",
-    "ConfinedNetwork",
-    "Decomposition",
-    "Network",
-    "NetworkError",
-    "RewriteConfig",
-    "RewriteError",
-    "RewriteReport",
-    "VerifyReport",
-    "WeightError",
-    "WeightMatrix",
-    "WireValueMatrix",
-    "apply",
-    "decompose_sparse",
-    "from_input_weights",
-    "limit_depth",
-    "new_network",
-    "oe_sorter",
-    "permutation_of",
-    "propagate_confined",
-    "propagate_decomposition",
-    "propagate_full",
-    "render_diagram",
-    "rewrite_objective",
-    "verify_rewrite",
-    "weight_function",
-    "whole_network_decomposition",
-]

@@ -13,16 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import aspif
-from .asplang import (
-    GroundProgram,
-    Nogood,
-    ObjectiveFunction,
-    PositiveRules,
-    SemanticsError,
-    enumerate_answer_sets,
-)
+from .asplang import GroundProgram, Nogood, PositiveRules, SemanticsError
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
-from .network import Network, apply
+from .network import Network
 
 
 def binomial_document(n: int, k: int, opt: bool = False) -> aspif.AspifDocument:
@@ -56,12 +49,6 @@ def binomial_program(n: int, k: int) -> GroundProgram:
     return aspif.to_ground_program(binomial_document(n, k))[0]
 
 
-def binomial_opt_program(n: int, k: int) -> tuple[GroundProgram, ObjectiveFunction]:
-    """The binomial program with the unit-weight objective over its atoms."""
-    program, objectives = aspif.to_ground_program(binomial_document(n, k, opt=True))
-    return program, objectives[0]
-
-
 @dataclass(frozen=True)
 class Propagator:
     """Lazily represented all-true-k-subset constraint over some atoms.
@@ -81,18 +68,6 @@ class Propagator:
         if len(true_atoms) < self.bound:
             raise SemanticsError("explain called on a non-conflicting assignment")
         return Nogood(frozenset((a, True) for a in true_atoms[: self.bound]))
-
-    def constraint_nogoods(self, guard: int = 10**6) -> list[Nogood]:
-        """The full constraint, materialized; only for desk-scale checks."""
-        import itertools
-        import math
-
-        if math.comb(len(self.atoms), self.bound) > guard:
-            raise SemanticsError("constraint materialization exceeds guard")
-        return [
-            Nogood(frozenset((a, True) for a in subset))
-            for subset in itertools.combinations(sorted(self.atoms), self.bound)
-        ]
 
 
 def card_propagator(atoms: Sequence[int], k: int) -> Propagator:
@@ -237,39 +212,6 @@ def run_pch(
     return PropagatorTrace(tuple(assignments), tuple(learned), True)
 
 
-def verify_trace(
-    program: GroundProgram, propagator: Propagator, trace: PropagatorTrace
-) -> bool:
-    """Re-check a trace against the definitional conditions, brute force.
-
-    Each assignment must be a supported model satisfying all earlier learned
-    nogoods while conflicting with the propagator constraint; completeness
-    must coincide with the learned nogoods wiping out every answer set.
-    """
-    from .asplang import is_supported_model
-
-    constraint = set(propagator.constraint_nogoods())
-    for idx, assignment in enumerate(trace.assignments):
-        if not is_supported_model(program, assignment):
-            return False
-        if any(ng.conflicts_with(assignment) for ng in trace.nogoods[:idx]):
-            return False
-        if not propagator.conflicts_with(assignment):
-            return False
-        if trace.nogoods[idx] not in constraint:
-            return False
-        if not trace.nogoods[idx].conflicts_with(assignment):
-            return False
-    constrained = GroundProgram(
-        signature=program.signature,
-        normal_rules=program.normal_rules,
-        choice_rules=program.choice_rules,
-        cardinality_constraints=program.cardinality_constraints,
-        nogoods=program.nogoods + trace.nogoods,
-    )
-    return trace.complete == (not enumerate_answer_sets(constrained))
-
-
 def attach_network(
     program: GroundProgram, input_atoms: Sequence[int], network: Network
 ) -> tuple[GroundProgram, WireAtomMap]:
@@ -292,15 +234,3 @@ def attach_network(
 
 def output_atoms(wire_map: WireAtomMap) -> list[int]:
     return [wire_map.atom(i, wire_map.depth) for i in range(1, wire_map.width + 1)]
-
-
-def sorted_output_check(network: Network) -> bool:
-    """Exhaustively test that every binary input leaves the network sorted."""
-    if network.width > 8:
-        raise SemanticsError("sorted-output check is exhaustive, width capped at 8")
-    for mask in range(1 << network.width):
-        bits = [(mask >> b) & 1 for b in range(network.width)]
-        output = apply(network, bits).output()
-        if any(output[i] > output[i + 1] for i in range(len(output) - 1)):
-            return False
-    return True

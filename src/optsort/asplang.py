@@ -2,20 +2,16 @@
 
 Programs mix normal rules, choice rules, cardinality constraints and nogoods
 over positive integer atoms.  Everything here is meant for desk-scale
-verification: answer sets and supported models are enumerated exhaustively,
-guarded by an atom-count limit.
+verification: answer sets are enumerated exhaustively, guarded by an
+atom-count limit.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 MAX_ENUM_ATOMS = 24
-
-Interpretation = frozenset[int]
 
 
 class SemanticsError(ValueError):
@@ -35,14 +31,6 @@ class Literal(NamedTuple):
         return Literal(self.atom, not self.positive)
 
 
-def pos(atom: int) -> Literal:
-    return Literal(atom, True)
-
-
-def neg(atom: int) -> Literal:
-    return Literal(atom, False)
-
-
 @dataclass(frozen=True)
 class NormalRule:
     head: int
@@ -54,14 +42,6 @@ class NormalRule:
 
     def atoms(self) -> frozenset[int]:
         return frozenset({self.head}) | self.pos_body | self.neg_body
-
-
-def rule(head: int, body: Iterable[int] = (), not_body: Iterable[int] = ()) -> NormalRule:
-    return NormalRule(head, frozenset(body), frozenset(not_body))
-
-
-def fact(head: int) -> NormalRule:
-    return NormalRule(head)
 
 
 @dataclass(frozen=True)
@@ -128,11 +108,6 @@ class Nogood:
         return frozenset(a for a, _ in self.signed_literals)
 
 
-def nogood(true_atoms: Iterable[int] = (), false_atoms: Iterable[int] = ()) -> Nogood:
-    signed = {(a, True) for a in true_atoms} | {(a, False) for a in false_atoms}
-    return Nogood(frozenset(signed))
-
-
 @dataclass(frozen=True)
 class GroundProgram:
     signature: frozenset[int]
@@ -176,9 +151,6 @@ class ObjectiveFunction:
 
     terms: tuple[tuple[int, Literal], ...]
 
-    def atoms(self) -> frozenset[int]:
-        return frozenset(l.atom for _, l in self.terms)
-
 
 class FreshAtoms:
     """Hands out unused atom ids, counting up from a start value."""
@@ -196,64 +168,6 @@ class FreshAtoms:
         first = self._next
         self._next += count
         return first
-
-    @property
-    def next_id(self) -> int:
-        return self._next
-
-
-def expand_choice(rule: ChoiceRule, fresh: FreshAtoms) -> list[NormalRule]:
-    """Rewrite a choice rule into 1 + 2*|head| normal rules.
-
-    A fresh trigger atom carries the body; each head atom a gets the pair
-    a :- not a', trigger and a' :- not a with a fresh complement atom a'.
-    """
-    trigger = fresh.take()
-    pos_body = frozenset(l.atom for l in rule.body if l.positive)
-    neg_body = frozenset(l.atom for l in rule.body if not l.positive)
-    out = [NormalRule(trigger, pos_body, neg_body)]
-    for a in sorted(rule.head_atoms):
-        complement = fresh.take()
-        out.append(NormalRule(a, frozenset({trigger}), frozenset({complement})))
-        out.append(NormalRule(complement, frozenset(), frozenset({a})))
-    return out
-
-
-def expand_cardinality(cc: CardinalityConstraint, guard: int = 10**6) -> list[Nogood]:
-    """Materialize the constraint as one nogood per falsifiable subset.
-
-    Each (n - k + 1)-subset of the distinct literals yields the nogood that
-    forbids falsifying the whole subset at once.
-    """
-    literals = sorted(set(cc.literals))
-    n = len(literals)
-    size = n - cc.lower_bound + 1
-    if size < 0:
-        return []
-    if size > n:
-        return []
-    if math.comb(n, size) > guard:
-        raise SemanticsError(
-            f"cardinality expansion of C({n}, {size}) subsets exceeds guard {guard}"
-        )
-    out = []
-    for subset in itertools.combinations(literals, size):
-        signed = frozenset(
-            (l.atom, False) if l.positive else (l.atom, True) for l in subset
-        )
-        out.append(Nogood(signed))
-    return out
-
-
-def reduct(program: GroundProgram, interpretation: frozenset[int]) -> list[NormalRule]:
-    """Gelfond-Lifschitz reduct; requires choice rules to be expanded already."""
-    if program.choice_rules:
-        raise SemanticsError("reduct expects a program without choice rules")
-    return [
-        NormalRule(r.head, r.pos_body, frozenset())
-        for r in program.normal_rules
-        if not (r.neg_body & interpretation)
-    ]
 
 
 def _derivations(
@@ -366,8 +280,8 @@ def _lex_sorted(models: Iterable[frozenset[int]]) -> list[frozenset[int]]:
 
 def _candidate_interpretations(program: GroundProgram) -> Iterable[frozenset[int]]:
     _enum_guard(len(program.signature))
-    # Only head atoms can be true in answer sets or supported models, so the
-    # search space is restricted to subsets of them.
+    # Only head atoms can be true in answer sets, so the search space is
+    # restricted to subsets of them.
     heads = sorted(program.head_atoms())
     for size_mask in range(1 << len(heads)):
         yield frozenset(a for bit, a in enumerate(heads) if size_mask >> bit & 1)
@@ -380,43 +294,9 @@ def enumerate_answer_sets(program: GroundProgram) -> list[frozenset[int]]:
     )
 
 
-def is_supported_model(program: GroundProgram, interpretation: frozenset[int]) -> bool:
-    """Model where every true atom heads some rule with a satisfied body."""
-    if not interpretation <= program.signature:
-        return False
-    if not satisfies(program, interpretation):
-        return False
-    for a in interpretation:
-        supported = any(
-            r.head == a and r.body_satisfied_by(interpretation)
-            for r in program.normal_rules
-        ) or any(
-            a in c.head_atoms and c.body_satisfied_by(interpretation)
-            for c in program.choice_rules
-        )
-        if not supported:
-            return False
-    return True
-
-
-def enumerate_supported_models(program: GroundProgram) -> list[frozenset[int]]:
-    return _lex_sorted(
-        i
-        for i in _candidate_interpretations(program)
-        if is_supported_model(program, i)
-    )
-
-
 def evaluate(objective: ObjectiveFunction, interpretation: frozenset[int]) -> int:
     """Sum of weights of the satisfied literals."""
     return sum(w for w, l in objective.terms if l.satisfied_by(interpretation))
-
-
-def optimal_value(program: GroundProgram, objective: ObjectiveFunction) -> int | None:
-    answer_sets = enumerate_answer_sets(program)
-    if not answer_sets:
-        return None
-    return min(evaluate(objective, m) for m in answer_sets)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ failure, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -22,13 +23,12 @@ from .analysis import (
     output_atoms,
     run_pch,
 )
-from .asplang import SemanticsError
-from .network import NetworkError, limit_depth, oe_sorter, render_diagram
+from .asplang import SemanticsError, auto_split_atoms, enumerate_answer_sets_layered
+from .network import limit_depth, oe_sorter, render_diagram
 from .propagate import from_input_weights, propagate_sparse
 from .rewrite import (
     VERIFY_GRID,
     RewriteConfig,
-    RewriteError,
     random_opt_document,
     rewrite_objective,
     verify_grid,
@@ -186,8 +186,6 @@ def _cmd_gen_sorter(args: argparse.Namespace) -> int:
 
 
 def _verify_document(doc: aspif.AspifDocument, max_atoms: int) -> tuple[bool, list[str]]:
-    from .asplang import auto_split_atoms, enumerate_answer_sets_layered
-
     before = aspif.to_ground_program(doc)
     searched = len(auto_split_atoms(before[0]))
     if searched > max_atoms:
@@ -212,9 +210,9 @@ def _verify_document(doc: aspif.AspifDocument, max_atoms: int) -> tuple[bool, li
     return ok, lines
 
 
-def _verify_random_one(seed: int) -> tuple[bool, str]:
+def _verify_random_one(max_atoms: int, seed: int) -> tuple[bool, str]:
     doc = random_opt_document(random.Random(seed))
-    ok, _ = _verify_document(doc, max_atoms=24)
+    ok, _ = _verify_document(doc, max_atoms)
     return ok, f"program seed={seed} {'ok' if ok else 'FAIL'}"
 
 
@@ -228,11 +226,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
         return 2
     seeds = [args.seed + i for i in range(args.count)]
+    verify_one = functools.partial(_verify_random_one, args.max_atoms)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_random_one, seeds))
+            results = list(pool.map(verify_one, seeds))
     else:
-        results = [_verify_random_one(s) for s in seeds]
+        results = [verify_one(s) for s in seeds]
     failures = 0
     for ok, line in results:
         print(line)
@@ -281,7 +280,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
         network = limit_depth(network, args.depth)
     annotations = None
     if args.weights:
-        weights = [int(w) for w in args.weights.split(",")]
+        try:
+            weights = [int(w) for w in args.weights.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--weights expects {args.n} comma-separated integers, got {args.weights!r}"
+            ) from None
         if len(weights) != args.n:
             print(f"error: expected {args.n} weights, got {len(weights)}", file=sys.stderr)
             return 2
@@ -312,13 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(default_jobs).parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (aspif.AspifParseError, aspif.UnsupportedStatementError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except (NetworkError, RewriteError, SemanticsError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
+    except (ValueError, OSError) as error:
+        # every error class of the package subclasses ValueError
         print(f"error: {error}", file=sys.stderr)
         return 2
 

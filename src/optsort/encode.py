@@ -111,12 +111,3 @@ def asp_of_network(network: Network, map: WireAtomMap) -> list[Rule]:
             if wire not in touched:
                 rules.append(_rule(map.atom(wire, level), map.atom(wire, level - 1)))
     return rules
-
-
-def input_facts(x: Sequence[int], map: WireAtomMap) -> list[Rule]:
-    """Facts asserting the 1-entries of a binary input vector."""
-    if len(x) != map.width:
-        raise SemanticsError(f"expected {map.width} input bits, got {len(x)}")
-    if any(bit not in (0, 1) for bit in x):
-        raise SemanticsError(f"input vector {list(x)} is not binary")
-    return [_rule(map.atom(i + 1, 0)) for i, bit in enumerate(x) if bit]

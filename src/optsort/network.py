@@ -251,12 +251,6 @@ class Decomposition:
                 comp.min_level if running_min is None else max(running_min, comp.min_level)
             )
 
-    def covers(self, network: Network) -> bool:
-        covered: set[Comparator] = set()
-        for comp in self.components:
-            covered.update(comp.network.comparators)
-        return covered == set(network.comparators)
-
 
 def whole_network_decomposition(network: Network) -> Decomposition:
     """The coarsest decomposition: the entire network as one component."""

@@ -44,9 +44,6 @@ class WeightMatrix:
     def column(self, level: int) -> list[int]:
         return [row[level] for row in self.rows]
 
-    def total(self) -> int:
-        return sum(sum(row) for row in self.rows)
-
     def nonzero_entries(self) -> list[tuple[int, int, int]]:
         """(wire, level, weight) triples with weight > 0, ordered by level then wire."""
         out = [

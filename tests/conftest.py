@@ -1,9 +1,25 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import strategies as st
 
-from optsort.network import Network, new_network
+from optsort import aspif
+from optsort.analysis import Propagator, PropagatorTrace, binomial_document
+from optsort.asplang import (
+    GroundProgram,
+    Literal,
+    Nogood,
+    NormalRule,
+    ObjectiveFunction,
+    SemanticsError,
+    enumerate_answer_sets,
+    evaluate,
+    satisfies,
+)
+from optsort.encode import WireAtomMap
+from optsort.network import Decomposition, Network, new_network
+from optsort.propagate import WeightMatrix
 
 
 FIG_COMPARATORS = [(1, 2, 1), (3, 4, 1), (1, 3, 2), (2, 4, 2), (2, 3, 3)]
@@ -53,3 +69,126 @@ def aspif_texts():
         st.lists(statement_lines(), max_size=4),
         st.booleans(),
     )
+
+
+# Constructors for the semantic model.
+
+
+def pos(atom: int) -> Literal:
+    return Literal(atom, True)
+
+
+def neg(atom: int) -> Literal:
+    return Literal(atom, False)
+
+
+def rule(head: int, body=(), not_body=()) -> NormalRule:
+    return NormalRule(head, frozenset(body), frozenset(not_body))
+
+
+def fact(head: int) -> NormalRule:
+    return NormalRule(head)
+
+
+def nogood(true_atoms=(), false_atoms=()) -> Nogood:
+    signed = {(a, True) for a in true_atoms} | {(a, False) for a in false_atoms}
+    return Nogood(frozenset(signed))
+
+
+# Brute-force oracles that tests check the product against.
+
+
+def optimal_value(program: GroundProgram, objective: ObjectiveFunction) -> int | None:
+    answer_sets = enumerate_answer_sets(program)
+    if not answer_sets:
+        return None
+    return min(evaluate(objective, m) for m in answer_sets)
+
+
+def binomial_opt_program(n: int, k: int) -> tuple[GroundProgram, ObjectiveFunction]:
+    """The binomial program with the unit-weight objective over its atoms."""
+    program, objectives = aspif.to_ground_program(binomial_document(n, k, opt=True))
+    return program, objectives[0]
+
+
+def input_facts(x, wire_map: WireAtomMap) -> list[aspif.Rule]:
+    """Facts asserting the 1-entries of a binary input vector."""
+    if len(x) != wire_map.width:
+        raise SemanticsError(f"expected {wire_map.width} input bits, got {len(x)}")
+    if any(bit not in (0, 1) for bit in x):
+        raise SemanticsError(f"input vector {list(x)} is not binary")
+    return [
+        aspif.Rule(aspif.DISJUNCTIVE, (wire_map.atom(i + 1, 0),), aspif.NormalBody(()))
+        for i, bit in enumerate(x)
+        if bit
+    ]
+
+
+def covers(decomposition: Decomposition, network: Network) -> bool:
+    """The components hold exactly the network's comparators."""
+    covered = set()
+    for component in decomposition.components:
+        covered.update(component.network.comparators)
+    return covered == set(network.comparators)
+
+
+def total(matrix: WeightMatrix) -> int:
+    return sum(sum(row) for row in matrix.rows)
+
+
+def constraint_nogoods(propagator: Propagator) -> list[Nogood]:
+    """The propagator's full constraint, one nogood per true k-subset."""
+    return [
+        Nogood(frozenset((a, True) for a in subset))
+        for subset in itertools.combinations(sorted(propagator.atoms), propagator.bound)
+    ]
+
+
+def is_supported_model(program: GroundProgram, interpretation: frozenset[int]) -> bool:
+    """Model where every true atom heads some rule with a satisfied body."""
+    if not interpretation <= program.signature:
+        return False
+    if not satisfies(program, interpretation):
+        return False
+    for a in interpretation:
+        supported = any(
+            r.head == a and r.body_satisfied_by(interpretation)
+            for r in program.normal_rules
+        ) or any(
+            a in c.head_atoms and c.body_satisfied_by(interpretation)
+            for c in program.choice_rules
+        )
+        if not supported:
+            return False
+    return True
+
+
+def verify_trace(
+    program: GroundProgram, propagator: Propagator, trace: PropagatorTrace
+) -> bool:
+    """Re-check a trace against the definitional conditions, brute force.
+
+    Each assignment must be a supported model satisfying all earlier learned
+    nogoods while conflicting with the propagator constraint; completeness
+    must coincide with the learned nogoods wiping out every answer set.
+    """
+    constraint = set(constraint_nogoods(propagator))
+    for idx, assignment in enumerate(trace.assignments):
+        if not is_supported_model(program, assignment):
+            return False
+        if any(ng.conflicts_with(assignment) for ng in trace.nogoods[:idx]):
+            return False
+        if not propagator.conflicts_with(assignment):
+            return False
+        if trace.nogoods[idx] not in constraint:
+            return False
+        if not trace.nogoods[idx].conflicts_with(assignment):
+            return False
+    constrained = GroundProgram(
+        signature=program.signature,
+        normal_rules=program.normal_rules,
+        choice_rules=program.choice_rules,
+        cardinality_constraints=program.cardinality_constraints,
+        nogoods=program.nogoods + trace.nogoods,
+    )
+    return trace.complete == (not enumerate_answer_sets(constrained))

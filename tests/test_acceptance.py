@@ -10,20 +10,17 @@ import random
 from itertools import product
 from pathlib import Path
 
-import pytest
-
 from optsort import aspif
 from optsort.analysis import (
     attach_network,
     binomial_document,
-    binomial_opt_program,
     binomial_program,
     card_propagator,
     output_atoms,
     run_pch,
 )
-from optsort.asplang import enumerate_answer_sets, enumerate_answer_sets_layered
-from optsort.encode import asp_of_network, dense_wire_atom_map, input_facts
+from optsort.asplang import enumerate_answer_sets_layered
+from optsort.encode import asp_of_network, dense_wire_atom_map
 from optsort.network import (
     ConfinedNetwork,
     Network,
@@ -49,7 +46,7 @@ from optsort.rewrite import (
     verify_grid,
 )
 
-from conftest import binary_vectors
+from conftest import binary_vectors, input_facts
 
 
 def announce(tag: str, detail: str = "") -> None:
@@ -174,6 +171,9 @@ def test_03_sorting_is_exhaustively_correct_up_to_twelve_wires():
         net = oe_sorter(n)
         for vector in binary_vectors(n):
             assert apply(net, vector).output() == sorted(vector), (n, vector)
+    # the exhaustive check can fail: a depth-1 prefix does not sort
+    prefix = limit_depth(oe_sorter(6), 1)
+    assert any(apply(prefix, v).output() != sorted(v) for v in binary_vectors(6))
     announce("A3 zero-one sorting", "all binary vectors for n <= 12")
 
 

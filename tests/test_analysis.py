@@ -4,25 +4,22 @@ import random
 import pytest
 
 from optsort.analysis import (
-    Propagator,
     attach_network,
-    binomial_opt_program,
     binomial_program,
     card_propagator,
     output_atoms,
     run_pch,
-    sorted_output_check,
-    verify_trace,
 )
-from optsort.asplang import (
-    SemanticsError,
-    enumerate_answer_sets,
-    evaluate,
-    least_model,
+from optsort.asplang import SemanticsError, enumerate_answer_sets, evaluate, least_model
+from optsort.network import limit_depth, oe_sorter
+
+from conftest import (
+    binomial_opt_program,
+    constraint_nogoods,
     optimal_value,
     rule,
+    verify_trace,
 )
-from optsort.network import limit_depth, oe_sorter
 
 
 def reference_pch(program, propagator, shuffle_rng=None):
@@ -118,8 +115,8 @@ class TestCardPropagator:
 
     def test_unit_bound_constraint_is_singletons(self):
         propagator = card_propagator([1, 2, 3], 1)
-        assert len(propagator.constraint_nogoods()) == 3
-        assert all(len(n.signed_literals) == 1 for n in propagator.constraint_nogoods())
+        assert len(constraint_nogoods(propagator)) == 3
+        assert all(len(n.signed_literals) == 1 for n in constraint_nogoods(propagator))
 
     def test_bound_cannot_exceed_the_atoms(self):
         with pytest.raises(SemanticsError):
@@ -256,18 +253,3 @@ class TestNetworkedPch:
         )
         with pytest.raises(SemanticsError):
             run_pch(spoiled, card_propagator([1, 2], 1))
-
-
-class TestSortedOutputs:
-    def test_full_sorter_passes(self):
-        assert sorted_output_check(oe_sorter(6))
-
-    def test_depth_limited_sorter_fails(self):
-        assert not sorted_output_check(limit_depth(oe_sorter(6), 1))
-
-    def test_single_wire_passes(self):
-        assert sorted_output_check(oe_sorter(1))
-
-    def test_width_guard(self):
-        with pytest.raises(SemanticsError):
-            sorted_output_check(oe_sorter(9))

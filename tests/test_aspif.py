@@ -5,15 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optsort import aspif
-from optsort.asplang import (
-    CardinalityConstraint,
-    Literal,
-    enumerate_answer_sets,
-    evaluate,
-    optimal_value,
-)
+from optsort.asplang import CardinalityConstraint, Literal, enumerate_answer_sets, evaluate
 
-from conftest import aspif_texts
+from conftest import aspif_texts, optimal_value
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.aspif"))
 

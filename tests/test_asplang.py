@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -7,30 +9,20 @@ from hypothesis import strategies as st
 from optsort.asplang import (
     CardinalityConstraint,
     ChoiceRule,
-    FreshAtoms,
     GroundProgram,
     Nogood,
-    NormalRule,
     ObjectiveFunction,
     PositiveRules,
     SemanticsError,
     enumerate_answer_sets,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
-    enumerate_supported_models,
     evaluate,
-    expand_cardinality,
-    expand_choice,
-    fact,
     is_answer_set,
     least_model,
-    neg,
-    nogood,
-    optimal_value,
-    pos,
-    reduct,
-    rule,
 )
+
+from conftest import fact, is_supported_model, neg, nogood, optimal_value, pos, rule
 
 
 def program(sig, rules=(), choices=(), cardinality=(), nogoods=()):
@@ -47,101 +39,19 @@ def lex(models):
     return [sorted(m) for m in models]
 
 
-class TestExpandChoice:
-    def test_bare_choice_produces_the_three_rule_pattern(self):
-        fresh = FreshAtoms(2)
-        rules = expand_choice(ChoiceRule(frozenset({1})), fresh)
-        trigger = 2
-        complement = 3
-        assert rules == [
-            NormalRule(trigger),
-            NormalRule(1, frozenset({trigger}), frozenset({complement})),
-            NormalRule(complement, frozenset(), frozenset({1})),
-        ]
-
-    def test_rule_count_is_one_plus_twice_the_head(self):
-        fresh = FreshAtoms(10)
-        rules = expand_choice(
-            ChoiceRule(frozenset({1, 2}), frozenset({pos(3)})), fresh
-        )
-        assert len(rules) == 5
-        assert rules[0].pos_body == frozenset({3})
-
-    def test_empty_body_gives_a_fact_trigger(self):
-        fresh = FreshAtoms(5)
-        rules = expand_choice(ChoiceRule(frozenset({1})), fresh)
-        assert rules[0] == fact(5)
-
-    def test_projection_matches_native_semantics(self):
-        choice = ChoiceRule(frozenset({1, 2, 3}))
-        constraint = CardinalityConstraint((pos(1), pos(2), pos(3)), 2)
-        native = program({1, 2, 3}, choices=[choice], cardinality=[constraint])
-        fresh = FreshAtoms(4)
-        rules = expand_choice(choice, fresh)
-        expanded = program(
-            range(1, fresh.next_id), rules=rules, cardinality=[constraint]
-        )
-        projected = sorted(
-            {m & {1, 2, 3} for m in enumerate_answer_sets(expanded)},
-            key=lambda m: tuple(sorted(m)),
-        )
-        assert projected == enumerate_answer_sets(native)
-
-
 class TestExpandCardinality:
-    def test_two_of_three(self):
-        constraint = CardinalityConstraint((pos(1), pos(2), pos(3)), 2)
-        assert sorted(ng.signed_literals for ng in expand_cardinality(constraint)) == [
-            frozenset({(1, False), (2, False)}),
-            frozenset({(1, False), (3, False)}),
-            frozenset({(2, False), (3, False)}),
-        ]
-
-    def test_zero_bound_needs_nothing(self):
-        assert expand_cardinality(CardinalityConstraint((pos(1), pos(2)), 0)) == []
-
-    def test_full_bound_gives_singletons(self):
-        nogoods = expand_cardinality(CardinalityConstraint((pos(1), pos(2)), 2))
-        assert [len(ng.signed_literals) for ng in nogoods] == [1, 1]
-
-    def test_negated_literals_flip_the_sign(self):
-        nogoods = expand_cardinality(CardinalityConstraint((neg(1),), 1))
-        assert nogoods == [Nogood(frozenset({(1, True)}))]
-
-    def test_explosion_guard(self):
-        literals = tuple(pos(a) for a in range(1, 40))
-        with pytest.raises(SemanticsError):
-            expand_cardinality(CardinalityConstraint(literals, 20), guard=1000)
+    """Counting what a cardinality constraint admits, without expanding it."""
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (4, 4), (5, 3)])
     def test_agrees_with_semantic_count(self, n, k):
+        # a free choice kept to at least k of n atoms has one answer set per
+        # subset of size k or more: the binomial tail sum_{j >= k} C(n, j)
         atoms = frozenset(range(1, n + 1))
         constraint = CardinalityConstraint(tuple(pos(a) for a in sorted(atoms)), k)
-        semantic = program(atoms, choices=[ChoiceRule(atoms)], cardinality=[constraint])
-        material = program(
-            atoms, choices=[ChoiceRule(atoms)], nogoods=expand_cardinality(constraint)
-        )
-        assert enumerate_answer_sets(semantic) == enumerate_answer_sets(material)
-
-
-class TestReduct:
-    def test_blocked_negation_is_dropped(self):
-        p = program({1, 2}, rules=[rule(1, not_body=[2])])
-        assert reduct(p, frozenset({1})) == [NormalRule(1)]
-        assert reduct(p, frozenset({2})) == []
-
-    def test_self_blocking_rule(self):
-        p = program({1}, rules=[rule(1, not_body=[1])])
-        assert reduct(p, frozenset({1})) == []
-
-    def test_positive_body_is_kept(self):
-        p = program({1, 2, 3}, rules=[rule(1, body=[2], not_body=[3])])
-        assert reduct(p, frozenset()) == [NormalRule(1, frozenset({2}))]
-
-    def test_requires_expanded_choices(self):
-        p = program({1}, choices=[ChoiceRule(frozenset({1}))])
-        with pytest.raises(SemanticsError):
-            reduct(p, frozenset())
+        p = program(atoms, choices=[ChoiceRule(atoms)], cardinality=[constraint])
+        models = enumerate_answer_sets(p)
+        assert len(models) == sum(math.comb(n, j) for j in range(k, n + 1))
+        assert all(len(m) >= k for m in models)
 
 
 def naive_fixpoint(rules):
@@ -215,11 +125,14 @@ class TestAnswerSets:
 class TestSupportedModels:
     def test_self_support_is_allowed(self):
         p = program({1}, rules=[rule(1, body=[1])])
-        assert lex(enumerate_supported_models(p)) == [[], [1]]
+        assert is_supported_model(p, frozenset())
+        assert is_supported_model(p, frozenset({1}))
 
     def test_choice_supports_any_subset(self):
-        p = program({1, 2, 3}, choices=[ChoiceRule(frozenset({1, 2, 3}))])
-        assert len(enumerate_supported_models(p)) == 8
+        atoms = [1, 2, 3]
+        p = program(atoms, choices=[ChoiceRule(frozenset(atoms))])
+        subsets = [frozenset(s) for size in range(4) for s in itertools.combinations(atoms, size)]
+        assert all(is_supported_model(p, s) for s in subsets)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_answer_sets_are_supported(self, seed):
@@ -237,7 +150,7 @@ class TestSupportedModels:
             else []
         )
         p = program(atoms, rules=rules, choices=choices)
-        assert set(enumerate_answer_sets(p)) <= set(enumerate_supported_models(p))
+        assert all(is_supported_model(p, m) for m in enumerate_answer_sets(p))
 
 
 class TestMonotoneNogoods:

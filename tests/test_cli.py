@@ -1,4 +1,5 @@
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from optsort import aspif
 from optsort.asplang import enumerate_answer_sets
 from optsort.cli import main
+from optsort.rewrite import random_opt_document
 
 from conftest import aspif_texts
 
@@ -214,6 +216,19 @@ class TestVerifyCommand:
         assert serial[0] == parallel[0] == 0
         assert serial[1] == parallel[1]
 
+    def test_random_sweep_honours_max_atoms(self, capsys, monkeypatch):
+        document = aspif.write(random_opt_document(random.Random(0)))
+        sweep = ["verify", "--random", "--count", "1", "--max-atoms", "-1", "--jobs"]
+        refusals = [
+            run(capsys, monkeypatch, ["verify", "--max-atoms", "-1"], stdin=document),
+            run(capsys, monkeypatch, [*sweep, "1"]),
+            run(capsys, monkeypatch, [*sweep, "2"]),
+        ]
+        assert refusals[0][0] == 2 and refusals[0][1] == ""
+        assert refusals[0][2].count("\n") == 1
+        assert "exceed --max-atoms -1" in refusals[0][2]
+        assert refusals[1] == refusals[2] == refusals[0]
+
 
 class TestPchCommand:
     def test_bare_binomial_table_value(self, capsys, monkeypatch):
@@ -284,6 +299,14 @@ class TestRenderCommand:
         code, out, err = run(capsys, monkeypatch, ["render", "3", "--weights", "1,2", *extra])
         assert code == 2 and out == ""
         assert err == "error: expected 3 weights, got 2\n"
+
+    @pytest.mark.parametrize("weights", ["a,b,c", "1,,3"])
+    def test_non_integer_weights_name_the_option(self, capsys, monkeypatch, weights):
+        code, out, err = run(capsys, monkeypatch, ["render", "3", "--weights", weights])
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --weights expects 3 comma-separated integers, got {weights!r}\n"
+        )
 
 
 class TestUsage:

@@ -9,10 +9,10 @@ from optsort.asplang import (
     enumerate_answer_sets,
     enumerate_answer_sets_layered,
 )
-from optsort.encode import asp_of_network, dense_wire_atom_map, input_facts
+from optsort.encode import asp_of_network, dense_wire_atom_map
 from optsort.network import apply, new_network, oe_sorter
 
-from conftest import binary_vectors, random_network
+from conftest import binary_vectors, input_facts, random_network
 
 
 class TestWireAtomMap:

@@ -24,7 +24,7 @@ from optsort.propagate import (
     weight_function,
 )
 
-from conftest import binary_vectors, random_network
+from conftest import binary_vectors, random_network, total
 
 
 def random_matrix(rng, width, depth, top=40):
@@ -69,7 +69,7 @@ class TestConstruction:
 
     def test_empty_and_zero_matrices(self):
         assert from_input_weights([], 0).rows == ()
-        assert from_input_weights([0, 0], 2).total() == 0
+        assert total(from_input_weights([0, 0], 2)) == 0
 
     def test_rejects_negative_weights(self):
         with pytest.raises(WeightError):
@@ -219,7 +219,7 @@ class TestPreservation:
             [rng.randint(-40, 40) for _ in range(net.width)] for _ in range(20)
         ]
         for variant in variants:
-            assert variant.total() == matrix.total()
+            assert total(variant) == total(matrix)
             assert all(w >= 0 for row in variant.rows for w in row)
             for vector in vectors:
                 assert weight_function(net, matrix, vector) == weight_function(
@@ -232,8 +232,8 @@ class TestPreservation:
         rng = random.Random(seed)
         net = random_network(rng, rng.randint(2, 7), rng.randint(1, 6))
         matrix = random_matrix(rng, net.width, net.depth)
-        assert propagate_decomposition(matrix, decompose_sparse(net, k)).total() == matrix.total()
-        assert propagate_full(matrix).total() == matrix.total()
+        assert total(propagate_decomposition(matrix, decompose_sparse(net, k))) == total(matrix)
+        assert total(propagate_full(matrix)) == total(matrix)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sparse_runs_leave_weights_only_on_block_boundaries(self, k):
