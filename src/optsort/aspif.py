@@ -4,13 +4,17 @@ Rule (1), minimize (2) and output (4) statements are interpreted; every other
 statement code is carried through verbatim so downstream consumers lose
 nothing.  Writing is canonical: single spaces, "\\n" line endings, terminator
 always present, raw lines byte-identical.
+
+Statements are named tuples, so they compare as plain tuples:
+``WeightBody(0, t) == Minimize(0, t)`` holds, and only ``isinstance`` tells
+the kinds apart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .asplang import (
     CardinalityConstraint,
@@ -34,38 +38,32 @@ class UnsupportedStatementError(ValueError):
     """Raised when a document cannot be bridged to ground-program semantics."""
 
 
-@dataclass(frozen=True)
-class NormalBody:
+class NormalBody(NamedTuple):
     literals: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeightBody:
+class WeightBody(NamedTuple):
     lower_bound: int
     terms: tuple[tuple[int, int], ...]  # (literal, weight)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     head_kind: int  # DISJUNCTIVE or CHOICE
     head_atoms: tuple[int, ...]
     body: Union[NormalBody, WeightBody]
 
 
-@dataclass(frozen=True)
-class Minimize:
+class Minimize(NamedTuple):
     priority: int
     terms: tuple[tuple[int, int], ...]  # (literal, weight)
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple):
     name: str
     condition: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Raw:
+class Raw(NamedTuple):
     line: str
 
 

@@ -24,7 +24,7 @@ from .analysis import (
     run_pch,
 )
 from .asplang import SemanticsError, auto_split_atoms, enumerate_answer_sets_layered
-from .network import limit_depth, oe_sorter, render_diagram
+from .network import oe_sorter, render_diagram
 from .propagate import from_input_weights, propagate_sparse
 from .rewrite import (
     VERIFY_GRID,
@@ -175,9 +175,7 @@ def _cmd_gen_binomial(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_sorter(args: argparse.Namespace) -> int:
-    network = oe_sorter(args.n)
-    if args.depth is not None:
-        network = limit_depth(network, args.depth)
+    network = oe_sorter(args.n, args.depth)
     if args.diagram:
         print(render_diagram(network))
     else:
@@ -261,9 +259,7 @@ def _cmd_pch(args: argparse.Namespace) -> int:
     if args.network == "none":
         propagator = card_propagator(inputs, args.k)
     else:
-        network = oe_sorter(args.n)
-        if kind == "depth":
-            network = limit_depth(network, int(depth))
+        network = oe_sorter(args.n, int(depth) if kind == "depth" else None)
         program, wire_map = attach_network(program, inputs, network)
         propagator = card_propagator(output_atoms(wire_map), args.k)
     trace = run_pch(program, propagator)
@@ -275,9 +271,7 @@ def _cmd_pch(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    network = oe_sorter(args.n)
-    if args.depth is not None:
-        network = limit_depth(network, args.depth)
+    network = oe_sorter(args.n, args.depth)
     annotations = None
     if args.weights:
         try:

@@ -6,6 +6,7 @@ denotes the input column.  All values are immutable once built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -88,9 +89,6 @@ class WireValueMatrix:
     depth: int
     rows: tuple[tuple[int, ...], ...]
 
-    def value(self, wire: int, level: int) -> int:
-        return self.rows[wire - 1][level]
-
     def column(self, level: int) -> list[int]:
         return [row[level] for row in self.rows]
 
@@ -139,15 +137,18 @@ def permutation_of(network: Network, input: Sequence[int]) -> list[int]:
     return sigma
 
 
-def _oe_merge(wires: list[int], base: int) -> tuple[list[Comparator], int]:
+def _oe_merge(wires: list[int], base: int, stop: float) -> tuple[list[Comparator], int]:
     # Merges two sorted halves of a power-of-two wire list; depth log2(len).
+    # Nothing is built once ``base`` reaches ``stop``: all its levels are later.
     m = len(wires)
+    if base >= stop:
+        return [], m.bit_length() - 1
     if m <= 1:
         return [], 0
     if m == 2:
         return [Comparator(wires[0], wires[1], base + 1)], 1
-    odd, d1 = _oe_merge(wires[0::2], base)
-    even, d2 = _oe_merge(wires[1::2], base)
+    odd, d1 = _oe_merge(wires[0::2], base, stop)
+    even, d2 = _oe_merge(wires[1::2], base, stop)
     d = max(d1, d2)
     final = [
         Comparator(wires[p], wires[p + 1], base + d + 1) for p in range(1, m - 1, 2)
@@ -155,34 +156,40 @@ def _oe_merge(wires: list[int], base: int) -> tuple[list[Comparator], int]:
     return odd + even + final, d + 1
 
 
-def _oe_sort(wires: list[int], base: int) -> tuple[list[Comparator], int]:
+def _oe_sort(wires: list[int], base: int, stop: float) -> tuple[list[Comparator], int]:
     m = len(wires)
+    if base >= stop:
+        p = m.bit_length() - 1
+        return [], p * (p + 1) // 2
     if m <= 1:
         return [], 0
     half = m // 2
-    lo, d1 = _oe_sort(wires[:half], base)
-    hi, d2 = _oe_sort(wires[half:], base)
+    lo, d1 = _oe_sort(wires[:half], base, stop)
+    hi, d2 = _oe_sort(wires[half:], base, stop)
     d = max(d1, d2)
-    merged, dm = _oe_merge(wires, base + d)
+    merged, dm = _oe_merge(wires, base + d, stop)
     return lo + hi + merged, d + dm
 
 
-def oe_sorter(n: int) -> Network:
-    """Odd-even mergesort network on n wires.
+def oe_sorter(n: int, depth: int | None = None) -> Network:
+    """Odd-even mergesort network on n wires, cut to its first ``depth`` levels.
 
     Built on the next power of two; comparators touching the phantom high
-    wires are dropped (phantom values sort as plus infinity), so the result
-    still sorts every input.  Depth is O(log^2 n), size O(n log^2 n).
+    wires are dropped (phantom values sort as plus infinity), so the full
+    network still sorts every input.  Depth is O(log^2 n), size O(n log^2 n).
+    With a ``depth``, sub-sorts and merges that start at or beyond it are
+    never built, and ``limit_depth`` trims the rest.
     """
     if n < 0:
         raise NetworkError(f"wire count must be >= 0, got {n}")
     if n <= 1:
-        return Network(n, 0, ())
-    pot = 1 << (n - 1).bit_length()
-    comparators, _ = _oe_sort(list(range(1, pot + 1)), 0)
-    kept = [c for c in comparators if c.j <= n]
-    depth = max(c.level for c in kept) if kept else 0
-    return new_network(n, depth, kept)
+        network = Network(n, 0, ())
+    else:
+        pot = 1 << (n - 1).bit_length()
+        stop = math.inf if depth is None else depth
+        comparators, full_depth = _oe_sort(list(range(1, pot + 1)), 0, stop)
+        network = new_network(n, full_depth, [c for c in comparators if c.j <= n])
+    return network if depth is None else limit_depth(network, depth)
 
 
 def limit_depth(network: Network, d_max: int) -> Network:
@@ -291,18 +298,20 @@ def decompose_sparse(network: Network, k: int) -> Decomposition:
             ri, rj = find(c.i), find(c.j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
-        touched = {w for c in block for w in (c.i, c.j)}
+        # one pass buckets the block's gates and wires by component root
+        gates: dict[int, list[Comparator]] = {}
         groups: dict[int, set[int]] = {}
-        for w in touched:
-            groups.setdefault(find(w), set()).add(w)
-        untouched = set(range(1, n + 1)) - touched
-        parts = sorted(groups.values(), key=min)
+        for c in block:
+            root = find(c.i)
+            gates.setdefault(root, []).append(c)
+            groups.setdefault(root, set()).update((c.i, c.j))
+        parts = [(wires, tuple(gates[root])) for root, wires in groups.items()]
+        untouched = set(range(1, n + 1)).difference(*groups.values())
         if untouched:
-            parts.append(untouched)
-            parts.sort(key=min)
-        for wires in parts:
-            gates = tuple(c for c in block if c.i in wires)
-            sub = Network(n, network.depth, gates)
+            parts.append((untouched, ()))
+        parts.sort(key=lambda part: min(part[0]))
+        for wires, block_gates in parts:
+            sub = Network(n, network.depth, block_gates)
             components.append(ConfinedNetwork(sub, frozenset(wires), lo, hi))
         lo = hi + 1
     return Decomposition(tuple(components))

@@ -22,7 +22,7 @@ from .asplang import (
     enumerate_answer_sets_split,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
-from .network import limit_depth, oe_sorter
+from .network import oe_sorter
 from .propagate import from_input_weights, propagate_sparse
 
 
@@ -164,9 +164,7 @@ def _rewrite_level(
 
     weights = [w for _, w in rewritable]
     bridge_rules, input_atoms = wire_inputs([(w, lit) for lit, w in rewritable], fresh)
-    network = oe_sorter(len(input_atoms))
-    if config.depth_limit is not None:
-        network = limit_depth(network, config.depth_limit)
+    network = oe_sorter(len(input_atoms), config.depth_limit)
     first_wire_atom = fresh.reserve(network.width * network.depth)
     wire_map = dense_wire_atom_map(
         network.width, network.depth, first_wire_atom, inputs=input_atoms

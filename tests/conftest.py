@@ -18,7 +18,7 @@ from optsort.asplang import (
     satisfies,
 )
 from optsort.encode import WireAtomMap
-from optsort.network import Decomposition, Network, new_network
+from optsort.network import ConfinedNetwork, Decomposition, Network, new_network
 from optsort.propagate import WeightMatrix
 
 
@@ -130,6 +130,44 @@ def covers(decomposition: Decomposition, network: Network) -> bool:
     for component in decomposition.components:
         covered.update(component.network.comparators)
     return covered == set(network.comparators)
+
+
+def decompose_sparse_rescan(network: Network, k: int) -> Decomposition:
+    """Reference ``decompose_sparse`` that rescans its block for every component."""
+    components = []
+    layers = network.layers()
+    n = network.width
+    lo = 1
+    while lo <= network.depth:
+        hi = min(lo + k - 1, network.depth)
+        block = [c for level in range(lo, hi + 1) for c in layers.get(level, [])]
+        parent = {w: w for w in range(1, n + 1)}
+
+        def find(w: int) -> int:
+            while parent[w] != w:
+                parent[w] = parent[parent[w]]
+                w = parent[w]
+            return w
+
+        for c in block:
+            ri, rj = find(c.i), find(c.j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+        touched = {w for c in block for w in (c.i, c.j)}
+        groups: dict[int, set[int]] = {}
+        for w in touched:
+            groups.setdefault(find(w), set()).add(w)
+        untouched = set(range(1, n + 1)) - touched
+        parts = sorted(groups.values(), key=min)
+        if untouched:
+            parts.append(untouched)
+            parts.sort(key=min)
+        for wires in parts:
+            gates = tuple(c for c in block if c.i in wires)
+            sub = Network(n, network.depth, gates)
+            components.append(ConfinedNetwork(sub, frozenset(wires), lo, hi))
+        lo = hi + 1
+    return Decomposition(tuple(components))
 
 
 def total(matrix: WeightMatrix) -> int:

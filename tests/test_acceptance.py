@@ -211,7 +211,7 @@ def test_05_network_translation_has_one_answer_set_per_input():
                 values = apply(net, bits)
                 for wire, level in product(range(1, n + 1), range(net.depth + 1)):
                     assert (wire_map.atom(wire, level) in model) == (
-                        values.value(wire, level) == 1
+                        values.rows[wire - 1][level] == 1
                     )
                 checked += 1
     announce("A5 translation correspondence", f"{checked} input vectors")

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,28 @@ class TestGoldenCorpus:
         twice = aspif.write(aspif.parse(once))
         assert twice == once
         assert aspif.parse(once).statements == aspif.parse(text).statements
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+    def test_round_trip_keeps_every_statement_class(self, path):
+        # statements are tuples, so equal values alone would not tell a
+        # Minimize from a WeightBody with the same fields
+        def classes(doc):
+            return [
+                (type(s), type(s.body) if isinstance(s, aspif.Rule) else None)
+                for s in doc.statements
+            ]
+
+        doc = aspif.parse(path.read_text())
+        again = aspif.parse(aspif.write(doc))
+        assert again == dataclasses.replace(doc, had_terminator=True)
+        assert classes(again) == classes(doc)
+
+    def test_statement_kinds_with_equal_fields_compare_equal(self):
+        terms = ((1, 2),)
+        assert aspif.WeightBody(0, terms) == aspif.Minimize(0, terms)
+        rule = aspif.Rule(aspif.DISJUNCTIVE, (), aspif.WeightBody(0, terms))
+        doc = aspif.AspifDocument(statements=(rule, aspif.Minimize(0, terms)))
+        assert aspif.write(doc) == "asp 1 0 0\n1 0 0 1 0 1 1 2\n2 0 1 1 2\n0\n"
 
     @pytest.mark.parametrize(
         "path",

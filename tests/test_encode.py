@@ -109,7 +109,7 @@ class TestWireValueCorrespondence:
                 model = models[0]
                 values = apply(net, bits)
                 for wire, level in product(range(1, n + 1), range(net.depth + 1)):
-                    expected = values.value(wire, level) == 1
+                    expected = values.rows[wire - 1][level] == 1
                     assert (wire_map.atom(wire, level) in model) == expected
 
     def test_direct_enumeration_confirms_uniqueness_when_small(self):

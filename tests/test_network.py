@@ -19,7 +19,13 @@ from optsort.network import (
     whole_network_decomposition,
 )
 
-from conftest import FIG_COMPARATORS, binary_vectors, covers, random_network
+from conftest import (
+    FIG_COMPARATORS,
+    binary_vectors,
+    covers,
+    decompose_sparse_rescan,
+    random_network,
+)
 
 
 class TestConstruction:
@@ -126,6 +132,23 @@ class TestOddEvenSorter:
         for n, expected in [(2, 1), (4, 3), (8, 6), (16, 10)]:
             assert oe_sorter(n).depth == expected
 
+    @pytest.mark.parametrize("n", range(0, 131))
+    def test_pruned_build_equals_the_trimmed_full_sorter(self, n):
+        full = oe_sorter(n)
+        assert full.depth == max((c.level for c in full.comparators), default=0)
+        for d in range(full.depth + 3):
+            assert oe_sorter(n, d) == limit_depth(full, d), (n, d)
+
+    @pytest.mark.parametrize("n", [1000, 1025, 2048, 4096])
+    def test_pruned_build_equals_the_trimmed_full_sorter_when_wide(self, n):
+        full = oe_sorter(n)
+        for d in (1, 5, 8, 13, full.depth):
+            assert oe_sorter(n, d) == limit_depth(full, d), (n, d)
+
+    def test_negative_depth_is_refused(self):
+        with pytest.raises(NetworkError):
+            oe_sorter(5, -1)
+
 
 class TestLimitDepth:
     def test_keeps_only_early_levels(self, four_wire_sorter):
@@ -208,6 +231,15 @@ class TestDecomposeSparse:
             gates = set(component.network.comparators)
             assert not gates & seen
             seen |= gates
+
+    @pytest.mark.parametrize("n", range(0, 41))
+    def test_matches_the_per_component_rescan(self, n):
+        full = oe_sorter(n)
+        for d in range(full.depth + 1):
+            prefix = limit_depth(full, d)
+            for k in {1, 2, 3, max(prefix.depth, 1)}:
+                expected = decompose_sparse_rescan(prefix, k)
+                assert decompose_sparse(prefix, k) == expected, (n, d, k)
 
     def test_empty_depth_network_has_no_components(self):
         assert decompose_sparse(new_network(3, 0, []), 2).components == ()
