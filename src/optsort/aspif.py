@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Union
 
 from .asplang import (
@@ -116,6 +117,8 @@ def _integer(token: str) -> int | None:
 
 
 class _Tokens:
+    """Token walker that words the error for a statement line the slicer refused."""
+
     def __init__(self, parts: list[str], line_no: int):
         self.parts = parts
         self.pos = 0
@@ -190,9 +193,59 @@ def _parse_minimize(tokens: _Tokens) -> Minimize:
     return Minimize(priority, terms)
 
 
-def _parse_output(line: str, line_no: int) -> Output:
-    # the statement code before the first space was read by the caller
-    _, _, rest = line.partition(" ")
+def _values(rest: str) -> list[int] | None:
+    """Every token after the statement code as an integer, or None.
+
+    On an ASCII line without underscores, ``int()`` accepts exactly the
+    tokens that ``_integer`` accepts, so one conversion checks the line.
+    """
+    if not rest.isascii() or "_" in rest:
+        return None
+    try:
+        return list(map(int, rest.split()))
+    except ValueError:
+        return None
+
+
+def _slice_rule(v: list[int]) -> Rule | None:
+    """The rule the token walker reads from these values, or None where it
+    would refuse them."""
+    if len(v) < 4:
+        return None
+    head_kind, m = v[0], v[1]
+    k = m + 2  # index of the body kind
+    if head_kind not in (DISJUNCTIVE, CHOICE) or m < 0 or len(v) < k + 2:
+        return None
+    heads = tuple(v[2:k])
+    if heads and min(heads) < 1:
+        return None
+    if v[k] == 0:
+        lits = tuple(v[k + 2 :])
+        if v[k + 1] != len(lits) or 0 in lits:
+            return None
+        return Rule(head_kind, heads, NormalBody(lits))
+    if v[k] == 1 and len(v) >= k + 3:
+        flat = v[k + 3 :]
+        lits = flat[0::2]
+        if 2 * v[k + 2] != len(flat) or 0 in lits:
+            return None
+        return Rule(head_kind, heads, WeightBody(v[k + 1], tuple(zip(lits, flat[1::2]))))
+    return None
+
+
+def _slice_minimize(v: list[int]) -> Minimize | None:
+    """The minimize statement the token walker reads from these values, or
+    None where it would refuse them."""
+    if len(v) < 2:
+        return None
+    flat = v[2:]
+    lits = flat[0::2]
+    if 2 * v[1] != len(flat) or 0 in lits:
+        return None
+    return Minimize(v[0], tuple(zip(lits, flat[1::2])))
+
+
+def _parse_output(rest: str, line_no: int) -> Output:
     len_token, _, tail = rest.partition(" ")
     length = _integer(len_token)
     if length is None:
@@ -240,18 +293,24 @@ def parse(text: str) -> AspifDocument:
             continue
         if not line.strip():
             raise AspifParseError(f"line {line_no}: blank statement line")
-        code_token = line.split(" ", 1)[0]
+        # a valid code token holds no whitespace, so the rest splits like the line
+        code_token, _, rest = line.partition(" ")
         code = _integer(code_token)
         if code is None:
             raise AspifParseError(
                 f"line {line_no}: non-integer statement code {code_token!r}"
             )
-        if code == 1:
-            statements.append(_parse_rule(_Tokens(line.split()[1:], line_no)))
-        elif code == 2:
-            statements.append(_parse_minimize(_Tokens(line.split()[1:], line_no)))
+        if code == 1 or code == 2:
+            v = _values(rest)
+            statement = None
+            if v is not None:
+                statement = _slice_rule(v) if code == 1 else _slice_minimize(v)
+            if statement is None:  # the walker raises the error it finds first
+                tokens = _Tokens(rest.split(), line_no)
+                statement = _parse_rule(tokens) if code == 1 else _parse_minimize(tokens)
+            statements.append(statement)
         elif code == 4:
-            statements.append(_parse_output(line, line_no))
+            statements.append(_parse_output(rest, line_no))
         else:
             statements.append(Raw(line))
     return AspifDocument(version, tags, tuple(statements), terminated)
@@ -259,30 +318,28 @@ def parse(text: str) -> AspifDocument:
 
 def _render_statement(s: Statement) -> str:
     if isinstance(s, Rule):
-        parts = [1, s.head_kind, len(s.head_atoms), *s.head_atoms]
-        if isinstance(s.body, NormalBody):
-            parts += [0, len(s.body.literals), *s.body.literals]
+        body = s.body
+        if isinstance(body, NormalBody):
+            values = (1, s.head_kind, len(s.head_atoms), *s.head_atoms,
+                      0, len(body.literals), *body.literals)
         else:
-            parts += [1, s.body.lower_bound, len(s.body.terms)]
-            for lit, w in s.body.terms:
-                parts += [lit, w]
-        return " ".join(map(str, parts))
-    if isinstance(s, Minimize):
-        parts = [2, s.priority, len(s.terms)]
-        for lit, w in s.terms:
-            parts += [lit, w]
-        return " ".join(map(str, parts))
-    if isinstance(s, Output):
-        tail = " ".join(map(str, [len(s.condition), *s.condition]))
-        return f"4 {len(s.name)} {s.name} {tail}"
-    return s.line
+            values = (1, s.head_kind, len(s.head_atoms), *s.head_atoms,
+                      1, body.lower_bound, len(body.terms), *chain.from_iterable(body.terms))
+    elif isinstance(s, Minimize):
+        values = (2, s.priority, len(s.terms), *chain.from_iterable(s.terms))
+    elif isinstance(s, Output):
+        return " ".join(map(str, (4, len(s.name), s.name, len(s.condition), *s.condition)))
+    else:
+        return s.line
+    # one format per line; "%d" renders an int as str() does, and faster
+    return ("%d" + " %d" * (len(values) - 1)) % values
 
 
 def write(doc: AspifDocument) -> str:
     """Canonical rendering; always ends with the terminator line."""
     header = " ".join(["asp", *map(str, doc.version), *doc.tags])
     lines = [header]
-    lines.extend(_render_statement(s) for s in doc.statements)
+    lines.extend(map(_render_statement, doc.statements))
     lines.append("0")
     return "\n".join(lines) + "\n"
 

@@ -16,6 +16,45 @@ CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.aspif"))
 NON_CANONICAL = {"22_no_terminator.aspif", "23_messy_spacing.aspif"}
 
 
+# each malformed input with the exact error it gets
+MALFORMED = {
+    "": "empty input, expected an aspif header",
+    "xxx\n": "bad header 'xxx', expected 'asp 1 0 0'",
+    "asp 2 0 0\n0\n": "unsupported aspif version (2, 0, 0)",
+    "asp 1 0 0\n1 0 1\n0\n": "line 2: truncated statement, missing head atom",
+    "asp 1 0 0\n1\n0\n": "line 2: truncated statement, missing head kind",
+    "asp 1 0 0\n2\n0\n": "line 2: truncated statement, missing priority",
+    "asp 1 0 0\n1 0 0 1 1 2 5 1\n0\n": "line 2: truncated statement, missing body literal",
+    "asp 1 0 0\n2 0 2 1 1\n0\n": "line 2: truncated statement, missing minimize literal",
+    "asp 1 0 0\n1 0 1 x 0 0\n0\n": "line 2: non-integer token 'x' for head atom",
+    "asp 1 0 0\n1 0 1 1 0 1 x\n0\n": "line 2: non-integer token 'x' for body literal",
+    "asp 1 0 0\n1 0 1 1 0 0 99\n0\n": "line 2: 1 unexpected trailing tokens",
+    "asp 1 0 0\n2 0 1 1 1 7\n0\n": "line 2: 1 unexpected trailing tokens",
+    "asp 1 0 0\n0\n1 0 1 1 0 0\n": "line 3: content after terminator",
+    "asp 1 0 0\n\n0\n": "line 2: blank statement line",
+    "asp 1 0 0\n4 9 abc 0\n0\n": "line 2: output string shorter than declared",
+    "asp 1 0 0\n1 2 1 1 0 0\n0\n": "line 2: unknown head kind 2",
+    "asp 1 0 0\n1 0 1 1 2 0\n0\n": "line 2: unknown body kind 2",
+    "asp 1 0 0\n1 0 1 0 0 0\n0\n": "line 2: head atoms must be positive",
+    "asp 1 0 0\n1 0 1 1 0 1 0\n0\n": "line 2: body literal 0 is not allowed",
+    "asp 1 0 0\n2 0 1 0 5\n0\n": "line 2: minimize literal 0 is not allowed",
+    # negative counts
+    "asp 1 0 0\n1 0 -1 0 0\n0\n": "line 2: negative head atom count -1",
+    "asp 1 0 0\n1 0 1 1 0 -2 1 2\n0\n": "line 2: negative body literal count -2",
+    "asp 1 0 0\n1 0 1 1 1 -5 -1\n0\n": "line 2: negative body element count -1",
+    "asp 1 0 0\n2 0 -3\n0\n": "line 2: negative term count -3",
+    "asp 1 0 0\n4 1 a -2\n0\n": "line 2: negative condition count -2",
+    # integers outside the aspif syntax
+    "asp 1 0 0\n1 0 1 1_0 0 0\n0\n": "line 2: non-integer token '1_0' for head atom",
+    "asp 1 0 0\n2 0 1 1 1_0\n0\n": "line 2: non-integer token '1_0' for weight",
+    "asp 1 0 0\n1 0 0 1 1_0 0\n0\n": "line 2: non-integer token '1_0' for lower bound",
+    "asp 1 0 0\n1 0 1 ٣ 0 0\n0\n": "line 2: non-integer token '٣' for head atom",
+    "asp 1 0 0\n١ 0 1 1 0 0\n0\n": "line 2: non-integer statement code '١'",
+    "asp 1 0 0\n 1 0 1 1 0 0\n0\n": "line 2: non-integer statement code ''",
+    "asp 1 0 0\n1\t0 1 1 0 0\n0\n": "line 2: non-integer statement code '1\\t0'",
+}
+
+
 class TestParse:
     def test_fact_rule(self):
         doc = aspif.parse("asp 1 0 0\n1 0 1 1 0 0\n0\n")
@@ -45,32 +84,26 @@ class TestParse:
         doc = aspif.parse("asp 1 0 0\n1 0 1 1 0 0\n")
         assert not doc.had_terminator
 
+    @pytest.mark.parametrize("text", list(MALFORMED))
+    def test_malformed_inputs_raise(self, text):
+        with pytest.raises(aspif.AspifParseError) as caught:
+            aspif.parse(text)
+        assert str(caught.value) == MALFORMED[text]
+
     @pytest.mark.parametrize(
-        "text",
+        "line, statement",
         [
-            "",
-            "xxx\n",
-            "asp 2 0 0\n0\n",
-            "asp 1 0 0\n1 0 1\n0\n",
-            "asp 1 0 0\n1 0 1 x 0 0\n0\n",
-            "asp 1 0 0\n1 0 1 1 0 0 99\n0\n",
-            "asp 1 0 0\n0\n1 0 1 1 0 0\n",
-            "asp 1 0 0\n4 9 abc 0\n0\n",
-            # negative counts
-            "asp 1 0 0\n1 0 -1 0 0\n0\n",
-            "asp 1 0 0\n1 0 1 1 0 -2 1 2\n0\n",
-            "asp 1 0 0\n1 0 1 1 1 -5 -1\n0\n",
-            "asp 1 0 0\n2 0 -3\n0\n",
-            "asp 1 0 0\n4 1 a -2\n0\n",
-            # integers outside the aspif syntax
-            "asp 1 0 0\n1 0 1 1_0 0 0\n0\n",
-            "asp 1 0 0\n1 0 1 \u0663 0 0\n0\n",
-            "asp 1 0 0\n\u0661 0 1 1 0 0\n0\n",
+            ("1 0 1 +4 0 0", aspif.Rule(aspif.DISJUNCTIVE, (4,), aspif.NormalBody(()))),
+            ("1 0 1 04 0 1 -04", aspif.Rule(aspif.DISJUNCTIVE, (4,), aspif.NormalBody((-4,)))),
+            ("1  1   2 3  4 0  0", aspif.Rule(aspif.CHOICE, (3, 4), aspif.NormalBody(()))),
+            ("1 0 0 1 +2 2 -1 01 2 -0", aspif.Rule(0, (), aspif.WeightBody(2, ((-1, 1), (2, 0))))),
+            ("2 +0  2 04 -1 -3 +5 ", aspif.Minimize(0, ((4, -1), (-3, 5)))),
+            ("04 1 a 1 +4", aspif.Output("a", (4,))),
+            ("+1 0 1 4 0 0", aspif.Rule(aspif.DISJUNCTIVE, (4,), aspif.NormalBody(()))),
         ],
     )
-    def test_malformed_inputs_raise(self, text):
-        with pytest.raises(aspif.AspifParseError):
-            aspif.parse(text)
+    def test_accepted_integer_spellings(self, line, statement):
+        assert aspif.parse(f"asp 1 0 0\n{line}\n0\n").statements == (statement,)
 
     @pytest.mark.parametrize(
         "line",
@@ -285,3 +318,55 @@ def test_random_statement_lines_parse_or_raise_a_parse_error(text):
     except aspif.AspifParseError:
         return
     assert aspif.parse(aspif.write(doc)).statements == doc.statements
+
+
+def _walked(code, rest, line_no):
+    walk = aspif._parse_rule if code == 1 else aspif._parse_minimize
+    try:
+        return walk(aspif._Tokens(rest.split(), line_no))
+    except aspif.AspifParseError:
+        return None
+
+
+def _sliced(code, rest):
+    values = aspif._values(rest)
+    if values is None:
+        return None
+    return (aspif._slice_rule if code == 1 else aspif._slice_minimize)(values)
+
+
+def _check_slicer_against_walker(text):
+    for line_no, line in enumerate(text.split("\n")[1:], start=2):
+        code_token, _, rest = line.partition(" ")
+        code = aspif._integer(code_token)
+        if code in (1, 2):
+            # repr names every nested statement class, so kinds must match too
+            assert repr(_sliced(code, rest)) == repr(_walked(code, rest, line_no))
+
+
+@given(aspif_texts())
+@settings(max_examples=300)
+def test_slicer_accepts_exactly_what_the_token_walker_accepts(text):
+    _check_slicer_against_walker(text)
+
+
+@given(documents(), st.data())
+@settings(max_examples=150)
+def test_slicer_matches_the_walker_on_perturbed_canonical_lines(doc, data):
+    # written lines are valid, so one changed token probes each check near
+    # the accepting boundary
+    lines = aspif.write(doc).split("\n")
+    index = data.draw(st.integers(0, len(lines) - 1))
+    parts = lines[index].split(" ")
+    position = data.draw(st.integers(0, len(parts)))
+    token = data.draw(st.sampled_from(["0", "1", "-1", "2", "+3", "03", "9", "x", ""]))
+    action = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    if action == "insert":
+        parts.insert(position, token)
+    elif position < len(parts):
+        if action == "replace":
+            parts[position] = token
+        else:
+            del parts[position]
+    lines[index] = " ".join(parts)
+    _check_slicer_against_walker("\n".join(lines))

@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from optsort import aspif
+from optsort.analysis import binomial_document
 from optsort.asplang import enumerate_answer_sets
 from optsort.cli import main
 from optsort.rewrite import random_opt_document
@@ -300,13 +302,78 @@ class TestRenderCommand:
         assert code == 2 and out == ""
         assert err == "error: expected 3 weights, got 2\n"
 
-    @pytest.mark.parametrize("weights", ["a,b,c", "1,,3"])
+    @pytest.mark.parametrize("weights", ["a,b,c", "1,,3", ""])
     def test_non_integer_weights_name_the_option(self, capsys, monkeypatch, weights):
         code, out, err = run(capsys, monkeypatch, ["render", "3", "--weights", weights])
         assert code == 2 and out == ""
         assert err == (
             f"error: --weights expects 3 comma-separated integers, got {weights!r}\n"
         )
+
+
+class TestCyclicCollector:
+    """``main`` runs with the cyclic collector off and hands it back."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, stdin, outcome",
+        [
+            (["rewrite"], TWO_TERM_DOC, 0),
+            (["rewrite"], "xxx\n", 2),
+            ([], "", SystemExit),
+        ],
+    )
+    def test_main_restores_the_callers_setting(
+        self, capsys, monkeypatch, enabled, argv, stdin, outcome
+    ):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome is SystemExit:
+                with pytest.raises(SystemExit):
+                    run(capsys, monkeypatch, argv, stdin)
+            else:
+                assert run(capsys, monkeypatch, argv, stdin)[0] == outcome
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def garbage_left_by(capsys, monkeypatch, argv, stdin):
+        """Objects only the cyclic collector could free after one call."""
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, monkeypatch, argv, stdin)[0] == 0
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @staticmethod
+    def binomial_with_rules(n, k, rules):
+        """``gen-binomial n k --opt`` plus a normal and a weight rule per extra atom."""
+        lines = aspif.write(binomial_document(n, k, opt=True)).split("\n")[:-2]
+        for a in range(n + 1, n + rules + 1):
+            lines += [f"1 0 1 {a} 0 1 -{a - 1}", f"1 0 0 1 1 1 {a} 1"]
+        return "\n".join([*lines, "0", ""])
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["rewrite"], [(8, 4, 0), (64, 32, 0)]),
+            (["rewrite"], [(8, 4, 8), (8, 4, 512)]),
+            (["verify"], [(4, 2, 0), (8, 4, 0)]),
+        ],
+    )
+    def test_garbage_does_not_grow_with_the_input(self, capsys, monkeypatch, argv, sizes):
+        # every statement is acyclic, so what is left for the collector is a
+        # fixed per-call amount (the argument parser), not a per-rule one
+        texts = [self.binomial_with_rules(*size) for size in sizes]
+        self.garbage_left_by(capsys, monkeypatch, argv, texts[0])  # warm up
+        counts = [self.garbage_left_by(capsys, monkeypatch, argv, text) for text in texts]
+        assert counts[0] == counts[1]
 
 
 class TestUsage:
