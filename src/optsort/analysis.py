@@ -233,4 +233,4 @@ def attach_network(
 
 
 def output_atoms(wire_map: WireAtomMap) -> list[int]:
-    return [wire_map.atom(i, wire_map.depth) for i in range(1, wire_map.width + 1)]
+    return list(wire_map.columns[-1])

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -48,15 +47,7 @@ def _sparseness(value: str) -> int | None:
     return parsed
 
 
-def _env_jobs() -> int:
-    value = os.environ.get("OPTSORT_JOBS", "1")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"OPTSORT_JOBS must be an integer, got {value!r}") from None
-
-
-def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optsort",
         description="Rewrite aspif optimization statements through sorting networks.",
@@ -102,10 +93,7 @@ def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
         "--max-atoms", type=int, default=16, help="refuse programs with more atoms"
     )
     p_verify.add_argument(
-        "--jobs",
-        type=int,
-        default=default_jobs,
-        help="parallel workers for the random sweep",
+        "--jobs", type=int, default=1, help="parallel workers for the random sweep"
     )
 
     p_pch = sub.add_parser("pch", help="simulate the propagator call history on a binomial program")
@@ -216,6 +204,9 @@ def _verify_random_one(max_atoms: int, seed: int) -> tuple[bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     if not args.random and (args.input is not None or not sys.stdin.isatty()):
         doc = _read_document(args.input)
         ok, lines = _verify_document(doc, args.max_atoms)
@@ -303,12 +294,7 @@ _HANDLERS = {
 
 
 def _run(argv: list[str] | None) -> int:
-    try:
-        default_jobs = _env_jobs()
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    args = _build_parser(default_jobs).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as error:

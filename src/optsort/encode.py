@@ -21,37 +21,38 @@ from .network import Network
 class WireAtomMap:
     """Injective map from (wire, level) positions to atom ids.
 
-    ``grid[i - 1][l]`` is the atom for wire i after level l.  Level 0 atoms
-    may be pre-existing program atoms; deeper levels are normally fresh.
+    ``columns[l][i - 1]`` is the atom for wire i after level l, input column
+    first.  Level 0 atoms may be pre-existing program atoms; deeper levels
+    are normally fresh.
     """
 
     width: int
     depth: int
-    grid: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.grid) != self.width or any(
-            len(row) != self.depth + 1 for row in self.grid
+        if len(self.columns) != self.depth + 1 or any(
+            len(column) != self.width for column in self.columns
         ):
             raise SemanticsError("wire atom map does not cover the network shape")
-        flat = [a for row in self.grid for a in row]
+        flat = self.atoms()
         if len(set(flat)) != len(flat):
             raise SemanticsError("wire atom map is not injective")
         if any(a < 1 for a in flat):
             raise SemanticsError("wire atoms must be positive")
 
     def atom(self, wire: int, level: int) -> int:
-        return self.grid[wire - 1][level]
+        return self.columns[level][wire - 1]
 
     def atoms(self) -> list[int]:
-        return [a for row in self.grid for a in row]
+        return [a for column in self.columns for a in column]
 
     def sidecar_lines(self) -> list[str]:
         """Debug mapping, one ``wire i level l atom id`` line per position."""
         return [
-            f"wire {i} level {l} atom {self.grid[i - 1][l]}"
-            for l in range(self.depth + 1)
-            for i in range(1, self.width + 1)
+            f"wire {i} level {l} atom {a}"
+            for l, column in enumerate(self.columns)
+            for i, a in enumerate(column, 1)
         ]
 
 
@@ -66,19 +67,14 @@ def dense_wire_atom_map(
     if inputs is not None and len(inputs) != width:
         raise SemanticsError(f"expected {width} input atoms, got {len(inputs)}")
     next_id = first_free
-    columns: list[list[int]] = []
     if inputs is None:
-        columns.append(list(range(next_id, next_id + width)))
+        inputs = range(next_id, next_id + width)
         next_id += width
-    else:
-        columns.append(list(inputs))
+    columns = [tuple(inputs)]
     for _ in range(depth):
-        columns.append(list(range(next_id, next_id + width)))
+        columns.append(tuple(range(next_id, next_id + width)))
         next_id += width
-    grid = tuple(
-        tuple(columns[l][i] for l in range(depth + 1)) for i in range(width)
-    )
-    return WireAtomMap(width, depth, grid)
+    return WireAtomMap(width, depth, tuple(columns))
 
 
 def _rule(head: int, *body: int) -> Rule:
@@ -97,17 +93,15 @@ def asp_of_network(network: Network, map: WireAtomMap) -> list[Rule]:
     rules: list[Rule] = []
     layers = network.layers()
     for level in range(1, network.depth + 1):
+        below, here = map.columns[level - 1], map.columns[level]
         touched: set[int] = set()
         for c in sorted(layers.get(level, []), key=lambda c: (c.i, c.j)):
-            below_i = map.atom(c.i, level - 1)
-            below_j = map.atom(c.j, level - 1)
-            rules.append(
-                _rule(map.atom(c.i, level), min(below_i, below_j), max(below_i, below_j))
-            )
-            rules.append(_rule(map.atom(c.j, level), below_i))
-            rules.append(_rule(map.atom(c.j, level), below_j))
+            below_i, below_j = below[c.i - 1], below[c.j - 1]
+            rules.append(_rule(here[c.i - 1], min(below_i, below_j), max(below_i, below_j)))
+            rules.append(_rule(here[c.j - 1], below_i))
+            rules.append(_rule(here[c.j - 1], below_j))
             touched |= {c.i, c.j}
         for wire in range(1, network.width + 1):
             if wire not in touched:
-                rules.append(_rule(map.atom(wire, level), map.atom(wire, level - 1)))
+                rules.append(_rule(here[wire - 1], below[wire - 1]))
     return rules

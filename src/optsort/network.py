@@ -203,26 +203,28 @@ def limit_depth(network: Network, d_max: int) -> Network:
 
 @dataclass(frozen=True)
 class ConfinedNetwork:
-    """A sub-network restricted to a wire set and a contiguous level interval."""
+    """A region of a network: a wire set over a contiguous level interval.
 
-    network: Network
+    The region's gates are the network's own gates inside it; propagation
+    reads only the wires and the interval, so the region does not hold them.
+    """
+
     wires: frozenset[int]
     min_level: int
     max_level: int
 
     def __post_init__(self) -> None:
+        if not self.wires or min(self.wires) < 1:
+            raise NetworkError(f"region needs one or more wires >= 1, got {sorted(self.wires)}")
         if self.min_level > self.max_level or self.min_level < 1:
             raise NetworkError(
                 f"level interval {self.min_level}..{self.max_level} is empty or invalid"
             )
-        for c in self.network.comparators:
-            if not ({c.i, c.j} <= self.wires and self.min_level <= c.level <= self.max_level):
-                raise NetworkError(f"comparator {c} escapes the confined region")
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """An ordered list of pairwise compatible confined networks covering a network.
+    """An ordered list of pairwise compatible regions covering a network.
 
     The order respects data flow: a component never depends on the output of a
     later one (min level of an earlier component <= max level of any later one).
@@ -261,11 +263,9 @@ class Decomposition:
 
 def whole_network_decomposition(network: Network) -> Decomposition:
     """The coarsest decomposition: the entire network as one component."""
-    if network.depth == 0:
+    if network.depth == 0 or network.width == 0:
         return Decomposition(())
-    comp = ConfinedNetwork(
-        network, frozenset(range(1, network.width + 1)), 1, network.depth
-    )
+    comp = ConfinedNetwork(frozenset(range(1, network.width + 1)), 1, network.depth)
     return Decomposition((comp,))
 
 
@@ -298,21 +298,15 @@ def decompose_sparse(network: Network, k: int) -> Decomposition:
             ri, rj = find(c.i), find(c.j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
-        # one pass buckets the block's gates and wires by component root
-        gates: dict[int, list[Comparator]] = {}
         groups: dict[int, set[int]] = {}
         for c in block:
-            root = find(c.i)
-            gates.setdefault(root, []).append(c)
-            groups.setdefault(root, set()).update((c.i, c.j))
-        parts = [(wires, tuple(gates[root])) for root, wires in groups.items()]
-        untouched = set(range(1, n + 1)).difference(*groups.values())
+            groups.setdefault(find(c.i), set()).update((c.i, c.j))
+        parts = list(groups.values())
+        untouched = set(range(1, n + 1)).difference(*parts)
         if untouched:
-            parts.append((untouched, ()))
-        parts.sort(key=lambda part: min(part[0]))
-        for wires, block_gates in parts:
-            sub = Network(n, network.depth, block_gates)
-            components.append(ConfinedNetwork(sub, frozenset(wires), lo, hi))
+            parts.append(untouched)
+        parts.sort(key=min)
+        components.extend(ConfinedNetwork(frozenset(wires), lo, hi) for wires in parts)
         lo = hi + 1
     return Decomposition(tuple(components))
 

@@ -9,7 +9,7 @@ function over wire values is preserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .network import ConfinedNetwork, Decomposition, Network, apply, decompose_sparse
 
@@ -55,7 +55,7 @@ class WeightMatrix:
         out.sort(key=lambda t: (t[1], t[0]))
         return out
 
-    def _shifted(self, wires: Sequence[int], src: int, dst: int, amount: int) -> "WeightMatrix":
+    def _shifted(self, wires: Iterable[int], src: int, dst: int, amount: int) -> "WeightMatrix":
         rows = [list(row) for row in self.rows]
         for w in wires:
             rows[w - 1][src] -= amount
@@ -114,12 +114,10 @@ def propagate_confined(weights: WeightMatrix, confined: ConfinedNetwork) -> Weig
     region's comparators themselves are irrelevant here, so a comparator-free
     region over inert wires still shifts weight (inertia keeps values put).
     """
-    if confined.network.width != weights.width or confined.network.depth != weights.depth:
-        raise WeightError("confined network shape does not match weight matrix")
-    if confined.max_level > weights.depth:
-        raise WeightError("confined region exceeds matrix depth")
+    wires = confined.wires
+    if max(wires) > weights.width or confined.max_level > weights.depth:
+        raise WeightError(f"region exceeds the {weights.width}x{weights.depth} weight matrix")
     src = confined.min_level - 1
-    wires = sorted(confined.wires)
     c = min(weights.weight(w, src) for w in wires)
     if c == 0:
         return weights

@@ -18,7 +18,7 @@ from optsort.asplang import (
     satisfies,
 )
 from optsort.encode import WireAtomMap
-from optsort.network import ConfinedNetwork, Decomposition, Network, new_network
+from optsort.network import Comparator, ConfinedNetwork, Decomposition, Network, new_network
 from optsort.propagate import WeightMatrix
 
 
@@ -59,14 +59,44 @@ def statement_lines(draw):
     return " ".join([code, *draw(st.lists(_TOKENS, max_size=9))])
 
 
+_LITERALS = st.integers(-5, 5).filter(bool)
+_WEIGHTED = st.lists(st.tuples(_LITERALS, st.integers(-3, 9)), max_size=3).map(tuple)
+_STATEMENTS = st.one_of(
+    st.builds(
+        aspif.Rule,
+        st.sampled_from([aspif.DISJUNCTIVE, aspif.CHOICE]),
+        st.lists(st.integers(1, 5), max_size=2, unique=True).map(tuple),
+        st.one_of(
+            st.builds(aspif.NormalBody, st.lists(_LITERALS, max_size=3).map(tuple)),
+            st.builds(aspif.WeightBody, st.integers(-1, 6), _WEIGHTED),
+        ),
+    ),
+    st.builds(aspif.Minimize, st.integers(-1, 2), _WEIGHTED),
+)
+
+
+@st.composite
+def written_lines(draw):
+    """A rule or minimize line as ``aspif.write`` prints it, maybe with one token changed."""
+    document = aspif.AspifDocument(statements=(draw(_STATEMENTS),))
+    tokens = aspif.write(document).split("\n")[1].split(" ")
+    if draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
+    return " ".join(tokens)
+
+
 def aspif_texts():
-    """A header, up to four random statement lines and maybe a terminator."""
+    """A header, up to four statement lines and maybe a terminator.
+
+    Lines are random tokens or written statements, some with one token
+    changed, so both the refusing and the accepting side of the parser show.
+    """
     return st.builds(
         lambda lines, terminated: "\n".join(
             ["asp 1 0 0", *lines, *(["0"] if terminated else [])]
         )
         + "\n",
-        st.lists(statement_lines(), max_size=4),
+        st.lists(st.one_of(statement_lines(), written_lines()), max_size=4),
         st.booleans(),
     )
 
@@ -124,16 +154,46 @@ def input_facts(x, wire_map: WireAtomMap) -> list[aspif.Rule]:
     ]
 
 
-def covers(decomposition: Decomposition, network: Network) -> bool:
-    """The components hold exactly the network's comparators."""
-    covered = set()
-    for component in decomposition.components:
-        covered.update(component.network.comparators)
-    return covered == set(network.comparators)
+def region_gates(network: Network, region: ConfinedNetwork) -> set[Comparator]:
+    """The network's gates with both wires and the level inside the region."""
+    return {
+        c
+        for c in network.comparators
+        if region.min_level <= c.level <= region.max_level
+        and c.i in region.wires
+        and c.j in region.wires
+    }
+
+
+def confines_every_gate(decomposition: Decomposition, network: Network) -> bool:
+    """What propagation needs of a decomposition of the network.
+
+    Every region lies inside the network, every gate lies in exactly one
+    region, and no gate within a region's level interval has exactly one of
+    its wires in that region.
+    """
+    regions = decomposition.components
+    if any(max(r.wires) > network.width or r.max_level > network.depth for r in regions):
+        return False
+    for c in network.comparators:
+        inside = 0
+        for r in regions:
+            if r.min_level <= c.level <= r.max_level:
+                ends = (c.i in r.wires) + (c.j in r.wires)
+                if ends == 1:
+                    return False
+                inside += ends == 2
+        if inside != 1:
+            return False
+    return True
 
 
 def decompose_sparse_rescan(network: Network, k: int) -> Decomposition:
-    """Reference ``decompose_sparse`` that rescans its block for every component."""
+    """Reference ``decompose_sparse`` that rescans its block for every region.
+
+    Each region's wires are the ends of the parent network's gates in that
+    union-find group; the wires no gate of the block touches form one more.
+    """
     components = []
     layers = network.layers()
     n = network.width
@@ -153,19 +213,15 @@ def decompose_sparse_rescan(network: Network, k: int) -> Decomposition:
             ri, rj = find(c.i), find(c.j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
-        touched = {w for c in block for w in (c.i, c.j)}
-        groups: dict[int, set[int]] = {}
-        for w in touched:
-            groups.setdefault(find(w), set()).add(w)
-        untouched = set(range(1, n + 1)) - touched
-        parts = sorted(groups.values(), key=min)
+        parts = []
+        for root in {find(c.i) for c in block}:
+            gates = [c for c in block if find(c.i) == root]
+            parts.append({w for c in gates for w in (c.i, c.j)})
+        untouched = set(range(1, n + 1)).difference(*parts)
         if untouched:
             parts.append(untouched)
-            parts.sort(key=min)
-        for wires in parts:
-            gates = tuple(c for c in block if c.i in wires)
-            sub = Network(n, network.depth, gates)
-            components.append(ConfinedNetwork(sub, frozenset(wires), lo, hi))
+        for wires in sorted(parts, key=min):
+            components.append(ConfinedNetwork(frozenset(wires), lo, hi))
         lo = hi + 1
     return Decomposition(tuple(components))
 

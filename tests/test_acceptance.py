@@ -84,8 +84,7 @@ def random_confined_region(rng: random.Random, net: Network) -> ConfinedNetwork:
     for group in groups.values():
         if not chosen or rng.random() < 0.5:
             chosen |= group
-    sub = Network(net.width, net.depth, tuple(c for c in gates if c.i in chosen))
-    return ConfinedNetwork(sub, frozenset(chosen), lo, hi)
+    return ConfinedNetwork(frozenset(chosen), lo, hi)
 
 
 def test_01_propagation_preserves_weight_functions():
@@ -144,7 +143,7 @@ def test_02_reference_example_regressions():
             (30, 50, 80, 30, 20),
         ),
     )
-    region = ConfinedNetwork(Network(5, 4, ()), frozenset({1, 3, 4, 5}), 2, 3)
+    region = ConfinedNetwork(frozenset({1, 3, 4, 5}), 2, 3)
     moved = propagate_confined(confined_weights, region)
     assert moved.column(1) == [80, 40, 0, 10, 40]
     assert moved.column(3) == [70, 50, 10, 20, 40]

@@ -2,7 +2,7 @@ import dataclasses
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from optsort import aspif
@@ -318,6 +318,19 @@ def test_random_statement_lines_parse_or_raise_a_parse_error(text):
     except aspif.AspifParseError:
         return
     assert aspif.parse(aspif.write(doc)).statements == doc.statements
+
+
+def test_generated_texts_reach_the_accepting_side():
+    # about one text in six parses and holds a rule or a minimize statement
+    def accepted_with_rule_or_minimize(text):
+        try:
+            statements = aspif.parse(text).statements
+        except aspif.AspifParseError:
+            return False
+        return any(isinstance(s, (aspif.Rule, aspif.Minimize)) for s in statements)
+
+    only_generate = settings(database=None, phases=[Phase.generate], max_examples=300)
+    find(aspif_texts(), accepted_with_rule_or_minimize, settings=only_generate)
 
 
 def _walked(code, rest, line_no):

@@ -208,6 +208,15 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: --count must be >= 0, got -3\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("source", [["--random", "--count", "1"], []])
+    def test_jobs_below_one_is_refused(self, capsys, monkeypatch, jobs, source):
+        code, out, err = run(
+            capsys, monkeypatch, ["verify", *source, "--jobs", jobs], stdin=TWO_TERM_DOC
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+
     def test_parallel_sweep_matches_the_serial_one(self, capsys, monkeypatch):
         serial = run(
             capsys, monkeypatch, ["verify", "--random", "--count", "2", "--jobs", "1"]
@@ -386,9 +395,3 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["rewrite", "--bogus"])
         assert excinfo.value.code == 2
-
-    def test_non_integer_jobs_variable_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPTSORT_JOBS", "abc")
-        code, out, err = run(capsys, monkeypatch, ["gen-sorter", "2"])
-        assert code == 2 and out == ""
-        assert err == "error: OPTSORT_JOBS must be an integer, got 'abc'\n"

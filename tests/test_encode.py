@@ -18,7 +18,7 @@ from conftest import binary_vectors, input_facts, random_network
 class TestWireAtomMap:
     def test_dense_allocation_is_level_major(self):
         m = dense_wire_atom_map(2, 2, 10)
-        assert m.grid == ((10, 12, 14), (11, 13, 15))
+        assert m.columns == ((10, 11), (12, 13), (14, 15))
 
     def test_existing_inputs_are_grafted(self):
         m = dense_wire_atom_map(2, 1, 7, inputs=[3, 5])
@@ -29,7 +29,7 @@ class TestWireAtomMap:
         from optsort.encode import WireAtomMap
 
         with pytest.raises(SemanticsError):
-            WireAtomMap(2, 0, ((1,), (1,)))
+            WireAtomMap(2, 0, ((1, 1),))
 
     def test_sidecar_lists_every_position(self):
         m = dense_wire_atom_map(2, 1, 1)

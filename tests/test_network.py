@@ -22,9 +22,10 @@ from optsort.network import (
 from conftest import (
     FIG_COMPARATORS,
     binary_vectors,
-    covers,
+    confines_every_gate,
     decompose_sparse_rescan,
     random_network,
+    region_gates,
 )
 
 
@@ -213,10 +214,9 @@ class TestDecomposeSparse:
 
     def test_unit_factor_isolates_every_comparator(self, four_wire_sorter):
         parts = decompose_sparse(four_wire_sorter, 1).components
-        gate_parts = [c for c in parts if c.network.comparators]
-        inert_parts = [c for c in parts if not c.network.comparators]
-        assert len(gate_parts) == four_wire_sorter.size()
-        assert all(len(c.network.comparators) == 1 for c in gate_parts)
+        gates = [region_gates(four_wire_sorter, c) for c in parts]
+        inert_parts = [c for c, g in zip(parts, gates) if not g]
+        assert sorted(len(g) for g in gates if g) == [1] * four_wire_sorter.size()
         # only the last layer leaves wires untouched (1 and 4)
         assert [(c.min_level, sorted(c.wires)) for c in inert_parts] == [(3, [1, 4])]
 
@@ -225,12 +225,13 @@ class TestDecomposeSparse:
         rng = random.Random(k)
         net = random_network(rng, 7, 5)
         decomposition = decompose_sparse(net, k)
-        assert covers(decomposition, net)
+        assert confines_every_gate(decomposition, net)
         seen = set()
         for component in decomposition.components:
-            gates = set(component.network.comparators)
+            gates = region_gates(net, component)
             assert not gates & seen
             seen |= gates
+        assert seen == set(net.comparators)
 
     @pytest.mark.parametrize("n", range(0, 41))
     def test_matches_the_per_component_rescan(self, n):
@@ -244,28 +245,52 @@ class TestDecomposeSparse:
     def test_empty_depth_network_has_no_components(self):
         assert decompose_sparse(new_network(3, 0, []), 2).components == ()
 
+    def test_wireless_network_has_no_components(self):
+        wireless = new_network(0, 2, [])
+        assert decompose_sparse(wireless, 1).components == ()
+        assert whole_network_decomposition(wireless).components == ()
+
     def test_rejects_bad_factor(self, four_wire_sorter):
         with pytest.raises(NetworkError):
             decompose_sparse(four_wire_sorter, 0)
 
 
+def regions(parts) -> Decomposition:
+    return Decomposition(tuple(ConfinedNetwork(frozenset(w), lo, hi) for w, lo, hi in parts))
+
+
 class TestDecompositionValidation:
-    def test_rejects_overlapping_components(self, four_wire_sorter):
-        a = ConfinedNetwork(limit_depth(four_wire_sorter, 1), frozenset({1, 2, 3, 4}), 1, 1)
+    def test_rejects_overlapping_components(self):
+        a = ConfinedNetwork(frozenset({1, 2, 3, 4}), 1, 1)
         with pytest.raises(NetworkError):
             Decomposition((a, a))
 
     def test_rejects_misordered_components(self):
-        net = oe_sorter(4)
-        early = ConfinedNetwork(limit_depth(net, 1), frozenset({1, 2, 3, 4}), 1, 1)
-        late_gates = new_network(4, 3, [c for c in net.comparators if c.level > 1])
-        late = ConfinedNetwork(late_gates, frozenset({1, 2, 3, 4}), 2, 3)
+        early = ConfinedNetwork(frozenset({1, 2, 3, 4}), 1, 1)
+        late = ConfinedNetwork(frozenset({1, 2, 3, 4}), 2, 3)
         Decomposition((early, late))
         with pytest.raises(NetworkError):
             Decomposition((late, early))
 
     def test_whole_network_decomposition_covers(self, four_wire_sorter):
-        assert covers(whole_network_decomposition(four_wire_sorter), four_wire_sorter)
+        assert confines_every_gate(
+            whole_network_decomposition(four_wire_sorter), four_wire_sorter
+        )
+
+    def test_gate_oracle_accepts_two_level_blocks(self, four_wire_sorter):
+        decomposition = regions([({1, 2, 3, 4}, 1, 1), ({1, 2, 3, 4}, 2, 3)])
+        assert confines_every_gate(decomposition, four_wire_sorter)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [({1, 2, 3, 4}, 1, 2)],  # the gate at level 3 lies in no region
+            [({1, 2}, 1, 3), ({3, 4}, 1, 3)],  # gates (1, 3) and (2, 4) are cut
+            [({1, 2, 3, 4}, 1, 3), ({1, 2, 3, 4, 5}, 4, 4)],  # wire 5 and level 4 are outside
+        ],
+    )
+    def test_gate_oracle_refuses_unsound_splits(self, four_wire_sorter, parts):
+        assert not confines_every_gate(regions(parts), four_wire_sorter)
 
 
 GOLDEN_FOUR_WIRE = "\n".join(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from optsort.network import (
     ConfinedNetwork,
     Network,
+    NetworkError,
     decompose_sparse,
     limit_depth,
     new_network,
@@ -57,8 +58,7 @@ def random_confined_region(rng, net: Network) -> ConfinedNetwork:
     for group in groups.values():
         if rng.random() < 0.6 or not chosen:
             chosen |= group
-    sub = Network(net.width, net.depth, tuple(c for c in gates if c.i in chosen))
-    return ConfinedNetwork(sub, frozenset(chosen), lo, hi)
+    return ConfinedNetwork(frozenset(chosen), lo, hi)
 
 
 class TestConstruction:
@@ -136,8 +136,7 @@ class TestPropagateConfined:
                 (30, 50, 80, 30, 20),
             ),
         )
-        gates = Network(5, 4, tuple())
-        region = ConfinedNetwork(gates, frozenset({1, 3, 4, 5}), 2, 3)
+        region = ConfinedNetwork(frozenset({1, 3, 4, 5}), 2, 3)
         result = propagate_confined(weights, region)
         assert result.column(1) == [80, 40, 0, 10, 40]
         assert result.column(3) == [70, 50, 10, 20, 40]
@@ -147,15 +146,32 @@ class TestPropagateConfined:
 
     def test_zero_boundary_weight_blocks_the_move(self):
         weights = WeightMatrix(2, 2, ((5, 0, 0), (3, 9, 0)))
-        region = ConfinedNetwork(Network(2, 2, ()), frozenset({1, 2}), 2, 2)
+        region = ConfinedNetwork(frozenset({1, 2}), 2, 2)
         assert propagate_confined(weights, region) is weights
 
     def test_comparator_free_region_still_moves_weight(self):
         weights = from_input_weights([6, 8], 2)
-        region = ConfinedNetwork(Network(2, 2, ()), frozenset({1, 2}), 1, 2)
+        region = ConfinedNetwork(frozenset({1, 2}), 1, 2)
         result = propagate_confined(weights, region)
         assert result.column(0) == [0, 2]
         assert result.column(2) == [6, 6]
+
+    @pytest.mark.parametrize(
+        "wires, interval, error",
+        [
+            (set(), (1, 2), NetworkError),  # no wire to take a minimum over
+            ({0, 1}, (1, 2), NetworkError),  # wire 0 would index the last row
+            ({-2}, (1, 2), NetworkError),
+            ({1, 2}, (0, 1), NetworkError),
+            ({1, 2}, (2, 1), NetworkError),
+            ({1, 4}, (1, 2), WeightError),  # wire above the width
+            ({1, 3}, (1, 3), WeightError),  # level above the depth
+        ],
+    )
+    def test_refuses_bad_regions(self, wires, interval, error):
+        weights = from_input_weights([5, 6, 7], 2)
+        with pytest.raises(error):
+            propagate_confined(weights, ConfinedNetwork(frozenset(wires), *interval))
 
 
 class TestPropagateDecomposition:
