@@ -12,7 +12,6 @@ import functools
 import gc
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import aspif
 from .analysis import (
@@ -218,6 +217,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     seeds = [args.seed + i for i in range(args.count)]
     verify_one = functools.partial(_verify_random_one, args.max_atoms)
     if args.jobs > 1:
+        # imported here: concurrent.futures and multiprocessing would cost
+        # every other call their import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(verify_one, seeds))
     else:

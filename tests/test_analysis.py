@@ -2,21 +2,38 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from optsort.analysis import (
+    _at_least,
     attach_network,
     binomial_program,
     card_propagator,
     output_atoms,
     run_pch,
 )
-from optsort.asplang import SemanticsError, enumerate_answer_sets, evaluate, least_model
+from optsort.asplang import (
+    CardinalityConstraint,
+    ChoiceRule,
+    GroundProgram,
+    Literal,
+    Nogood,
+    SemanticsError,
+    enumerate_answer_sets,
+    evaluate,
+    least_model,
+)
 from optsort.network import limit_depth, oe_sorter
 
 from conftest import (
     binomial_opt_program,
     constraint_nogoods,
+    fact,
+    neg,
+    nogood,
     optimal_value,
+    pos,
     rule,
     verify_trace,
 )
@@ -60,6 +77,23 @@ def assert_matches_reference(program, propagator, seed=None):
     trace = run_pch(program, propagator, order())
     expected = reference_pch(program, propagator, order())
     assert (trace.assignments, trace.nogoods, trace.complete) == expected
+
+
+def choice_program(n, normal_rules=(), cardinality_constraints=(), nogoods=()):
+    """Free choice over atoms 1..n under the given rules and constraints."""
+    atoms = set(range(1, n + 1))
+    for r in normal_rules:
+        atoms |= r.atoms()
+    return GroundProgram(
+        signature=frozenset(atoms),
+        normal_rules=tuple(normal_rules),
+        choice_rules=(ChoiceRule(frozenset(range(1, n + 1))),) if n else (),
+        cardinality_constraints=tuple(cardinality_constraints),
+        nogoods=tuple(nogoods),
+    )
+
+
+SEEDS = (None, 0, 1, 2, 3, 4)
 
 
 class TestBinomialPrograms:
@@ -196,6 +230,87 @@ class TestReferencePch:
         assert not run_pch(program, propagator).complete
         assert_matches_reference(program, propagator)
 
+    def test_fact_rules_and_rules_listed_before_their_premises(self):
+        # 7 needs 6, which needs the fact 5 and a choice atom; the rules are
+        # listed in the reverse of that order
+        program = choice_program(
+            4, normal_rules=(rule(7, body=[6, 2]), rule(6, body=[5, 1]), fact(5))
+        )
+        for seed in SEEDS:
+            assert_matches_reference(program, card_propagator([5, 6, 7, 3, 4], 3), seed)
+
+    def test_nogoods_with_both_signs(self):
+        program = choice_program(
+            5,
+            normal_rules=(rule(6, body=[4]),),
+            nogoods=(
+                nogood(true_atoms=[1], false_atoms=[2]),
+                nogood(true_atoms=[6], false_atoms=[3]),
+                nogood(false_atoms=[5]),
+            ),
+        )
+        for seed in SEEDS:
+            assert_matches_reference(program, card_propagator([1, 2, 3, 4, 5], 3), seed)
+
+    @pytest.mark.parametrize("bound", range(6))
+    def test_cardinality_over_negated_derived_and_duplicated_literals(self, bound):
+        # four distinct literals, so bounds 0 (always) to 5 (never) are legal
+        literals = (neg(1), pos(6), pos(6), neg(7), pos(2))
+        program = choice_program(
+            4,
+            normal_rules=(rule(6, body=[1, 2]), rule(7, body=[3])),
+            cardinality_constraints=(CardinalityConstraint(literals, bound),),
+        )
+        for seed in SEEDS:
+            assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2), seed)
+
+    def test_a_surviving_empty_choice_subset(self):
+        # every nonempty subset is forbidden, so only the empty model is left
+        program = choice_program(3, nogoods=[nogood(true_atoms=[a]) for a in (1, 2, 3)])
+        assert run_pch(program, card_propagator([1, 2, 3], 0)).assignments == (frozenset(),)
+        for seed in SEEDS:
+            assert_matches_reference(program, card_propagator([1, 2, 3], 0), seed)
+            assert_matches_reference(program, card_propagator([1, 2, 3], 1), seed)
+
+    def test_explanations_with_false_literals(self):
+        class SignPattern:
+            """Conflicts with everything; learns the assignment's signs on 1..3."""
+
+            def conflicts_with(self, assignment):
+                return True
+
+            def explain(self, assignment):
+                return Nogood(frozenset((a, a in assignment) for a in (1, 2, 3)))
+
+        program = choice_program(4, normal_rules=(rule(5, body=[4]),))
+        assert run_pch(program, SignPattern()).m == 8
+        for seed in SEEDS:
+            assert_matches_reference(program, SignPattern(), seed)
+
+    def test_no_atoms_at_all(self):
+        program = choice_program(0)
+        assert run_pch(program, card_propagator([], 0)).assignments == (frozenset(),)
+        assert_matches_reference(program, card_propagator([], 0))
+
+
+@given(st.data())
+def test_bit_sliced_at_least_counter_matches_satisfied_by(data):
+    lanes = data.draw(st.integers(1, 24))
+    models = data.draw(
+        st.lists(st.frozensets(st.integers(1, 5)), min_size=lanes, max_size=lanes)
+    )
+    literals = data.draw(st.lists(st.builds(Literal, st.integers(1, 5), st.booleans())))
+    constraint = CardinalityConstraint(
+        tuple(literals), data.draw(st.integers(0, len(set(literals)) + 1))
+    )
+    vectors = [
+        sum(1 << i for i, m in enumerate(models) if l.satisfied_by(m)) for l in set(literals)
+    ]
+    satisfied = _at_least(vectors, constraint.lower_bound, (1 << lanes) - 1)
+    assert [bool(satisfied >> i & 1) for i in range(lanes)] == [
+        constraint.satisfied_by(m) for m in models
+    ]
+
 
 class TestNetworkedPch:
     @pytest.mark.parametrize("n", [4, 6, 8])
@@ -253,3 +368,8 @@ class TestNetworkedPch:
         )
         with pytest.raises(SemanticsError):
             run_pch(spoiled, card_propagator([1, 2], 1))
+
+    def test_rejects_a_rule_that_needs_its_own_head(self):
+        program = choice_program(2, normal_rules=(rule(8, body=[8, 1]),))
+        with pytest.raises(SemanticsError, match="positive rule cycle"):
+            run_pch(program, card_propagator([1, 2], 1))

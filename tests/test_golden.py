@@ -3,6 +3,9 @@
 Any change to the emitted rules, their order, the atom numbering, the
 minimize terms or the sidecar shows here.  Refresh a digest only for a
 deliberate change of the encoding, after the verify grid has passed.
+
+The ``pch --trace`` goldens pin the simulated call history the same way:
+every visited candidate's size and every learned nogood, in order.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import pytest
 
 from optsort import aspif
 from optsort.analysis import binomial_document
+from optsort.cli import main
 from optsort.rewrite import RewriteConfig, rewrite_objective
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -128,3 +132,19 @@ def test_corpus_digests():
         for path in sorted(CORPUS.glob("*.aspif"))
     }
     assert got == CORPUS_GOLDEN
+
+
+PCH_TRACE_GOLDEN = {
+    ("10", "5", "none"): "a338cd4505ed62e071a9b2bea4a8be225b5297cd10c189caab8663c63d117d31",
+    ("13", "6", "none"): "582e9acb3d75b897f609ad73c9818c00eafe35898b6de119c9a8b97cb6176b3f",
+    ("12", "6", "full"): "0d74f49224ea71e58e827bb683f7f23459ad4030e22b176566029a211c6e7fda",
+    ("12", "6", "depth:4"): "97c2d809a99a03b463f7c186eb72fd6f8280f8e5fa448797e87079b3c419cf7a",
+    ("13", "6", "depth:5"): "fb7f45aadef767bdfb9bde8890215836ff2afd19a16e5680130da8a89b83fb1a",
+}
+
+
+@pytest.mark.parametrize("n,k,network", sorted(PCH_TRACE_GOLDEN))
+def test_pch_trace_digests(capsys, n, k, network):
+    assert main(["pch", n, k, "--network", network, "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PCH_TRACE_GOLDEN[n, k, network]
