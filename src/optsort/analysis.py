@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import aspif
-from .asplang import GroundProgram, Nogood, NormalRule, SemanticsError
+from .asplang import (
+    GroundProgram,
+    Nogood,
+    SemanticsError,
+    _dependency_order,
+    enumerate_answer_sets_split,
+    model_lanes,
+    splitting_set,
+)
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
 from .network import Network
 
@@ -101,75 +108,6 @@ class PropagatorTrace:
         return "\n".join(lines)
 
 
-def _dependency_order(rules: Sequence[NormalRule]) -> list[NormalRule]:
-    """The rules ordered so that each follows every rule deriving its body atoms.
-
-    A positive cycle has no such order and is refused.
-    """
-    by_head: dict[int, list[NormalRule]] = {}
-    for r in rules:
-        by_head.setdefault(r.head, []).append(r)
-    graph = {
-        h: set().union(*(r.pos_body for r in group)) & by_head.keys()
-        for h, group in by_head.items()
-    }
-    ordered: list[NormalRule] = []
-    state: dict[int, int] = {}
-    for start in graph:
-        if state.get(start):
-            continue
-        stack = [(start, iter(graph[start]))]
-        state[start] = 1
-        while stack:
-            node, children = stack[-1]
-            for child in children:
-                if state.get(child) == 1:
-                    raise SemanticsError("positive rule cycle defeats candidate closure")
-                if not state.get(child):
-                    state[child] = 1
-                    stack.append((child, iter(graph[child])))
-                    break
-            else:
-                state[node] = 2
-                ordered += by_head[node]
-                stack.pop()
-    return ordered
-
-
-def _choice_lanes(n: int) -> list[int]:
-    """For each choice atom number b, the lanes whose subset index has bit b set."""
-    width = 1 << n
-    lanes = []
-    for b in range(n):
-        run = 1 << b
-        vector, period = ((1 << run) - 1) << run, 2 * run
-        while period < width:
-            vector |= vector << period
-            period *= 2
-        lanes.append(vector)
-    return lanes
-
-
-def _at_least(vectors: Iterable[int], bound: int, all_lanes: int) -> int:
-    """The lanes in which at least ``bound`` of the lane vectors are set."""
-    # reached[j]: the lanes where at least j of the vectors seen so far are set
-    reached = [all_lanes] + [0] * bound
-    for vector in vectors:
-        for j in range(bound, 0, -1):
-            reached[j] |= reached[j - 1] & vector
-    return reached[bound]
-
-
-# Lane flags (one 0 or 1 byte per lane) to and from base-2 digits.
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _lane_flags(vector: int, width: int) -> bytes:
-    """One byte per lane, 1 where the vector has the lane's bit set."""
-    return format(vector, f"0{width}b")[::-1].encode().translate(_FLAGS)
-
-
 # Closing every choice subset costs about 2^n x (normal rules + n) steps.  The
 # budget admits bare binomial programs up to n = 17 and full sorters up to
 # n = 14.  End to end on a shared 2-vCPU machine, `optsort pch` takes 0.26 s
@@ -182,10 +120,10 @@ def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
     """Total supported-model candidates, in order of their sorted atoms.
 
     Requires empty-bodied choice rules and negation-free, acyclic normal
-    rules: then supported models are exactly the closures of choice subsets
-    that pass the constraints.  Subset number i is bit lane i of every
-    vector: choice atom number b is true in the lanes whose index has bit b
-    set, and one pass over the rules in dependency order closes all subsets.
+    rules.  Such a program is tight, so its supported models are its answer
+    sets.  The enumerator splits at the choice atoms, with any rule defining
+    one.  With no negation the choice atoms are all it guesses, so each
+    choice subset is one bit lane and the guard and budget count its lanes.
     """
     choice_atoms: set[int] = set()
     for c in program.choice_rules:
@@ -195,9 +133,9 @@ def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
     for r in program.normal_rules:
         if r.neg_body:
             raise SemanticsError("candidate enumeration needs negation-free rules")
-    rules = _dependency_order(program.normal_rules)
-    order = sorted(choice_atoms)
-    n = len(order)
+    if _dependency_order(program.normal_rules)[1]:
+        raise SemanticsError("positive rule cycle defeats candidate closure")
+    n = len(choice_atoms)
     if n > 24:
         raise SemanticsError(f"{n} choice atoms exceed the enumeration guard")
     cost = (1 << n) * (len(program.normal_rules) + n)
@@ -206,47 +144,7 @@ def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
             f"closing 2^{n} choice subsets over {len(program.normal_rules)} rules "
             f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
         )
-    width = 1 << n
-    all_lanes = (1 << width) - 1
-    choice_lanes = _choice_lanes(n)
-    true_in = dict(zip(order, choice_lanes))
-    for r in rules:
-        derived = all_lanes
-        for a in r.pos_body:
-            derived &= true_in.get(a, 0)
-        true_in[r.head] = true_in.get(r.head, 0) | derived
-
-    def holds(atom: int, positive: bool) -> int:
-        lanes = true_in.get(atom, 0)
-        return lanes if positive else all_lanes ^ lanes
-
-    survivors = all_lanes
-    # A closure that derives further choice atoms is also the closure of
-    # exactly those choice atoms, so only that subset keeps it.
-    for a, lanes in zip(order, choice_lanes):
-        survivors &= ~(true_in[a] & ~lanes)
-    for ng in program.nogoods:
-        conflict = all_lanes
-        for a, sign in ng.signed_literals:
-            conflict &= holds(a, sign)
-        survivors &= ~conflict
-    for cc in program.cardinality_constraints:
-        satisfied = [holds(l.atom, l.positive) for l in set(cc.literals)]
-        survivors &= _at_least(satisfied, cc.lower_bound, all_lanes)
-
-    keep = _lane_flags(survivors, width)
-    atoms = sorted(a for a, lanes in true_in.items() if lanes & survivors)
-    columns = [bytes(compress(_lane_flags(true_in[a], width), keep)) for a in atoms]
-    rows = zip(*columns) if columns else repeat((), survivors.bit_count())
-    candidates: list = [tuple(compress(atoms, row)) for row in rows]
-    # Sorted atom tuples order the models as their sorted atoms do.  Each
-    # becomes its frozenset in place, so no model is held twice; copied from
-    # a set, the frozenset's table is sized to its atoms, where one grown
-    # straight from the tuple can be twice as large.
-    candidates.sort()
-    for i, model in enumerate(candidates):
-        candidates[i] = frozenset(set(model))
-    return candidates
+    return enumerate_answer_sets_split(program, splitting_set(program, choice_atoms))
 
 
 def run_pch(
@@ -272,8 +170,7 @@ def run_pch(
 
     def holds(atom: int, positive: bool) -> int:
         if atom not in columns:
-            flags = bytes(map(frozenset.__contains__, reversed(candidates), repeat(atom)))
-            columns[atom] = int(flags.translate(_DIGITS), 2)
+            columns[atom] = model_lanes(candidates, atom)
         return columns[atom] if positive else everyone ^ columns[atom]
 
     assignments: list[frozenset[int]] = []

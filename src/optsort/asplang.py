@@ -2,15 +2,18 @@
 
 Programs mix normal rules, choice rules, cardinality constraints and nogoods
 over positive integer atoms.  Everything here is meant for desk-scale
-verification: answer sets are enumerated exhaustively, guarded by an
-atom-count limit.
+verification: answer sets are enumerated exhaustively, every guess at
+once as one bit lane of a Python integer, guarded by an atom-count limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import compress, repeat
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
+# The most atoms an enumeration guesses: each guess is one bit lane, so every
+# atom's lane vector then takes 2 MB.
 MAX_ENUM_ATOMS = 24
 
 
@@ -37,9 +40,6 @@ class NormalRule:
     pos_body: frozenset[int] = frozenset()
     neg_body: frozenset[int] = frozenset()
 
-    def body_satisfied_by(self, interpretation: frozenset[int]) -> bool:
-        return self.pos_body <= interpretation and not (self.neg_body & interpretation)
-
     def atoms(self) -> frozenset[int]:
         return frozenset({self.head}) | self.pos_body | self.neg_body
 
@@ -54,9 +54,6 @@ class ChoiceRule:
     def __post_init__(self) -> None:
         if not self.head_atoms:
             raise SemanticsError("choice rule needs a nonempty head")
-
-    def body_satisfied_by(self, interpretation: frozenset[int]) -> bool:
-        return all(l.satisfied_by(interpretation) for l in self.body)
 
     def atoms(self) -> frozenset[int]:
         return self.head_atoms | frozenset(l.atom for l in self.body)
@@ -138,12 +135,6 @@ class GroundProgram:
             used |= ng.atoms()
         return frozenset(used)
 
-    def head_atoms(self) -> frozenset[int]:
-        heads = {r.head for r in self.normal_rules}
-        for c in self.choice_rules:
-            heads |= c.head_atoms
-        return frozenset(heads)
-
 
 @dataclass(frozen=True)
 class ObjectiveFunction:
@@ -170,128 +161,125 @@ class FreshAtoms:
         return first
 
 
-def _derivations(
-    program: GroundProgram, interpretation: frozenset[int]
-) -> list[tuple[int, frozenset[int]]]:
-    # Positive derivation rules available under the candidate interpretation.
-    # Choice heads in the candidate count as derivable whenever their body's
-    # negative part is not blocked; the positive part still must be derived.
-    out = [
-        (r.head, r.pos_body)
-        for r in program.normal_rules
-        if not (r.neg_body & interpretation)
-    ]
-    for c in program.choice_rules:
-        blocked = any(
-            not l.satisfied_by(interpretation) for l in c.body if not l.positive
-        )
-        if blocked:
+class LaneRule(NamedTuple):
+    """A positive rule that derives its head only in the given bit lanes."""
+
+    head: int
+    pos_body: frozenset[int]
+    lanes: int
+
+
+_Rule = TypeVar("_Rule", NormalRule, LaneRule)
+
+
+def _dependency_order(rules: Sequence[_Rule]) -> tuple[list[_Rule], bool]:
+    """The rules ordered so that each follows every rule deriving its body atoms.
+
+    Only a positive cycle prevents such an order; the flag says whether one
+    does, and the rules come in depth-first finishing order all the same.
+    """
+    by_head: dict[int, list[_Rule]] = {}
+    for r in rules:
+        by_head.setdefault(r.head, []).append(r)
+    graph = {
+        h: set().union(*(r.pos_body for r in group)) & by_head.keys()
+        for h, group in by_head.items()
+    }
+    ordered: list[_Rule] = []
+    cyclic = False
+    state: dict[int, int] = {}
+    for start in graph:
+        if state.get(start):
             continue
-        pos_body = frozenset(l.atom for l in c.body if l.positive)
-        for a in c.head_atoms & interpretation:
-            out.append((a, pos_body))
-    return out
-
-
-class PositiveRules:
-    """Positive (head, positive-body) rules compiled for repeated closure.
-
-    Compiling builds the premise counts and the atom-to-rule index once;
-    each closure copies only the counts, so closing many fact sets over the
-    same rules costs no rebuild.
-    """
-
-    def __init__(self, derivation_rules: Iterable[tuple[int, frozenset[int]]]):
-        self._heads: list[int] = []
-        self._premises: list[int] = []
-        self._waiting: dict[int, list[int]] = {}
-        self._facts: list[int] = []
-        for idx, (head, body) in enumerate(derivation_rules):
-            self._heads.append(head)
-            self._premises.append(len(body))
-            if not body:
-                self._facts.append(head)
-            for atom in body:
-                self._waiting.setdefault(atom, []).append(idx)
-
-    def closure(self, facts: Iterable[int] = ()) -> frozenset[int]:
-        """Least model of the rules plus the given facts.
-
-        Linear in the total body size, via unsatisfied-premise counting.
-        """
-        heads, waiting = self._heads, self._waiting
-        missing = self._premises.copy()
-        stack = [*self._facts, *facts]
-        model: set[int] = set()
+        stack = [(start, iter(graph[start]))]
+        state[start] = 1
         while stack:
-            atom = stack.pop()
-            if atom in model:
-                continue
-            model.add(atom)
-            for idx in waiting.get(atom, ()):
-                missing[idx] -= 1
-                if missing[idx] == 0:
-                    stack.append(heads[idx])
-        return frozenset(model)
+            node, children = stack[-1]
+            for child in children:
+                if state.get(child) == 1:
+                    cyclic = True
+                elif not state.get(child):
+                    state[child] = 1
+                    stack.append((child, iter(graph[child])))
+                    break
+            else:
+                state[node] = 2
+                ordered += by_head[node]
+                stack.pop()
+    return ordered, cyclic
 
 
-def least_model(derivation_rules: Iterable[tuple[int, frozenset[int]]]) -> frozenset[int]:
-    """Least fixpoint of a set of positive (head, positive-body) rules."""
-    return PositiveRules(derivation_rules).closure()
+def least_model(rules: Sequence[LaneRule]) -> dict[int, int]:
+    """The least model of positive rules in every bit lane at once.
 
-
-def satisfies(program: GroundProgram, interpretation: frozenset[int]) -> bool:
-    """Classical satisfaction of rules, cardinality constraints and nogoods."""
-    for r in program.normal_rules:
-        if r.body_satisfied_by(interpretation) and r.head not in interpretation:
-            return False
-    for cc in program.cardinality_constraints:
-        if not cc.satisfied_by(interpretation):
-            return False
-    for ng in program.nogoods:
-        if ng.conflicts_with(interpretation):
-            return False
-    return True
-
-
-def is_answer_set(program: GroundProgram, interpretation: frozenset[int]) -> bool:
-    """Stable-model check: satisfaction plus derivability of every true atom.
-
-    The candidate must equal the least model of its reduct, so atoms that head
-    no rule (normal or choice) can never be true in an answer set.
+    Maps each head atom to the lanes in which it is derived.  Acyclic rules
+    close in one pass in dependency order; over a positive cycle the passes
+    repeat until no atom gains a lane.
     """
-    if not interpretation <= program.signature:
-        return False
-    if not satisfies(program, interpretation):
-        return False
-    return least_model(_derivations(program, interpretation)) == interpretation
+    ordered, cyclic = _dependency_order(rules)
+    true_in: dict[int, int] = {}
+    grew = True
+    while grew:
+        grew = False
+        for head, body, lanes in ordered:
+            for atom in body:
+                lanes &= true_in.get(atom, 0)
+            known = true_in.get(head, 0)
+            true_in[head] = known | lanes
+            if cyclic and lanes & ~known:
+                grew = True
+    return true_in
 
 
-def _enum_guard(atom_count: int) -> None:
-    if atom_count > MAX_ENUM_ATOMS:
-        raise SemanticsError(
-            f"{atom_count} atoms exceed the brute-force guard of {MAX_ENUM_ATOMS}"
-        )
+def _choice_lanes(n: int) -> list[int]:
+    """For each guessed atom number b, the lanes whose subset index has bit b set."""
+    width = 1 << n
+    lanes = []
+    for b in range(n):
+        run = 1 << b
+        vector, period = ((1 << run) - 1) << run, 2 * run
+        while period < width:
+            vector |= vector << period
+            period *= 2
+        lanes.append(vector)
+    return lanes
 
 
-def _lex_sorted(models: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    return sorted(models, key=lambda m: tuple(sorted(m)))
+def _at_least(vectors: Iterable[int], bound: int, all_lanes: int) -> int:
+    """The lanes in which at least ``bound`` of the lane vectors are set."""
+    # reached[j]: the lanes where at least j of the vectors seen so far are set
+    reached = [all_lanes] + [0] * bound
+    for vector in vectors:
+        for j in range(bound, 0, -1):
+            reached[j] |= reached[j - 1] & vector
+    return reached[bound]
 
 
-def _candidate_interpretations(program: GroundProgram) -> Iterable[frozenset[int]]:
-    _enum_guard(len(program.signature))
-    # Only head atoms can be true in answer sets, so the search space is
-    # restricted to subsets of them.
-    heads = sorted(program.head_atoms())
-    for size_mask in range(1 << len(heads)):
-        yield frozenset(a for bit, a in enumerate(heads) if size_mask >> bit & 1)
+# Lane flags (one 0 or 1 byte per lane) to and from base-2 digits.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def enumerate_answer_sets(program: GroundProgram) -> list[frozenset[int]]:
-    """All answer sets, in lexicographic order of their sorted atom tuples."""
-    return _lex_sorted(
-        i for i in _candidate_interpretations(program) if is_answer_set(program, i)
-    )
+def _lane_flags(vector: int, width: int) -> bytes:
+    """One byte per lane, 1 where the vector has the lane's bit set."""
+    return format(vector, f"0{width}b")[::-1].encode().translate(_FLAGS)
+
+
+def _lane_models(true_in: dict[int, int], lanes: int, width: int) -> list[frozenset[int]]:
+    """The models held in the given lanes, in order of their sorted atoms."""
+    keep = _lane_flags(lanes, width)
+    atoms = sorted(a for a, held in true_in.items() if held & lanes)
+    columns = [bytes(compress(_lane_flags(true_in[a], width), keep)) for a in atoms]
+    rows = zip(*columns) if columns else repeat((), lanes.bit_count())
+    models: list = [tuple(compress(atoms, row)) for row in rows]
+    # Sorted atom tuples order the models as their sorted atoms do.  Each
+    # becomes its frozenset in place, so no model is held twice; copied from
+    # a set, the frozenset's table is sized to its atoms, where one grown
+    # straight from the tuple can be twice as large.
+    models.sort()
+    for i, model in enumerate(models):
+        models[i] = frozenset(set(model))
+    return models
 
 
 def evaluate(objective: ObjectiveFunction, interpretation: frozenset[int]) -> int:
@@ -299,30 +287,27 @@ def evaluate(objective: ObjectiveFunction, interpretation: frozenset[int]) -> in
     return sum(w for w, l in objective.terms if l.satisfied_by(interpretation))
 
 
-@dataclass(frozen=True)
-class _SplitParts:
-    bottom: GroundProgram
-    top_rules: tuple[NormalRule, ...]
-    straddling_cardinality: tuple[CardinalityConstraint, ...]
-    straddling_nogoods: tuple[Nogood, ...]
+def _guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list[int]:
+    """The atoms a guess must fix, sorted, once the bottom atoms are checked to split the program.
 
-
-def _split(program: GroundProgram, bottom_atoms: frozenset[int]) -> _SplitParts:
-    bottom_rules, top_rules = [], []
+    These are the bottom's head atoms that the reduct reads: choice heads and
+    negated atoms.  Every other atom is derived from them.
+    """
+    heads: set[int] = set()
+    read: set[int] = set()
     for r in program.normal_rules:
         if r.head in bottom_atoms:
             if not r.atoms() <= bottom_atoms:
                 raise SemanticsError(
                     f"rule for {r.head} reaches outside the splitting set"
                 )
-            bottom_rules.append(r)
+            heads.add(r.head)
         elif r.neg_body - bottom_atoms:
             raise SemanticsError(
                 f"rule for {r.head} negates atoms "
                 f"{sorted(r.neg_body - bottom_atoms)} above the splitting set"
             )
-        else:
-            top_rules.append(r)
+        read |= r.neg_body
     for c in program.choice_rules:
         if not c.head_atoms & bottom_atoms:
             raise SemanticsError(
@@ -330,39 +315,20 @@ def _split(program: GroundProgram, bottom_atoms: frozenset[int]) -> _SplitParts:
             )
         if not c.atoms() <= bottom_atoms:
             raise SemanticsError("choice rule straddles the splitting set")
-    bottom_cc, straddle_cc = [], []
-    for cc in program.cardinality_constraints:
-        (bottom_cc if cc.atoms() <= bottom_atoms else straddle_cc).append(cc)
-    bottom_ng, straddle_ng = [], []
-    for ng in program.nogoods:
-        (bottom_ng if ng.atoms() <= bottom_atoms else straddle_ng).append(ng)
-    bottom = GroundProgram(
-        signature=frozenset(bottom_atoms),
-        normal_rules=tuple(bottom_rules),
-        choice_rules=program.choice_rules,
-        cardinality_constraints=tuple(bottom_cc),
-        nogoods=tuple(bottom_ng),
-    )
-    return _SplitParts(bottom, tuple(top_rules), tuple(straddle_cc), tuple(straddle_ng))
+        heads |= c.head_atoms
+        read |= c.head_atoms | {l.atom for l in c.body if not l.positive}
+    return sorted(heads & read)
 
 
-def auto_split_atoms(program: GroundProgram) -> frozenset[int]:
-    """Smallest workable splitting set for layered enumeration.
+def model_lanes(models: Sequence[frozenset[int]], atom: int) -> int:
+    """The lanes, one per model in order, of the models that hold the atom."""
+    flags = bytes(map(frozenset.__contains__, reversed(models), repeat(atom)))
+    return int(flags.translate(_DIGITS), 2)
 
-    Seeds with everything that demands search or constrains models (choice
-    rules, nogoods, cardinality constraints, negated body atoms) and closes
-    under rule definitions, so the part above the split reduces to a positive
-    program once the bottom is fixed.
-    """
-    bottom: set[int] = set()
-    for c in program.choice_rules:
-        bottom |= c.atoms()
-    for ng in program.nogoods:
-        bottom |= ng.atoms()
-    for cc in program.cardinality_constraints:
-        bottom |= cc.atoms()
-    for r in program.normal_rules:
-        bottom |= r.neg_body
+
+def splitting_set(program: GroundProgram, atoms: Iterable[int]) -> frozenset[int]:
+    """The smallest superset of the atoms holding all atoms of each rule that defines one."""
+    bottom = set(atoms)
     changed = True
     while changed:
         changed = False
@@ -373,46 +339,110 @@ def auto_split_atoms(program: GroundProgram) -> frozenset[int]:
     return frozenset(bottom)
 
 
-def enumerate_answer_sets_layered(program: GroundProgram) -> list[frozenset[int]]:
-    """Answer sets via an automatically chosen splitting set.
+def auto_split_atoms(program: GroundProgram) -> frozenset[int]:
+    """Smallest workable splitting set for layered enumeration.
 
-    Falls back to plain brute force when no proper split exists.  This keeps
-    programs whose upper layers are positive and deterministic (for example
-    attached network translations) enumerable far beyond the flat guard.
+    Seeds with everything that demands search or constrains models (choice
+    rules, nogoods, cardinality constraints, negated body atoms), so the part
+    above the split is positive and derived once the bottom is guessed.
     """
-    bottom_atoms = auto_split_atoms(program)
-    if bottom_atoms >= program.used_atoms():
-        return enumerate_answer_sets(program)
-    return enumerate_answer_sets_split(program, bottom_atoms)
+    bottom: set[int] = set()
+    for c in program.choice_rules:
+        bottom |= c.atoms()
+    for ng in program.nogoods:
+        bottom |= ng.atoms()
+    for cc in program.cardinality_constraints:
+        bottom |= cc.atoms()
+    for r in program.normal_rules:
+        bottom |= r.neg_body
+    return splitting_set(program, bottom)
+
+
+def enumerate_answer_sets_layered(program: GroundProgram) -> list[frozenset[int]]:
+    """Answer sets across the smallest workable splitting set.
+
+    Only the choice heads and negated atoms below it are guessed, so
+    programs whose upper layers are positive and deterministic (for example
+    attached network translations) stay enumerable far beyond the guard's
+    count of atoms.
+    """
+    return enumerate_answer_sets_split(program, auto_split_atoms(program))
 
 
 def enumerate_answer_sets_split(
-    program: GroundProgram, bottom_atoms: frozenset[int]
+    program: GroundProgram,
+    bottom_atoms: frozenset[int],
+    bottom_models: Sequence[frozenset[int]] | None = None,
 ) -> list[frozenset[int]]:
-    """Enumerate answer sets layer by layer across a splitting set.
+    """Answer sets by guess and check across a splitting set, in order of their sorted atoms.
 
     ``bottom_atoms`` must be closed under rule heads: any rule defining a
     bottom atom may only mention bottom atoms.  The part above the split may
     negate bottom atoms only and may hold no choice rule; anything else
-    raises SemanticsError.  By the splitting-set theorem each bottom answer
-    set M then extends to exactly one candidate, the least model of the
-    upper rules over M.  The upper rules are compiled once, with ``-b``
-    standing for ``not b``, and each M is closed together with ``-b`` for
-    every negated bottom atom b outside M.
+    raises SemanticsError.
+
+    Each guess is one bit lane: a subset of the bottom atoms that the reduct
+    reads, the choice heads and the negated atoms.  One ``least_model`` call
+    closes the bottom and upper rules in every lane: a negated atom is read
+    from the guess, and a choice head is derivable only where it is guessed.
+    A lane is stable when the atoms it derives equal its guess on the guessed
+    atoms; every other atom is derived.  The stable lanes that pass the
+    nogoods and cardinality constraints are the answer sets, one lane each.
+
+    ``bottom_models``, when given, must be the answer sets of the part below
+    the split: the rules defining bottom atoms and the constraints over them
+    alone.  Nothing is guessed then.  Each bottom model is one lane, held as
+    facts, and only the rules above the split are closed over it; by the
+    splitting-set theorem each lane that passes the constraints is one
+    answer set.
     """
-    parts = _split(program, bottom_atoms)
-    upper = PositiveRules(
-        (r.head, r.pos_body | {-b for b in r.neg_body}) for r in parts.top_rules
-    )
-    negated = sorted({b for r in parts.top_rules for b in r.neg_body})
-    results: list[frozenset[int]] = []
-    for bottom_model in enumerate_answer_sets_layered(parts.bottom):
-        closed = upper.closure(
-            [*bottom_model, *(-b for b in negated if b not in bottom_model)]
-        )
-        combined = frozenset(a for a in closed if a > 0)
-        if all(cc.satisfied_by(combined) for cc in parts.straddling_cardinality) and all(
-            ng.satisfied_by(combined) for ng in parts.straddling_nogoods
-        ):
-            results.append(combined)
-    return _lex_sorted(results)
+    bottom_atoms = frozenset(bottom_atoms)
+    guessed = _guessed_atoms(program, bottom_atoms)
+    if bottom_models is None:
+        if len(guessed) > MAX_ENUM_ATOMS:
+            raise SemanticsError(
+                f"{len(guessed)} atoms exceed the brute-force guard of {MAX_ENUM_ATOMS}"
+            )
+        width = 1 << len(guessed)
+        guess = dict(zip(guessed, _choice_lanes(len(guessed))))
+        normal_rules, choice_rules = program.normal_rules, program.choice_rules
+    elif not bottom_models:
+        return []
+    else:
+        width = len(bottom_models)
+        guess = {a: model_lanes(bottom_models, a) for a in bottom_atoms}
+        normal_rules = [r for r in program.normal_rules if r.head not in bottom_atoms]
+        choice_rules = ()
+    all_lanes = (1 << width) - 1
+
+    def unguessed(atoms: Iterable[int]) -> int:
+        lanes = all_lanes
+        for atom in atoms:
+            lanes &= all_lanes ^ guess.get(atom, 0)
+        return lanes
+
+    rules = [LaneRule(r.head, r.pos_body, unguessed(r.neg_body)) for r in normal_rules]
+    for c in choice_rules:
+        pos_body = frozenset(l.atom for l in c.body if l.positive)
+        lanes = unguessed(l.atom for l in c.body if not l.positive)
+        rules += (LaneRule(a, pos_body, lanes & guess[a]) for a in c.head_atoms)
+    if bottom_models is not None:
+        rules += (LaneRule(a, frozenset(), lanes) for a, lanes in guess.items())
+    true_in = least_model(rules)
+
+    def holds(atom: int, positive: bool) -> int:
+        lanes = true_in.get(atom, 0)
+        return lanes if positive else all_lanes ^ lanes
+
+    answers = all_lanes
+    for atom, lanes in guess.items():
+        answers &= ~(true_in.get(atom, 0) ^ lanes)
+    for ng in program.nogoods:
+        conflict = all_lanes
+        for a, sign in ng.signed_literals:
+            conflict &= holds(a, sign)
+        answers &= ~conflict
+    for cc in program.cardinality_constraints:
+        satisfied = [holds(l.atom, l.positive) for l in set(cc.literals)]
+        answers &= _at_least(satisfied, cc.lower_bound, all_lanes)
+    return _lane_models(true_in, answers, width)

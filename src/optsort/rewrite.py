@@ -252,6 +252,21 @@ class VerifyReport:
     detail: str = ""
 
 
+def _keeps_input(before: GroundProgram, after: GroundProgram) -> bool:
+    """Whether ``after`` defines the input's atoms by the input's own rules and keeps its constraints.
+
+    Then the part of ``after`` below the input's signature has the input's
+    answer sets, and the rules above it need only be closed over them.
+    """
+    below = {r for r in after.normal_rules if r.head in before.signature}
+    return (
+        below == set(before.normal_rules)
+        and set(after.choice_rules) == set(before.choice_rules)
+        and set(after.cardinality_constraints) >= set(before.cardinality_constraints)
+        and set(after.nogoods) >= set(before.nogoods)
+    )
+
+
 def verify_rewrite(
     before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
     after: tuple[GroundProgram, dict[int, ObjectiveFunction]],
@@ -273,7 +288,10 @@ def verify_rewrite(
         if before_models is None
         else before_models
     )
-    rewritten = enumerate_answer_sets_split(after_program, before_program.signature)
+    # the rewrite passes the input's statements through, so its own answer
+    # sets are the lanes the added rules are closed over
+    below = base if _keeps_input(before_program, after_program) else None
+    rewritten = enumerate_answer_sets_split(after_program, before_program.signature, below)
     if len(rewritten) != len(base):
         return VerifyReport(
             False, len(base), f"answer set counts differ: {len(base)} vs {len(rewritten)}"

@@ -13,9 +13,7 @@ from optsort.asplang import (
     NormalRule,
     ObjectiveFunction,
     SemanticsError,
-    enumerate_answer_sets,
     evaluate,
-    satisfies,
 )
 from optsort.encode import WireAtomMap
 from optsort.network import Comparator, ConfinedNetwork, Decomposition, Network, new_network
@@ -126,6 +124,66 @@ def nogood(true_atoms=(), false_atoms=()) -> Nogood:
 
 
 # Brute-force oracles that tests check the product against.
+
+
+def closure(rules) -> frozenset[int]:
+    """Least model of positive (head, body) rules, by naive iteration."""
+    rules = list(rules)
+    model: set[int] = set()
+    while True:
+        derived = {head for head, body in rules if body <= model}
+        if derived <= model:
+            return frozenset(model)
+        model |= derived
+
+
+def body_holds(r: NormalRule, interpretation: frozenset[int]) -> bool:
+    return r.pos_body <= interpretation and not r.neg_body & interpretation
+
+
+def satisfies(program: GroundProgram, interpretation: frozenset[int]) -> bool:
+    """Classical satisfaction of rules, cardinality constraints and nogoods."""
+    rules = program.normal_rules
+    return (
+        all(r.head in interpretation or not body_holds(r, interpretation) for r in rules)
+        and all(cc.satisfied_by(interpretation) for cc in program.cardinality_constraints)
+        and all(ng.satisfied_by(interpretation) for ng in program.nogoods)
+    )
+
+
+def is_answer_set(program: GroundProgram, interpretation: frozenset[int]) -> bool:
+    """Satisfaction, and equality with the least model of the reduct.
+
+    The reduct keeps each normal rule whose negative body the interpretation
+    leaves false, and turns each choice head in the interpretation into a
+    rule over its body's positive part when the negative part holds.
+    """
+    if not satisfies(program, interpretation):
+        return False
+    reduct = [
+        (r.head, r.pos_body)
+        for r in program.normal_rules
+        if not r.neg_body & interpretation
+    ]
+    for c in program.choice_rules:
+        if all(l.positive or l.atom not in interpretation for l in c.body):
+            body = frozenset(l.atom for l in c.body if l.positive)
+            reduct += [(a, body) for a in c.head_atoms & interpretation]
+    return closure(reduct) == interpretation
+
+
+def enumerate_answer_sets(program: GroundProgram) -> list[frozenset[int]]:
+    """Every answer set, in order of their sorted atoms, by testing each set of head atoms."""
+    heads = sorted(
+        {r.head for r in program.normal_rules}.union(*(c.head_atoms for c in program.choice_rules))
+    )
+    subsets = (
+        frozenset(a for bit, a in enumerate(heads) if mask >> bit & 1)
+        for mask in range(1 << len(heads))
+    )
+    return sorted(
+        (m for m in subsets if is_answer_set(program, m)), key=lambda m: tuple(sorted(m))
+    )
 
 
 def optimal_value(program: GroundProgram, objective: ObjectiveFunction) -> int | None:
@@ -246,10 +304,9 @@ def is_supported_model(program: GroundProgram, interpretation: frozenset[int]) -
         return False
     for a in interpretation:
         supported = any(
-            r.head == a and r.body_satisfied_by(interpretation)
-            for r in program.normal_rules
+            r.head == a and body_holds(r, interpretation) for r in program.normal_rules
         ) or any(
-            a in c.head_atoms and c.body_satisfied_by(interpretation)
+            a in c.head_atoms and all(l.satisfied_by(interpretation) for l in c.body)
             for c in program.choice_rules
         )
         if not supported:

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from optsort.analysis import (
-    _at_least,
     attach_network,
     binomial_program,
     card_propagator,
@@ -20,15 +19,16 @@ from optsort.asplang import (
     Literal,
     Nogood,
     SemanticsError,
-    enumerate_answer_sets,
+    _at_least,
     evaluate,
-    least_model,
 )
 from optsort.network import limit_depth, oe_sorter
 
 from conftest import (
     binomial_opt_program,
+    closure,
     constraint_nogoods,
+    enumerate_answer_sets,
     fact,
     neg,
     nogood,
@@ -44,7 +44,7 @@ def reference_pch(program, propagator, shuffle_rng=None):
     choice = sorted(set().union(*(c.head_atoms for c in program.choice_rules)))
     derivations = [(r.head, r.pos_body) for r in program.normal_rules]
     models = {
-        least_model(derivations + [(a, frozenset()) for b, a in enumerate(choice) if mask >> b & 1])
+        closure(derivations + [(a, frozenset()) for b, a in enumerate(choice) if mask >> b & 1])
         for mask in range(1 << len(choice))
     }
     candidates = sorted(
@@ -355,7 +355,18 @@ class TestNetworkedPch:
             choice_rules=program.choice_rules,
             cardinality_constraints=program.cardinality_constraints,
         )
-        with pytest.raises(SemanticsError):
+        refusal = "^candidate enumeration needs negation-free rules$"
+        with pytest.raises(SemanticsError, match=refusal):
+            run_pch(spoiled, card_propagator([1, 2], 1))
+
+    def test_rejects_choice_rules_with_bodies(self):
+        program = binomial_program(2, 1)
+        spoiled = type(program)(
+            signature=program.signature,
+            choice_rules=(ChoiceRule(frozenset({2}), frozenset({pos(1)})),),
+        )
+        refusal = "^candidate enumeration needs empty choice bodies$"
+        with pytest.raises(SemanticsError, match=refusal):
             run_pch(spoiled, card_propagator([1, 2], 1))
 
     def test_rejects_positive_cycles(self):
@@ -366,10 +377,10 @@ class TestNetworkedPch:
             choice_rules=program.choice_rules,
             cardinality_constraints=program.cardinality_constraints,
         )
-        with pytest.raises(SemanticsError):
+        with pytest.raises(SemanticsError, match="^positive rule cycle defeats candidate closure$"):
             run_pch(spoiled, card_propagator([1, 2], 1))
 
     def test_rejects_a_rule_that_needs_its_own_head(self):
         program = choice_program(2, normal_rules=(rule(8, body=[8, 1]),))
-        with pytest.raises(SemanticsError, match="positive rule cycle"):
+        with pytest.raises(SemanticsError, match="^positive rule cycle defeats candidate closure$"):
             run_pch(program, card_propagator([1, 2], 1))

@@ -10,19 +10,30 @@ from optsort.asplang import (
     CardinalityConstraint,
     ChoiceRule,
     GroundProgram,
+    LaneRule,
+    Literal,
     Nogood,
     ObjectiveFunction,
-    PositiveRules,
     SemanticsError,
-    enumerate_answer_sets,
+    auto_split_atoms,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
     evaluate,
-    is_answer_set,
     least_model,
 )
 
-from conftest import fact, is_supported_model, neg, nogood, optimal_value, pos, rule
+from conftest import (
+    closure,
+    enumerate_answer_sets,
+    fact,
+    is_answer_set,
+    is_supported_model,
+    neg,
+    nogood,
+    optimal_value,
+    pos,
+    rule,
+)
 
 
 def program(sig, rules=(), choices=(), cardinality=(), nogoods=()):
@@ -39,6 +50,13 @@ def lex(models):
     return [sorted(m) for m in models]
 
 
+def answer_sets(p):
+    """The lane enumerator's answer sets, once the brute-force oracle agrees."""
+    models = enumerate_answer_sets_layered(p)
+    assert models == enumerate_answer_sets(p)
+    return models
+
+
 class TestExpandCardinality:
     """Counting what a cardinality constraint admits, without expanding it."""
 
@@ -49,18 +67,9 @@ class TestExpandCardinality:
         atoms = frozenset(range(1, n + 1))
         constraint = CardinalityConstraint(tuple(pos(a) for a in sorted(atoms)), k)
         p = program(atoms, choices=[ChoiceRule(atoms)], cardinality=[constraint])
-        models = enumerate_answer_sets(p)
+        models = answer_sets(p)
         assert len(models) == sum(math.comb(n, j) for j in range(k, n + 1))
         assert all(len(m) >= k for m in models)
-
-
-def naive_fixpoint(rules):
-    model: set[int] = set()
-    while True:
-        derived = {head for head, body in rules if body <= model}
-        if derived <= model:
-            return frozenset(model)
-        model |= derived
 
 
 positive_rules = st.lists(
@@ -69,53 +78,71 @@ positive_rules = st.lists(
 )
 
 
+def lane_closures(rules, fact_sets):
+    """``least_model`` of the rules with fact set i as lane i, one model per lane."""
+    all_lanes = (1 << len(fact_sets)) - 1
+    lane_rules = [LaneRule(head, body, all_lanes) for head, body in rules]
+    for i, facts in enumerate(fact_sets):
+        lane_rules += [LaneRule(a, frozenset(), 1 << i) for a in facts]
+    true_in = least_model(lane_rules)
+    return [
+        frozenset(a for a, lanes in true_in.items() if lanes >> i & 1)
+        for i in range(len(fact_sets))
+    ]
+
+
 class TestPositiveRules:
     def test_compiled_rules_close_many_fact_sets_independently(self):
-        compiled = PositiveRules([(3, frozenset({1, 2}))])
-        assert compiled.closure([1]) == frozenset({1})
-        assert compiled.closure([1, 2]) == frozenset({1, 2, 3})
-        assert compiled.closure([2]) == frozenset({2})
+        rules = [(3, frozenset({1, 2}))]
+        assert lane_closures(rules, [{1}, {1, 2}, {2}]) == [
+            frozenset({1}),
+            frozenset({1, 2, 3}),
+            frozenset({2}),
+        ]
 
-    @given(positive_rules, st.frozensets(st.integers(1, 8), max_size=4))
+    @given(
+        positive_rules,
+        st.lists(st.frozensets(st.integers(1, 8), max_size=4), min_size=1, max_size=6),
+    )
     @settings(max_examples=200)
-    def test_closure_with_facts_is_the_least_model_with_fact_rules(self, rules, facts):
-        with_facts = rules + [(a, frozenset()) for a in facts]
-        expected = naive_fixpoint(with_facts)
-        assert PositiveRules(rules).closure(facts) == least_model(with_facts) == expected
+    def test_closure_with_facts_is_the_least_model_with_fact_rules(self, rules, fact_sets):
+        # random bodies over eight atoms close plenty of positive cycles
+        expected = [closure(rules + [(a, frozenset()) for a in facts]) for facts in fact_sets]
+        assert lane_closures(rules, fact_sets) == expected
 
 
 class TestAnswerSets:
     def test_even_negative_loop_has_two_answer_sets(self):
         p = program({1, 2}, rules=[rule(1, not_body=[2]), rule(2, not_body=[1])])
         assert is_answer_set(p, frozenset({1}))
-        assert lex(enumerate_answer_sets(p)) == [[1], [2]]
+        assert lex(answer_sets(p)) == [[1], [2]]
 
     def test_self_supporting_atom_is_unfounded(self):
         p = program({1}, rules=[rule(1, body=[1])])
         assert not is_answer_set(p, frozenset({1}))
-        assert enumerate_answer_sets(p) == [frozenset()]
+        assert answer_sets(p) == [frozenset()]
 
     def test_nogood_rejects_a_fact(self):
         p = program({1}, rules=[fact(1)], nogoods=[nogood(true_atoms=[1])])
         assert not is_answer_set(p, frozenset({1}))
-        assert enumerate_answer_sets(p) == []
+        assert answer_sets(p) == []
 
     def test_odd_loop_has_no_answer_sets(self):
         p = program({1}, rules=[rule(1, not_body=[1])])
-        assert enumerate_answer_sets(p) == []
+        assert answer_sets(p) == []
 
     def test_empty_program(self):
-        assert enumerate_answer_sets(program(set())) == [frozenset()]
+        assert answer_sets(program(set())) == [frozenset()]
 
     def test_choice_generates_all_justified_subsets(self):
         p = program({1, 2}, choices=[ChoiceRule(frozenset({1, 2}))])
-        assert lex(enumerate_answer_sets(p)) == [[], [1], [1, 2], [2]]
+        assert lex(answer_sets(p)) == [[], [1], [1, 2], [2]]
 
     def test_guard_rejects_oversized_programs(self):
         atoms = frozenset(range(1, 26))
         p = program(atoms, choices=[ChoiceRule(atoms)])
-        with pytest.raises(SemanticsError):
-            enumerate_answer_sets(p)
+        with pytest.raises(SemanticsError, match="25 atoms exceed the brute-force guard of 24"):
+            enumerate_answer_sets_layered(p)
 
     def test_nogood_rejects_two_signed_atoms(self):
         with pytest.raises(SemanticsError):
@@ -150,7 +177,7 @@ class TestSupportedModels:
             else []
         )
         p = program(atoms, rules=rules, choices=choices)
-        assert all(is_supported_model(p, m) for m in enumerate_answer_sets(p))
+        assert all(is_supported_model(p, m) for m in answer_sets(p))
 
 
 class TestMonotoneNogoods:
@@ -178,10 +205,10 @@ class TestMonotoneNogoods:
         )
         expected = [
             m
-            for m in enumerate_answer_sets(p)
+            for m in answer_sets(p)
             if all(ng.satisfied_by(m) for ng in extra)
         ]
-        assert enumerate_answer_sets(constrained) == expected
+        assert answer_sets(constrained) == expected
 
 
 class TestSplitEnumeration:
@@ -308,3 +335,70 @@ class TestObjectives:
     def test_empty_objective_is_zero(self):
         p = program({1}, rules=[fact(1)])
         assert optimal_value(p, ObjectiveFunction(())) == 0
+
+
+def subsets(pool, most):
+    return st.lists(st.sampled_from(pool), max_size=most, unique=True)
+
+
+@st.composite
+def split_programs(draw):
+    """A program over bottom atoms 1..b and upper atoms above them, with its bottom.
+
+    Below: choice rules with positive and negative bodies, and normal rules
+    with negation and positive cycles.  Above: rules over every atom, positive
+    cycles included, that negate bottom atoms.  Nogoods and cardinality
+    constraints range over every atom.
+    """
+    n_bottom, n_top = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    bottom = list(range(1, n_bottom + 1))
+    everything = list(range(1, n_bottom + n_top + 1))
+    choices = []
+    for _ in range(draw(st.integers(0, 2))):
+        heads = draw(st.lists(st.sampled_from(bottom), min_size=1, max_size=3, unique=True))
+        body = [pos(a) for a in draw(subsets(bottom, 2))]
+        body += [neg(a) for a in draw(subsets(bottom, 2))]
+        choices.append(ChoiceRule(frozenset(heads), frozenset(body)))
+    rules = [
+        rule(draw(st.sampled_from(bottom)), draw(subsets(bottom, 2)), draw(subsets(bottom, 2)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    rules += [
+        rule(
+            draw(st.sampled_from(everything[n_bottom:])),
+            draw(subsets(everything, 3)),
+            draw(subsets(bottom, 2)),
+        )
+        for _ in range(draw(st.integers(0, 2 * n_top)))
+    ]
+    signs = st.dictionaries(st.sampled_from(everything), st.booleans(), min_size=1, max_size=3)
+    nogoods = [Nogood(frozenset(draw(signs).items())) for _ in range(draw(st.integers(0, 2)))]
+    cardinality = []
+    for _ in range(draw(st.integers(0, 2))):
+        literal = st.builds(Literal, st.sampled_from(everything), st.booleans())
+        literals = draw(st.lists(literal, min_size=1, max_size=4))
+        bound = draw(st.integers(0, len(set(literals)) + 1))
+        cardinality.append(CardinalityConstraint(tuple(literals), bound))
+    p = program(everything, rules, choices, cardinality, nogoods)
+    return p, frozenset(bottom)
+
+
+@given(split_programs())
+@settings(max_examples=300, deadline=None)
+def test_lane_enumeration_matches_the_brute_force_oracle(case):
+    # guessing below the split, or closing the upper rules over the answer
+    # sets of the part below it, gives the oracle's answer sets
+    p, bottom = case
+    expected = enumerate_answer_sets(p)
+    assert enumerate_answer_sets_layered(p) == expected
+    assert enumerate_answer_sets_split(p, auto_split_atoms(p)) == expected
+    assert enumerate_answer_sets_split(p, bottom) == expected
+    below = program(
+        bottom,
+        [r for r in p.normal_rules if r.head in bottom],
+        p.choice_rules,
+        [cc for cc in p.cardinality_constraints if cc.atoms() <= bottom],
+        [ng for ng in p.nogoods if ng.atoms() <= bottom],
+    )
+    bottom_models = enumerate_answer_sets(below)
+    assert enumerate_answer_sets_split(p, bottom, bottom_models) == expected

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 
 from optsort import aspif
 from optsort.analysis import binomial_document
-from optsort.asplang import enumerate_answer_sets
 from optsort.cli import main
 from optsort.rewrite import random_opt_document
 
-from conftest import aspif_texts
+from conftest import aspif_texts, enumerate_answer_sets
 
 TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
 
@@ -202,6 +201,14 @@ class TestVerifyCommand:
             capsys, monkeypatch, ["verify", "--max-atoms", "10"], stdin=generated
         )
         assert code == 2 and "exceed" in err
+
+    def test_more_guessed_atoms_than_the_guard_are_refused(self, capsys, monkeypatch):
+        _, generated, _ = run(capsys, monkeypatch, ["gen-binomial", "25", "12", "--opt"])
+        code, out, err = run(
+            capsys, monkeypatch, ["verify", "--max-atoms", "30"], stdin=generated
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 25 atoms exceed the brute-force guard of 24\n"
 
     def test_negative_count_is_refused(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["verify", "--random", "--count", "-3"])

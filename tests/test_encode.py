@@ -4,15 +4,11 @@ from itertools import product
 import pytest
 
 from optsort import aspif
-from optsort.asplang import (
-    SemanticsError,
-    enumerate_answer_sets,
-    enumerate_answer_sets_layered,
-)
+from optsort.asplang import SemanticsError, enumerate_answer_sets_layered
 from optsort.encode import asp_of_network, dense_wire_atom_map
 from optsort.network import apply, new_network, oe_sorter
 
-from conftest import binary_vectors, input_facts, random_network
+from conftest import binary_vectors, enumerate_answer_sets, input_facts, random_network
 
 
 class TestWireAtomMap:

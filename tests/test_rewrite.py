@@ -3,13 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from optsort import aspif, rewrite
+from optsort import aspif, asplang, rewrite
 from optsort.analysis import binomial_document
-from optsort.asplang import (
-    FreshAtoms,
-    enumerate_answer_sets,
-    enumerate_answer_sets_layered,
-)
+from optsort.asplang import FreshAtoms, enumerate_answer_sets_layered
 from optsort.rewrite import (
     VERIFY_GRID,
     RewriteConfig,
@@ -20,6 +16,8 @@ from optsort.rewrite import (
     verify_rewrite,
     wire_inputs,
 )
+
+from conftest import enumerate_answer_sets
 
 TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
 
@@ -334,6 +332,42 @@ class TestVerifyRewrite:
         )
         report = verify_rewrite(bridge(doc), bridge(constrained))
         assert not report.ok and "counts differ" in report.detail
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["choice", "nogood", "cardinality"])
+    def test_detects_a_dropped_input_statement(self, index):
+        doc = aspif.parse(
+            "asp 1 0 0\n1 1 3 1 2 3 0 0\n1 0 0 0 2 1 2\n1 0 0 1 2 3 -1 1 -2 1 -3 1\n"
+            "2 0 2 1 4 2 6\n0\n"
+        )
+        out, _ = rewrite_objective(doc, RewriteConfig())
+        dropped = tuple(s for s in out.statements if s != doc.statements[index])
+        report = verify_rewrite(bridge(doc), bridge(aspif.AspifDocument(statements=dropped)))
+        assert not report.ok and "counts differ" in report.detail
+
+    def test_detects_a_changed_input_rule(self):
+        # the rewrite may not redefine input atoms: with 3 :- 2 in place of
+        # 3 :- 1 the rewritten program is enumerated by its own guesses
+        doc = aspif.parse("asp 1 0 0\n1 1 2 1 2 0 0\n1 0 1 3 0 1 1\n2 0 2 3 4 -2 6\n0\n")
+        out, _ = rewrite_objective(doc, RewriteConfig())
+        changed = aspif.Rule(aspif.DISJUNCTIVE, (3,), aspif.NormalBody((2,)))
+        statements = tuple(
+            changed if s == doc.statements[1] else s for s in out.statements
+        )
+        report = verify_rewrite(bridge(doc), bridge(aspif.AspifDocument(statements=statements)))
+        assert not report.ok and "is not an original answer set" in report.detail
+
+    def test_guesses_no_more_atoms_than_the_input(self, monkeypatch):
+        # a negated objective literal over a derived chain becomes a bridge
+        # rule x :- not d4; the rewritten program's answer sets still come
+        # from the input's, so the guard sees only the input's four guesses
+        monkeypatch.setattr(asplang, "MAX_ENUM_ATOMS", 4)
+        chain = "".join(f"1 0 1 {d} 0 1 {d - 1}\n" for d in range(5, 9))
+        doc = aspif.parse(f"asp 1 0 0\n1 1 4 1 2 3 4 0 0\n{chain}2 0 2 -8 3 1 1\n0\n")
+        before = bridge(doc)
+        base = enumerate_answer_sets_layered(before[0])
+        assert len(base) == 16
+        for config, report in verify_grid(doc, before, base):
+            assert report.ok and report.answer_sets == 16, (config, report.detail)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_programs_survive_the_whole_grid(self, seed):
