@@ -123,7 +123,7 @@ def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
     rules.  Such a program is tight, so its supported models are its answer
     sets.  The enumerator splits at the choice atoms, with any rule defining
     one.  With no negation the choice atoms are all it guesses, so each
-    choice subset is one bit lane and the guard and budget count its lanes.
+    choice subset is one bit lane and the budget counts its lanes.
     """
     choice_atoms: set[int] = set()
     for c in program.choice_rules:
@@ -136,8 +136,6 @@ def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
     if _dependency_order(program.normal_rules)[1]:
         raise SemanticsError("positive rule cycle defeats candidate closure")
     n = len(choice_atoms)
-    if n > 24:
-        raise SemanticsError(f"{n} choice atoms exceed the enumeration guard")
     cost = (1 << n) * (len(program.normal_rules) + n)
     if cost > CANDIDATE_COST_BUDGET:
         raise SemanticsError(

@@ -261,8 +261,8 @@ _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _lane_flags(vector: int, width: int) -> bytes:
-    """One byte per lane, 1 where the vector has the lane's bit set."""
-    return format(vector, f"0{width}b")[::-1].encode().translate(_FLAGS)
+    """One byte per lane, 1 where the vector has the lane's bit set (none at width 0)."""
+    return format(vector, f"0{width}b")[::-1][:width].encode().translate(_FLAGS)
 
 
 def _lane_models(true_in: dict[int, int], lanes: int, width: int) -> list[frozenset[int]]:
@@ -282,9 +282,19 @@ def _lane_models(true_in: dict[int, int], lanes: int, width: int) -> list[frozen
     return models
 
 
-def evaluate(objective: ObjectiveFunction, interpretation: frozenset[int]) -> int:
-    """Sum of weights of the satisfied literals."""
-    return sum(w for w, l in objective.terms if l.satisfied_by(interpretation))
+def lane_values(objective: ObjectiveFunction, lanes: dict[int, int], width: int) -> list[int]:
+    """Each lane's value: the summed weights of the literals that hold in it.
+
+    An atom missing from ``lanes`` holds in no lane, so its negation in all.
+    """
+    all_lanes = (1 << width) - 1
+    weights = [w for w, _ in objective.terms]
+    columns = [
+        _lane_flags(lanes.get(l.atom, 0) ^ (0 if l.positive else all_lanes), width)
+        for _, l in objective.terms
+    ]
+    rows = zip(*columns) if columns else repeat((), width)
+    return [sum(compress(weights, row)) for row in rows]
 
 
 def _guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list[int]:
@@ -374,7 +384,16 @@ def enumerate_answer_sets_split(
     bottom_atoms: frozenset[int],
     bottom_models: Sequence[frozenset[int]] | None = None,
 ) -> list[frozenset[int]]:
-    """Answer sets by guess and check across a splitting set, in order of their sorted atoms.
+    """Answer sets across a splitting set, in order of their sorted atoms (see ``answer_lanes``)."""
+    return _lane_models(*answer_lanes(program, bottom_atoms, bottom_models))
+
+
+def answer_lanes(
+    program: GroundProgram,
+    bottom_atoms: frozenset[int],
+    bottom_models: Sequence[frozenset[int]] | None = None,
+) -> tuple[dict[int, int], int, int]:
+    """Answer sets across a splitting set as (atom lanes, answer lanes, lane count).
 
     ``bottom_atoms`` must be closed under rule heads: any rule defining a
     bottom atom may only mention bottom atoms.  The part above the split may
@@ -391,8 +410,8 @@ def enumerate_answer_sets_split(
 
     ``bottom_models``, when given, must be the answer sets of the part below
     the split: the rules defining bottom atoms and the constraints over them
-    alone.  Nothing is guessed then.  Each bottom model is one lane, held as
-    facts, and only the rules above the split are closed over it; by the
+    alone.  Nothing is guessed then.  Lane i holds bottom model i as facts,
+    and only the rules above the split are closed over it; by the
     splitting-set theorem each lane that passes the constraints is one
     answer set.
     """
@@ -407,7 +426,7 @@ def enumerate_answer_sets_split(
         guess = dict(zip(guessed, _choice_lanes(len(guessed))))
         normal_rules, choice_rules = program.normal_rules, program.choice_rules
     elif not bottom_models:
-        return []
+        return {}, 0, 0
     else:
         width = len(bottom_models)
         guess = {a: model_lanes(bottom_models, a) for a in bottom_atoms}
@@ -445,4 +464,4 @@ def enumerate_answer_sets_split(
     for cc in program.cardinality_constraints:
         satisfied = [holds(l.atom, l.positive) for l in set(cc.literals)]
         answers &= _at_least(satisfied, cc.lower_bound, all_lanes)
-    return _lane_models(true_in, answers, width)
+    return true_in, answers, width

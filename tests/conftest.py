@@ -13,7 +13,6 @@ from optsort.asplang import (
     NormalRule,
     ObjectiveFunction,
     SemanticsError,
-    evaluate,
 )
 from optsort.encode import WireAtomMap
 from optsort.network import Comparator, ConfinedNetwork, Decomposition, Network, new_network
@@ -124,6 +123,11 @@ def nogood(true_atoms=(), false_atoms=()) -> Nogood:
 
 
 # Brute-force oracles that tests check the product against.
+
+
+def evaluate(objective: ObjectiveFunction, interpretation: frozenset[int]) -> int:
+    """Sum of weights of the satisfied literals."""
+    return sum(w for w, l in objective.terms if l.satisfied_by(interpretation))
 
 
 def closure(rules) -> frozenset[int]:

@@ -20,7 +20,6 @@ from optsort.asplang import (
     Nogood,
     SemanticsError,
     _at_least,
-    evaluate,
 )
 from optsort.network import limit_depth, oe_sorter
 
@@ -29,6 +28,7 @@ from conftest import (
     closure,
     constraint_nogoods,
     enumerate_answer_sets,
+    evaluate,
     fact,
     neg,
     nogood,

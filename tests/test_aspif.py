@@ -6,9 +6,9 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from optsort import aspif
-from optsort.asplang import CardinalityConstraint, Literal, evaluate
+from optsort.asplang import CardinalityConstraint, Literal
 
-from conftest import aspif_texts, enumerate_answer_sets, optimal_value
+from conftest import aspif_texts, enumerate_answer_sets, evaluate, optimal_value
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.aspif"))
 

@@ -18,13 +18,15 @@ from optsort.asplang import (
     auto_split_atoms,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
-    evaluate,
+    lane_values,
     least_model,
+    model_lanes,
 )
 
 from conftest import (
     closure,
     enumerate_answer_sets,
+    evaluate,
     fact,
     is_answer_set,
     is_supported_model,
@@ -335,6 +337,22 @@ class TestObjectives:
     def test_empty_objective_is_zero(self):
         p = program({1}, rules=[fact(1)])
         assert optimal_value(p, ObjectiveFunction(())) == 0
+
+
+_TERMS = st.tuples(st.integers(-5, 9), st.builds(Literal, st.integers(1, 6), st.booleans()))
+
+
+@given(
+    st.lists(st.frozensets(st.integers(1, 4)), min_size=1, max_size=9),
+    st.lists(_TERMS, max_size=6),
+)
+def test_lane_values_match_the_per_model_oracle(models, terms):
+    # atoms 5 and 6 are in no model and have no lanes: positive they hold
+    # in no lane, negated in every lane
+    objective = ObjectiveFunction(tuple(terms))
+    lanes = {a: model_lanes(models, a) for a in range(1, 5)}
+    assert lane_values(objective, lanes, len(models)) == [evaluate(objective, m) for m in models]
+    assert lane_values(objective, {}, 0) == []
 
 
 def subsets(pool, most):

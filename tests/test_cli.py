@@ -289,9 +289,10 @@ class TestPchCommand:
         assert "'none', 'full' or 'depth:D'" in err
 
     def test_over_budget_enumeration_is_refused(self, capsys, monkeypatch):
-        code, out, err = run(capsys, monkeypatch, ["pch", "24", "12"])
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+        for n in ("24", "25"):
+            code, out, err = run(capsys, monkeypatch, ["pch", n, "12"])
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
 
 
 class TestRenderCommand:
