@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from . import aspif
@@ -18,8 +19,9 @@ from .asplang import (
     Nogood,
     SemanticsError,
     _dependency_order,
-    enumerate_answer_sets_split,
-    model_lanes,
+    answer_lanes,
+    flag_lanes,
+    lane_rows,
     splitting_set,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
@@ -110,20 +112,20 @@ class PropagatorTrace:
 
 # Closing every choice subset costs about 2^n x (normal rules + n) steps.  The
 # budget admits bare binomial programs up to n = 17 and full sorters up to
-# n = 14.  End to end on a shared 2-vCPU machine, `optsort pch` takes 0.26 s
-# at 14 7, 0.41 s at 15 7, 0.73 s at 16 8, 1.6 s at 17 8 and 0.42 s at 14 7
-# with a full sorter; time roughly doubles per atom, as the lanes do.
+# n = 14.  End to end on a shared 2-vCPU machine, `optsort pch` takes 0.20 s
+# at 14 7, 0.25 s at 15 7, 0.37 s at 16 8, 0.9-1.0 s at 17 8 and 0.22 s at
+# 14 7 with a full sorter; time roughly doubles per atom, as the lanes do.
 CANDIDATE_COST_BUDGET = 1 << 22
 
 
-def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
-    """Total supported-model candidates, in order of their sorted atoms.
+def _supported_candidates(program: GroundProgram) -> tuple[list[int], list[bytes]]:
+    """Total supported-model candidates as flag rows, in order of their sorted atoms.
 
-    Requires empty-bodied choice rules and negation-free, acyclic normal
-    rules.  Such a program is tight, so its supported models are its answer
-    sets.  The enumerator splits at the choice atoms, with any rule defining
-    one.  With no negation the choice atoms are all it guesses, so each
-    choice subset is one bit lane and the budget counts its lanes.
+    See ``lane_rows``.  Requires empty-bodied choice rules and negation-free,
+    acyclic normal rules.  Such a program is tight, so its supported models
+    are its answer sets.  The enumerator splits at the choice atoms, with any
+    rule defining one.  With no negation the choice atoms are all it guesses,
+    so each choice subset is one bit lane and the budget counts its lanes.
     """
     choice_atoms: set[int] = set()
     for c in program.choice_rules:
@@ -142,7 +144,7 @@ def _supported_candidates(program: GroundProgram) -> list[frozenset[int]]:
             f"closing 2^{n} choice subsets over {len(program.normal_rules)} rules "
             f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
         )
-    return enumerate_answer_sets_split(program, splitting_set(program, choice_atoms))
+    return lane_rows(*answer_lanes(program, splitting_set(program, choice_atoms)))
 
 
 def run_pch(
@@ -158,23 +160,31 @@ def run_pch(
     A surviving non-conflicting candidate would be an answer set, ending the
     history incomplete.
     """
-    candidates = _supported_candidates(program)
+    atoms, rows = _supported_candidates(program)
     if shuffle_rng is not None:
-        shuffle_rng.shuffle(candidates)
-    # Bit i stands for candidates[i]: in remaining while no learned nogood
+        shuffle_rng.shuffle(rows)
+    # Candidate i is row i of the matrix, n bytes from byte i * n on, which
+    # holds the rows from here on; only a visited candidate becomes a set.
+    # Bit i stands for candidate i: in remaining while no learned nogood
     # prunes it, and in an atom's column when the candidate holds the atom.
-    everyone = remaining = (1 << len(candidates)) - 1
+    n = len(atoms)
+    matrix = b"".join(rows)
+    everyone = remaining = (1 << len(rows)) - 1
+    del rows
+    position = {a: p for p, a in enumerate(atoms)}
     columns: dict[int, int] = {}
 
     def holds(atom: int, positive: bool) -> int:
         if atom not in columns:
-            columns[atom] = model_lanes(candidates, atom)
+            p = position.get(atom)
+            columns[atom] = 0 if p is None else flag_lanes(matrix[p::n])
         return columns[atom] if positive else everyone ^ columns[atom]
 
     assignments: list[frozenset[int]] = []
     learned: list[Nogood] = []
     while remaining:
-        current = candidates[(remaining & -remaining).bit_length() - 1]
+        start = ((remaining & -remaining).bit_length() - 1) * n
+        current = frozenset(compress(atoms, matrix[start : start + n]))
         if not propagator.conflicts_with(current):
             return PropagatorTrace(tuple(assignments), tuple(learned), False)
         explanation = propagator.explain(current)

@@ -27,9 +27,6 @@ class Literal(NamedTuple):
     atom: int
     positive: bool = True
 
-    def satisfied_by(self, interpretation: frozenset[int]) -> bool:
-        return (self.atom in interpretation) == self.positive
-
     def negated(self) -> "Literal":
         return Literal(self.atom, not self.positive)
 
@@ -73,10 +70,6 @@ class CardinalityConstraint:
                 f"cardinality bound {self.lower_bound} outside 0..{n + 1}"
             )
 
-    def satisfied_by(self, interpretation: frozenset[int]) -> bool:
-        distinct = set(self.literals)
-        return sum(1 for l in distinct if l.satisfied_by(interpretation)) >= self.lower_bound
-
     def atoms(self) -> frozenset[int]:
         return frozenset(l.atom for l in self.literals)
 
@@ -97,9 +90,6 @@ class Nogood:
 
     def conflicts_with(self, interpretation: frozenset[int]) -> bool:
         return all((a in interpretation) == sign for a, sign in self.signed_literals)
-
-    def satisfied_by(self, interpretation: frozenset[int]) -> bool:
-        return not self.conflicts_with(interpretation)
 
     def atoms(self) -> frozenset[int]:
         return frozenset(a for a, _ in self.signed_literals)
@@ -255,9 +245,11 @@ def _at_least(vectors: Iterable[int], bound: int, all_lanes: int) -> int:
     return reached[bound]
 
 
-# Lane flags (one 0 or 1 byte per lane) to and from base-2 digits.
+# Lane flags (one 0 or 1 byte per lane) to and from base-2 digits, and 0 and 1
+# swapped.
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+_SWAP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _lane_flags(vector: int, width: int) -> bytes:
@@ -265,21 +257,44 @@ def _lane_flags(vector: int, width: int) -> bytes:
     return format(vector, f"0{width}b")[::-1][:width].encode().translate(_FLAGS)
 
 
-def _lane_models(true_in: dict[int, int], lanes: int, width: int) -> list[frozenset[int]]:
-    """The models held in the given lanes, in order of their sorted atoms."""
+def flag_lanes(flags: bytes) -> int:
+    """The lanes whose flag byte is set, lane i from byte i."""
+    return int(flags[::-1].translate(_DIGITS) or b"0", 2)
+
+
+def _row_order(row: bytes) -> bytes:
+    # At the first atom two rows disagree on, the row that holds it comes
+    # first by its sorted atoms, unless the other holds no later atom.  The
+    # swapped flags without their trailing ones order the rows the same way.
+    return row.translate(_SWAP).rstrip(b"\1")
+
+
+def lane_rows(true_in: dict[int, int], lanes: int, width: int) -> tuple[list[int], list[bytes]]:
+    """The models held in the given lanes as flag rows, in order of their sorted atoms.
+
+    Returns the atoms that any of the lanes holds, sorted, and one row per
+    lane: a byte per atom, 1 where the lane holds it.
+    """
     keep = _lane_flags(lanes, width)
     atoms = sorted(a for a, held in true_in.items() if held & lanes)
-    columns = [bytes(compress(_lane_flags(true_in[a], width), keep)) for a in atoms]
-    rows = zip(*columns) if columns else repeat((), lanes.bit_count())
-    models: list = [tuple(compress(atoms, row)) for row in rows]
-    # Sorted atom tuples order the models as their sorted atoms do.  Each
-    # becomes its frozenset in place, so no model is held twice; copied from
-    # a set, the frozenset's table is sized to its atoms, where one grown
-    # straight from the tuple can be twice as large.
-    models.sort()
-    for i, model in enumerate(models):
-        models[i] = frozenset(set(model))
-    return models
+    n, count = len(atoms), lanes.bit_count()
+    if not n:
+        return atoms, [b""] * count
+    # The lanes' rows one after another: each atom's column is every n-th byte.
+    matrix = bytearray(n * count)
+    for p, a in enumerate(atoms):
+        matrix[p::n] = bytes(compress(_lane_flags(true_in[a], width), keep))
+    rows = [bytes(matrix[i : i + n]) for i in range(0, len(matrix), n)]
+    rows.sort(key=_row_order)
+    return atoms, rows
+
+
+def _lane_models(true_in: dict[int, int], lanes: int, width: int) -> list[frozenset[int]]:
+    """The models held in the given lanes, in order of their sorted atoms."""
+    atoms, rows = lane_rows(true_in, lanes, width)
+    # Copied from a set, a frozenset's table is sized to its atoms, where one
+    # grown straight from the atoms can be twice as large.
+    return [frozenset(set(compress(atoms, row))) for row in rows]
 
 
 def lane_values(objective: ObjectiveFunction, lanes: dict[int, int], width: int) -> list[int]:
@@ -332,8 +347,14 @@ def _guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list
 
 def model_lanes(models: Sequence[frozenset[int]], atom: int) -> int:
     """The lanes, one per model in order, of the models that hold the atom."""
-    flags = bytes(map(frozenset.__contains__, reversed(models), repeat(atom)))
-    return int(flags.translate(_DIGITS), 2)
+    return flag_lanes(bytes(map(frozenset.__contains__, models, repeat(atom))))
+
+
+def models_as_lanes(
+    models: Sequence[frozenset[int]], atoms: Iterable[int]
+) -> tuple[dict[int, int], int]:
+    """The models as lanes, model i in lane i: each atom's lanes, and the lane count."""
+    return {a: model_lanes(models, a) for a in atoms}, len(models)
 
 
 def splitting_set(program: GroundProgram, atoms: Iterable[int]) -> frozenset[int]:
@@ -384,14 +405,19 @@ def enumerate_answer_sets_split(
     bottom_atoms: frozenset[int],
     bottom_models: Sequence[frozenset[int]] | None = None,
 ) -> list[frozenset[int]]:
-    """Answer sets across a splitting set, in order of their sorted atoms (see ``answer_lanes``)."""
-    return _lane_models(*answer_lanes(program, bottom_atoms, bottom_models))
+    """Answer sets across a splitting set, in order of their sorted atoms (see ``answer_lanes``).
+
+    ``bottom_models``, when given, must be the answer sets of the part below
+    the split.
+    """
+    bottom = None if bottom_models is None else models_as_lanes(bottom_models, bottom_atoms)
+    return _lane_models(*answer_lanes(program, bottom_atoms, bottom))
 
 
 def answer_lanes(
     program: GroundProgram,
     bottom_atoms: frozenset[int],
-    bottom_models: Sequence[frozenset[int]] | None = None,
+    bottom: tuple[dict[int, int], int] | None = None,
 ) -> tuple[dict[int, int], int, int]:
     """Answer sets across a splitting set as (atom lanes, answer lanes, lane count).
 
@@ -408,16 +434,16 @@ def answer_lanes(
     atoms; every other atom is derived.  The stable lanes that pass the
     nogoods and cardinality constraints are the answer sets, one lane each.
 
-    ``bottom_models``, when given, must be the answer sets of the part below
-    the split: the rules defining bottom atoms and the constraints over them
-    alone.  Nothing is guessed then.  Lane i holds bottom model i as facts,
-    and only the rules above the split are closed over it; by the
-    splitting-set theorem each lane that passes the constraints is one
-    answer set.
+    ``bottom``, when given, must hold the answer sets of the part below the
+    split as lanes (see ``models_as_lanes``): the answer sets of the rules
+    defining bottom atoms and the constraints over them alone.  Nothing is
+    guessed then.  Lane i holds bottom model i as facts, and only the rules
+    above the split are closed over it; by the splitting-set theorem each
+    lane that passes the constraints is one answer set.
     """
     bottom_atoms = frozenset(bottom_atoms)
     guessed = _guessed_atoms(program, bottom_atoms)
-    if bottom_models is None:
+    if bottom is None:
         if len(guessed) > MAX_ENUM_ATOMS:
             raise SemanticsError(
                 f"{len(guessed)} atoms exceed the brute-force guard of {MAX_ENUM_ATOMS}"
@@ -425,11 +451,11 @@ def answer_lanes(
         width = 1 << len(guessed)
         guess = dict(zip(guessed, _choice_lanes(len(guessed))))
         normal_rules, choice_rules = program.normal_rules, program.choice_rules
-    elif not bottom_models:
+    elif not bottom[1]:
         return {}, 0, 0
     else:
-        width = len(bottom_models)
-        guess = {a: model_lanes(bottom_models, a) for a in bottom_atoms}
+        bottom_lanes, width = bottom
+        guess = {a: bottom_lanes.get(a, 0) for a in bottom_atoms}
         normal_rules = [r for r in program.normal_rules if r.head not in bottom_atoms]
         choice_rules = ()
     all_lanes = (1 << width) - 1
@@ -445,7 +471,7 @@ def answer_lanes(
         pos_body = frozenset(l.atom for l in c.body if l.positive)
         lanes = unguessed(l.atom for l in c.body if not l.positive)
         rules += (LaneRule(a, pos_body, lanes & guess[a]) for a in c.head_atoms)
-    if bottom_models is not None:
+    if bottom is not None:
         rules += (LaneRule(a, frozenset(), lanes) for a, lanes in guess.items())
     true_in = least_model(rules)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import aspif
 from .asplang import (
@@ -20,6 +21,7 @@ from .asplang import (
     answer_lanes,
     enumerate_answer_sets_layered,
     lane_values,
+    models_as_lanes,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
 from .network import oe_sorter
@@ -267,10 +269,33 @@ def _keeps_input(before: GroundProgram, after: GroundProgram) -> bool:
     )
 
 
+class InputLanes(NamedTuple):
+    """The input's answer sets as lanes, answer set i in lane i.
+
+    ``lanes`` maps each input atom to the lanes that hold it, and ``values``
+    each priority to its lane values.
+    """
+
+    lanes: dict[int, int]
+    values: dict[int, list[int]]
+
+
+def input_lanes(
+    before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
+    before_models: list[frozenset[int]],
+) -> InputLanes:
+    """The input's answer sets and each priority's values on them, as lanes."""
+    program, objectives = before
+    lanes, width = models_as_lanes(before_models, program.signature)
+    values = {p: lane_values(objective, lanes, width) for p, objective in objectives.items()}
+    return InputLanes(lanes, values)
+
+
 def verify_rewrite(
     before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
     after: tuple[GroundProgram, dict[int, ObjectiveFunction]],
     before_models: list[frozenset[int]] | None = None,
+    before_lanes: InputLanes | None = None,
 ) -> VerifyReport:
     """Brute-force check that a rewrite preserves answer sets and values.
 
@@ -278,6 +303,8 @@ def verify_rewrite(
     closed over the input's answer sets, lane i holding answer set i: every
     lane must survive its constraints (a bijection onto the input's answer
     sets) and keep every level's value (hence also at the optimum).
+    ``before_lanes``, when given, must be ``input_lanes`` of the input and
+    ``before_models``.
     """
     before_program, before_objectives = before
     after_program, after_objectives = after
@@ -290,13 +317,16 @@ def verify_rewrite(
         return VerifyReport(
             False, len(base), "the rewrite does not keep the input's rules and constraints"
         )
-    lanes, answers, width = answer_lanes(after_program, before_program.signature, base)
+    if before_lanes is None:
+        before_lanes = input_lanes(before, base)
+    lanes, answers, width = answer_lanes(
+        after_program, before_program.signature, (before_lanes.lanes, len(base))
+    )
     if answers != (1 << width) - 1:
         return VerifyReport(
             False, len(base), f"answer set counts differ: {len(base)} vs {answers.bit_count()}"
         )
-    for priority, objective in before_objectives.items():
-        values = lane_values(objective, lanes, width)
+    for priority, values in before_lanes.values.items():
         new_values = lane_values(after_objectives[priority], lanes, width)
         for model, value, new_value in zip(base, values, new_values):
             if value != new_value:
@@ -321,11 +351,12 @@ def verify_grid(
     """Rewrite under every ``VERIFY_GRID`` configuration and verify each result.
 
     ``before`` is the document's own ground program and ``before_models`` its
-    answer sets, enumerated once for the whole grid.  Configurations often
-    give the same program (depth 0 ignores the other knobs, small networks
-    reach full depth early), so each distinct ``aspif.write`` text is
-    verified once and its report reused.
+    answer sets, enumerated once for the whole grid; their lanes and values
+    are built once too.  Configurations often give the same program (depth 0
+    ignores the other knobs, small networks reach full depth early), so each
+    distinct ``aspif.write`` text is verified once and its report reused.
     """
+    before_lanes = input_lanes(before, before_models)
     reports: dict[str, VerifyReport] = {}
     results = []
     for config in VERIFY_GRID:
@@ -333,7 +364,7 @@ def verify_grid(
         text = aspif.write(rewritten)
         if text not in reports:
             after = aspif.to_ground_program(rewritten)
-            reports[text] = verify_rewrite(before, after, before_models)
+            reports[text] = verify_rewrite(before, after, before_models, before_lanes)
         results.append((config, reports[text]))
     return results
 

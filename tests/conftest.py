@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from optsort import aspif
 from optsort.analysis import Propagator, PropagatorTrace, binomial_document
 from optsort.asplang import (
+    CardinalityConstraint,
     GroundProgram,
     Literal,
     Nogood,
@@ -125,9 +126,24 @@ def nogood(true_atoms=(), false_atoms=()) -> Nogood:
 # Brute-force oracles that tests check the product against.
 
 
+def literal_holds(literal: Literal, interpretation: frozenset[int]) -> bool:
+    return (literal.atom in interpretation) == literal.positive
+
+
+def constraint_holds(constraint: CardinalityConstraint, interpretation: frozenset[int]) -> bool:
+    """At least the bound of the constraint's distinct literals hold."""
+    held = sum(1 for l in set(constraint.literals) if literal_holds(l, interpretation))
+    return held >= constraint.lower_bound
+
+
+def nogood_holds(ng: Nogood, interpretation: frozenset[int]) -> bool:
+    """The interpretation does not extend the nogood's signed literals."""
+    return not ng.conflicts_with(interpretation)
+
+
 def evaluate(objective: ObjectiveFunction, interpretation: frozenset[int]) -> int:
     """Sum of weights of the satisfied literals."""
-    return sum(w for w, l in objective.terms if l.satisfied_by(interpretation))
+    return sum(w for w, l in objective.terms if literal_holds(l, interpretation))
 
 
 def closure(rules) -> frozenset[int]:
@@ -150,8 +166,8 @@ def satisfies(program: GroundProgram, interpretation: frozenset[int]) -> bool:
     rules = program.normal_rules
     return (
         all(r.head in interpretation or not body_holds(r, interpretation) for r in rules)
-        and all(cc.satisfied_by(interpretation) for cc in program.cardinality_constraints)
-        and all(ng.satisfied_by(interpretation) for ng in program.nogoods)
+        and all(constraint_holds(cc, interpretation) for cc in program.cardinality_constraints)
+        and all(nogood_holds(ng, interpretation) for ng in program.nogoods)
     )
 
 
@@ -310,7 +326,7 @@ def is_supported_model(program: GroundProgram, interpretation: frozenset[int]) -
         supported = any(
             r.head == a and body_holds(r, interpretation) for r in program.normal_rules
         ) or any(
-            a in c.head_atoms and all(l.satisfied_by(interpretation) for l in c.body)
+            a in c.head_atoms and all(literal_holds(l, interpretation) for l in c.body)
             for c in program.choice_rules
         )
         if not supported:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -26,12 +27,15 @@ from optsort.network import limit_depth, oe_sorter
 from conftest import (
     binomial_opt_program,
     closure,
+    constraint_holds,
     constraint_nogoods,
     enumerate_answer_sets,
     evaluate,
     fact,
+    literal_holds,
     neg,
     nogood,
+    nogood_holds,
     optimal_value,
     pos,
     rule,
@@ -39,23 +43,31 @@ from conftest import (
 )
 
 
-def reference_pch(program, propagator, shuffle_rng=None):
-    """run_pch with per-subset closures and a frozenset nogood filter."""
+def reference_candidates(program):
+    """Supported-model candidates by per-subset closures, in order of their sorted atoms."""
     choice = sorted(set().union(*(c.head_atoms for c in program.choice_rules)))
     derivations = [(r.head, r.pos_body) for r in program.normal_rules]
     models = {
         closure(derivations + [(a, frozenset()) for b, a in enumerate(choice) if mask >> b & 1])
         for mask in range(1 << len(choice))
     }
-    candidates = sorted(
+    return sorted(
         (
             m
             for m in models
-            if all(cc.satisfied_by(m) for cc in program.cardinality_constraints)
-            and all(ng.satisfied_by(m) for ng in program.nogoods)
+            if all(constraint_holds(cc, m) for cc in program.cardinality_constraints)
+            and all(nogood_holds(ng, m) for ng in program.nogoods)
         ),
         key=lambda m: tuple(sorted(m)),
     )
+
+
+def reference_pch(program, propagator, shuffle_rng=None, candidates=None):
+    """run_pch with per-subset closures and a frozenset nogood filter.
+
+    ``candidates``, when given, must be ``reference_candidates(program)``.
+    """
+    candidates = list(reference_candidates(program) if candidates is None else candidates)
     if shuffle_rng is not None:
         shuffle_rng.shuffle(candidates)
     assignments, learned = [], []
@@ -293,6 +305,37 @@ class TestReferencePch:
         assert_matches_reference(program, card_propagator([], 0))
 
 
+def traced_peak(fn, *args):
+    """The function's result and the peak of the memory it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestPchMemory:
+    def test_full_sorter_at_fourteen_over_seven_keeps_candidates_as_lanes(self):
+        # A set for each of the 9908 candidates peaked at 43 MB; only the
+        # visited candidates become sets
+        program, wire_map = attach_network(
+            binomial_program(14, 7), range(1, 15), oe_sorter(14)
+        )
+        propagator = card_propagator(output_atoms(wire_map), 7)
+        trace, peak = traced_peak(run_pch, program, propagator)
+        assert trace.summary() == "m=8 complete=true"
+        assert peak < 20 * 2**20
+        candidates = reference_candidates(program)
+        for seed in (0, 1):
+            trace, peak = traced_peak(run_pch, program, propagator, random.Random(seed))
+            assert peak < 20 * 2**20
+            expected = reference_pch(program, propagator, random.Random(seed), candidates)
+            assert (trace.assignments, trace.nogoods, trace.complete) == expected
+
+
 @given(st.data())
 def test_bit_sliced_at_least_counter_matches_satisfied_by(data):
     lanes = data.draw(st.integers(1, 24))
@@ -304,11 +347,11 @@ def test_bit_sliced_at_least_counter_matches_satisfied_by(data):
         tuple(literals), data.draw(st.integers(0, len(set(literals)) + 1))
     )
     vectors = [
-        sum(1 << i for i, m in enumerate(models) if l.satisfied_by(m)) for l in set(literals)
+        sum(1 << i for i, m in enumerate(models) if literal_holds(l, m)) for l in set(literals)
     ]
     satisfied = _at_least(vectors, constraint.lower_bound, (1 << lanes) - 1)
     assert [bool(satisfied >> i & 1) for i in range(lanes)] == [
-        constraint.satisfied_by(m) for m in models
+        constraint_holds(constraint, m) for m in models
     ]
 
 

@@ -32,6 +32,7 @@ from conftest import (
     is_supported_model,
     neg,
     nogood,
+    nogood_holds,
     optimal_value,
     pos,
     rule,
@@ -208,7 +209,7 @@ class TestMonotoneNogoods:
         expected = [
             m
             for m in answer_sets(p)
-            if all(ng.satisfied_by(m) for ng in extra)
+            if all(nogood_holds(ng, m) for ng in extra)
         ]
         assert answer_sets(constrained) == expected
 

@@ -8,7 +8,9 @@
 
 References are matched by name, not resolved.  A top-level function or class
 counts as referenced when any variable or attribute has its name; a method
-only when an attribute does (``x.value``, not a local variable ``value``).
+only when an attribute does (``x.value``, not a local variable ``value``)
+outside the methods of that name, so methods that only call each other
+(``l.holds(...)`` inside ``holds``) are not referenced.
 """
 
 import ast
@@ -27,13 +29,24 @@ def _tree(path: Path) -> ast.Module:
 
 
 def _names(tree: ast.AST) -> tuple[set[str], set[str]]:
-    """Variable names and attribute names the tree reads or writes."""
+    """Variable names and attribute names the tree reads or writes.
+
+    An attribute inside a method of its own name is left out.
+    """
     names, attributes = set(), set()
-    for node in ast.walk(tree):
+
+    def visit(node: ast.AST, methods: frozenset[str]) -> None:
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and node.attr not in methods:
             attributes.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
+                visit(child, methods | {child.name})
+            else:
+                visit(child, methods)
+
+    visit(tree, frozenset())
     return names, attributes
 
 
