@@ -19,9 +19,8 @@ from .asplang import (
     Nogood,
     SemanticsError,
     _dependency_order,
-    answer_lanes,
+    enumerate_answer_sets_split,
     flag_lanes,
-    lane_rows,
     splitting_set,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
@@ -121,11 +120,12 @@ CANDIDATE_COST_BUDGET = 1 << 22
 def _supported_candidates(program: GroundProgram) -> tuple[list[int], list[bytes]]:
     """Total supported-model candidates as flag rows, in order of their sorted atoms.
 
-    See ``lane_rows``.  Requires empty-bodied choice rules and negation-free,
-    acyclic normal rules.  Such a program is tight, so its supported models
-    are its answer sets.  The enumerator splits at the choice atoms, with any
-    rule defining one.  With no negation the choice atoms are all it guesses,
-    so each choice subset is one bit lane and the budget counts its lanes.
+    See ``enumerate_answer_sets_split``.  Requires empty-bodied choice rules
+    and negation-free, acyclic normal rules.  Such a program is tight, so its
+    supported models are its answer sets.  The enumerator splits at the
+    choice atoms, with any rule defining one.  With no negation the choice
+    atoms are all it guesses, so each choice subset is one bit lane and the
+    budget counts its lanes.
     """
     choice_atoms: set[int] = set()
     for c in program.choice_rules:
@@ -144,7 +144,7 @@ def _supported_candidates(program: GroundProgram) -> tuple[list[int], list[bytes
             f"closing 2^{n} choice subsets over {len(program.normal_rules)} rules "
             f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
         )
-    return lane_rows(*answer_lanes(program, splitting_set(program, choice_atoms)))
+    return enumerate_answer_sets_split(program, splitting_set(program, choice_atoms))
 
 
 def run_pch(

@@ -289,14 +289,6 @@ def lane_rows(true_in: dict[int, int], lanes: int, width: int) -> tuple[list[int
     return atoms, rows
 
 
-def _lane_models(true_in: dict[int, int], lanes: int, width: int) -> list[frozenset[int]]:
-    """The models held in the given lanes, in order of their sorted atoms."""
-    atoms, rows = lane_rows(true_in, lanes, width)
-    # Copied from a set, a frozenset's table is sized to its atoms, where one
-    # grown straight from the atoms can be twice as large.
-    return [frozenset(set(compress(atoms, row))) for row in rows]
-
-
 def lane_values(objective: ObjectiveFunction, lanes: dict[int, int], width: int) -> list[int]:
     """Each lane's value: the summed weights of the literals that hold in it.
 
@@ -345,18 +337,6 @@ def _guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list
     return sorted(heads & read)
 
 
-def model_lanes(models: Sequence[frozenset[int]], atom: int) -> int:
-    """The lanes, one per model in order, of the models that hold the atom."""
-    return flag_lanes(bytes(map(frozenset.__contains__, models, repeat(atom))))
-
-
-def models_as_lanes(
-    models: Sequence[frozenset[int]], atoms: Iterable[int]
-) -> tuple[dict[int, int], int]:
-    """The models as lanes, model i in lane i: each atom's lanes, and the lane count."""
-    return {a: model_lanes(models, a) for a in atoms}, len(models)
-
-
 def splitting_set(program: GroundProgram, atoms: Iterable[int]) -> frozenset[int]:
     """The smallest superset of the atoms holding all atoms of each rule that defines one."""
     bottom = set(atoms)
@@ -389,8 +369,8 @@ def auto_split_atoms(program: GroundProgram) -> frozenset[int]:
     return splitting_set(program, bottom)
 
 
-def enumerate_answer_sets_layered(program: GroundProgram) -> list[frozenset[int]]:
-    """Answer sets across the smallest workable splitting set.
+def enumerate_answer_sets_layered(program: GroundProgram) -> tuple[list[int], list[bytes]]:
+    """Answer sets across the smallest workable splitting set, as flag rows.
 
     Only the choice heads and negated atoms below it are guessed, so
     programs whose upper layers are positive and deterministic (for example
@@ -401,17 +381,13 @@ def enumerate_answer_sets_layered(program: GroundProgram) -> list[frozenset[int]
 
 
 def enumerate_answer_sets_split(
-    program: GroundProgram,
-    bottom_atoms: frozenset[int],
-    bottom_models: Sequence[frozenset[int]] | None = None,
-) -> list[frozenset[int]]:
-    """Answer sets across a splitting set, in order of their sorted atoms (see ``answer_lanes``).
+    program: GroundProgram, bottom_atoms: frozenset[int]
+) -> tuple[list[int], list[bytes]]:
+    """Answer sets across a splitting set as flag rows, in order of their sorted atoms.
 
-    ``bottom_models``, when given, must be the answer sets of the part below
-    the split.
+    See ``answer_lanes`` for the split and ``lane_rows`` for the rows.
     """
-    bottom = None if bottom_models is None else models_as_lanes(bottom_models, bottom_atoms)
-    return _lane_models(*answer_lanes(program, bottom_atoms, bottom))
+    return lane_rows(*answer_lanes(program, bottom_atoms))
 
 
 def answer_lanes(
@@ -435,11 +411,12 @@ def answer_lanes(
     nogoods and cardinality constraints are the answer sets, one lane each.
 
     ``bottom``, when given, must hold the answer sets of the part below the
-    split as lanes (see ``models_as_lanes``): the answer sets of the rules
-    defining bottom atoms and the constraints over them alone.  Nothing is
-    guessed then.  Lane i holds bottom model i as facts, and only the rules
-    above the split are closed over it; by the splitting-set theorem each
-    lane that passes the constraints is one answer set.
+    split as lanes, answer set i in lane i: each bottom atom's lanes and the
+    lane count.  They are the answer sets of the rules defining bottom atoms
+    and the constraints over them alone.  Nothing is guessed then.  Lane i
+    holds bottom model i as facts, and only the rules above the split are
+    closed over it; by the splitting-set theorem each lane that passes the
+    constraints is one answer set.
     """
     bottom_atoms = frozenset(bottom_atoms)
     guessed = _guessed_atoms(program, bottom_atoms)

@@ -22,7 +22,7 @@ from .analysis import (
     output_atoms,
     run_pch,
 )
-from .asplang import SemanticsError, auto_split_atoms, enumerate_answer_sets_layered
+from .asplang import SemanticsError, auto_split_atoms
 from .network import oe_sorter, render_diagram
 from .propagate import from_input_weights, propagate_sparse
 from .rewrite import (
@@ -178,10 +178,9 @@ def _verify_document(doc: aspif.AspifDocument, max_atoms: int) -> tuple[bool, li
         raise SemanticsError(
             f"{searched} search atoms exceed --max-atoms {max_atoms}"
         )
-    base = enumerate_answer_sets_layered(before[0])
     lines = []
     ok = True
-    for config, report in verify_grid(doc, before, base):
+    for config, report in verify_grid(doc, before):
         depth, sparseness = config.depth_limit, config.sparseness
         label = (
             f"depth={'inf' if depth is None else depth} "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from . import aspif
@@ -20,8 +21,8 @@ from .asplang import (
     ObjectiveFunction,
     answer_lanes,
     enumerate_answer_sets_layered,
+    flag_lanes,
     lane_values,
-    models_as_lanes,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
 from .network import oe_sorter
@@ -272,29 +273,31 @@ def _keeps_input(before: GroundProgram, after: GroundProgram) -> bool:
 class InputLanes(NamedTuple):
     """The input's answer sets as lanes, answer set i in lane i.
 
-    ``lanes`` maps each input atom to the lanes that hold it, and ``values``
-    each priority to its lane values.
+    ``atoms`` and ``rows`` are the answer sets as ``lane_rows`` gives them,
+    row i for lane i.  ``lanes`` maps each of those atoms to the lanes that
+    hold it, and ``values`` each priority to its lane values.
     """
 
+    atoms: list[int]
+    rows: list[bytes]
     lanes: dict[int, int]
     values: dict[int, list[int]]
 
 
-def input_lanes(
-    before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
-    before_models: list[frozenset[int]],
-) -> InputLanes:
+def input_lanes(before: tuple[GroundProgram, dict[int, ObjectiveFunction]]) -> InputLanes:
     """The input's answer sets and each priority's values on them, as lanes."""
     program, objectives = before
-    lanes, width = models_as_lanes(before_models, program.signature)
-    values = {p: lane_values(objective, lanes, width) for p, objective in objectives.items()}
-    return InputLanes(lanes, values)
+    atoms, rows = enumerate_answer_sets_layered(program)
+    # An atom's lanes are its column of the joined rows: every n-th byte.
+    n, matrix = len(atoms), b"".join(rows)
+    lanes = {a: flag_lanes(matrix[p::n]) for p, a in enumerate(atoms)}
+    values = {p: lane_values(objective, lanes, len(rows)) for p, objective in objectives.items()}
+    return InputLanes(atoms, rows, lanes, values)
 
 
 def verify_rewrite(
     before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
     after: tuple[GroundProgram, dict[int, ObjectiveFunction]],
-    before_models: list[frozenset[int]] | None = None,
     before_lanes: InputLanes | None = None,
 ) -> VerifyReport:
     """Brute-force check that a rewrite preserves answer sets and values.
@@ -303,36 +306,35 @@ def verify_rewrite(
     closed over the input's answer sets, lane i holding answer set i: every
     lane must survive its constraints (a bijection onto the input's answer
     sets) and keep every level's value (hence also at the optimum).
-    ``before_lanes``, when given, must be ``input_lanes`` of the input and
-    ``before_models``.
+    ``before_lanes``, when given, must be ``input_lanes`` of the input.
     """
     before_program, before_objectives = before
     after_program, after_objectives = after
     if set(before_objectives) != set(after_objectives):
         return VerifyReport(False, 0, "objective priority levels differ")
-    base = before_models
-    if base is None:
-        base = enumerate_answer_sets_layered(before_program)
+    if before_lanes is None:
+        before_lanes = input_lanes(before)
+    atoms, rows, base_lanes, base_values = before_lanes
+    count = len(rows)
     if not _keeps_input(before_program, after_program):
         return VerifyReport(
-            False, len(base), "the rewrite does not keep the input's rules and constraints"
+            False, count, "the rewrite does not keep the input's rules and constraints"
         )
-    if before_lanes is None:
-        before_lanes = input_lanes(before, base)
     lanes, answers, width = answer_lanes(
-        after_program, before_program.signature, (before_lanes.lanes, len(base))
+        after_program, before_program.signature, (base_lanes, count)
     )
     if answers != (1 << width) - 1:
         return VerifyReport(
-            False, len(base), f"answer set counts differ: {len(base)} vs {answers.bit_count()}"
+            False, count, f"answer set counts differ: {count} vs {answers.bit_count()}"
         )
-    for priority, values in before_lanes.values.items():
+    for priority, values in base_values.items():
         new_values = lane_values(after_objectives[priority], lanes, width)
-        for model, value, new_value in zip(base, values, new_values):
+        for row, value, new_value in zip(rows, values, new_values):
             if value != new_value:
-                detail = f"value mismatch at priority {priority} on {sorted(model)}: "
-                return VerifyReport(False, len(base), detail + f"{value} vs {new_value}")
-    return VerifyReport(True, len(base))
+                model = list(compress(atoms, row))
+                detail = f"value mismatch at priority {priority} on {model}: "
+                return VerifyReport(False, count, detail + f"{value} vs {new_value}")
+    return VerifyReport(True, count)
 
 
 VERIFY_GRID = tuple(
@@ -346,17 +348,16 @@ VERIFY_GRID = tuple(
 def verify_grid(
     document: aspif.AspifDocument,
     before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
-    before_models: list[frozenset[int]],
 ) -> list[tuple[RewriteConfig, VerifyReport]]:
     """Rewrite under every ``VERIFY_GRID`` configuration and verify each result.
 
-    ``before`` is the document's own ground program and ``before_models`` its
-    answer sets, enumerated once for the whole grid; their lanes and values
-    are built once too.  Configurations often give the same program (depth 0
-    ignores the other knobs, small networks reach full depth early), so each
+    ``before`` is the document's own ground program.  Its answer sets are
+    enumerated once for the whole grid, and their lanes and values built
+    once too.  Configurations often give the same program (depth 0 ignores
+    the other knobs, small networks reach full depth early), so each
     distinct ``aspif.write`` text is verified once and its report reused.
     """
-    before_lanes = input_lanes(before, before_models)
+    before_lanes = input_lanes(before)
     reports: dict[str, VerifyReport] = {}
     results = []
     for config in VERIFY_GRID:
@@ -364,7 +365,7 @@ def verify_grid(
         text = aspif.write(rewritten)
         if text not in reports:
             after = aspif.to_ground_program(rewritten)
-            reports[text] = verify_rewrite(before, after, before_models, before_lanes)
+            reports[text] = verify_rewrite(before, after, before_lanes)
         results.append((config, reports[text]))
     return results
 

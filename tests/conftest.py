@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import strategies as st
@@ -206,6 +207,17 @@ def enumerate_answer_sets(program: GroundProgram) -> list[frozenset[int]]:
     )
 
 
+def row_models(enumerated) -> list[frozenset[int]]:
+    """An enumerator's ``(atoms, rows)`` as frozensets, one per row in row order."""
+    atoms, rows = enumerated
+    return [frozenset(itertools.compress(atoms, row)) for row in rows]
+
+
+def models_as_lanes(models, atoms) -> dict[int, int]:
+    """Each atom's lanes over the models, model i in lane i."""
+    return {a: sum(1 << i for i, m in enumerate(models) if a in m) for a in atoms}
+
+
 def optimal_value(program: GroundProgram, objective: ObjectiveFunction) -> int | None:
     answer_sets = enumerate_answer_sets(program)
     if not answer_sets:
@@ -363,3 +375,15 @@ def verify_trace(
         nogoods=program.nogoods + trace.nogoods,
     )
     return trace.complete == (not enumerate_answer_sets(constrained))
+
+
+def traced_peak(fn, *args):
+    """The function's result and the peak of the memory it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

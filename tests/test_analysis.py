@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -39,6 +38,7 @@ from conftest import (
     optimal_value,
     pos,
     rule,
+    traced_peak,
     verify_trace,
 )
 
@@ -303,18 +303,6 @@ class TestReferencePch:
         program = choice_program(0)
         assert run_pch(program, card_propagator([], 0)).assignments == (frozenset(),)
         assert_matches_reference(program, card_propagator([], 0))
-
-
-def traced_peak(fn, *args):
-    """The function's result and the peak of the memory it allocates, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 class TestPchMemory:

@@ -15,12 +15,13 @@ from optsort.asplang import (
     Nogood,
     ObjectiveFunction,
     SemanticsError,
+    answer_lanes,
     auto_split_atoms,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
+    lane_rows,
     lane_values,
     least_model,
-    model_lanes,
 )
 
 from conftest import (
@@ -30,11 +31,13 @@ from conftest import (
     fact,
     is_answer_set,
     is_supported_model,
+    models_as_lanes,
     neg,
     nogood,
     nogood_holds,
     optimal_value,
     pos,
+    row_models,
     rule,
 )
 
@@ -55,7 +58,7 @@ def lex(models):
 
 def answer_sets(p):
     """The lane enumerator's answer sets, once the brute-force oracle agrees."""
-    models = enumerate_answer_sets_layered(p)
+    models = row_models(enumerate_answer_sets_layered(p))
     assert models == enumerate_answer_sets(p)
     return models
 
@@ -228,7 +231,7 @@ class TestSplitEnumeration:
             not_body = rng.sample(sorted(bottom), k=rng.randint(0, 1))
             rules.append(rule(t, body, not_body))
         p = program(bottom | top, rules=rules, choices=[ChoiceRule(bottom)])
-        assert enumerate_answer_sets_split(p, bottom) == enumerate_answer_sets(p)
+        assert row_models(enumerate_answer_sets_split(p, bottom)) == enumerate_answer_sets(p)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_split_equals_direct_with_straddling_constraints(self, seed):
@@ -266,8 +269,8 @@ class TestSplitEnumeration:
             nogoods=nogoods,
         )
         direct = enumerate_answer_sets(p)
-        assert enumerate_answer_sets_split(p, bottom) == direct
-        assert enumerate_answer_sets_layered(p) == direct
+        assert row_models(enumerate_answer_sets_split(p, bottom)) == direct
+        assert row_models(enumerate_answer_sets_layered(p)) == direct
 
     def test_split_refuses_an_upper_choice_rule(self):
         p = program(
@@ -295,7 +298,7 @@ class TestSplitEnumeration:
             rules=[rule(3, body=[1]), rule(4, body=[3, 2])],
             choices=[ChoiceRule(frozenset({1, 2}))],
         )
-        assert enumerate_answer_sets_layered(p) == enumerate_answer_sets(p)
+        assert row_models(enumerate_answer_sets_layered(p)) == enumerate_answer_sets(p)
 
     def test_split_rejects_leaky_bottom(self):
         p = program({1, 2}, rules=[rule(1, body=[2]), rule(2)])
@@ -309,7 +312,7 @@ class TestSplitEnumeration:
             choices=[ChoiceRule(frozenset({1}))],
             nogoods=[nogood(true_atoms=[2])],
         )
-        assert enumerate_answer_sets_split(p, frozenset({1})) == [frozenset()]
+        assert row_models(enumerate_answer_sets_split(p, frozenset({1}))) == [frozenset()]
 
 
 class TestObjectives:
@@ -351,7 +354,7 @@ def test_lane_values_match_the_per_model_oracle(models, terms):
     # atoms 5 and 6 are in no model and have no lanes: positive they hold
     # in no lane, negated in every lane
     objective = ObjectiveFunction(tuple(terms))
-    lanes = {a: model_lanes(models, a) for a in range(1, 5)}
+    lanes = models_as_lanes(models, range(1, 5))
     assert lane_values(objective, lanes, len(models)) == [evaluate(objective, m) for m in models]
     assert lane_values(objective, {}, 0) == []
 
@@ -409,9 +412,9 @@ def test_lane_enumeration_matches_the_brute_force_oracle(case):
     # sets of the part below it, gives the oracle's answer sets
     p, bottom = case
     expected = enumerate_answer_sets(p)
-    assert enumerate_answer_sets_layered(p) == expected
-    assert enumerate_answer_sets_split(p, auto_split_atoms(p)) == expected
-    assert enumerate_answer_sets_split(p, bottom) == expected
+    assert row_models(enumerate_answer_sets_layered(p)) == expected
+    assert row_models(enumerate_answer_sets_split(p, auto_split_atoms(p))) == expected
+    assert row_models(enumerate_answer_sets_split(p, bottom)) == expected
     below = program(
         bottom,
         [r for r in p.normal_rules if r.head in bottom],
@@ -420,4 +423,5 @@ def test_lane_enumeration_matches_the_brute_force_oracle(case):
         [ng for ng in p.nogoods if ng.atoms() <= bottom],
     )
     bottom_models = enumerate_answer_sets(below)
-    assert enumerate_answer_sets_split(p, bottom, bottom_models) == expected
+    bottom_lanes = (models_as_lanes(bottom_models, bottom), len(bottom_models))
+    assert row_models(lane_rows(*answer_lanes(p, bottom, bottom_lanes))) == expected

@@ -58,3 +58,22 @@ def test_a_traced_rewrite_records_every_stage(tmp_path):
     ):
         assert name in totals, name
     assert totals["network.decompose_sparse#"] == totals["propagate.propagate_decomposition#"]
+
+
+def test_a_traced_pch_records_its_enumeration_under_run_pch(tmp_path):
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(TRACING), str(spans), "call-1", "pch", "8", "4", "--network", "full"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    recorded = json.loads(spans.read_text())["spans"]
+    parents = [
+        recorded[parent][0]
+        for name, _, _, parent, _ in recorded
+        if name == "asplang.enumerate_answer_sets_split"
+    ]
+    assert parents == ["analysis.run_pch"]

@@ -8,7 +8,13 @@ from optsort.asplang import SemanticsError, enumerate_answer_sets_layered
 from optsort.encode import asp_of_network, dense_wire_atom_map
 from optsort.network import apply, new_network, oe_sorter
 
-from conftest import binary_vectors, enumerate_answer_sets, input_facts, random_network
+from conftest import (
+    binary_vectors,
+    enumerate_answer_sets,
+    input_facts,
+    random_network,
+    row_models,
+)
 
 
 class TestWireAtomMap:
@@ -100,7 +106,7 @@ class TestWireValueCorrespondence:
         for net in nets:
             for bits in binary_vectors(n):
                 prog, wire_map = network_program(net, bits)
-                models = enumerate_answer_sets_layered(prog)
+                models = row_models(enumerate_answer_sets_layered(prog))
                 assert len(models) == 1
                 model = models[0]
                 values = apply(net, bits)

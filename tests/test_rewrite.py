@@ -17,7 +17,7 @@ from optsort.rewrite import (
     wire_inputs,
 )
 
-from conftest import enumerate_answer_sets
+from conftest import enumerate_answer_sets, row_models, traced_peak
 
 TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
 
@@ -367,10 +367,7 @@ class TestVerifyRewrite:
         monkeypatch.setattr(asplang, "MAX_ENUM_ATOMS", 4)
         chain = "".join(f"1 0 1 {d} 0 1 {d - 1}\n" for d in range(5, 9))
         doc = aspif.parse(f"asp 1 0 0\n1 1 4 1 2 3 4 0 0\n{chain}2 0 2 -8 3 1 1\n0\n")
-        before = bridge(doc)
-        base = enumerate_answer_sets_layered(before[0])
-        assert len(base) == 16
-        for config, report in verify_grid(doc, before, base):
+        for config, report in verify_grid(doc, bridge(doc)):
             assert report.ok and report.answer_sets == 16, (config, report.detail)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -378,8 +375,9 @@ class TestVerifyRewrite:
         rng = random.Random(900 + seed)
         doc = random_opt_document(rng)
         before = bridge(doc)
-        base = enumerate_answer_sets(before[0])
-        results = verify_grid(doc, before, base)
+        expected = enumerate_answer_sets(before[0])
+        assert row_models(enumerate_answer_sets_layered(before[0])) == expected
+        results = verify_grid(doc, before)
         assert [config for config, _ in results] == list(VERIFY_GRID)
         for config, report in results:
             assert report.ok, (seed, config, report.detail)
@@ -388,16 +386,15 @@ class TestVerifyRewrite:
 def _grid_reference(document):
     """Every configuration rewritten and verified on its own, no sharing."""
     before = bridge(document)
-    base = enumerate_answer_sets_layered(before[0])
     results = []
     for config in VERIFY_GRID:
         rewritten, _ = rewrite_objective(document, config)
-        results.append((config, verify_rewrite(before, bridge(rewritten), base)))
-    return results, before, base
+        results.append((config, verify_rewrite(before, bridge(rewritten))))
+    return results, before
 
 
 class TestVerifyGridSharing:
-    def _counted_grid(self, monkeypatch, document, before, base):
+    def _counted_grid(self, monkeypatch, document, before):
         calls = []
         original = rewrite.verify_rewrite
 
@@ -406,12 +403,12 @@ class TestVerifyGridSharing:
             return original(*args)
 
         monkeypatch.setattr(rewrite, "verify_rewrite", counted)
-        return verify_grid(document, before, base), len(calls)
+        return verify_grid(document, before), len(calls)
 
     def test_binomial_ten_five_verifies_nine_distinct_rewrites(self, monkeypatch):
         document = binomial_document(10, 5, opt=True)
-        expected, before, base = _grid_reference(document)
-        results, calls = self._counted_grid(monkeypatch, document, before, base)
+        expected, before = _grid_reference(document)
+        results, calls = self._counted_grid(monkeypatch, document, before)
         assert results == expected
         assert calls == 9
         assert all(report.ok and report.answer_sets == 638 for _, report in results)
@@ -419,10 +416,20 @@ class TestVerifyGridSharing:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_programs_verify_each_distinct_text_once(self, monkeypatch, seed):
         document = random_opt_document(random.Random(seed))
-        expected, before, base = _grid_reference(document)
-        results, calls = self._counted_grid(monkeypatch, document, before, base)
+        expected, before = _grid_reference(document)
+        results, calls = self._counted_grid(monkeypatch, document, before)
         assert results == expected
         texts = {
             aspif.write(rewrite_objective(document, config)[0]) for config in VERIFY_GRID
         }
         assert calls == len(texts)
+
+
+class TestVerifyMemory:
+    def test_fourteen_over_seven_keeps_answer_sets_as_rows(self):
+        # A frozenset for each of the 9908 answer sets, turned back into
+        # lanes, peaked at 6.9 MB; the rows and their lanes stay below 3 MB
+        document = binomial_document(14, 7, opt=True)
+        results, peak = traced_peak(verify_grid, document, bridge(document))
+        assert all(report.ok and report.answer_sets == 9908 for _, report in results)
+        assert peak < 3 * 2**20
