@@ -9,9 +9,8 @@ until no candidate survives.  The trace length measures solving difficulty.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import aspif
 from .asplang import (
@@ -58,8 +57,7 @@ def binomial_program(n: int, k: int) -> GroundProgram:
     return aspif.to_ground_program(binomial_document(n, k))[0]
 
 
-@dataclass(frozen=True)
-class Propagator:
+class Propagator(NamedTuple):
     """Lazily represented all-true-k-subset constraint over some atoms.
 
     Conflicts are explained by the nogood over the k smallest true atoms of
@@ -70,10 +68,10 @@ class Propagator:
     bound: int
 
     def conflicts_with(self, assignment: frozenset[int]) -> bool:
-        return sum(1 for a in self.atoms if a in assignment) >= self.bound
+        return len(assignment.intersection(self.atoms)) >= self.bound
 
     def explain(self, assignment: frozenset[int]) -> Nogood:
-        true_atoms = sorted(a for a in self.atoms if a in assignment)
+        true_atoms = sorted(assignment.intersection(self.atoms))
         if len(true_atoms) < self.bound:
             raise SemanticsError("explain called on a non-conflicting assignment")
         return Nogood(frozenset((a, True) for a in true_atoms[: self.bound]))
@@ -85,8 +83,7 @@ def card_propagator(atoms: Sequence[int], k: int) -> Propagator:
     return Propagator(tuple(atoms), k)
 
 
-@dataclass(frozen=True)
-class PropagatorTrace:
+class PropagatorTrace(NamedTuple):
     """Recorded propagator call history with its learned nogoods."""
 
     assignments: tuple[frozenset[int], ...]

@@ -13,7 +13,6 @@ the kinds apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Union
 
@@ -71,8 +70,7 @@ class Raw(NamedTuple):
 Statement = Union[Rule, Minimize, Output, Raw]
 
 
-@dataclass(frozen=True)
-class AspifDocument:
+class AspifDocument(NamedTuple):
     version: tuple[int, int, int] = (1, 0, 0)
     tags: tuple[str, ...] = ()
     statements: tuple[Statement, ...] = ()

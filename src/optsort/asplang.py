@@ -8,7 +8,6 @@ once as one bit lane of a Python integer, guarded by an atom-count limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
@@ -31,8 +30,7 @@ class Literal(NamedTuple):
         return Literal(self.atom, not self.positive)
 
 
-@dataclass(frozen=True)
-class NormalRule:
+class NormalRule(NamedTuple):
     head: int
     pos_body: frozenset[int] = frozenset()
     neg_body: frozenset[int] = frozenset()
@@ -41,52 +39,55 @@ class NormalRule:
         return frozenset({self.head}) | self.pos_body | self.neg_body
 
 
-@dataclass(frozen=True)
-class ChoiceRule:
-    """Justifies any subset of its head atoms when the body holds."""
+# A record that validates is a thin subclass of its fields' NamedTuple that
+# checks them in ``__new__``: NamedTuple bodies may not define ``__new__``.
 
+
+class _ChoiceRule(NamedTuple):
     head_atoms: frozenset[int]
     body: frozenset[Literal] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not self.head_atoms:
-            raise SemanticsError("choice rule needs a nonempty head")
 
     def atoms(self) -> frozenset[int]:
         return self.head_atoms | frozenset(l.atom for l in self.body)
 
 
-@dataclass(frozen=True)
-class CardinalityConstraint:
-    """Requires at least ``lower_bound`` of the listed literals to hold."""
+class ChoiceRule(_ChoiceRule):
+    """Justifies any subset of its head atoms when the body holds."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ChoiceRule:
+        self = super().__new__(cls, *args, **kwargs)
+        if not self.head_atoms:
+            raise SemanticsError("choice rule needs a nonempty head")
+        return self
+
+
+class _CardinalityConstraint(NamedTuple):
     literals: tuple[Literal, ...]
     lower_bound: int
-
-    def __post_init__(self) -> None:
-        n = len(set(self.literals))
-        if not (0 <= self.lower_bound <= n + 1):
-            raise SemanticsError(
-                f"cardinality bound {self.lower_bound} outside 0..{n + 1}"
-            )
 
     def atoms(self) -> frozenset[int]:
         return frozenset(l.atom for l in self.literals)
 
 
-@dataclass(frozen=True)
-class Nogood:
-    """Forbids every total assignment extending the signed literals.
+class CardinalityConstraint(_CardinalityConstraint):
+    """Requires at least ``lower_bound`` of the listed literals to hold."""
 
-    Signed literals are (atom, sign) pairs, sign True meaning assigned true.
-    """
+    __slots__ = ()
 
+    def __new__(cls, *args, **kwargs) -> CardinalityConstraint:
+        self = super().__new__(cls, *args, **kwargs)
+        n = len(set(self.literals))
+        if not (0 <= self.lower_bound <= n + 1):
+            raise SemanticsError(
+                f"cardinality bound {self.lower_bound} outside 0..{n + 1}"
+            )
+        return self
+
+
+class _Nogood(NamedTuple):
     signed_literals: frozenset[tuple[int, bool]]
-
-    def __post_init__(self) -> None:
-        atoms = [a for a, _ in self.signed_literals]
-        if len(atoms) != len(set(atoms)):
-            raise SemanticsError("nogood mentions an atom with both signs")
 
     def conflicts_with(self, interpretation: frozenset[int]) -> bool:
         return all((a in interpretation) == sign for a, sign in self.signed_literals)
@@ -95,23 +96,28 @@ class Nogood:
         return frozenset(a for a, _ in self.signed_literals)
 
 
-@dataclass(frozen=True)
-class GroundProgram:
+class Nogood(_Nogood):
+    """Forbids every total assignment extending the signed literals.
+
+    Signed literals are (atom, sign) pairs, sign True meaning assigned true.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Nogood:
+        self = super().__new__(cls, *args, **kwargs)
+        atoms = [a for a, _ in self.signed_literals]
+        if len(atoms) != len(set(atoms)):
+            raise SemanticsError("nogood mentions an atom with both signs")
+        return self
+
+
+class _GroundProgram(NamedTuple):
     signature: frozenset[int]
     normal_rules: tuple[NormalRule, ...] = ()
     choice_rules: tuple[ChoiceRule, ...] = ()
     cardinality_constraints: tuple[CardinalityConstraint, ...] = ()
     nogoods: tuple[Nogood, ...] = ()
-
-    def __post_init__(self) -> None:
-        used = self.used_atoms()
-        if not used <= self.signature:
-            raise SemanticsError(
-                f"atoms {sorted(used - self.signature)} missing from signature"
-            )
-        for a in self.signature:
-            if a < 1:
-                raise SemanticsError(f"atom ids must be >= 1, got {a}")
 
     def used_atoms(self) -> frozenset[int]:
         used: set[int] = set()
@@ -126,8 +132,23 @@ class GroundProgram:
         return frozenset(used)
 
 
-@dataclass(frozen=True)
-class ObjectiveFunction:
+class GroundProgram(_GroundProgram):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> GroundProgram:
+        self = super().__new__(cls, *args, **kwargs)
+        used = self.used_atoms()
+        if not used <= self.signature:
+            raise SemanticsError(
+                f"atoms {sorted(used - self.signature)} missing from signature"
+            )
+        for a in self.signature:
+            if a < 1:
+                raise SemanticsError(f"atom ids must be >= 1, got {a}")
+        return self
+
+
+class ObjectiveFunction(NamedTuple):
     """One priority level of a minimize statement: weighted literals."""
 
     terms: tuple[tuple[int, Literal], ...]

@@ -9,37 +9,17 @@ them into the semantic model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .aspif import DISJUNCTIVE, NormalBody, Rule
 from .asplang import SemanticsError
 from .network import Network
 
 
-@dataclass(frozen=True)
-class WireAtomMap:
-    """Injective map from (wire, level) positions to atom ids.
-
-    ``columns[l][i - 1]`` is the atom for wire i after level l, input column
-    first.  Level 0 atoms may be pre-existing program atoms; deeper levels
-    are normally fresh.
-    """
-
+class _WireAtomMap(NamedTuple):
     width: int
     depth: int
     columns: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.columns) != self.depth + 1 or any(
-            len(column) != self.width for column in self.columns
-        ):
-            raise SemanticsError("wire atom map does not cover the network shape")
-        flat = self.atoms()
-        if len(set(flat)) != len(flat):
-            raise SemanticsError("wire atom map is not injective")
-        if any(a < 1 for a in flat):
-            raise SemanticsError("wire atoms must be positive")
 
     def atom(self, wire: int, level: int) -> int:
         return self.columns[level][wire - 1]
@@ -54,6 +34,30 @@ class WireAtomMap:
             for l, column in enumerate(self.columns)
             for i, a in enumerate(column, 1)
         ]
+
+
+class WireAtomMap(_WireAtomMap):
+    """Injective map from (wire, level) positions to atom ids.
+
+    ``columns[l][i - 1]`` is the atom for wire i after level l, input column
+    first.  Level 0 atoms may be pre-existing program atoms; deeper levels
+    are normally fresh.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> WireAtomMap:
+        self = super().__new__(cls, *args, **kwargs)
+        if len(self.columns) != self.depth + 1 or any(
+            len(column) != self.width for column in self.columns
+        ):
+            raise SemanticsError("wire atom map does not cover the network shape")
+        flat = self.atoms()
+        if len(set(flat)) != len(flat):
+            raise SemanticsError("wire atom map is not injective")
+        if any(a < 1 for a in flat):
+            raise SemanticsError("wire atoms must be positive")
+        return self
 
 
 def dense_wire_atom_map(

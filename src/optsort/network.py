@@ -7,7 +7,6 @@ denotes the input column.  All values are immutable once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -32,8 +31,7 @@ def _check_comparator(c: Comparator, width: int, depth: int) -> None:
         raise NetworkError(f"comparator {c} outside level range 1..{depth}")
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(NamedTuple):
     """A set of mutually compatible comparators on ``width`` wires.
 
     ``depth`` is the declared number of levels; trailing levels may be empty
@@ -81,8 +79,7 @@ def new_network(
     return Network(width, declared_depth, tuple(unique))
 
 
-@dataclass(frozen=True)
-class WireValueMatrix:
+class WireValueMatrix(NamedTuple):
     """Values ``x[i][l]`` carried by wire i after layer l (column 0 = input)."""
 
     width: int
@@ -201,38 +198,47 @@ def limit_depth(network: Network, d_max: int) -> Network:
     return Network(network.width, depth, kept)
 
 
-@dataclass(frozen=True)
-class ConfinedNetwork:
+class _ConfinedNetwork(NamedTuple):
+    wires: frozenset[int]
+    min_level: int
+    max_level: int
+
+
+class ConfinedNetwork(_ConfinedNetwork):
     """A region of a network: a wire set over a contiguous level interval.
 
     The region's gates are the network's own gates inside it; propagation
     reads only the wires and the interval, so the region does not hold them.
     """
 
-    wires: frozenset[int]
-    min_level: int
-    max_level: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> ConfinedNetwork:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.wires or min(self.wires) < 1:
             raise NetworkError(f"region needs one or more wires >= 1, got {sorted(self.wires)}")
         if self.min_level > self.max_level or self.min_level < 1:
             raise NetworkError(
                 f"level interval {self.min_level}..{self.max_level} is empty or invalid"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class _Decomposition(NamedTuple):
+    components: tuple[ConfinedNetwork, ...] = ()
+
+
+class Decomposition(_Decomposition):
     """An ordered list of pairwise compatible regions covering a network.
 
     The order respects data flow: a component never depends on the output of a
     later one (min level of an earlier component <= max level of any later one).
     """
 
-    components: tuple[ConfinedNetwork, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> Decomposition:
+        self = super().__new__(cls, *args, **kwargs)
         # Components sharing an identical level interval must have disjoint
         # wires; groups with merely overlapping intervals must as well.
         by_interval: dict[tuple[int, int], set[int]] = {}
@@ -259,6 +265,7 @@ class Decomposition:
             running_min = (
                 comp.min_level if running_min is None else max(running_min, comp.min_level)
             )
+        return self
 
 
 def whole_network_decomposition(network: Network) -> Decomposition:

@@ -8,8 +8,7 @@ function over wire values is preserved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .network import ConfinedNetwork, Decomposition, Network, apply, decompose_sparse
 
@@ -18,25 +17,10 @@ class WeightError(ValueError):
     """Raised for negative weights or shape mismatches."""
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Weights ``a[i][j]`` for wire i in 1..width, level j in 0..depth."""
-
+class _WeightMatrix(NamedTuple):
     width: int
     depth: int
     rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.width:
-            raise WeightError(f"expected {self.width} weight rows, got {len(self.rows)}")
-        for row in self.rows:
-            if len(row) != self.depth + 1:
-                raise WeightError(
-                    f"expected {self.depth + 1} weight columns, got {len(row)}"
-                )
-            for w in row:
-                if w < 0:
-                    raise WeightError(f"negative weight {w}")
 
     def weight(self, wire: int, level: int) -> int:
         return self.rows[wire - 1][level]
@@ -61,6 +45,26 @@ class WeightMatrix:
             rows[w - 1][src] -= amount
             rows[w - 1][dst] += amount
         return WeightMatrix(self.width, self.depth, tuple(tuple(r) for r in rows))
+
+
+class WeightMatrix(_WeightMatrix):
+    """Weights ``a[i][j]`` for wire i in 1..width, level j in 0..depth."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> WeightMatrix:
+        self = super().__new__(cls, *args, **kwargs)
+        if len(self.rows) != self.width:
+            raise WeightError(f"expected {self.width} weight rows, got {len(self.rows)}")
+        for row in self.rows:
+            if len(row) != self.depth + 1:
+                raise WeightError(
+                    f"expected {self.depth + 1} weight columns, got {len(row)}"
+                )
+            for w in row:
+                if w < 0:
+                    raise WeightError(f"negative weight {w}")
+        return self
 
 
 def from_input_weights(input_weights: Sequence[int], depth: int) -> WeightMatrix:

@@ -10,7 +10,6 @@ answer set, in bijection with the original ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
@@ -33,8 +32,14 @@ class RewriteError(ValueError):
     """Raised for invalid rewrite configurations or inputs."""
 
 
-@dataclass(frozen=True)
-class RewriteConfig:
+class _RewriteConfig(NamedTuple):
+    depth_limit: int | None = None
+    sparseness: int | None = 1
+    propagate: bool = True
+    sort_inputs: bool = False
+
+
+class RewriteConfig(_RewriteConfig):
     """The four pipeline knobs.
 
     - ``depth_limit``: levels of the odd-even sorter kept; None means the
@@ -47,20 +52,18 @@ class RewriteConfig:
     - ``sort_inputs``: wire the terms in descending weight order.
     """
 
-    depth_limit: int | None = None
-    sparseness: int | None = 1
-    propagate: bool = True
-    sort_inputs: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> RewriteConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.depth_limit is not None and self.depth_limit < 0:
             raise RewriteError(f"depth limit must be >= 0, got {self.depth_limit}")
         if self.sparseness is not None and self.sparseness < 1:
             raise RewriteError(f"sparseness must be >= 1, got {self.sparseness}")
+        return self
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     priority: int
     input_terms: int
     rewritten_terms: int
@@ -74,8 +77,7 @@ class LevelReport:
     wire_map: WireAtomMap | None = None
 
 
-@dataclass(frozen=True)
-class RewriteReport:
+class RewriteReport(NamedTuple):
     levels: tuple[LevelReport, ...]
 
     def to_text(self) -> str:
@@ -248,8 +250,7 @@ def rewrite_objective(
     return rewritten, RewriteReport(tuple(reports))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     answer_sets: int
     detail: str = ""
@@ -329,6 +330,8 @@ def verify_rewrite(
         )
     for priority, values in base_values.items():
         new_values = lane_values(after_objectives[priority], lanes, width)
+        if values == new_values:
+            continue
         for row, value, new_value in zip(rows, values, new_values):
             if value != new_value:
                 model = list(compress(atoms, row))

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -158,7 +157,7 @@ class TestGoldenCorpus:
 
         doc = aspif.parse(path.read_text())
         again = aspif.parse(aspif.write(doc))
-        assert again == dataclasses.replace(doc, had_terminator=True)
+        assert again == doc._replace(had_terminator=True)
         assert classes(again) == classes(doc)
 
     def test_statement_kinds_with_equal_fields_compare_equal(self):

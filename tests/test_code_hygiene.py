@@ -11,11 +11,35 @@ counts as referenced when any variable or attribute has its name; a method
 only when an attribute does (``x.value``, not a local variable ``value``)
 outside the methods of that name, so methods that only call each other
 (``l.holds(...)`` inside ``holds``) are not referenced.
+
+Every optsort record is a ``typing.NamedTuple``, so no module imports
+``dataclasses`` and importing ``optsort.cli`` does not load it: its import and
+its generated class bodies would add to the start-up that every call pays.
+The records that validate their fields still do so at construction.
 """
 
 import ast
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from optsort.asplang import (
+    CardinalityConstraint,
+    ChoiceRule,
+    GroundProgram,
+    Literal,
+    Nogood,
+    NormalRule,
+    SemanticsError,
+)
+from optsort.encode import WireAtomMap
+from optsort.network import ConfinedNetwork, Decomposition, NetworkError
+from optsort.propagate import WeightError, WeightMatrix
+from optsort.rewrite import RewriteConfig, RewriteError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "optsort"
@@ -109,3 +133,101 @@ def test_every_definition_is_referenced():
         and name not in (attributes if "." in qualified else names | attributes)
     ]
     assert unreferenced == []
+
+
+def test_no_module_imports_dataclasses():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert importers == []
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # a fresh interpreter: pytest itself has loaded dataclasses here
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, optsort.cli; sys.exit('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+# One valid record of each validating kind, and one invalid construction of
+# it with the error class and message it raises.
+VALIDATING_RECORDS = [
+    (
+        ChoiceRule(frozenset({1})),
+        lambda: ChoiceRule(frozenset()),
+        SemanticsError,
+        "choice rule needs a nonempty head",
+    ),
+    (
+        CardinalityConstraint((Literal(1),), 1),
+        lambda: CardinalityConstraint((Literal(1),), 3),
+        SemanticsError,
+        "cardinality bound 3 outside 0..2",
+    ),
+    (
+        Nogood(frozenset({(1, True)})),
+        lambda: Nogood(frozenset({(1, True), (1, False)})),
+        SemanticsError,
+        "nogood mentions an atom with both signs",
+    ),
+    (
+        GroundProgram(frozenset({1}), (NormalRule(1),)),
+        lambda: GroundProgram(frozenset({1}), (NormalRule(2, frozenset({1})),)),
+        SemanticsError,
+        "atoms [2] missing from signature",
+    ),
+    (
+        WireAtomMap(1, 1, ((1,), (2,))),
+        lambda: WireAtomMap(1, 1, ((1,), (1,))),
+        SemanticsError,
+        "wire atom map is not injective",
+    ),
+    (
+        ConfinedNetwork(frozenset({1}), 1, 1),
+        lambda: ConfinedNetwork(frozenset({1}), 2, 1),
+        NetworkError,
+        "level interval 2..1 is empty or invalid",
+    ),
+    (
+        Decomposition(),
+        lambda: Decomposition((ConfinedNetwork(frozenset({1}), 1, 1),) * 2),
+        NetworkError,
+        "components with equal level intervals share wires",
+    ),
+    (
+        WeightMatrix(1, 0, ((0,),)),
+        lambda: WeightMatrix(1, 0, ((-1,),)),
+        WeightError,
+        "negative weight -1",
+    ),
+    (
+        RewriteConfig(),
+        lambda: RewriteConfig(sparseness=0),
+        RewriteError,
+        "sparseness must be >= 1, got 0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, construct, error, message",
+    VALIDATING_RECORDS,
+    ids=[type(case[0]).__name__ for case in VALIDATING_RECORDS],
+)
+def test_a_validating_record_checks_at_construction_and_stays_frozen(
+    record, construct, error, message
+):
+    with pytest.raises(error) as raised:
+        construct()
+    assert type(raised.value) is error and str(raised.value) == message
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
