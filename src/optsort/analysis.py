@@ -15,12 +15,11 @@ from typing import NamedTuple, Sequence
 from . import aspif
 from .asplang import (
     GroundProgram,
-    Nogood,
     SemanticsError,
     _dependency_order,
+    auto_split_atoms,
     enumerate_answer_sets_split,
     flag_lanes,
-    splitting_set,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
 from .network import Network
@@ -60,8 +59,8 @@ def binomial_program(n: int, k: int) -> GroundProgram:
 class Propagator(NamedTuple):
     """Lazily represented all-true-k-subset constraint over some atoms.
 
-    Conflicts are explained by the nogood over the k smallest true atoms of
-    the conflicting assignment.
+    Conflicts are explained by the k smallest true atoms of the conflicting
+    assignment, in ascending order: the nogood forbidding them all true.
     """
 
     atoms: tuple[int, ...]
@@ -70,11 +69,11 @@ class Propagator(NamedTuple):
     def conflicts_with(self, assignment: frozenset[int]) -> bool:
         return len(assignment.intersection(self.atoms)) >= self.bound
 
-    def explain(self, assignment: frozenset[int]) -> Nogood:
+    def explain(self, assignment: frozenset[int]) -> tuple[int, ...]:
         true_atoms = sorted(assignment.intersection(self.atoms))
         if len(true_atoms) < self.bound:
             raise SemanticsError("explain called on a non-conflicting assignment")
-        return Nogood(frozenset((a, True) for a in true_atoms[: self.bound]))
+        return tuple(true_atoms[: self.bound])
 
 
 def card_propagator(atoms: Sequence[int], k: int) -> Propagator:
@@ -84,10 +83,13 @@ def card_propagator(atoms: Sequence[int], k: int) -> Propagator:
 
 
 class PropagatorTrace(NamedTuple):
-    """Recorded propagator call history with its learned nogoods."""
+    """Recorded propagator call history with its learned nogoods.
+
+    Each nogood is the ascending tuple of atoms it forbids all true.
+    """
 
     assignments: tuple[frozenset[int], ...]
-    nogoods: tuple[Nogood, ...]
+    nogoods: tuple[tuple[int, ...], ...]
     complete: bool
 
     @property
@@ -100,7 +102,7 @@ class PropagatorTrace(NamedTuple):
     def to_text(self) -> str:
         lines = []
         for idx, (assignment, ng) in enumerate(zip(self.assignments, self.nogoods), 1):
-            atoms = ",".join(f"T{a}" for a, _ in sorted(ng.signed_literals))
+            atoms = ",".join(f"T{a}" for a in ng)
             lines.append(f"call {idx}: |A|={len(assignment)} nogood={{{atoms}}}")
         lines.append(self.summary())
         return "\n".join(lines)
@@ -108,9 +110,9 @@ class PropagatorTrace(NamedTuple):
 
 # Closing every choice subset costs about 2^n x (normal rules + n) steps.  The
 # budget admits bare binomial programs up to n = 17 and full sorters up to
-# n = 14.  End to end on a shared 2-vCPU machine, `optsort pch` takes 0.20 s
-# at 14 7, 0.25 s at 15 7, 0.37 s at 16 8, 0.9-1.0 s at 17 8 and 0.22 s at
-# 14 7 with a full sorter; time roughly doubles per atom, as the lanes do.
+# n = 14.  End to end on a shared 2-vCPU machine, `optsort pch` takes 0.18 s
+# at 14 7, 0.22 s at 15 7, 0.3-0.4 s at 16 8, 0.75-0.85 s at 17 8 and 0.23 s
+# at 14 7 with a full sorter; time roughly doubles per atom, as the lanes do.
 CANDIDATE_COST_BUDGET = 1 << 22
 
 
@@ -119,10 +121,10 @@ def _supported_candidates(program: GroundProgram) -> tuple[list[int], list[bytes
 
     See ``enumerate_answer_sets_split``.  Requires empty-bodied choice rules
     and negation-free, acyclic normal rules.  Such a program is tight, so its
-    supported models are its answer sets.  The enumerator splits at the
-    choice atoms, with any rule defining one.  With no negation the choice
-    atoms are all it guesses, so each choice subset is one bit lane and the
-    budget counts its lanes.
+    supported models are its answer sets.  The enumerator splits where
+    ``auto_split_atoms`` does.  With no negation the choice atoms are all it
+    guesses, so each choice subset is one bit lane and the budget counts its
+    lanes.
     """
     choice_atoms: set[int] = set()
     for c in program.choice_rules:
@@ -141,7 +143,7 @@ def _supported_candidates(program: GroundProgram) -> tuple[list[int], list[bytes
             f"closing 2^{n} choice subsets over {len(program.normal_rules)} rules "
             f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
         )
-    return enumerate_answer_sets_split(program, splitting_set(program, choice_atoms))
+    return enumerate_answer_sets_split(program, auto_split_atoms(program))
 
 
 def run_pch(
@@ -152,8 +154,9 @@ def run_pch(
     """Drive the propagator with supported-model candidates until none remain.
 
     Candidates are visited in lexicographic order (or shuffled with the given
-    generator); each conflicting one contributes its explanation to the pool
-    of learned nogoods, which immediately prunes the remaining candidates.
+    generator); each conflicting one contributes its explanation, the atoms
+    of a nogood forbidding them all true, to the pool of learned nogoods,
+    which immediately prunes the remaining candidates.
     A surviving non-conflicting candidate would be an answer set, ending the
     history incomplete.
     """
@@ -166,19 +169,19 @@ def run_pch(
     # prunes it, and in an atom's column when the candidate holds the atom.
     n = len(atoms)
     matrix = b"".join(rows)
-    everyone = remaining = (1 << len(rows)) - 1
+    remaining = (1 << len(rows)) - 1
     del rows
     position = {a: p for p, a in enumerate(atoms)}
     columns: dict[int, int] = {}
 
-    def holds(atom: int, positive: bool) -> int:
+    def holds(atom: int) -> int:
         if atom not in columns:
             p = position.get(atom)
             columns[atom] = 0 if p is None else flag_lanes(matrix[p::n])
-        return columns[atom] if positive else everyone ^ columns[atom]
+        return columns[atom]
 
     assignments: list[frozenset[int]] = []
-    learned: list[Nogood] = []
+    learned: list[tuple[int, ...]] = []
     while remaining:
         start = ((remaining & -remaining).bit_length() - 1) * n
         current = frozenset(compress(atoms, matrix[start : start + n]))
@@ -188,8 +191,8 @@ def run_pch(
         assignments.append(current)
         learned.append(explanation)
         pruned = remaining
-        for a, sign in explanation.signed_literals:
-            pruned &= holds(a, sign)
+        for a in explanation:
+            pruned &= holds(a)
         remaining ^= pruned
     return PropagatorTrace(tuple(assignments), tuple(learned), True)
 

@@ -358,25 +358,13 @@ def _guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list
     return sorted(heads & read)
 
 
-def splitting_set(program: GroundProgram, atoms: Iterable[int]) -> frozenset[int]:
-    """The smallest superset of the atoms holding all atoms of each rule that defines one."""
-    bottom = set(atoms)
-    changed = True
-    while changed:
-        changed = False
-        for r in program.normal_rules:
-            if r.head in bottom and not r.atoms() <= bottom:
-                bottom |= r.atoms()
-                changed = True
-    return frozenset(bottom)
-
-
 def auto_split_atoms(program: GroundProgram) -> frozenset[int]:
     """Smallest workable splitting set for layered enumeration.
 
     Seeds with everything that demands search or constrains models (choice
     rules, nogoods, cardinality constraints, negated body atoms), so the part
-    above the split is positive and derived once the bottom is guessed.
+    above the split is positive and derived once the bottom is guessed.  Then
+    adds all atoms of each rule that defines a bottom atom, until none is left.
     """
     bottom: set[int] = set()
     for c in program.choice_rules:
@@ -387,7 +375,14 @@ def auto_split_atoms(program: GroundProgram) -> frozenset[int]:
         bottom |= cc.atoms()
     for r in program.normal_rules:
         bottom |= r.neg_body
-    return splitting_set(program, bottom)
+    changed = True
+    while changed:
+        changed = False
+        for r in program.normal_rules:
+            if r.head in bottom and not r.atoms() <= bottom:
+                bottom |= r.atoms()
+                changed = True
+    return frozenset(bottom)
 
 
 def enumerate_answer_sets_layered(program: GroundProgram) -> tuple[list[int], list[bytes]]:

@@ -8,7 +8,6 @@ failure, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import random
 import sys
@@ -61,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sparseness", type=_sparseness, default=1, help="propagation block size or 'inf'"
     )
     p_rewrite.add_argument("--no-propagate", action="store_true", help="attach the network only")
-    p_rewrite.add_argument(
-        "--sort-inputs", action="store_true", help="wire terms in descending weight order"
-    )
     p_rewrite.add_argument("--report", help="write a rewrite summary to this path")
     p_rewrite.add_argument(
         "--sidecar", help="write the wire-to-atom debug mapping to this path"
@@ -77,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sorter = sub.add_parser("gen-sorter", help="build an odd-even sorting network")
     p_sorter.add_argument("n", type=int)
     p_sorter.add_argument("--depth", type=int, default=None, help="depth limit")
-    p_sorter.add_argument("--diagram", action="store_true", help="print the diagram instead of stats")
 
     p_verify = sub.add_parser(
         "verify", help="brute-force check rewriting on a document or random programs"
@@ -90,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--count", type=int, default=20, help="number of random programs")
     p_verify.add_argument(
         "--max-atoms", type=int, default=16, help="refuse programs with more atoms"
-    )
-    p_verify.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for the random sweep"
     )
 
     p_pch = sub.add_parser("pch", help="simulate the propagator call history on a binomial program")
@@ -134,7 +126,6 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
         depth_limit=args.depth,
         sparseness=args.sparseness,
         propagate=not args.no_propagate,
-        sort_inputs=args.sort_inputs,
     )
     rewritten, report = rewrite_objective(doc, config)
     text = aspif.write(rewritten)
@@ -164,10 +155,7 @@ def _cmd_gen_binomial(args: argparse.Namespace) -> int:
 
 def _cmd_gen_sorter(args: argparse.Namespace) -> int:
     network = oe_sorter(args.n, args.depth)
-    if args.diagram:
-        print(render_diagram(network))
-    else:
-        print(f"width={network.width} depth={network.depth} comparators={network.size()}")
+    print(f"width={network.width} depth={network.depth} comparators={network.size()}")
     return 0
 
 
@@ -195,16 +183,7 @@ def _verify_document(doc: aspif.AspifDocument, max_atoms: int) -> tuple[bool, li
     return ok, lines
 
 
-def _verify_random_one(max_atoms: int, seed: int) -> tuple[bool, str]:
-    doc = random_opt_document(random.Random(seed))
-    ok, _ = _verify_document(doc, max_atoms)
-    return ok, f"program seed={seed} {'ok' if ok else 'FAIL'}"
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
     if not args.random and (args.input is not None or not sys.stdin.isatty()):
         doc = _read_document(args.input)
         ok, lines = _verify_document(doc, args.max_atoms)
@@ -213,24 +192,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.count < 0:
         print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
         return 2
-    seeds = [args.seed + i for i in range(args.count)]
-    verify_one = functools.partial(_verify_random_one, args.max_atoms)
-    if args.jobs > 1:
-        # imported here: concurrent.futures and multiprocessing would cost
-        # every other call their import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(verify_one, seeds))
-    else:
-        results = [verify_one(s) for s in seeds]
-    failures = 0
-    for ok, line in results:
-        print(line)
-        if not ok:
-            failures += 1
+    # every program is checked before any line is printed, so a refusal
+    # leaves stdout empty
+    seeds = range(args.seed, args.seed + args.count)
+    verdicts = [
+        _verify_document(random_opt_document(random.Random(s)), args.max_atoms)[0]
+        for s in seeds
+    ]
+    for seed, ok in zip(seeds, verdicts):
+        print(f"program seed={seed} {'ok' if ok else 'FAIL'}")
     print(f"verified {len(seeds)} programs x {len(VERIFY_GRID)} configurations")
-    return 1 if failures else 0
+    return 0 if all(verdicts) else 1
 
 
 def _cmd_pch(args: argparse.Namespace) -> int:

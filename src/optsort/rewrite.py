@@ -36,11 +36,10 @@ class _RewriteConfig(NamedTuple):
     depth_limit: int | None = None
     sparseness: int | None = 1
     propagate: bool = True
-    sort_inputs: bool = False
 
 
 class RewriteConfig(_RewriteConfig):
-    """The four pipeline knobs.
+    """The three pipeline knobs.
 
     - ``depth_limit``: levels of the odd-even sorter kept; None means the
       full network, 0 disables rewriting entirely.
@@ -49,7 +48,6 @@ class RewriteConfig(_RewriteConfig):
       land only on the input and output columns).
     - ``propagate``: with it off the network is still attached but weights
       stay on the input column.
-    - ``sort_inputs``: wire the terms in descending weight order.
     """
 
     __slots__ = ()
@@ -161,8 +159,6 @@ def _rewrite_level(
     fresh: FreshAtoms,
 ) -> tuple[list[aspif.Statement], LevelReport]:
     rewritable, passthrough, merged = _normalize(terms)
-    if config.sort_inputs:
-        rewritable.sort(key=lambda t: -t[1])
     if len(rewritable) < 2:
         statement = aspif.Minimize(priority, tuple(merged))
         return [statement], _passthrough_report(priority, len(terms), len(merged))

@@ -320,12 +320,9 @@ def total(matrix: WeightMatrix) -> int:
     return sum(sum(row) for row in matrix.rows)
 
 
-def constraint_nogoods(propagator: Propagator) -> list[Nogood]:
-    """The propagator's full constraint, one nogood per true k-subset."""
-    return [
-        Nogood(frozenset((a, True) for a in subset))
-        for subset in itertools.combinations(sorted(propagator.atoms), propagator.bound)
-    ]
+def constraint_nogoods(propagator: Propagator) -> list[tuple[int, ...]]:
+    """The propagator's full constraint, one ascending atom tuple per true k-subset."""
+    return list(itertools.combinations(sorted(propagator.atoms), propagator.bound))
 
 
 def is_supported_model(program: GroundProgram, interpretation: frozenset[int]) -> bool:
@@ -353,26 +350,27 @@ def verify_trace(
 
     Each assignment must be a supported model satisfying all earlier learned
     nogoods while conflicting with the propagator constraint; completeness
-    must coincide with the learned nogoods wiping out every answer set.
+    must coincide with the learned nogoods wiping out every answer set.  A
+    learned nogood forbids its atoms all true.
     """
     constraint = set(constraint_nogoods(propagator))
     for idx, assignment in enumerate(trace.assignments):
         if not is_supported_model(program, assignment):
             return False
-        if any(ng.conflicts_with(assignment) for ng in trace.nogoods[:idx]):
+        if any(assignment.issuperset(ng) for ng in trace.nogoods[:idx]):
             return False
         if not propagator.conflicts_with(assignment):
             return False
         if trace.nogoods[idx] not in constraint:
             return False
-        if not trace.nogoods[idx].conflicts_with(assignment):
+        if not assignment.issuperset(trace.nogoods[idx]):
             return False
     constrained = GroundProgram(
         signature=program.signature,
         normal_rules=program.normal_rules,
         choice_rules=program.choice_rules,
         cardinality_constraints=program.cardinality_constraints,
-        nogoods=program.nogoods + trace.nogoods,
+        nogoods=program.nogoods + tuple(nogood(true_atoms=ng) for ng in trace.nogoods),
     )
     return trace.complete == (not enumerate_answer_sets(constrained))
 

@@ -17,7 +17,6 @@ from optsort.asplang import (
     ChoiceRule,
     GroundProgram,
     Literal,
-    Nogood,
     SemanticsError,
     _at_least,
 )
@@ -78,7 +77,7 @@ def reference_pch(program, propagator, shuffle_rng=None, candidates=None):
         explanation = propagator.explain(current)
         assignments.append(current)
         learned.append(explanation)
-        candidates = [c for c in candidates if not explanation.conflicts_with(c)]
+        candidates = [c for c in candidates if not c.issuperset(explanation)]
     return tuple(assignments), tuple(learned), True
 
 
@@ -151,8 +150,7 @@ class TestBinomialPrograms:
 class TestCardPropagator:
     def test_explains_with_the_smallest_true_atoms(self):
         propagator = card_propagator([1, 2, 3], 2)
-        explanation = propagator.explain(frozenset({1, 2, 3}))
-        assert explanation.signed_literals == frozenset({(1, True), (2, True)})
+        assert propagator.explain(frozenset({3, 1, 2})) == (1, 2)
 
     def test_explain_requires_a_conflict(self):
         propagator = card_propagator([1, 2, 3], 2)
@@ -162,7 +160,7 @@ class TestCardPropagator:
     def test_unit_bound_constraint_is_singletons(self):
         propagator = card_propagator([1, 2, 3], 1)
         assert len(constraint_nogoods(propagator)) == 3
-        assert all(len(n.signed_literals) == 1 for n in constraint_nogoods(propagator))
+        assert all(len(n) == 1 for n in constraint_nogoods(propagator))
 
     def test_bound_cannot_exceed_the_atoms(self):
         with pytest.raises(SemanticsError):
@@ -284,21 +282,6 @@ class TestReferencePch:
             assert_matches_reference(program, card_propagator([1, 2, 3], 0), seed)
             assert_matches_reference(program, card_propagator([1, 2, 3], 1), seed)
 
-    def test_explanations_with_false_literals(self):
-        class SignPattern:
-            """Conflicts with everything; learns the assignment's signs on 1..3."""
-
-            def conflicts_with(self, assignment):
-                return True
-
-            def explain(self, assignment):
-                return Nogood(frozenset((a, a in assignment) for a in (1, 2, 3)))
-
-        program = choice_program(4, normal_rules=(rule(5, body=[4]),))
-        assert run_pch(program, SignPattern()).m == 8
-        for seed in SEEDS:
-            assert_matches_reference(program, SignPattern(), seed)
-
     def test_no_atoms_at_all(self):
         program = choice_program(0)
         assert run_pch(program, card_propagator([], 0)).assignments == (frozenset(),)
@@ -363,7 +346,7 @@ class TestNetworkedPch:
         outputs = output_atoms(wire_map)
         trace = run_pch(program, card_propagator(outputs, k))
         first_positions = {
-            min(outputs.index(a) for a, _ in ng.signed_literals)
+            min(outputs.index(a) for a in ng)
             for ng in trace.nogoods
         }
         assert len(first_positions) == trace.m

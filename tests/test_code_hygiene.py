@@ -15,7 +15,9 @@ outside the methods of that name, so methods that only call each other
 Every optsort record is a ``typing.NamedTuple``, so no module imports
 ``dataclasses`` and importing ``optsort.cli`` does not load it: its import and
 its generated class bodies would add to the start-up that every call pays.
-The records that validate their fields still do so at construction.
+The records that validate their fields still do so at construction.  Nor does
+any module import ``concurrent`` or ``multiprocessing``: every command runs in
+one process.
 """
 
 import ast
@@ -46,6 +48,7 @@ PACKAGE = ROOT / "src" / "optsort"
 PERFBENCH = ROOT / "perfbench"
 
 CALCULUS = {"propagate_full", "weight_function", "permutation_of", "whole_network_decomposition"}
+BANNED_IMPORTS = {"dataclasses", "concurrent", "multiprocessing"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -145,7 +148,7 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "dataclasses" for m in modules):
+            if any(m.split(".")[0] in BANNED_IMPORTS for m in modules):
                 importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert importers == []
 

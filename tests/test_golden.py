@@ -27,7 +27,6 @@ CONFIGS = {
     "sparseness-inf": RewriteConfig(sparseness=None),
     "depth-8": RewriteConfig(depth_limit=8),
     "no-propagate": RewriteConfig(propagate=False),
-    "sort-inputs": RewriteConfig(sort_inputs=True),
 }
 
 
@@ -62,7 +61,6 @@ GOLDEN = {
         "sparseness-inf": "afe32ea2e6a600ba457e83d0e13b744e0266f4259b74d7d86dcf67df659fb68e",
         "depth-8": "27797812ccf658dbf1ddbd97c8ab621bb926f1ba9274898637fc413cf5dbc5b7",
         "no-propagate": "a6ddef98b55ba4c40be58bcbd9380d26dceb1658e84cb4919d12cf008eca51a5",
-        "sort-inputs": "afe32ea2e6a600ba457e83d0e13b744e0266f4259b74d7d86dcf67df659fb68e",
     },
     "binomial-16": {
         "default": "06fb4b39dbf512eb6da2876bb2f2186cc39f692af39e9e478bcfb8273d03ed93",
@@ -70,7 +68,6 @@ GOLDEN = {
         "sparseness-inf": "06fb4b39dbf512eb6da2876bb2f2186cc39f692af39e9e478bcfb8273d03ed93",
         "depth-8": "4a386fefc20344b5b290e27c0157e48d5f707e1d4eff1c0ea40f19c1a4c12988",
         "no-propagate": "c606d93132ec79d7a5ae8fb8b4c07060977693cdc9892379f3ecfff627ff9cf5",
-        "sort-inputs": "06fb4b39dbf512eb6da2876bb2f2186cc39f692af39e9e478bcfb8273d03ed93",
     },
     "binomial-64": {
         "default": "32bcfa618c01efb5d03f2178a5fe20d630347dfeabfe10f6125086e7a2997ba5",
@@ -78,7 +75,6 @@ GOLDEN = {
         "sparseness-inf": "32bcfa618c01efb5d03f2178a5fe20d630347dfeabfe10f6125086e7a2997ba5",
         "depth-8": "8588df67e2336367b5960983414f53f20033b8a4456688033ec599a84622ec18",
         "no-propagate": "bb6b24bbfb5918b5c58f96bfa82a923cf4391f533e5227a385b0e44e8e1f3837",
-        "sort-inputs": "32bcfa618c01efb5d03f2178a5fe20d630347dfeabfe10f6125086e7a2997ba5",
     },
     "weighted-128": {
         "default": "c3f483127fb5495a93abb04cb299be8c0df0db82b6ddd963d4bf5d2f530f1668",
@@ -86,7 +82,6 @@ GOLDEN = {
         "sparseness-inf": "2b32db5bd4275f033605ad29ca6d6c0e5202ad213ede25038283ba06c3c766d5",
         "depth-8": "0aa54f5a936e0b0824053e02e4f34208d347a5b835c71e6adeae2a1c1893ba3e",
         "no-propagate": "6cf13991e2c9ef14709e143976281d3fa8fac437ab43468ecc1b0dbe795efb52",
-        "sort-inputs": "5c925e3897d329c1ae6981d4010f7dd388659173367ea1ef2b34d7db4c2e830c",
     },
 }
 

@@ -68,7 +68,6 @@ class TestConfig:
         assert [
             (c.depth_limit, c.sparseness, c.propagate) for c in VERIFY_GRID
         ] == expected
-        assert not any(c.sort_inputs for c in VERIFY_GRID)
 
 
 class TestTwoTermRewrite:
@@ -214,20 +213,6 @@ class TestWeightAccounting:
         out, _ = rewrite_objective(doc, RewriteConfig(propagate=False))
         (minimize,) = [s for s in out.statements if isinstance(s, aspif.Minimize)]
         assert sorted(w for _, w in minimize.terms) == [40, 70]
-        assert verify_rewrite(bridge(doc), bridge(out)).ok
-
-    def test_sort_inputs_orders_wires_by_descending_weight(self):
-        text = "asp 1 0 0\n1 1 3 1 2 3 0 0\n2 0 3 1 5 2 30 3 10\n0\n"
-        doc = aspif.parse(text)
-        out, _ = rewrite_objective(doc, RewriteConfig(sort_inputs=True))
-        bridges = [
-            s
-            for s in out.statements
-            if isinstance(s, aspif.Rule) and s.head_kind == aspif.DISJUNCTIVE
-            and s.head_atoms and s.body == aspif.NormalBody((2,))
-        ]
-        # the heaviest literal (atom 2, weight 30) feeds the first input wire
-        assert bridges and bridges[0].head_atoms[0] == 4
         assert verify_rewrite(bridge(doc), bridge(out)).ok
 
 
