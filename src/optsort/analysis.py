@@ -205,7 +205,8 @@ def attach_network(
     wire_map = dense_wire_atom_map(
         network.width, network.depth, first_free, inputs=list(input_atoms)
     )
-    translation = aspif.AspifDocument(statements=tuple(asp_of_network(network, wire_map)))
+    rows = asp_of_network(network, wire_map)
+    translation = aspif.AspifDocument(statements=(aspif.RuleRows(rows),))
     rules = aspif.to_ground_program(translation)[0].normal_rules
     merged = GroundProgram(
         signature=program.signature | frozenset(wire_map.atoms()),

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import NamedTuple, Union
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Union
 
 from .asplang import (
     CardinalityConstraint,
@@ -67,7 +68,18 @@ class Raw(NamedTuple):
     line: str
 
 
-Statement = Union[Rule, Minimize, Output, Raw]
+class RuleRows(NamedTuple):
+    """Normal rules ``head :- body`` as ``(head, *body)`` rows of ints.
+
+    Each row is one head atom followed by its signed body literals, and
+    renders as one rule line.  A rewrite holds the rules it adds for a
+    priority level in one such statement; ``parse`` never makes one.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+
+
+Statement = Union[Rule, Minimize, Output, Raw, RuleRows]
 
 
 class AspifDocument(NamedTuple):
@@ -82,24 +94,29 @@ class AspifDocument(NamedTuple):
         For unknown statements every integer token is taken as a potential
         atom id, which can only overshoot, never collide.
         """
+        # every literal tuple in sight, for one max over them all
+        literals: list[Iterable[int]] = []
+        add = literals.append
         top = 0
         for s in self.statements:
             if isinstance(s, Rule):
-                top = max(top, *s.head_atoms, 0)
+                add(s.head_atoms)
                 if isinstance(s.body, NormalBody):
-                    top = max(top, *(abs(l) for l in s.body.literals), 0)
+                    add(s.body.literals)
                 else:
-                    top = max(top, *(abs(l) for l, _ in s.body.terms), 0)
+                    add(map(itemgetter(0), s.body.terms))
             elif isinstance(s, Minimize):
-                top = max(top, *(abs(l) for l, _ in s.terms), 0)
+                add(map(itemgetter(0), s.terms))
             elif isinstance(s, Output):
-                top = max(top, *(abs(l) for l in s.condition), 0)
+                add(s.condition)
+            elif isinstance(s, RuleRows):
+                literals.extend(s.rows)
             else:
                 for token in s.line.split():
                     value = _integer(token)
                     if value is not None:
                         top = max(top, abs(value))
-        return top
+        return max(top, max(map(abs, chain.from_iterable(literals)), default=0))
 
 
 def _integer(token: str) -> int | None:
@@ -333,11 +350,23 @@ def _render_statement(s: Statement) -> str:
     return ("%d" + " %d" * (len(values) - 1)) % values
 
 
+def _render_rows(rows: tuple[tuple[int, ...], ...]) -> list[str]:
+    # one format per body length, so each row renders with one "%"
+    formats = {
+        k: "1 0 1 %d 0 " + str(k - 1) + " %d" * (k - 1) for k in set(map(len, rows))
+    }
+    return [formats[len(row)] % row for row in rows]
+
+
 def write(doc: AspifDocument) -> str:
     """Canonical rendering; always ends with the terminator line."""
     header = " ".join(["asp", *map(str, doc.version), *doc.tags])
     lines = [header]
-    lines.extend(map(_render_statement, doc.statements))
+    for s in doc.statements:
+        if isinstance(s, RuleRows):
+            lines.extend(_render_rows(s.rows))
+        else:
+            lines.append(_render_statement(s))
     lines.append("0")
     return "\n".join(lines) + "\n"
 
@@ -347,6 +376,16 @@ def literal_from_int(lit: int) -> Literal:
     if lit == 0:
         raise UnsupportedStatementError("literal 0 is not allowed")
     return Literal(abs(lit), lit > 0)
+
+
+def _row_rule(row: tuple[int, ...]) -> NormalRule:
+    """A ``RuleRows`` row as a normal rule, its body split by sign."""
+    head, *body = row
+    if 0 in body:
+        raise UnsupportedStatementError("literal 0 is not allowed")
+    return NormalRule(
+        head, frozenset(l for l in body if l > 0), frozenset(-l for l in body if l < 0)
+    )
 
 
 def _constraint_from_weight_body(body: WeightBody) -> CardinalityConstraint | Nogood | None:
@@ -381,9 +420,9 @@ def _constraint_from_weight_body(body: WeightBody) -> CardinalityConstraint | No
 def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, ObjectiveFunction]]:
     """Bridge the document to brute-force semantics.
 
-    Supports normal rules, integrity constraints (normal or uniform-weight
-    bodies), choice rules with normal bodies, minimize and output statements.
-    Anything else raises UnsupportedStatementError.
+    Supports normal rules (also as rows), integrity constraints (normal or
+    uniform-weight bodies), choice rules with normal bodies, minimize and
+    output statements.  Anything else raises UnsupportedStatementError.
     """
     normal_rules: list[NormalRule] = []
     choice_rules: list[ChoiceRule] = []
@@ -398,6 +437,10 @@ def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, Obje
             )
         if isinstance(s, Output):
             atoms.update(abs(l) for l in s.condition)
+            continue
+        if isinstance(s, RuleRows):
+            normal_rules.extend(map(_row_rule, s.rows))
+            atoms.update(map(abs, chain.from_iterable(s.rows)))
             continue
         if isinstance(s, Minimize):
             bucket = objective_terms.setdefault(s.priority, [])

@@ -3,15 +3,16 @@
 Each comparator becomes three rules (min output needs both inputs, max output
 needs either) and every wire untouched at a level gets an inertia rule, so
 wire values at every level are captured bit-for-bit by atoms.  The rules are
-the aspif statements the rewrite prints; ``aspif.to_ground_program`` maps
-them into the semantic model.
+``(head, *body)`` rows of ints, which the rewrite prints as one
+``aspif.RuleRows`` statement; ``aspif.to_ground_program`` maps them into the
+semantic model.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .aspif import DISJUNCTIVE, NormalBody, Rule
 from .asplang import SemanticsError
 from .network import Network
 
@@ -81,31 +82,31 @@ def dense_wire_atom_map(
     return WireAtomMap(width, depth, tuple(columns))
 
 
-def _rule(head: int, *body: int) -> Rule:
-    return Rule(DISJUNCTIVE, (head,), NormalBody(body))
-
-
-def asp_of_network(network: Network, map: WireAtomMap) -> list[Rule]:
-    """Rules capturing every wire value of the network.
+def asp_of_network(network: Network, map: WireAtomMap) -> tuple[tuple[int, ...], ...]:
+    """Rules capturing every wire value of the network, as ``(head, *body)`` rows.
 
     Rule count is 3 * |comparators| plus one inertia rule per untouched
-    (wire, level) position.  Each rule has one head and a positive body in
-    ascending atom order.
+    (wire, level) position.  Each level gives its comparators' rules in
+    ``(i, j)`` order, then its inertia rules by wire; each body is positive,
+    in ascending atom order.
     """
     if (map.width, map.depth) != (network.width, network.depth):
         raise SemanticsError("wire atom map shape does not match the network")
-    rules: list[Rule] = []
+    rows: list[tuple[int, ...]] = []
+    # new_network sorts the comparators by (level, i, j), so each layer
+    # lists its gates in (i, j) order
     layers = network.layers()
     for level in range(1, network.depth + 1):
         below, here = map.columns[level - 1], map.columns[level]
-        touched: set[int] = set()
-        for c in sorted(layers.get(level, []), key=lambda c: (c.i, c.j)):
-            below_i, below_j = below[c.i - 1], below[c.j - 1]
-            rules.append(_rule(here[c.i - 1], min(below_i, below_j), max(below_i, below_j)))
-            rules.append(_rule(here[c.j - 1], below_i))
-            rules.append(_rule(here[c.j - 1], below_j))
-            touched |= {c.i, c.j}
-        for wire in range(1, network.width + 1):
-            if wire not in touched:
-                rules.append(_rule(here[wire - 1], below[wire - 1]))
-    return rules
+        untouched = bytearray(b"\x01") * network.width
+        for i, j, _ in layers.get(level, ()):
+            below_i, below_j = below[i - 1], below[j - 1]
+            if below_i < below_j:
+                rows.append((here[i - 1], below_i, below_j))
+            else:
+                rows.append((here[i - 1], below_j, below_i))
+            rows.append((here[j - 1], below_i))
+            rows.append((here[j - 1], below_j))
+            untouched[i - 1] = untouched[j - 1] = 0
+        rows.extend(compress(zip(here, below), untouched))
+    return tuple(rows)

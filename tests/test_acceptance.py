@@ -197,11 +197,11 @@ def test_05_network_translation_has_one_answer_set_per_input():
         nets.append(random_network(random.Random(n), n, 3))
         for net in nets:
             wire_map = dense_wire_atom_map(net.width, net.depth, 1)
-            rules = asp_of_network(net, wire_map)
-            assert all(lit > 0 for r in rules for lit in r.body.literals)
+            rows = asp_of_network(net, wire_map)
+            assert all(lit > 0 for row in rows for lit in row[1:])
             for bits in binary_vectors(n):
                 document = aspif.AspifDocument(
-                    statements=tuple(rules + input_facts(bits, wire_map))
+                    statements=(aspif.RuleRows(rows), *input_facts(bits, wire_map))
                 )
                 program, _ = aspif.to_ground_program(document)
                 models = row_models(enumerate_answer_sets_layered(program))

@@ -5,7 +5,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from optsort import aspif
-from optsort.asplang import CardinalityConstraint, Literal
+from optsort.asplang import CardinalityConstraint, Literal, NormalRule
 
 from conftest import aspif_texts, enumerate_answer_sets, evaluate, optimal_value
 
@@ -190,6 +190,36 @@ class TestMaxAtomId:
     def test_raw_lines_are_scanned_conservatively(self):
         doc = aspif.parse("asp 1 0 0\n5 44 2\n0\n")
         assert doc.max_atom_id() == 44
+
+
+class TestRuleRows:
+    ROWS = aspif.RuleRows(((5, 1, 2), (6, -3), (7, 4)))
+
+    def test_each_row_renders_as_one_normal_rule_line(self):
+        text = aspif.write(aspif.AspifDocument(statements=(self.ROWS,)))
+        assert text == "asp 1 0 0\n1 0 1 5 0 2 1 2\n1 0 1 6 0 1 -3\n1 0 1 7 0 1 4\n0\n"
+
+    def test_bridges_like_the_rules_it_renders(self):
+        doc = aspif.AspifDocument(statements=(self.ROWS,))
+        parsed = aspif.parse(aspif.write(doc))
+        assert aspif.to_ground_program(doc) == aspif.to_ground_program(parsed)
+        program, _ = aspif.to_ground_program(doc)
+        assert program.normal_rules[1] == NormalRule(6, frozenset(), frozenset({3}))
+
+    def test_max_atom_id_covers_heads_and_negated_body_literals(self):
+        assert aspif.AspifDocument(statements=(self.ROWS,)).max_atom_id() == 7
+        rows = aspif.RuleRows(((2, -9),))
+        assert aspif.AspifDocument(statements=(rows,)).max_atom_id() == 9
+
+    def test_empty_rows_write_no_line(self):
+        doc = aspif.AspifDocument(statements=(aspif.RuleRows(()),))
+        assert aspif.write(doc) == "asp 1 0 0\n0\n"
+        assert doc.max_atom_id() == 0
+
+    def test_literal_zero_has_no_bridge(self):
+        doc = aspif.AspifDocument(statements=(aspif.RuleRows(((3, 0),)),))
+        with pytest.raises(aspif.UnsupportedStatementError):
+            aspif.to_ground_program(doc)
 
 
 class TestGroundProgramBridge:

@@ -1,6 +1,7 @@
 import gc
 import io
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -127,6 +128,16 @@ class TestRewriteCommand:
         assert err == (
             f"error: merged weight {weight} of literal {literal} leaves the 32-bit range\n"
         )
+
+    def test_oversized_rewrite_is_refused_up_front(self, capsys, monkeypatch):
+        terms = " ".join(f"{a} 1" for a in range(1, 100_001))
+        doc = f"asp 1 0 0\n2 0 100000 {terms}\n0\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: wiring 100000 objective terms")
+        assert "budget" in err and "Traceback" not in err
 
     def test_unknown_statements_pass_through(self, capsys, monkeypatch):
         doc = "asp 1 0 0\n3 4 2\n1 1 2 1 2 0 0\n2 0 2 1 4 2 9\n0\n"

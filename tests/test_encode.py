@@ -47,11 +47,7 @@ class TestNetworkRules:
     def test_single_comparator_gives_three_rules(self):
         net = new_network(2, 1, [(1, 2, 1)])
         m = dense_wire_atom_map(2, 1, 3, inputs=[1, 2])
-        assert asp_of_network(net, m) == [
-            aspif.Rule(aspif.DISJUNCTIVE, (3,), aspif.NormalBody((1, 2))),
-            aspif.Rule(aspif.DISJUNCTIVE, (4,), aspif.NormalBody((1,))),
-            aspif.Rule(aspif.DISJUNCTIVE, (4,), aspif.NormalBody((2,))),
-        ]
+        assert asp_of_network(net, m) == ((3, 1, 2), (4, 1), (4, 2))
 
     def test_rule_count_matches_gates_plus_inertia(self, four_wire_sorter):
         m = dense_wire_atom_map(4, 3, 1)
@@ -60,12 +56,12 @@ class TestNetworkRules:
 
     def test_empty_network_yields_no_rules(self):
         net = new_network(2, 0, [])
-        assert asp_of_network(net, dense_wire_atom_map(2, 0, 1)) == []
+        assert asp_of_network(net, dense_wire_atom_map(2, 0, 1)) == ()
 
     def test_translation_is_negation_free(self):
         net = oe_sorter(5)
-        rules = asp_of_network(net, dense_wire_atom_map(5, net.depth, 1))
-        assert all(lit > 0 for r in rules for lit in r.body.literals)
+        rows = asp_of_network(net, dense_wire_atom_map(5, net.depth, 1))
+        assert all(lit > 0 for row in rows for lit in row[1:])
 
     def test_map_shape_must_match(self):
         net = oe_sorter(3)
@@ -94,8 +90,9 @@ class TestInputFacts:
 
 def network_program(net, bits):
     wire_map = dense_wire_atom_map(net.width, net.depth, 1)
-    rules = asp_of_network(net, wire_map) + input_facts(bits, wire_map)
-    program, _ = aspif.to_ground_program(aspif.AspifDocument(statements=tuple(rules)))
+    rows = aspif.RuleRows(asp_of_network(net, wire_map))
+    document = aspif.AspifDocument(statements=(rows, *input_facts(bits, wire_map)))
+    program, _ = aspif.to_ground_program(document)
     return program, wire_map
 
 

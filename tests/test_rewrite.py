@@ -2,6 +2,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optsort import aspif, asplang, rewrite
 from optsort.analysis import binomial_document
@@ -28,12 +30,9 @@ def bridge(doc):
 
 class TestWireInputs:
     def test_positive_and_negated_literals(self):
-        rules, atoms = wire_inputs([(40, 1), (70, -2)], FreshAtoms(10))
+        rows, atoms = wire_inputs([(40, 1), (70, -2)], FreshAtoms(10))
         assert atoms == [10, 11]
-        assert rules == [
-            aspif.Rule(aspif.DISJUNCTIVE, (10,), aspif.NormalBody((1,))),
-            aspif.Rule(aspif.DISJUNCTIVE, (11,), aspif.NormalBody((-2,))),
-        ]
+        assert rows == [(10, 1), (11, -2)]
 
     def test_empty_terms(self):
         assert wire_inputs([], FreshAtoms(1)) == ([], [])
@@ -263,15 +262,17 @@ class TestAtomHygiene:
         for s in new_statements:
             if isinstance(s, aspif.Rule):
                 assert all(a > original for a in s.head_atoms)
+            if isinstance(s, aspif.RuleRows):
+                assert all(head > original for head, *_ in s.rows)
 
     def test_raw_statement_ids_are_respected(self):
         text = "asp 1 0 0\n5 44 2\n1 1 2 1 2 0 0\n2 0 2 1 4 2 9\n0\n"
         out, _ = rewrite_objective(aspif.parse(text), RewriteConfig())
         heads = [
-            a
+            head
             for s in out.statements
-            if isinstance(s, aspif.Rule) and s.body != aspif.NormalBody(())
-            for a in s.head_atoms
+            if isinstance(s, aspif.RuleRows)
+            for head, *_ in s.rows
         ]
         assert heads and min(heads) > 44
 
@@ -291,6 +292,60 @@ class TestAtomHygiene:
         sidecar = report.sidecar_text()
         assert "priority 0 wire 1 level 0 atom 3" in sidecar
         assert "priority 0 wire 2 level 1 atom 6" in sidecar
+
+
+def _unit_objective(n, priority=0):
+    return aspif.Minimize(priority, tuple((a, 1) for a in range(1, n + 1)))
+
+
+class TestRuleBudget:
+    @pytest.mark.parametrize("depth", [None, 1, 3, 8])
+    def test_bound_covers_every_rule_a_level_adds(self, depth):
+        config = RewriteConfig(depth_limit=depth, propagate=False)
+        for n in range(2, 70):
+            doc = aspif.AspifDocument(statements=(_unit_objective(n),))
+            _, report = rewrite_objective(doc, config)
+            assert report.levels[0].rules_added <= rewrite._rule_bound(n, depth), n
+
+    def test_budget_admits_eight_thousand_terms_at_full_depth(self):
+        assert rewrite._rule_bound(8192, None) <= rewrite.REWRITE_RULE_BUDGET
+
+    def test_levels_are_summed_against_the_budget(self, monkeypatch):
+        # each four-term level may add 4 + 1.5 * 4 * 3 = 22 rules
+        doc = aspif.AspifDocument(statements=(_unit_objective(4), _unit_objective(4, 1)))
+        monkeypatch.setattr(rewrite, "REWRITE_RULE_BUDGET", 44)
+        rewrite_objective(doc, RewriteConfig())
+        monkeypatch.setattr(rewrite, "REWRITE_RULE_BUDGET", 43)
+        with pytest.raises(RewriteError, match="8 objective terms .* could add 44 rules, over"):
+            rewrite_objective(doc, RewriteConfig())
+
+    def test_unwired_levels_cost_nothing(self, monkeypatch):
+        # one term, or only non-positive weights: no network is built
+        doc = aspif.parse("asp 1 0 0\n2 0 1 1 5\n2 1 2 1 -3 2 0\n0\n")
+        monkeypatch.setattr(rewrite, "REWRITE_RULE_BUDGET", 0)
+        out, _ = rewrite_objective(doc, RewriteConfig())
+        assert out == doc
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(VERIFY_GRID))
+@settings(max_examples=150, deadline=None)
+def test_rewritten_documents_read_back_as_written(seed, config):
+    # random_opt_document repeats and negates objective literals, so the
+    # rewrite merges terms and bridges negated literals
+    doc, _ = rewrite_objective(random_opt_document(random.Random(seed)), config)
+    parsed = aspif.parse(aspif.write(doc))
+    assert aspif.to_ground_program(parsed) == aspif.to_ground_program(doc)
+    assert parsed.max_atom_id() == doc.max_atom_id()
+
+
+def test_negated_and_repeated_literals_read_back_as_written():
+    text = "asp 1 0 0\n1 1 3 1 2 3 0 0\n2 0 5 -1 3 2 4 -1 5 -3 6 2 1\n0\n"
+    doc, _ = rewrite_objective(aspif.parse(text), RewriteConfig())
+    (rows,) = [s for s in doc.statements if isinstance(s, aspif.RuleRows)]
+    assert rows.rows[:3] == ((4, -1), (5, 2), (6, -3))
+    parsed = aspif.parse(aspif.write(doc))
+    assert aspif.to_ground_program(parsed) == aspif.to_ground_program(doc)
+    assert parsed.max_atom_id() == doc.max_atom_id()
 
 
 KEEPS_NO_INPUT = "the rewrite does not keep the input's rules and constraints"
