@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 from . import aspif
 from .asplang import (
     GroundProgram,
+    NormalRule,
     SemanticsError,
     _dependency_order,
     auto_split_atoms,
@@ -205,9 +206,9 @@ def attach_network(
     wire_map = dense_wire_atom_map(
         network.width, network.depth, first_free, inputs=list(input_atoms)
     )
-    rows = asp_of_network(network, wire_map)
-    translation = aspif.AspifDocument(statements=(aspif.RuleRows(rows),))
-    rules = aspif.to_ground_program(translation)[0].normal_rules
+    rules = tuple(
+        NormalRule(head, frozenset(body)) for head, *body in asp_of_network(network, wire_map)
+    )
     merged = GroundProgram(
         signature=program.signature | frozenset(wire_map.atoms()),
         normal_rules=program.normal_rules + rules,

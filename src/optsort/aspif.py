@@ -73,7 +73,8 @@ class RuleRows(NamedTuple):
 
     Each row is one head atom followed by its signed body literals, and
     renders as one rule line.  A rewrite holds the rules it adds for a
-    priority level in one such statement; ``parse`` never makes one.
+    priority level in one such statement, which is write-only: ``parse``
+    never makes one and ``to_ground_program`` refuses it.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -367,8 +368,8 @@ def write(doc: AspifDocument) -> str:
             lines.extend(_render_rows(s.rows))
         else:
             lines.append(_render_statement(s))
-    lines.append("0")
-    return "\n".join(lines) + "\n"
+    lines.append("0\n")  # the final newline too, so the text is joined once
+    return "\n".join(lines)
 
 
 def literal_from_int(lit: int) -> Literal:
@@ -376,16 +377,6 @@ def literal_from_int(lit: int) -> Literal:
     if lit == 0:
         raise UnsupportedStatementError("literal 0 is not allowed")
     return Literal(abs(lit), lit > 0)
-
-
-def _row_rule(row: tuple[int, ...]) -> NormalRule:
-    """A ``RuleRows`` row as a normal rule, its body split by sign."""
-    head, *body = row
-    if 0 in body:
-        raise UnsupportedStatementError("literal 0 is not allowed")
-    return NormalRule(
-        head, frozenset(l for l in body if l > 0), frozenset(-l for l in body if l < 0)
-    )
 
 
 def _constraint_from_weight_body(body: WeightBody) -> CardinalityConstraint | Nogood | None:
@@ -420,9 +411,9 @@ def _constraint_from_weight_body(body: WeightBody) -> CardinalityConstraint | No
 def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, ObjectiveFunction]]:
     """Bridge the document to brute-force semantics.
 
-    Supports normal rules (also as rows), integrity constraints (normal or
-    uniform-weight bodies), choice rules with normal bodies, minimize and
-    output statements.  Anything else raises UnsupportedStatementError.
+    Supports normal rules, integrity constraints (normal or uniform-weight
+    bodies), choice rules with normal bodies, minimize and output statements.
+    Anything else, raw lines and write-only ``RuleRows`` too, raises UnsupportedStatementError.
     """
     normal_rules: list[NormalRule] = []
     choice_rules: list[ChoiceRule] = []
@@ -435,12 +426,10 @@ def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, Obje
             raise UnsupportedStatementError(
                 f"statement {s.line.split(' ', 1)[0]!r} has no ground-program bridge"
             )
+        if isinstance(s, RuleRows):
+            raise UnsupportedStatementError("rule rows are bridged only as written text")
         if isinstance(s, Output):
             atoms.update(abs(l) for l in s.condition)
-            continue
-        if isinstance(s, RuleRows):
-            normal_rules.extend(map(_row_rule, s.rows))
-            atoms.update(map(abs, chain.from_iterable(s.rows)))
             continue
         if isinstance(s, Minimize):
             bucket = objective_terms.setdefault(s.priority, [])

@@ -27,6 +27,7 @@ from .propagate import from_input_weights, propagate_sparse
 from .rewrite import (
     VERIFY_GRID,
     RewriteConfig,
+    check_rule_budget,
     random_opt_document,
     rewrite_objective,
     verify_grid,
@@ -154,6 +155,7 @@ def _cmd_gen_binomial(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_sorter(args: argparse.Namespace) -> int:
+    check_rule_budget([args.n], args.depth, f"a sorter on {args.n} wires")
     network = oe_sorter(args.n, args.depth)
     print(f"width={network.width} depth={network.depth} comparators={network.size()}")
     return 0
@@ -237,6 +239,7 @@ def _cmd_pch(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    check_rule_budget([args.n], args.depth, f"a sorter on {args.n} wires")
     network = oe_sorter(args.n, args.depth)
     annotations = None
     if args.weights is not None:

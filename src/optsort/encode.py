@@ -3,9 +3,9 @@
 Each comparator becomes three rules (min output needs both inputs, max output
 needs either) and every wire untouched at a level gets an inertia rule, so
 wire values at every level are captured bit-for-bit by atoms.  The rules are
-``(head, *body)`` rows of ints, which the rewrite prints as one
-``aspif.RuleRows`` statement; ``aspif.to_ground_program`` maps them into the
-semantic model.
+``(head, *body)`` rows of ints.  A rewrite writes them as one
+``aspif.RuleRows`` statement, and ``verify`` checks them as that text parsed
+back; ``analysis.attach_network`` makes each row a ``NormalRule``.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def asp_of_network(network: Network, map: WireAtomMap) -> tuple[tuple[int, ...],
     if (map.width, map.depth) != (network.width, network.depth):
         raise SemanticsError("wire atom map shape does not match the network")
     rows: list[tuple[int, ...]] = []
-    # new_network sorts the comparators by (level, i, j), so each layer
-    # lists its gates in (i, j) order
+    # a Network keeps its comparators in (level, i, j) order (see its
+    # docstring), so each layer lists its gates in (i, j) order
     layers = network.layers()
     for level in range(1, network.depth + 1):
         below, here = map.columns[level - 1], map.columns[level]

@@ -36,6 +36,7 @@ class Network(NamedTuple):
 
     ``depth`` is the declared number of levels; trailing levels may be empty
     (the declared value is authoritative, levels are never renumbered).
+    Invariant: ``comparators`` are sorted by ``(level, i, j)``, as ``new_network`` sorts them.
     """
 
     width: int
@@ -345,9 +346,8 @@ def render_diagram(
     for cell, row in zip(label_cells(0), rows):
         row.append(cell)
     for level in range(1, network.depth + 1):
-        gates = sorted(layers.get(level, []), key=lambda c: (c.i, c.j))
         subcolumns: list[list[Comparator]] = []
-        for c in gates:
+        for c in layers.get(level, ()):
             for sub in subcolumns:
                 if all(c.i > s.j or c.j < s.i for s in sub):
                     sub.append(c)

@@ -172,6 +172,15 @@ def _rule_bound(n: int, depth_limit: int | None) -> int:
     return n + 3 * n * depth // 2
 
 
+def check_rule_budget(sizes: list[int], depth_limit: int | None, wiring: str) -> None:
+    """Refuse ``wiring`` (terms into sorters of these sizes) past ``REWRITE_RULE_BUDGET``."""
+    bound = sum(_rule_bound(n, depth_limit) for n in sizes)
+    if bound > REWRITE_RULE_BUDGET:
+        raise RewriteError(
+            f"{wiring} could add {bound} rules, over the budget of {REWRITE_RULE_BUDGET}"
+        )
+
+
 def _rewrite_level(
     priority: int,
     input_terms: int,
@@ -244,12 +253,9 @@ def rewrite_objective(
     wired = [
         len(rewritable) for rewritable, _, _ in normalized.values() if len(rewritable) >= 2
     ]
-    bound = sum(_rule_bound(n, config.depth_limit) for n in wired)
-    if bound > REWRITE_RULE_BUDGET:
-        raise RewriteError(
-            f"wiring {sum(wired)} objective terms into sorting networks could add "
-            f"{bound} rules, over the budget of {REWRITE_RULE_BUDGET}"
-        )
+    check_rule_budget(
+        wired, config.depth_limit, f"wiring {sum(wired)} objective terms into sorting networks"
+    )
 
     fresh = FreshAtoms(document.max_atom_id() + 1)
     replacements: dict[int, list[aspif.Statement]] = {}
@@ -382,9 +388,9 @@ def verify_grid(
 
     ``before`` is the document's own ground program.  Its answer sets are
     enumerated once for the whole grid, and their lanes and values built
-    once too.  Configurations often give the same program (depth 0 ignores
-    the other knobs, small networks reach full depth early), so each
-    distinct ``aspif.write`` text is verified once and its report reused.
+    once too.  Each distinct ``aspif.write`` text is parsed back and verified
+    once, as a solver would read it; configurations often share one (depth 0
+    ignores the other knobs, small networks reach full depth early).
     """
     before_lanes = input_lanes(before)
     reports: dict[str, VerifyReport] = {}
@@ -393,7 +399,7 @@ def verify_grid(
         rewritten, _ = rewrite_objective(document, config)
         text = aspif.write(rewritten)
         if text not in reports:
-            after = aspif.to_ground_program(rewritten)
+            after = aspif.to_ground_program(aspif.parse(text))
             reports[text] = verify_rewrite(before, after, before_lanes)
         results.append((config, reports[text]))
     return results

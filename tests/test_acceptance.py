@@ -203,7 +203,7 @@ def test_05_network_translation_has_one_answer_set_per_input():
                 document = aspif.AspifDocument(
                     statements=(aspif.RuleRows(rows), *input_facts(bits, wire_map))
                 )
-                program, _ = aspif.to_ground_program(document)
+                program, _ = aspif.to_ground_program(aspif.parse(aspif.write(document)))
                 models = row_models(enumerate_answer_sets_layered(program))
                 assert len(models) == 1, (n, bits)
                 model = models[0]

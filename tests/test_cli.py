@@ -181,6 +181,16 @@ class TestGenerators:
         code, out, _ = run(capsys, monkeypatch, ["gen-sorter", "8", "--depth", "1"])
         assert code == 0 and "depth=1" in out
 
+    @pytest.mark.parametrize("command", ["gen-sorter", "render"])
+    def test_oversized_sorter_is_refused_up_front(self, capsys, monkeypatch, command):
+        # the rule budget that rewrite applies to the same sorter
+        start = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch, [command, "100000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: a sorter on 100000 wires")
+        assert "budget" in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_pipe_pattern_succeeds_end_to_end(self, capsys, monkeypatch):

@@ -92,7 +92,7 @@ def network_program(net, bits):
     wire_map = dense_wire_atom_map(net.width, net.depth, 1)
     rows = aspif.RuleRows(asp_of_network(net, wire_map))
     document = aspif.AspifDocument(statements=(rows, *input_facts(bits, wire_map)))
-    program, _ = aspif.to_ground_program(document)
+    program, _ = aspif.to_ground_program(aspif.parse(aspif.write(document)))
     return program, wire_map
 
 

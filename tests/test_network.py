@@ -146,6 +146,13 @@ class TestOddEvenSorter:
         for d in (1, 5, 8, 13, full.depth):
             assert oe_sorter(n, d) == limit_depth(full, d), (n, d)
 
+    def test_comparators_come_in_level_i_j_order(self):
+        # the Network invariant that encode.asp_of_network relies on
+        for n in range(65):
+            for depth in [None, *range(oe_sorter(n).depth + 1)]:
+                gates = [(c.level, c.i, c.j) for c in oe_sorter(n, depth).comparators]
+                assert gates == sorted(gates), (n, depth)
+
     def test_negative_depth_is_refused(self):
         with pytest.raises(NetworkError):
             oe_sorter(5, -1)

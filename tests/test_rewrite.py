@@ -25,7 +25,8 @@ TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
 
 
 def bridge(doc):
-    return aspif.to_ground_program(doc)
+    """The document's ground program, read back from its written text."""
+    return aspif.to_ground_program(aspif.parse(aspif.write(doc)))
 
 
 class TestWireInputs:
@@ -327,6 +328,20 @@ class TestRuleBudget:
         assert out == doc
 
 
+def rows_as_rules(doc):
+    """The document with each ``RuleRows`` row as the normal rule it stands for."""
+    statements = []
+    for s in doc.statements:
+        if isinstance(s, aspif.RuleRows):
+            statements.extend(
+                aspif.Rule(aspif.DISJUNCTIVE, (head,), aspif.NormalBody(tuple(body)))
+                for head, *body in s.rows
+            )
+        else:
+            statements.append(s)
+    return doc._replace(statements=tuple(statements))
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from(VERIFY_GRID))
 @settings(max_examples=150, deadline=None)
 def test_rewritten_documents_read_back_as_written(seed, config):
@@ -334,7 +349,7 @@ def test_rewritten_documents_read_back_as_written(seed, config):
     # rewrite merges terms and bridges negated literals
     doc, _ = rewrite_objective(random_opt_document(random.Random(seed)), config)
     parsed = aspif.parse(aspif.write(doc))
-    assert aspif.to_ground_program(parsed) == aspif.to_ground_program(doc)
+    assert parsed == rows_as_rules(doc)
     assert parsed.max_atom_id() == doc.max_atom_id()
 
 
@@ -344,7 +359,13 @@ def test_negated_and_repeated_literals_read_back_as_written():
     (rows,) = [s for s in doc.statements if isinstance(s, aspif.RuleRows)]
     assert rows.rows[:3] == ((4, -1), (5, 2), (6, -3))
     parsed = aspif.parse(aspif.write(doc))
-    assert aspif.to_ground_program(parsed) == aspif.to_ground_program(doc)
+    assert parsed == rows_as_rules(doc)
+    program, _ = aspif.to_ground_program(parsed)
+    assert program.normal_rules[:3] == (
+        asplang.NormalRule(4, frozenset(), frozenset({1})),
+        asplang.NormalRule(5, frozenset({2})),
+        asplang.NormalRule(6, frozenset(), frozenset({3})),
+    )
     assert parsed.max_atom_id() == doc.max_atom_id()
 
 
@@ -431,6 +452,26 @@ def _grid_reference(document):
         rewritten, _ = rewrite_objective(document, config)
         results.append((config, verify_rewrite(before, bridge(rewritten))))
     return results, before
+
+
+class TestVerifyReadsTheWrittenText:
+    def test_a_writer_fault_fails_the_grid(self, monkeypatch):
+        # write each comparator's min rule h :- a, b as h :- a: the weight
+        # that propagation moves onto a min output is then paid too often
+        render = aspif._render_rows
+        monkeypatch.setattr(
+            aspif,
+            "_render_rows",
+            lambda rows: render(tuple(row[:2] if len(row) == 3 else row for row in rows)),
+        )
+        document = binomial_document(6, 3, opt=True)
+        results = verify_grid(document, bridge(document))
+        assert [report.ok for _, report in results] == [
+            config.depth_limit == 0 or not config.propagate for config in VERIFY_GRID
+        ]
+        assert all(
+            report.detail.startswith("value mismatch") for _, report in results if not report.ok
+        )
 
 
 class TestVerifyGridSharing:
