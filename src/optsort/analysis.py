@@ -117,6 +117,16 @@ class PropagatorTrace(NamedTuple):
 CANDIDATE_COST_BUDGET = 1 << 22
 
 
+def check_candidate_cost(choice_atoms: int, rules: int) -> None:
+    """Refuse closing 2^choice_atoms subsets over ``rules`` normal rules past the budget."""
+    cost = (1 << choice_atoms) * (rules + choice_atoms)
+    if cost > CANDIDATE_COST_BUDGET:
+        raise SemanticsError(
+            f"closing 2^{choice_atoms} choice subsets over {rules} rules "
+            f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
+        )
+
+
 def _supported_candidates(program: GroundProgram) -> tuple[list[int], list[bytes]]:
     """Total supported-model candidates as flag rows, in order of their sorted atoms.
 
@@ -137,13 +147,7 @@ def _supported_candidates(program: GroundProgram) -> tuple[list[int], list[bytes
             raise SemanticsError("candidate enumeration needs negation-free rules")
     if _dependency_order(program.normal_rules)[1]:
         raise SemanticsError("positive rule cycle defeats candidate closure")
-    n = len(choice_atoms)
-    cost = (1 << n) * (len(program.normal_rules) + n)
-    if cost > CANDIDATE_COST_BUDGET:
-        raise SemanticsError(
-            f"closing 2^{n} choice subsets over {len(program.normal_rules)} rules "
-            f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
-        )
+    check_candidate_cost(len(choice_atoms), len(program.normal_rules))
     return enumerate_answer_sets_split(program, auto_split_atoms(program))
 
 
@@ -201,7 +205,11 @@ def run_pch(
 def attach_network(
     program: GroundProgram, input_atoms: Sequence[int], network: Network
 ) -> tuple[GroundProgram, WireAtomMap]:
-    """Graft a network's rule translation onto existing input atoms."""
+    """Graft a network's rule translation onto existing input atoms.
+
+    It adds ``width * depth + size`` rules: three per comparator and one per
+    (wire, level) position that no comparator touches.
+    """
     first_free = max(program.signature, default=0) + 1
     wire_map = dense_wire_atom_map(
         network.width, network.depth, first_free, inputs=list(input_atoms)

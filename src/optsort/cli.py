@@ -18,6 +18,7 @@ from .analysis import (
     binomial_document,
     binomial_program,
     card_propagator,
+    check_candidate_cost,
     output_atoms,
     run_pch,
 )
@@ -228,6 +229,8 @@ def _cmd_pch(args: argparse.Namespace) -> int:
         propagator = card_propagator(inputs, args.k)
     else:
         network = oe_sorter(args.n, int(depth) if kind == "depth" else None)
+        added = network.width * network.depth + network.size()
+        check_candidate_cost(args.n, len(program.normal_rules) + added)
         program, wire_map = attach_network(program, inputs, network)
         propagator = card_propagator(output_atoms(wire_map), args.k)
     trace = run_pch(program, propagator)

@@ -93,8 +93,9 @@ def asp_of_network(network: Network, map: WireAtomMap) -> tuple[tuple[int, ...],
     if (map.width, map.depth) != (network.width, network.depth):
         raise SemanticsError("wire atom map shape does not match the network")
     rows: list[tuple[int, ...]] = []
-    # a Network keeps its comparators in (level, i, j) order (see its
-    # docstring), so each layer lists its gates in (i, j) order
+    # a Network keeps its comparators in (level, i, j) order, the order
+    # oe_sorter builds them in (see its docstring), so each layer lists its
+    # gates in (i, j) order
     layers = network.layers()
     for level in range(1, network.depth + 1):
         below, here = map.columns[level - 1], map.columns[level]

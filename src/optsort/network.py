@@ -6,8 +6,7 @@ denotes the input column.  All values are immutable once built.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class NetworkError(ValueError):
@@ -22,21 +21,13 @@ class Comparator(NamedTuple):
     level: int
 
 
-def _check_comparator(c: Comparator, width: int, depth: int) -> None:
-    if not (1 <= c.i < c.j):
-        raise NetworkError(f"comparator wires must satisfy 1 <= i < j, got {c}")
-    if c.j > width:
-        raise NetworkError(f"comparator {c} exceeds width {width}")
-    if not (1 <= c.level <= depth):
-        raise NetworkError(f"comparator {c} outside level range 1..{depth}")
-
-
 class Network(NamedTuple):
     """A set of mutually compatible comparators on ``width`` wires.
 
     ``depth`` is the declared number of levels; trailing levels may be empty
     (the declared value is authoritative, levels are never renumbered).
-    Invariant: ``comparators`` are sorted by ``(level, i, j)``, as ``new_network`` sorts them.
+    Invariant: ``comparators`` are sorted by ``(level, i, j)``; ``oe_sorter``
+    builds them in that order.
     """
 
     width: int
@@ -52,32 +43,6 @@ class Network(NamedTuple):
 
     def size(self) -> int:
         return len(self.comparators)
-
-
-def new_network(
-    width: int,
-    declared_depth: int,
-    comparators: Iterable[Comparator | tuple[int, int, int]],
-) -> Network:
-    """Validate and build a network; duplicate comparators are dropped.
-
-    Rejects out-of-range wires or levels and any two distinct comparators that
-    share a wire on the same level.
-    """
-    if width < 0:
-        raise NetworkError(f"width must be >= 0, got {width}")
-    if declared_depth < 0:
-        raise NetworkError(f"depth must be >= 0, got {declared_depth}")
-    unique = sorted({Comparator(*c) for c in comparators}, key=lambda c: (c.level, c.i, c.j))
-    seen_at_level: dict[int, set[int]] = {}
-    for c in unique:
-        _check_comparator(c, width, declared_depth)
-        used = seen_at_level.setdefault(c.level, set())
-        if c.i in used or c.j in used:
-            raise NetworkError(f"comparator {c} overlaps another on level {c.level}")
-        used.add(c.i)
-        used.add(c.j)
-    return Network(width, declared_depth, tuple(unique))
 
 
 class WireValueMatrix(NamedTuple):
@@ -135,59 +100,38 @@ def permutation_of(network: Network, input: Sequence[int]) -> list[int]:
     return sigma
 
 
-def _oe_merge(wires: list[int], base: int, stop: float) -> tuple[list[Comparator], int]:
-    # Merges two sorted halves of a power-of-two wire list; depth log2(len).
-    # Nothing is built once ``base`` reaches ``stop``: all its levels are later.
-    m = len(wires)
-    if base >= stop:
-        return [], m.bit_length() - 1
-    if m <= 1:
-        return [], 0
-    if m == 2:
-        return [Comparator(wires[0], wires[1], base + 1)], 1
-    odd, d1 = _oe_merge(wires[0::2], base, stop)
-    even, d2 = _oe_merge(wires[1::2], base, stop)
-    d = max(d1, d2)
-    final = [
-        Comparator(wires[p], wires[p + 1], base + d + 1) for p in range(1, m - 1, 2)
-    ]
-    return odd + even + final, d + 1
-
-
-def _oe_sort(wires: list[int], base: int, stop: float) -> tuple[list[Comparator], int]:
-    m = len(wires)
-    if base >= stop:
-        p = m.bit_length() - 1
-        return [], p * (p + 1) // 2
-    if m <= 1:
-        return [], 0
-    half = m // 2
-    lo, d1 = _oe_sort(wires[:half], base, stop)
-    hi, d2 = _oe_sort(wires[half:], base, stop)
-    d = max(d1, d2)
-    merged, dm = _oe_merge(wires, base + d, stop)
-    return lo + hi + merged, d + dm
-
-
 def oe_sorter(n: int, depth: int | None = None) -> Network:
     """Odd-even mergesort network on n wires, cut to its first ``depth`` levels.
 
-    Built on the next power of two; comparators touching the phantom high
-    wires are dropped (phantom values sort as plus infinity), so the full
-    network still sorts every input.  Depth is O(log^2 n), size O(n log^2 n).
-    With a ``depth``, sub-sorts and merges that start at or beyond it are
-    never built, and ``limit_depth`` trims the rest.
+    Batcher's network, built level by level as in Knuth (TAOCP vol. 3,
+    5.3.4): merge stage p = 1, 2, 4, ... takes one level per stride
+    k = p, p/2, ..., 1, and compares i with i + k where both lie in the same
+    block of 2p.  Laid out on the next power of two, it leaves out every
+    comparator that would touch a phantom wire above n (phantom values sort
+    as plus infinity), so the full network still sorts every input.  Depth is
+    O(log^2 n), size O(n log^2 n).  Gates come out in ``(level, i, j)``
+    order, and no level past ``depth`` is built.
     """
     if n < 0:
         raise NetworkError(f"wire count must be >= 0, got {n}")
-    if n <= 1:
-        network = Network(n, 0, ())
-    else:
-        pot = 1 << (n - 1).bit_length()
-        stop = math.inf if depth is None else depth
-        comparators, full_depth = _oe_sort(list(range(1, pot + 1)), 0, stop)
-        network = new_network(n, full_depth, [c for c in comparators if c.j <= n])
-    return network if depth is None else limit_depth(network, depth)
+    if depth is not None and depth < 0:
+        raise NetworkError(f"depth limit must be >= 0, got {depth}")
+    gates: list[Comparator] = []
+    level = 0
+    p = 1
+    while p < n:
+        k = p
+        while k and level != depth:
+            level += 1
+            gates.extend(
+                Comparator(i + 1, i + k + 1, level)
+                for j in range(k % p, n - k, 2 * k)
+                for i in range(j, min(j + k, n - k))
+                if i // (2 * p) == (i + k) // (2 * p)
+            )
+            k //= 2
+        p *= 2
+    return Network(n, level, tuple(gates))
 
 
 def limit_depth(network: Network, d_max: int) -> Network:
@@ -346,26 +290,23 @@ def render_diagram(
     for cell, row in zip(label_cells(0), rows):
         row.append(cell)
     for level in range(1, network.depth + 1):
+        # Gates come in (i, j) order, so a gate fits a subcolumn when it
+        # starts below that subcolumn's last gate; it takes the first such.
+        # A level without gates draws as one empty subcolumn.
         subcolumns: list[list[Comparator]] = []
         for c in layers.get(level, ()):
             for sub in subcolumns:
-                if all(c.i > s.j or c.j < s.i for s in sub):
+                if sub[-1].j < c.i:
                     sub.append(c)
                     break
             else:
                 subcolumns.append([c])
-        for sub in subcolumns:
-            for w in range(1, n + 1):
-                ch = "-"
-                for c in sub:
-                    if w in (c.i, c.j):
-                        ch = "o"
-                    elif c.i < w < c.j:
-                        ch = "+"
-                rows[w - 1].append(ch + "-")
-        if not subcolumns:
-            for row in rows:
-                row.append("--")
+        for sub in subcolumns or [[]]:
+            cells = ["--"] * n
+            for c in sub:
+                cells[c.i - 1 : c.j] = ["o-", *["+-"] * (c.j - c.i - 1), "o-"]
+            for cell, row in zip(cells, rows):
+                row.append(cell)
         for cell, row in zip(label_cells(level), rows):
             row.append(cell)
     return "\n".join("".join(row) + "-" for row in rows)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
@@ -17,8 +18,46 @@ from optsort.asplang import (
     SemanticsError,
 )
 from optsort.encode import WireAtomMap
-from optsort.network import Comparator, ConfinedNetwork, Decomposition, Network, new_network
+from optsort.network import Comparator, ConfinedNetwork, Decomposition, Network, NetworkError
 from optsort.propagate import WeightMatrix
+
+
+# Hand-drawn networks of the tests and the paper's figures.
+
+
+def _check_comparator(c: Comparator, width: int, depth: int) -> None:
+    if not (1 <= c.i < c.j):
+        raise NetworkError(f"comparator wires must satisfy 1 <= i < j, got {c}")
+    if c.j > width:
+        raise NetworkError(f"comparator {c} exceeds width {width}")
+    if not (1 <= c.level <= depth):
+        raise NetworkError(f"comparator {c} outside level range 1..{depth}")
+
+
+def new_network(
+    width: int,
+    declared_depth: int,
+    comparators: Iterable[Comparator | tuple[int, int, int]],
+) -> Network:
+    """Validate and build a network; duplicate comparators are dropped.
+
+    Rejects out-of-range wires or levels and any two distinct comparators that
+    share a wire on the same level.
+    """
+    if width < 0:
+        raise NetworkError(f"width must be >= 0, got {width}")
+    if declared_depth < 0:
+        raise NetworkError(f"depth must be >= 0, got {declared_depth}")
+    unique = sorted({Comparator(*c) for c in comparators}, key=lambda c: (c.level, c.i, c.j))
+    seen_at_level: dict[int, set[int]] = {}
+    for c in unique:
+        _check_comparator(c, width, declared_depth)
+        used = seen_at_level.setdefault(c.level, set())
+        if c.i in used or c.j in used:
+            raise NetworkError(f"comparator {c} overlaps another on level {c.level}")
+        used.add(c.i)
+        used.add(c.j)
+    return Network(width, declared_depth, tuple(unique))
 
 
 FIG_COMPARATORS = [(1, 2, 1), (3, 4, 1), (1, 3, 2), (2, 4, 2), (2, 3, 3)]

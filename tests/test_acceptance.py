@@ -27,7 +27,6 @@ from optsort.network import (
     apply,
     decompose_sparse,
     limit_depth,
-    new_network,
     oe_sorter,
 )
 from optsort.propagate import (
@@ -46,7 +45,7 @@ from optsort.rewrite import (
     verify_grid,
 )
 
-from conftest import binary_vectors, input_facts, row_models
+from conftest import binary_vectors, input_facts, new_network, row_models
 
 
 def announce(tag: str, detail: str = "") -> None:

@@ -361,6 +361,16 @@ class TestNetworkedPch:
         assert verify_trace(program, propagator, trace)
         assert trace.m <= 2
 
+    def test_attached_rules_count_width_times_depth_plus_size(self):
+        # the count the pch command checks against the budget before attaching
+        for n in range(2, 13):
+            for depth in (None, 0, 1, 3):
+                network = oe_sorter(n, depth)
+                program = binomial_program(n, n // 2)
+                attached, _ = attach_network(program, range(1, n + 1), network)
+                added = len(attached.normal_rules) - len(program.normal_rules)
+                assert added == network.width * network.depth + network.size(), (n, depth)
+
     def test_rejects_programs_with_negation(self):
         program = binomial_program(2, 1)
         spoiled = type(program)(

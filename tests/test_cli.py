@@ -289,6 +289,17 @@ class TestPchCommand:
             assert code == 2 and out == ""
             assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
 
+    def test_over_budget_network_is_refused_before_it_is_attached(self, capsys, monkeypatch):
+        # 2048 wires x 66 levels plus 58 367 comparators: 193 535 rules
+        def attach(*args):
+            raise AssertionError("attach_network ran")
+
+        monkeypatch.setattr("optsort.cli.attach_network", attach)
+        code, out, err = run(capsys, monkeypatch, ["pch", "2048", "1024", "--network", "full"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: closing 2^2048 choice subsets over 193535 rules costs about ")
+        assert err.endswith(" steps, over the budget of 4194304\n")
+
 
 class TestRenderCommand:
     def test_bare_diagram(self, capsys, monkeypatch):

@@ -6,12 +6,13 @@ import pytest
 from optsort import aspif
 from optsort.asplang import SemanticsError, enumerate_answer_sets_layered
 from optsort.encode import asp_of_network, dense_wire_atom_map
-from optsort.network import apply, new_network, oe_sorter
+from optsort.network import apply, oe_sorter
 
 from conftest import (
     binary_vectors,
     enumerate_answer_sets,
     input_facts,
+    new_network,
     random_network,
     row_models,
 )

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from optsort.network import (
     apply,
     decompose_sparse,
     limit_depth,
-    new_network,
     oe_sorter,
     permutation_of,
     render_diagram,
@@ -24,9 +25,19 @@ from conftest import (
     binary_vectors,
     confines_every_gate,
     decompose_sparse_rescan,
+    new_network,
     random_network,
     region_gates,
 )
+
+
+SMALL_SORTERS_SHA256 = "cec1c1755eaa7ab51f35462ba62451f0821744e3a916f8e5950a4a85cbb17412"
+WIDE_SORTER_SHA256 = {
+    (2048, None): "3d1c4cfc5dba077dd8704a3e97abdc0b0d5e01e9322ce33b006dd84ef6739f43",
+    (2048, 8): "8b6b58353a4d74fc2370070d88a6a906106a0c7a0455b11089b2dfa698e2eb31",
+    (4096, None): "aa895e06171fc84e6ca5c8ae571cb3491ff06637a32d932ad73ca29f5e0d0ab4",
+    (4096, 8): "184dbf1ac4edd434fb25e5b5241b1e8a5f5ecd4348e77b28d271d4c873bdcbcb",
+}
 
 
 class TestConstruction:
@@ -154,8 +165,23 @@ class TestOddEvenSorter:
                 assert gates == sorted(gates), (n, depth)
 
     def test_negative_depth_is_refused(self):
-        with pytest.raises(NetworkError):
-            oe_sorter(5, -1)
+        for n in (0, 1, 5):
+            with pytest.raises(NetworkError, match=r"^depth limit must be >= 0, got -1$"):
+                oe_sorter(n, -1)
+
+    def test_negative_wire_count_is_refused(self):
+        with pytest.raises(NetworkError, match=r"^wire count must be >= 0, got -1$"):
+            oe_sorter(-1, -1)
+
+    def test_construction_is_pinned(self):
+        # sha256 of the networks' reprs, recorded from the earlier recursive build
+        digest = hashlib.sha256()
+        for n in range(129):
+            for d in [None, *range(oe_sorter(n).depth + 2)]:
+                digest.update(repr(oe_sorter(n, d)).encode())
+        assert digest.hexdigest() == SMALL_SORTERS_SHA256
+        for (n, d), expected in WIDE_SORTER_SHA256.items():
+            assert hashlib.sha256(repr(oe_sorter(n, d)).encode()).hexdigest() == expected, (n, d)
 
 
 class TestLimitDepth:
@@ -330,6 +356,12 @@ class TestRenderDiagram:
         net = new_network(2, 1, [(1, 2, 1)])
         drawing = render_diagram(net, {(1, 0): "40", (2, 0): "50"})
         assert drawing == GOLDEN_LABELED
+
+    def test_a_wide_shallow_sorter_draws_in_linear_time(self):
+        start = time.perf_counter()
+        drawing = render_diagram(oe_sorter(20000, 3))
+        assert time.perf_counter() - start < 5.0
+        assert drawing.count("\n") == 19999
 
     def test_out_of_range_label_is_rejected(self, four_wire_sorter):
         with pytest.raises(NetworkError):

@@ -10,7 +10,6 @@ from optsort.network import (
     NetworkError,
     decompose_sparse,
     limit_depth,
-    new_network,
     oe_sorter,
     whole_network_decomposition,
 )
@@ -25,7 +24,7 @@ from optsort.propagate import (
     weight_function,
 )
 
-from conftest import binary_vectors, random_network, total
+from conftest import binary_vectors, new_network, random_network, total
 
 
 def random_matrix(rng, width, depth, top=40):
