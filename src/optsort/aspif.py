@@ -13,7 +13,7 @@ the kinds apart.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, takewhile
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
@@ -95,10 +95,10 @@ class AspifDocument(NamedTuple):
         For unknown statements every integer token is taken as a potential
         atom id, which can only overshoot, never collide.
         """
-        # every literal tuple in sight, for one max over them all
+        # every literal tuple in sight, and every integer of a raw line, for
+        # one max over them all
         literals: list[Iterable[int]] = []
         add = literals.append
-        top = 0
         for s in self.statements:
             if isinstance(s, Rule):
                 add(s.head_atoms)
@@ -113,11 +113,8 @@ class AspifDocument(NamedTuple):
             elif isinstance(s, RuleRows):
                 literals.extend(s.rows)
             else:
-                for token in s.line.split():
-                    value = _integer(token)
-                    if value is not None:
-                        top = max(top, abs(value))
-        return max(top, max(map(abs, chain.from_iterable(literals)), default=0))
+                add(value for value in map(_integer, s.line.split()) if value is not None)
+        return max(map(abs, chain.from_iterable(literals)), default=0)
 
 
 def _integer(token: str) -> int | None:
@@ -132,132 +129,95 @@ def _integer(token: str) -> int | None:
     return value
 
 
-class _Tokens:
-    """Token walker that words the error for a statement line the slicer refused."""
-
-    def __init__(self, parts: list[str], line_no: int):
-        self.parts = parts
-        self.pos = 0
-        self.line_no = line_no
-
-    def take_int(self, what: str) -> int:
-        if self.pos >= len(self.parts):
-            raise AspifParseError(f"line {self.line_no}: truncated statement, missing {what}")
-        token = self.parts[self.pos]
-        self.pos += 1
-        value = _integer(token)
-        if value is None:
-            raise AspifParseError(
-                f"line {self.line_no}: non-integer token {token!r} for {what}"
-            )
-        return value
-
-    def take_count(self, what: str) -> int:
-        count = self.take_int(what)
-        if count < 0:
-            raise AspifParseError(f"line {self.line_no}: negative {what} {count}")
-        return count
-
-    def take_literal(self, what: str) -> int:
-        lit = self.take_int(what)
-        if lit == 0:
-            raise AspifParseError(f"line {self.line_no}: {what} 0 is not allowed")
-        return lit
-
-    def finish(self) -> None:
-        if self.pos != len(self.parts):
-            raise AspifParseError(
-                f"line {self.line_no}: {len(self.parts) - self.pos} unexpected trailing tokens"
-            )
+def _integers(rest: str) -> tuple[list[int], tuple[str, ...]]:
+    """The values of the leading integer tokens of ``rest``, and the tokens
+    from the first one that is not an integer on.  On an ASCII line without
+    underscores, ``int()`` accepts exactly the tokens that ``_integer``
+    accepts, so one conversion reads a clean line."""
+    if rest.isascii() and "_" not in rest:
+        try:
+            return list(map(int, rest.split())), ()
+        except ValueError:
+            pass
+    tokens = rest.split()
+    values = list(takewhile(lambda value: value is not None, map(_integer, tokens)))
+    return values, tuple(tokens[len(values) :])
 
 
-def _parse_rule(tokens: _Tokens) -> Rule:
-    head_kind = tokens.take_int("head kind")
+def _missing(refused: tuple[str, ...], what: str, line_no: int) -> AspifParseError:
+    """The error for a field that a line's values run out before."""
+    if refused:
+        return AspifParseError(f"line {line_no}: non-integer token {refused[0]!r} for {what}")
+    return AspifParseError(f"line {line_no}: truncated statement, missing {what}")
+
+
+def _bad_run(
+    v: list[int], at: int, refused: tuple[str, ...], count: str, literal: str, line_no: int,
+    weighted: bool = False,
+) -> AspifParseError:
+    """The first error in the run of literals counted at ``v[at]`` that ends
+    a line, each literal followed by its weight when ``weighted``.
+
+    A missing or negative count comes first, then a literal 0, which lies
+    before the end of the values, then a missing token, then trailing ones.
+    """
+    if at >= len(v):
+        return _missing(refused, count, line_no)
+    if v[at] < 0:
+        return AspifParseError(f"line {line_no}: negative {count} {v[at]}")
+    start = at + 1
+    end = start + (2 if weighted else 1) * v[at]
+    if 0 in v[start:end:2 if weighted else 1]:
+        return AspifParseError(f"line {line_no}: {literal} 0 is not allowed")
+    if len(v) < end:  # a weighted run may stop between a literal and its weight
+        what = "weight" if weighted and (len(v) - start) % 2 else literal
+        return _missing(refused, what, line_no)
+    trailing = len(v) + len(refused) - end
+    return AspifParseError(f"line {line_no}: {trailing} unexpected trailing tokens")
+
+
+def _parse_rule(v: list[int], refused: tuple[str, ...], line_no: int) -> Rule:
+    """The rule a line's values spell, or the error met first in token order."""
+    size = len(v)
+    if not size:
+        raise _missing(refused, "head kind", line_no)
+    head_kind = v[0]
     if head_kind not in (DISJUNCTIVE, CHOICE):
-        raise AspifParseError(f"line {tokens.line_no}: unknown head kind {head_kind}")
-    m = tokens.take_count("head atom count")
-    heads = tuple(tokens.take_int("head atom") for _ in range(m))
-    body_kind = tokens.take_int("body kind")
-    if body_kind == 0:
-        n = tokens.take_count("body literal count")
-        lits = tuple(tokens.take_literal("body literal") for _ in range(n))
+        raise AspifParseError(f"line {line_no}: unknown head kind {head_kind}")
+    if size < 2 or v[1] < 0:  # the head atom count's own error comes first
+        raise _bad_run(v, 1, refused, "head atom count", "head atom", line_no)
+    k = v[1] + 2  # index of the body kind
+    if size <= k:
+        raise _missing(refused, "head atom" if size < k else "body kind", line_no)
+    if v[k] == 0:
+        lits = tuple(v[k + 2 :])
+        if size < k + 2 or v[k + 1] != len(lits) or 0 in lits or refused:
+            raise _bad_run(v, k + 1, refused, "body literal count", "body literal", line_no)
         body: Union[NormalBody, WeightBody] = NormalBody(lits)
-    elif body_kind == 1:
-        bound = tokens.take_int("lower bound")
-        n = tokens.take_count("body element count")
-        terms = tuple(
-            (tokens.take_literal("body literal"), tokens.take_int("weight"))
-            for _ in range(n)
-        )
-        body = WeightBody(bound, terms)
+    elif v[k] == 1:
+        if size == k + 1:
+            raise _missing(refused, "lower bound", line_no)
+        flat = v[k + 3 :]
+        lits = flat[0::2]
+        if size < k + 3 or 2 * v[k + 2] != len(flat) or 0 in lits or refused:
+            raise _bad_run(v, k + 2, refused, "body element count", "body literal", line_no, True)
+        body = WeightBody(v[k + 1], tuple(zip(lits, flat[1::2])))
     else:
-        raise AspifParseError(f"line {tokens.line_no}: unknown body kind {body_kind}")
-    tokens.finish()
-    if any(a < 1 for a in heads):
-        raise AspifParseError(f"line {tokens.line_no}: head atoms must be positive")
+        raise AspifParseError(f"line {line_no}: unknown body kind {v[k]}")
+    heads = tuple(v[2:k])
+    if heads and min(heads) < 1:
+        raise AspifParseError(f"line {line_no}: head atoms must be positive")
     return Rule(head_kind, heads, body)
 
 
-def _parse_minimize(tokens: _Tokens) -> Minimize:
-    priority = tokens.take_int("priority")
-    n = tokens.take_count("term count")
-    terms = tuple(
-        (tokens.take_literal("minimize literal"), tokens.take_int("weight"))
-        for _ in range(n)
-    )
-    tokens.finish()
-    return Minimize(priority, terms)
-
-
-def _values(rest: str) -> list[int] | None:
-    """Every token after the statement code as an integer, or None.
-
-    On an ASCII line without underscores, ``int()`` accepts exactly the
-    tokens that ``_integer`` accepts, so one conversion checks the line.
-    """
-    if not rest.isascii() or "_" in rest:
-        return None
-    try:
-        return list(map(int, rest.split()))
-    except ValueError:
-        return None
-
-
-def _slice_rule(v: list[int]) -> Rule | None:
-    """The rule the token walker reads from these values, or None where it
-    would refuse them."""
-    if len(v) < 4:
-        return None
-    head_kind, m = v[0], v[1]
-    k = m + 2  # index of the body kind
-    if head_kind not in (DISJUNCTIVE, CHOICE) or m < 0 or len(v) < k + 2:
-        return None
-    heads = tuple(v[2:k])
-    if heads and min(heads) < 1:
-        return None
-    if v[k] == 0:
-        lits = tuple(v[k + 2 :])
-        if v[k + 1] != len(lits) or 0 in lits:
-            return None
-        return Rule(head_kind, heads, NormalBody(lits))
-    if v[k] == 1 and len(v) >= k + 3:
-        flat = v[k + 3 :]
-        lits = flat[0::2]
-        if 2 * v[k + 2] != len(flat) or 0 in lits:
-            return None
-        return Rule(head_kind, heads, WeightBody(v[k + 1], tuple(zip(lits, flat[1::2]))))
-    return None
-
-
-def _slice_minimize(v: list[int]) -> Minimize | None:
-    """The minimize statement the token walker reads from these values, or
-    None where it would refuse them."""
-    if len(v) < 2:
-        return None
+def _parse_minimize(v: list[int], refused: tuple[str, ...], line_no: int) -> Minimize:
+    """The minimize statement a line's values spell, or the first error."""
+    if not v:
+        raise _missing(refused, "priority", line_no)
     flat = v[2:]
     lits = flat[0::2]
-    if 2 * v[1] != len(flat) or 0 in lits:
-        return None
+    if len(v) < 2 or 2 * v[1] != len(flat) or 0 in lits or refused:
+        raise _bad_run(v, 1, refused, "term count", "minimize literal", line_no, True)
     return Minimize(v[0], tuple(zip(lits, flat[1::2])))
 
 
@@ -272,10 +232,10 @@ def _parse_output(rest: str, line_no: int) -> Output:
     remainder = tail[length:]
     if remainder and not remainder.startswith(" "):
         raise AspifParseError(f"line {line_no}: output string length mismatch")
-    tokens = _Tokens(remainder.split(), line_no)
-    n = tokens.take_count("condition count")
-    condition = tuple(tokens.take_literal("condition literal") for _ in range(n))
-    tokens.finish()
+    v, refused = _integers(remainder)
+    condition = tuple(v[1:])
+    if not v or v[0] != len(condition) or 0 in condition or refused:
+        raise _bad_run(v, 0, refused, "condition count", "condition literal", line_no)
     return Output(name, condition)
 
 
@@ -307,7 +267,7 @@ def parse(text: str) -> AspifDocument:
         if line == "0":
             terminated = True
             continue
-        if not line.strip():
+        if not line or line.isspace():
             raise AspifParseError(f"line {line_no}: blank statement line")
         # a valid code token holds no whitespace, so the rest splits like the line
         code_token, _, rest = line.partition(" ")
@@ -317,14 +277,9 @@ def parse(text: str) -> AspifDocument:
                 f"line {line_no}: non-integer statement code {code_token!r}"
             )
         if code == 1 or code == 2:
-            v = _values(rest)
-            statement = None
-            if v is not None:
-                statement = _slice_rule(v) if code == 1 else _slice_minimize(v)
-            if statement is None:  # the walker raises the error it finds first
-                tokens = _Tokens(rest.split(), line_no)
-                statement = _parse_rule(tokens) if code == 1 else _parse_minimize(tokens)
-            statements.append(statement)
+            v, refused = _integers(rest)
+            decode = _parse_rule if code == 1 else _parse_minimize
+            statements.append(decode(v, refused, line_no))
         elif code == 4:
             statements.append(_parse_output(rest, line_no))
         else:

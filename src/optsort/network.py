@@ -279,16 +279,16 @@ def render_diagram(
     n = network.width
     layers = network.layers()
 
-    def label_cells(level: int) -> list[str]:
-        texts = {w: annotations.get((w, level), "") for w in range(1, n + 1)}
-        width = max((len(t) for t in texts.values()), default=0)
-        if width == 0:
-            return ["" for _ in range(n)]
-        return [texts[w].rjust(width, "-") + "-" for w in range(1, n + 1)]
+    def label_cells(level: int) -> list[bytes]:
+        texts = [annotations.get((w, level), "") for w in range(1, n + 1)]
+        width = max(map(len, texts), default=0)
+        return [(t.rjust(width, "-") + "-").encode() if width else b"" for t in texts]
 
-    rows = [["-"] for _ in range(n)]
+    # one bytearray per wire, so a drawing takes a byte per character until
+    # the rows are joined
+    rows = [bytearray(b"-") for _ in range(n)]
     for cell, row in zip(label_cells(0), rows):
-        row.append(cell)
+        row += cell
     for level in range(1, network.depth + 1):
         # Gates come in (i, j) order, so a gate fits a subcolumn when it
         # starts below that subcolumn's last gate; it takes the first such.
@@ -302,11 +302,15 @@ def render_diagram(
             else:
                 subcolumns.append([c])
         for sub in subcolumns or [[]]:
-            cells = ["--"] * n
+            cells = [b"--"] * n
             for c in sub:
-                cells[c.i - 1 : c.j] = ["o-", *["+-"] * (c.j - c.i - 1), "o-"]
+                cells[c.i - 1 : c.j] = [b"o-", *[b"+-"] * (c.j - c.i - 1), b"o-"]
             for cell, row in zip(cells, rows):
-                row.append(cell)
+                row += cell
         for cell, row in zip(label_cells(level), rows):
-            row.append(cell)
-    return "\n".join("".join(row) + "-" for row in rows)
+            row += cell
+    for row in rows:
+        row += b"-"
+    text = b"\n".join(rows)
+    rows.clear()  # so the rows are gone before the text is decoded
+    return text.decode()

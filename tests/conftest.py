@@ -115,11 +115,20 @@ _STATEMENTS = st.one_of(
 
 @st.composite
 def written_lines(draw):
-    """A rule or minimize line as ``aspif.write`` prints it, maybe with one token changed."""
+    """A rule or minimize line as ``aspif.write`` prints it, maybe with one
+    token replaced, inserted or deleted, so that a cut or an overlong line
+    shows as often as a wrong value."""
     document = aspif.AspifDocument(statements=(draw(_STATEMENTS),))
     tokens = aspif.write(document).split("\n")[1].split(" ")
-    if draw(st.booleans()):
-        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
+    action = draw(st.sampled_from(["keep", "replace", "insert", "delete"]))
+    if action == "insert":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_TOKENS))
+    elif action != "keep":
+        position = draw(st.integers(0, len(tokens) - 1))
+        if action == "replace":
+            tokens[position] = draw(_TOKENS)
+        else:
+            del tokens[position]
     return " ".join(tokens)
 
 
@@ -127,7 +136,8 @@ def aspif_texts():
     """A header, up to four statement lines and maybe a terminator.
 
     Lines are random tokens or written statements, some with one token
-    changed, so both the refusing and the accepting side of the parser show.
+    replaced, inserted or deleted, so both the refusing and the accepting
+    side of the parser show.
     """
     return st.builds(
         lambda lines, terminated: "\n".join(

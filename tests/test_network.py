@@ -28,6 +28,7 @@ from conftest import (
     new_network,
     random_network,
     region_gates,
+    traced_peak,
 )
 
 
@@ -362,6 +363,18 @@ class TestRenderDiagram:
         drawing = render_diagram(oe_sorter(20000, 3))
         assert time.perf_counter() - start < 5.0
         assert drawing.count("\n") == 19999
+
+    def test_labels_are_padded_by_characters_not_bytes(self):
+        net = new_network(2, 1, [(1, 2, 1)])
+        drawing = render_diagram(net, {(1, 0): "é", (2, 1): "50"})
+        assert drawing == "-é-o-----\n---o-50--"
+
+    def test_a_drawing_peaks_at_a_few_bytes_per_byte_of_text(self):
+        # one bytearray per wire; a list of 2-character cell strings per
+        # wire peaked at 6.5 bytes per byte of text
+        text, peak = traced_peak(render_diagram, oe_sorter(1024))
+        assert text.count("\n") == 1023
+        assert peak <= 3.5 * len(text)
 
     def test_out_of_range_label_is_rejected(self, four_wire_sorter):
         with pytest.raises(NetworkError):
