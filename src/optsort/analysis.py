@@ -15,7 +15,6 @@ from typing import NamedTuple, Sequence
 from . import aspif
 from .asplang import (
     GroundProgram,
-    NormalRule,
     SemanticsError,
     _dependency_order,
     auto_split_atoms,
@@ -208,15 +207,16 @@ def attach_network(
     """Graft a network's rule translation onto existing input atoms.
 
     It adds ``width * depth + size`` rules: three per comparator and one per
-    (wire, level) position that no comparator touches.
+    (wire, level) position that no comparator touches.  They are read back
+    from their aspif lines, as ``verify`` reads a rewrite.
     """
     first_free = max(program.signature, default=0) + 1
     wire_map = dense_wire_atom_map(
         network.width, network.depth, first_free, inputs=list(input_atoms)
     )
-    rules = tuple(
-        NormalRule(head, frozenset(body)) for head, *body in asp_of_network(network, wire_map)
-    )
+    statements = tuple(map(aspif.Raw, asp_of_network(network, wire_map)))
+    text = aspif.write(aspif.AspifDocument(statements=statements))
+    rules = aspif.to_ground_program(aspif.parse(text))[0].normal_rules
     merged = GroundProgram(
         signature=program.signature | frozenset(wire_map.atoms()),
         normal_rules=program.normal_rules + rules,

@@ -1,9 +1,11 @@
 """Reader/writer for the aspif v1 text format subset used by the rewriter.
 
 Rule (1), minimize (2) and output (4) statements are interpreted; every other
-statement code is carried through verbatim so downstream consumers lose
-nothing.  Writing is canonical: single spaces, "\\n" line endings, terminator
-always present, raw lines byte-identical.
+statement code is carried through verbatim, as a ``Raw`` statement, so
+downstream consumers lose nothing.  Writing is canonical: single spaces,
+"\\n" line endings, terminator always present, raw text byte-identical.  The
+rules a rewrite adds are aspif lines already (see ``encode``), so each level's
+rules are one ``Raw`` statement of many lines, never a record per rule.
 
 Statements are named tuples, so they compare as plain tuples:
 ``WeightBody(0, t) == Minimize(0, t)`` holds, and only ``isinstance`` tells
@@ -65,22 +67,16 @@ class Output(NamedTuple):
 
 
 class Raw(NamedTuple):
+    """One or more statement lines, ``"\\n"``-separated, that ``write`` copies verbatim.
+
+    ``parse`` makes one per line of an uninterpreted statement code; a
+    rewrite holds the rule lines it adds for a priority level in one.
+    """
+
     line: str
 
 
-class RuleRows(NamedTuple):
-    """Normal rules ``head :- body`` as ``(head, *body)`` rows of ints.
-
-    Each row is one head atom followed by its signed body literals, and
-    renders as one rule line.  A rewrite holds the rules it adds for a
-    priority level in one such statement, which is write-only: ``parse``
-    never makes one and ``to_ground_program`` refuses it.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-
-Statement = Union[Rule, Minimize, Output, Raw, RuleRows]
+Statement = Union[Rule, Minimize, Output, Raw]
 
 
 class AspifDocument(NamedTuple):
@@ -90,12 +86,12 @@ class AspifDocument(NamedTuple):
     had_terminator: bool = True
 
     def max_atom_id(self) -> int:
-        """Largest atom id in sight; raw lines are scanned conservatively.
+        """Largest atom id in sight; raw text is scanned conservatively.
 
-        For unknown statements every integer token is taken as a potential
-        atom id, which can only overshoot, never collide.
+        For raw statements every integer token, on each of their lines, is
+        taken as a potential atom id, which can only overshoot, never collide.
         """
-        # every literal tuple in sight, and every integer of a raw line, for
+        # every literal tuple in sight, and every integer of raw text, for
         # one max over them all
         literals: list[Iterable[int]] = []
         add = literals.append
@@ -110,8 +106,6 @@ class AspifDocument(NamedTuple):
                 add(map(itemgetter(0), s.terms))
             elif isinstance(s, Output):
                 add(s.condition)
-            elif isinstance(s, RuleRows):
-                literals.extend(s.rows)
             else:
                 add(value for value in map(_integer, s.line.split()) if value is not None)
         return max(map(abs, chain.from_iterable(literals)), default=0)
@@ -306,25 +300,11 @@ def _render_statement(s: Statement) -> str:
     return ("%d" + " %d" * (len(values) - 1)) % values
 
 
-def _render_rows(rows: tuple[tuple[int, ...], ...]) -> list[str]:
-    # one format per body length, so each row renders with one "%"
-    formats = {
-        k: "1 0 1 %d 0 " + str(k - 1) + " %d" * (k - 1) for k in set(map(len, rows))
-    }
-    return [formats[len(row)] % row for row in rows]
-
-
 def write(doc: AspifDocument) -> str:
     """Canonical rendering; always ends with the terminator line."""
     header = " ".join(["asp", *map(str, doc.version), *doc.tags])
-    lines = [header]
-    for s in doc.statements:
-        if isinstance(s, RuleRows):
-            lines.extend(_render_rows(s.rows))
-        else:
-            lines.append(_render_statement(s))
-    lines.append("0\n")  # the final newline too, so the text is joined once
-    return "\n".join(lines)
+    # the final newline too, so the text is joined once
+    return "\n".join([header, *map(_render_statement, doc.statements), "0\n"])
 
 
 def literal_from_int(lit: int) -> Literal:
@@ -368,7 +348,7 @@ def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, Obje
 
     Supports normal rules, integrity constraints (normal or uniform-weight
     bodies), choice rules with normal bodies, minimize and output statements.
-    Anything else, raw lines and write-only ``RuleRows`` too, raises UnsupportedStatementError.
+    Anything else, raw statements too, raises UnsupportedStatementError.
     """
     normal_rules: list[NormalRule] = []
     choice_rules: list[ChoiceRule] = []
@@ -381,8 +361,6 @@ def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, Obje
             raise UnsupportedStatementError(
                 f"statement {s.line.split(' ', 1)[0]!r} has no ground-program bridge"
             )
-        if isinstance(s, RuleRows):
-            raise UnsupportedStatementError("rule rows are bridged only as written text")
         if isinstance(s, Output):
             atoms.update(abs(l) for l in s.condition)
             continue

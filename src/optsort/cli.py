@@ -259,7 +259,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         if not args.no_propagate:
             matrix = propagate_sparse(matrix, network, args.sparseness)
         annotations = {(i, j): str(w) for i, j, w in matrix.nonzero_entries()}
-    print(render_diagram(network, annotations))
+    drawing = render_diagram(network, annotations)
+    sys.stdout.flush()  # the drawing's bytes bypass the text layer
+    sys.stdout.buffer.write(drawing)
+    sys.stdout.buffer.write(b"\n")
     return 0
 
 

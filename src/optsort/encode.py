@@ -2,10 +2,11 @@
 
 Each comparator becomes three rules (min output needs both inputs, max output
 needs either) and every wire untouched at a level gets an inertia rule, so
-wire values at every level are captured bit-for-bit by atoms.  The rules are
-``(head, *body)`` rows of ints.  A rewrite writes them as one
-``aspif.RuleRows`` statement, and ``verify`` checks them as that text parsed
-back; ``analysis.attach_network`` makes each row a ``NormalRule``.
+wire values at every level are captured bit-for-bit by atoms.  Each rule is
+one aspif normal-rule line, formatted from ``ONE_BODY_RULE`` or
+``TWO_BODY_RULE``, the only two rule shapes a rewrite adds.  A rewrite writes
+a level's lines verbatim as one ``aspif.Raw`` statement; ``verify`` and
+``analysis.attach_network`` read them back through ``aspif.parse``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from typing import NamedTuple, Sequence
 
 from .asplang import SemanticsError
 from .network import Network
+
+# aspif normal-rule lines ``head :- a`` and ``head :- a, b``
+ONE_BODY_RULE = "1 0 1 %d 0 1 %d"
+TWO_BODY_RULE = "1 0 1 %d 0 2 %d %d"
 
 
 class _WireAtomMap(NamedTuple):
@@ -82,8 +87,8 @@ def dense_wire_atom_map(
     return WireAtomMap(width, depth, tuple(columns))
 
 
-def asp_of_network(network: Network, map: WireAtomMap) -> tuple[tuple[int, ...], ...]:
-    """Rules capturing every wire value of the network, as ``(head, *body)`` rows.
+def asp_of_network(network: Network, map: WireAtomMap) -> list[str]:
+    """Rules capturing every wire value of the network, one aspif line each.
 
     Rule count is 3 * |comparators| plus one inertia rule per untouched
     (wire, level) position.  Each level gives its comparators' rules in
@@ -92,7 +97,7 @@ def asp_of_network(network: Network, map: WireAtomMap) -> tuple[tuple[int, ...],
     """
     if (map.width, map.depth) != (network.width, network.depth):
         raise SemanticsError("wire atom map shape does not match the network")
-    rows: list[tuple[int, ...]] = []
+    lines: list[str] = []
     # a Network keeps its comparators in (level, i, j) order, the order
     # oe_sorter builds them in (see its docstring), so each layer lists its
     # gates in (i, j) order
@@ -103,11 +108,11 @@ def asp_of_network(network: Network, map: WireAtomMap) -> tuple[tuple[int, ...],
         for i, j, _ in layers.get(level, ()):
             below_i, below_j = below[i - 1], below[j - 1]
             if below_i < below_j:
-                rows.append((here[i - 1], below_i, below_j))
+                lines.append(TWO_BODY_RULE % (here[i - 1], below_i, below_j))
             else:
-                rows.append((here[i - 1], below_j, below_i))
-            rows.append((here[j - 1], below_i))
-            rows.append((here[j - 1], below_j))
+                lines.append(TWO_BODY_RULE % (here[i - 1], below_j, below_i))
+            lines.append(ONE_BODY_RULE % (here[j - 1], below_i))
+            lines.append(ONE_BODY_RULE % (here[j - 1], below_j))
             untouched[i - 1] = untouched[j - 1] = 0
-        rows.extend(compress(zip(here, below), untouched))
-    return tuple(rows)
+        lines.extend(ONE_BODY_RULE % pair for pair in compress(zip(here, below), untouched))
+    return lines

@@ -266,8 +266,9 @@ def decompose_sparse(network: Network, k: int) -> Decomposition:
 def render_diagram(
     network: Network,
     annotations: dict[tuple[int, int], str] | None = None,
-) -> str:
-    """Plain-text drawing: one row per wire, comparators as vertical ties.
+) -> bytes:
+    """Plain-text drawing as UTF-8 bytes: one row per wire, comparators as
+    vertical ties, rows joined by newlines.
 
     ``annotations`` maps (wire, level) to a label drawn on the wire right
     after that level's column (level 0 labels sit at the far left).
@@ -284,8 +285,8 @@ def render_diagram(
         width = max(map(len, texts), default=0)
         return [(t.rjust(width, "-") + "-").encode() if width else b"" for t in texts]
 
-    # one bytearray per wire, so a drawing takes a byte per character until
-    # the rows are joined
+    # one bytearray per wire, so a drawing takes a byte per character, and
+    # once more when the rows are joined
     rows = [bytearray(b"-") for _ in range(n)]
     for cell, row in zip(label_cells(0), rows):
         row += cell
@@ -311,6 +312,4 @@ def render_diagram(
             row += cell
     for row in rows:
         row += b"-"
-    text = b"\n".join(rows)
-    rows.clear()  # so the rows are gone before the text is decoded
-    return text.decode()
+    return b"\n".join(rows)

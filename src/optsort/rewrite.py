@@ -1,8 +1,9 @@
 """Rewriting of minimize statements through weighted sorting networks.
 
 Each priority level of the objective is wired onto the inputs of an odd-even
-sorting network (optionally depth-limited), the network is emitted as rules,
-and the level's weights are propagated over a sparse decomposition.  The new
+sorting network (optionally depth-limited), the bridge and network rules are
+emitted as aspif lines, one ``aspif.Raw`` statement per level, and the
+level's weights are propagated over a sparse decomposition.  The new
 objective ranges over wire atoms and carries exactly the same value on every
 answer set, in bijection with the original ones.
 """
@@ -23,7 +24,7 @@ from .asplang import (
     flag_lanes,
     lane_values,
 )
-from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
+from .encode import ONE_BODY_RULE, WireAtomMap, asp_of_network, dense_wire_atom_map
 from .network import oe_sorter
 from .propagate import from_input_weights, propagate_sparse
 
@@ -101,14 +102,14 @@ class RewriteReport(NamedTuple):
 
 def wire_inputs(
     terms: list[tuple[int, int]], fresh: FreshAtoms
-) -> tuple[list[tuple[int, int]], list[int]]:
+) -> tuple[list[str], list[int]]:
     """Bridge each weighted signed aspif literal onto a fresh network input atom.
 
-    One ``(atom, literal)`` rule row per term: the input atom is derived
+    One rule line ``atom :- literal`` per term: the input atom is derived
     exactly when the literal holds.  Weights must be positive (normalization
     runs first).
     """
-    rows = []
+    lines = []
     inputs = []
     for w, lit in terms:
         if w <= 0:
@@ -116,9 +117,9 @@ def wire_inputs(
         if lit == 0:
             raise RewriteError("cannot wire literal 0")
         atom = fresh.take()
-        rows.append((atom, lit))
+        lines.append(ONE_BODY_RULE % (atom, lit))
         inputs.append(atom)
-    return rows, inputs
+    return lines, inputs
 
 
 def _fits_32_bits(weight: int) -> bool:
@@ -194,13 +195,13 @@ def _rewrite_level(
         return [statement], _passthrough_report(priority, input_terms, len(merged))
 
     weights = [w for _, w in rewritable]
-    bridge_rows, input_atoms = wire_inputs([(w, lit) for lit, w in rewritable], fresh)
+    lines, input_atoms = wire_inputs([(w, lit) for lit, w in rewritable], fresh)
     network = oe_sorter(len(input_atoms), config.depth_limit)
     first_wire_atom = fresh.reserve(network.width * network.depth)
     wire_map = dense_wire_atom_map(
         network.width, network.depth, first_wire_atom, inputs=input_atoms
     )
-    rows = (*bridge_rows, *asp_of_network(network, wire_map))
+    lines += asp_of_network(network, wire_map)
 
     matrix = from_input_weights(weights, network.depth)
     if config.propagate:
@@ -210,7 +211,7 @@ def _rewrite_level(
         (wire_map.atom(i, j), w) for i, j, w in matrix.nonzero_entries()
     ]
     out_terms = tuple(wire_terms) + tuple(passthrough)
-    statements = [aspif.RuleRows(rows), aspif.Minimize(priority, out_terms)]
+    statements = [aspif.Raw("\n".join(lines)), aspif.Minimize(priority, out_terms)]
     report = LevelReport(
         priority=priority,
         input_terms=input_terms,
@@ -221,7 +222,7 @@ def _rewrite_level(
         network_size=network.size(),
         output_terms=len(out_terms),
         atoms_added=len(input_atoms) + network.width * network.depth,
-        rules_added=len(rows),
+        rules_added=len(lines),
         wire_map=wire_map,
     )
     return statements, report

@@ -293,6 +293,11 @@ def input_facts(x, wire_map: WireAtomMap) -> list[aspif.Rule]:
     ]
 
 
+def read_rules(lines: Iterable[str]) -> list[aspif.Rule]:
+    """Rule lines as ``aspif.parse`` reads them, one ``Rule`` per line."""
+    return list(aspif.parse("\n".join(["asp 1 0 0", *lines, "0"])).statements)
+
+
 def region_gates(network: Network, region: ConfinedNetwork) -> set[Comparator]:
     """The network's gates with both wires and the level inside the region."""
     return {

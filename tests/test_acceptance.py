@@ -45,7 +45,7 @@ from optsort.rewrite import (
     verify_grid,
 )
 
-from conftest import binary_vectors, input_facts, new_network, row_models
+from conftest import binary_vectors, input_facts, new_network, read_rules, row_models
 
 
 def announce(tag: str, detail: str = "") -> None:
@@ -196,11 +196,11 @@ def test_05_network_translation_has_one_answer_set_per_input():
         nets.append(random_network(random.Random(n), n, 3))
         for net in nets:
             wire_map = dense_wire_atom_map(net.width, net.depth, 1)
-            rows = asp_of_network(net, wire_map)
-            assert all(lit > 0 for row in rows for lit in row[1:])
+            lines = asp_of_network(net, wire_map)
+            assert all(lit > 0 for rule in read_rules(lines) for lit in rule.body.literals)
             for bits in binary_vectors(n):
                 document = aspif.AspifDocument(
-                    statements=(aspif.RuleRows(rows), *input_facts(bits, wire_map))
+                    statements=(*map(aspif.Raw, lines), *input_facts(bits, wire_map))
                 )
                 program, _ = aspif.to_ground_program(aspif.parse(aspif.write(document)))
                 models = row_models(enumerate_answer_sets_layered(program))

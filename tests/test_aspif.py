@@ -218,15 +218,16 @@ class TestMaxAtomId:
         assert doc.max_atom_id() == 44
 
 
-class TestRuleRows:
-    ROWS = aspif.RuleRows(((5, 1, 2), (6, -3), (7, 4)))
+class TestRawText:
+    # the rule lines a rewrite adds for a level, held as one statement
+    RULES = aspif.Raw("1 0 1 5 0 2 1 2\n1 0 1 6 0 1 -3\n1 0 1 7 0 1 4")
 
-    def test_each_row_renders_as_one_normal_rule_line(self):
-        text = aspif.write(aspif.AspifDocument(statements=(self.ROWS,)))
+    def test_lines_are_written_verbatim(self):
+        text = aspif.write(aspif.AspifDocument(statements=(self.RULES,)))
         assert text == "asp 1 0 0\n1 0 1 5 0 2 1 2\n1 0 1 6 0 1 -3\n1 0 1 7 0 1 4\n0\n"
 
-    def test_bridges_like_the_rules_it_renders(self):
-        doc = aspif.AspifDocument(statements=(self.ROWS,))
+    def test_bridges_like_the_rules_it_holds(self):
+        doc = aspif.AspifDocument(statements=(self.RULES,))
         program, _ = aspif.to_ground_program(aspif.parse(aspif.write(doc)))
         assert program.normal_rules == (
             NormalRule(5, frozenset({1, 2})),
@@ -235,23 +236,18 @@ class TestRuleRows:
         )
         assert program.signature == frozenset(range(1, 8))
 
-    def test_rows_are_bridged_only_as_written_text(self):
-        doc = aspif.AspifDocument(statements=(self.ROWS,))
-        with pytest.raises(aspif.UnsupportedStatementError, match="written text"):
+    def test_is_bridged_only_as_written_text(self):
+        doc = aspif.AspifDocument(statements=(self.RULES,))
+        with pytest.raises(aspif.UnsupportedStatementError, match="no ground-program bridge"):
             aspif.to_ground_program(doc)
 
-    def test_max_atom_id_covers_heads_and_negated_body_literals(self):
-        assert aspif.AspifDocument(statements=(self.ROWS,)).max_atom_id() == 7
-        rows = aspif.RuleRows(((2, -9),))
-        assert aspif.AspifDocument(statements=(rows,)).max_atom_id() == 9
-
-    def test_empty_rows_write_no_line(self):
-        doc = aspif.AspifDocument(statements=(aspif.RuleRows(()),))
-        assert aspif.write(doc) == "asp 1 0 0\n0\n"
-        assert doc.max_atom_id() == 0
+    def test_max_atom_id_scans_every_line(self):
+        assert aspif.AspifDocument(statements=(self.RULES,)).max_atom_id() == 7
+        negated_last = aspif.Raw("1 0 1 2 0 1 3\n1 0 1 2 0 1 -9")
+        assert aspif.AspifDocument(statements=(negated_last,)).max_atom_id() == 9
 
     def test_literal_zero_has_no_bridge(self):
-        doc = aspif.AspifDocument(statements=(aspif.RuleRows(((3, 0),)),))
+        doc = aspif.AspifDocument(statements=(aspif.Raw("1 0 1 3 0 1 0"),))
         with pytest.raises(aspif.AspifParseError, match="body literal 0"):
             aspif.parse(aspif.write(doc))
 

@@ -307,6 +307,11 @@ class TestRenderCommand:
         assert code == 0
         assert len(out.rstrip("\n").split("\n")) == 4
 
+    @pytest.mark.parametrize("n,drawing", [(0, "\n"), (1, "--\n"), (2, "-o--\n-o--\n")])
+    def test_the_drawing_ends_in_one_newline(self, capsys, monkeypatch, n, drawing):
+        code, out, _ = run(capsys, monkeypatch, ["render", str(n)])
+        assert code == 0 and out == drawing
+
     def test_weight_annotations_show_propagated_values(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, monkeypatch, ["render", "4", "--weights", "40,50,90,70"]

@@ -14,6 +14,7 @@ from conftest import (
     input_facts,
     new_network,
     random_network,
+    read_rules,
     row_models,
 )
 
@@ -48,7 +49,7 @@ class TestNetworkRules:
     def test_single_comparator_gives_three_rules(self):
         net = new_network(2, 1, [(1, 2, 1)])
         m = dense_wire_atom_map(2, 1, 3, inputs=[1, 2])
-        assert asp_of_network(net, m) == ((3, 1, 2), (4, 1), (4, 2))
+        assert asp_of_network(net, m) == ["1 0 1 3 0 2 1 2", "1 0 1 4 0 1 1", "1 0 1 4 0 1 2"]
 
     def test_rule_count_matches_gates_plus_inertia(self, four_wire_sorter):
         m = dense_wire_atom_map(4, 3, 1)
@@ -57,12 +58,15 @@ class TestNetworkRules:
 
     def test_empty_network_yields_no_rules(self):
         net = new_network(2, 0, [])
-        assert asp_of_network(net, dense_wire_atom_map(2, 0, 1)) == ()
+        assert asp_of_network(net, dense_wire_atom_map(2, 0, 1)) == []
 
     def test_translation_is_negation_free(self):
         net = oe_sorter(5)
-        rows = asp_of_network(net, dense_wire_atom_map(5, net.depth, 1))
-        assert all(lit > 0 for row in rows for lit in row[1:])
+        lines = asp_of_network(net, dense_wire_atom_map(5, net.depth, 1))
+        rules = read_rules(lines)
+        assert len(rules) == len(lines)
+        assert all(len(rule.head_atoms) == 1 for rule in rules)
+        assert all(lit > 0 for rule in rules for lit in rule.body.literals)
 
     def test_map_shape_must_match(self):
         net = oe_sorter(3)
@@ -91,8 +95,8 @@ class TestInputFacts:
 
 def network_program(net, bits):
     wire_map = dense_wire_atom_map(net.width, net.depth, 1)
-    rows = aspif.RuleRows(asp_of_network(net, wire_map))
-    document = aspif.AspifDocument(statements=(rows, *input_facts(bits, wire_map)))
+    rules = map(aspif.Raw, asp_of_network(net, wire_map))
+    document = aspif.AspifDocument(statements=(*rules, *input_facts(bits, wire_map)))
     program, _ = aspif.to_ground_program(aspif.parse(aspif.write(document)))
     return program, wire_map
 

@@ -327,31 +327,31 @@ class TestDecompositionValidation:
         assert not confines_every_gate(regions(parts), four_wire_sorter)
 
 
-GOLDEN_FOUR_WIRE = "\n".join(
+GOLDEN_FOUR_WIRE = b"\n".join(
     [
-        "-o-o------",
-        "-o-+-o-o--",
-        "-o-o-+-o--",
-        "-o---o----",
+        b"-o-o------",
+        b"-o-+-o-o--",
+        b"-o-o-+-o--",
+        b"-o---o----",
     ]
 )
 
-GOLDEN_LABELED = "\n".join(
+GOLDEN_LABELED = b"\n".join(
     [
-        "-40-o--",
-        "-50-o--",
+        b"-40-o--",
+        b"-50-o--",
     ]
 )
 
 
 class TestRenderDiagram:
     def test_empty_two_wire_network(self):
-        assert render_diagram(new_network(2, 0, [])) == "--\n--"
+        assert render_diagram(new_network(2, 0, [])) == b"--\n--"
 
     def test_four_wire_golden(self, four_wire_sorter):
         drawing = render_diagram(four_wire_sorter)
         assert drawing == GOLDEN_FOUR_WIRE
-        assert len(drawing.split("\n")) == 4
+        assert len(drawing.split(b"\n")) == 4
 
     def test_input_labels_sit_left_of_the_gate(self):
         net = new_network(2, 1, [(1, 2, 1)])
@@ -362,18 +362,18 @@ class TestRenderDiagram:
         start = time.perf_counter()
         drawing = render_diagram(oe_sorter(20000, 3))
         assert time.perf_counter() - start < 5.0
-        assert drawing.count("\n") == 19999
+        assert drawing.count(b"\n") == 19999
 
     def test_labels_are_padded_by_characters_not_bytes(self):
         net = new_network(2, 1, [(1, 2, 1)])
         drawing = render_diagram(net, {(1, 0): "é", (2, 1): "50"})
-        assert drawing == "-é-o-----\n---o-50--"
+        assert drawing == "-é-o-----\n---o-50--".encode()
 
     def test_a_drawing_peaks_at_a_few_bytes_per_byte_of_text(self):
         # one bytearray per wire; a list of 2-character cell strings per
         # wire peaked at 6.5 bytes per byte of text
         text, peak = traced_peak(render_diagram, oe_sorter(1024))
-        assert text.count("\n") == 1023
+        assert text.count(b"\n") == 1023
         assert peak <= 3.5 * len(text)
 
     def test_out_of_range_label_is_rejected(self, four_wire_sorter):

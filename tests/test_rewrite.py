@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from optsort import aspif, asplang, rewrite
 from optsort.analysis import binomial_document
 from optsort.asplang import FreshAtoms, enumerate_answer_sets_layered
+from optsort.encode import asp_of_network
+from optsort.network import oe_sorter
 from optsort.rewrite import (
     VERIFY_GRID,
     RewriteConfig,
@@ -19,7 +22,7 @@ from optsort.rewrite import (
     wire_inputs,
 )
 
-from conftest import enumerate_answer_sets, row_models, traced_peak
+from conftest import enumerate_answer_sets, read_rules, row_models, traced_peak
 
 TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
 
@@ -31,9 +34,9 @@ def bridge(doc):
 
 class TestWireInputs:
     def test_positive_and_negated_literals(self):
-        rows, atoms = wire_inputs([(40, 1), (70, -2)], FreshAtoms(10))
+        lines, atoms = wire_inputs([(40, 1), (70, -2)], FreshAtoms(10))
         assert atoms == [10, 11]
-        assert rows == [(10, 1), (11, -2)]
+        assert lines == ["1 0 1 10 0 1 1", "1 0 1 11 0 1 -2"]
 
     def test_empty_terms(self):
         assert wire_inputs([], FreshAtoms(1)) == ([], [])
@@ -252,6 +255,12 @@ class TestPriorityLevels:
         assert verify_rewrite(bridge(doc), bridge(out)).ok
 
 
+def added_rules(doc, out):
+    """The rules that rewriting ``doc`` into ``out`` added, read from its text."""
+    written = aspif.parse(aspif.write(out)).statements
+    return [s for s in written if isinstance(s, aspif.Rule) and s not in doc.statements]
+
+
 class TestAtomHygiene:
     @pytest.mark.parametrize("seed", range(6))
     def test_fresh_atoms_never_collide_with_the_input(self, seed):
@@ -259,22 +268,13 @@ class TestAtomHygiene:
         out, _ = rewrite_objective(doc, RewriteConfig())
         assert out.max_atom_id() >= doc.max_atom_id()
         original = doc.max_atom_id()
-        new_statements = [s for s in out.statements if s not in doc.statements]
-        for s in new_statements:
-            if isinstance(s, aspif.Rule):
-                assert all(a > original for a in s.head_atoms)
-            if isinstance(s, aspif.RuleRows):
-                assert all(head > original for head, *_ in s.rows)
+        assert all(a > original for s in added_rules(doc, out) for a in s.head_atoms)
 
     def test_raw_statement_ids_are_respected(self):
         text = "asp 1 0 0\n5 44 2\n1 1 2 1 2 0 0\n2 0 2 1 4 2 9\n0\n"
-        out, _ = rewrite_objective(aspif.parse(text), RewriteConfig())
-        heads = [
-            head
-            for s in out.statements
-            if isinstance(s, aspif.RuleRows)
-            for head, *_ in s.rows
-        ]
+        doc = aspif.parse(text)
+        out, _ = rewrite_objective(doc, RewriteConfig())
+        heads = [a for rule in added_rules(doc, out) for a in rule.head_atoms]
         assert heads and min(heads) > 44
 
     def test_network_rules_survive_even_when_weights_vanish(self):
@@ -293,6 +293,38 @@ class TestAtomHygiene:
         sidecar = report.sidecar_text()
         assert "priority 0 wire 1 level 0 atom 3" in sidecar
         assert "priority 0 wire 2 level 1 atom 6" in sidecar
+
+
+class TestRulesAdded:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_counts_the_rule_lines_each_level_writes(self, seed):
+        # what the report prints and the tracer counts as rules: one bridge
+        # line per wired term and one line per network rule, each level's
+        # written just before its minimize statement
+        rng = random.Random(700 + seed)
+        atoms = rng.randint(1, 12)
+        statements = [aspif.Rule(aspif.CHOICE, tuple(range(1, atoms + 1)), aspif.NormalBody(()))]
+        for priority in rng.sample(range(4), rng.randint(1, 3)):
+            terms = tuple(
+                (rng.choice((1, -1)) * rng.randint(1, atoms), rng.randint(-3, 20))
+                for _ in range(rng.randint(1, 24))
+            )
+            statements.append(aspif.Minimize(priority, terms))
+        config = rng.choice(VERIFY_GRID)
+        out, report = rewrite_objective(aspif.AspifDocument(statements=tuple(statements)), config)
+        written, lines = {}, 0
+        for s in aspif.parse(aspif.write(out)).statements[1:]:
+            if isinstance(s, aspif.Minimize):
+                written[s.priority], lines = lines, 0
+            else:
+                lines += 1
+        assert {lv.priority: lv.rules_added for lv in report.levels} == written
+        for lv in report.levels:
+            network_lines = []
+            if lv.wire_map is not None:
+                network = oe_sorter(lv.rewritten_terms, config.depth_limit)
+                network_lines = asp_of_network(network, lv.wire_map)
+            assert lv.rules_added == lv.rewritten_terms + len(network_lines)
 
 
 def _unit_objective(n, priority=0):
@@ -328,15 +360,12 @@ class TestRuleBudget:
         assert out == doc
 
 
-def rows_as_rules(doc):
-    """The document with each ``RuleRows`` row as the normal rule it stands for."""
+def raw_as_parsed(doc):
+    """The document with each raw statement's lines as ``parse`` reads them."""
     statements = []
     for s in doc.statements:
-        if isinstance(s, aspif.RuleRows):
-            statements.extend(
-                aspif.Rule(aspif.DISJUNCTIVE, (head,), aspif.NormalBody(tuple(body)))
-                for head, *body in s.rows
-            )
+        if isinstance(s, aspif.Raw):
+            statements.extend(read_rules(s.line.split("\n")))
         else:
             statements.append(s)
     return doc._replace(statements=tuple(statements))
@@ -349,17 +378,17 @@ def test_rewritten_documents_read_back_as_written(seed, config):
     # rewrite merges terms and bridges negated literals
     doc, _ = rewrite_objective(random_opt_document(random.Random(seed)), config)
     parsed = aspif.parse(aspif.write(doc))
-    assert parsed == rows_as_rules(doc)
+    assert parsed == raw_as_parsed(doc)
     assert parsed.max_atom_id() == doc.max_atom_id()
 
 
 def test_negated_and_repeated_literals_read_back_as_written():
     text = "asp 1 0 0\n1 1 3 1 2 3 0 0\n2 0 5 -1 3 2 4 -1 5 -3 6 2 1\n0\n"
     doc, _ = rewrite_objective(aspif.parse(text), RewriteConfig())
-    (rows,) = [s for s in doc.statements if isinstance(s, aspif.RuleRows)]
-    assert rows.rows[:3] == ((4, -1), (5, 2), (6, -3))
+    (rules,) = [s for s in doc.statements if isinstance(s, aspif.Raw)]
+    assert rules.line.split("\n")[:3] == ["1 0 1 4 0 1 -1", "1 0 1 5 0 1 2", "1 0 1 6 0 1 -3"]
     parsed = aspif.parse(aspif.write(doc))
-    assert parsed == rows_as_rules(doc)
+    assert parsed == raw_as_parsed(doc)
     program, _ = aspif.to_ground_program(parsed)
     assert program.normal_rules[:3] == (
         asplang.NormalRule(4, frozenset(), frozenset({1})),
@@ -458,11 +487,13 @@ class TestVerifyReadsTheWrittenText:
     def test_a_writer_fault_fails_the_grid(self, monkeypatch):
         # write each comparator's min rule h :- a, b as h :- a: the weight
         # that propagation moves onto a min output is then paid too often
-        render = aspif._render_rows
+        network_lines = rewrite.asp_of_network
         monkeypatch.setattr(
-            aspif,
-            "_render_rows",
-            lambda rows: render(tuple(row[:2] if len(row) == 3 else row for row in rows)),
+            rewrite,
+            "asp_of_network",
+            lambda *args: [
+                re.sub(r" 0 2 (\d+) \d+$", r" 0 1 \1", line) for line in network_lines(*args)
+            ],
         )
         document = binomial_document(6, 3, opt=True)
         results = verify_grid(document, bridge(document))
