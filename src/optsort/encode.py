@@ -91,21 +91,17 @@ def asp_of_network(network: Network, map: WireAtomMap) -> list[str]:
     """Rules capturing every wire value of the network, one aspif line each.
 
     Rule count is 3 * |comparators| plus one inertia rule per untouched
-    (wire, level) position.  Each level gives its comparators' rules in
-    ``(i, j)`` order, then its inertia rules by wire; each body is positive,
-    in ascending atom order.
+    (wire, level) position.  Each level gives its gates' rules in the order
+    the level holds them (ascending i), then its inertia rules by wire; each
+    body is positive, in ascending atom order.
     """
     if (map.width, map.depth) != (network.width, network.depth):
         raise SemanticsError("wire atom map shape does not match the network")
     lines: list[str] = []
-    # a Network keeps its comparators in (level, i, j) order, the order
-    # oe_sorter builds them in (see its docstring), so each layer lists its
-    # gates in (i, j) order
-    layers = network.layers()
-    for level in range(1, network.depth + 1):
+    for level, gates in enumerate(network.levels, 1):
         below, here = map.columns[level - 1], map.columns[level]
         untouched = bytearray(b"\x01") * network.width
-        for i, j, _ in layers.get(level, ()):
+        for i, j in gates:
             below_i, below_j = below[i - 1], below[j - 1]
             if below_i < below_j:
                 lines.append(TWO_BODY_RULE % (here[i - 1], below_i, below_j))

@@ -1,7 +1,8 @@
-"""Comparator networks: construction, evaluation, decomposition and rendering.
+"""Compare-exchange networks: construction, evaluation, decomposition and rendering.
 
 Wires are numbered 1..n top to bottom and levels 1..d left to right; level 0
-denotes the input column.  All values are immutable once built.
+denotes the input column.  A network stores its gates level by level, as
+it is built and read.  All values are immutable once built.
 """
 
 from __future__ import annotations
@@ -13,36 +14,21 @@ class NetworkError(ValueError):
     """Raised for malformed comparators, networks or decompositions."""
 
 
-class Comparator(NamedTuple):
-    """A compare-exchange gate between wires ``i < j`` at a 1-based level."""
-
-    i: int
-    j: int
-    level: int
-
-
 class Network(NamedTuple):
-    """A set of mutually compatible comparators on ``width`` wires.
-
-    ``depth`` is the declared number of levels; trailing levels may be empty
-    (the declared value is authoritative, levels are never renumbered).
-    Invariant: ``comparators`` are sorted by ``(level, i, j)``; ``oe_sorter``
-    builds them in that order.
+    """A comparator network on ``width`` wires: ``levels[l - 1]`` holds level
+    l's gates as wire pairs ``(i, j)``, i < j, no two sharing a wire, in
+    ascending i.  A level may be empty; levels are never renumbered.
     """
 
     width: int
-    depth: int
-    comparators: tuple[Comparator, ...]
+    levels: tuple[tuple[tuple[int, int], ...], ...]
 
-    def layers(self) -> dict[int, list[Comparator]]:
-        """Comparators grouped by level; levels with no gates are absent."""
-        out: dict[int, list[Comparator]] = {}
-        for c in self.comparators:
-            out.setdefault(c.level, []).append(c)
-        return out
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
 
     def size(self) -> int:
-        return len(self.comparators)
+        return sum(map(len, self.levels))
 
 
 class WireValueMatrix(NamedTuple):
@@ -70,13 +56,12 @@ def apply(network: Network, input: Sequence[int]) -> WireValueMatrix:
             f"input length {len(input)} does not match width {network.width}"
         )
     columns = [list(input)]
-    layers = network.layers()
     current = list(input)
-    for level in range(1, network.depth + 1):
-        for c in layers.get(level, ()):
-            a, b = current[c.i - 1], current[c.j - 1]
+    for gates in network.levels:
+        for i, j in gates:
+            a, b = current[i - 1], current[j - 1]
             if a > b:
-                current[c.i - 1], current[c.j - 1] = b, a
+                current[i - 1], current[j - 1] = b, a
         columns.append(list(current))
     rows = tuple(
         tuple(columns[l][i] for l in range(network.depth + 1))
@@ -109,38 +94,34 @@ def oe_sorter(n: int, depth: int | None = None) -> Network:
     block of 2p.  Laid out on the next power of two, it leaves out every
     comparator that would touch a phantom wire above n (phantom values sort
     as plus infinity), so the full network still sorts every input.  Depth is
-    O(log^2 n), size O(n log^2 n).  Gates come out in ``(level, i, j)``
-    order, and no level past ``depth`` is built.
+    O(log^2 n), size O(n log^2 n).  Each level's gates come out in
+    ascending i, and no level past ``depth`` is built.
     """
     if n < 0:
         raise NetworkError(f"wire count must be >= 0, got {n}")
     if depth is not None and depth < 0:
         raise NetworkError(f"depth limit must be >= 0, got {depth}")
-    gates: list[Comparator] = []
-    level = 0
+    levels: list[tuple[tuple[int, int], ...]] = []
     p = 1
     while p < n:
         k = p
-        while k and level != depth:
-            level += 1
-            gates.extend(
-                Comparator(i + 1, i + k + 1, level)
+        while k and len(levels) != depth:
+            levels.append(tuple(
+                (i + 1, i + k + 1)
                 for j in range(k % p, n - k, 2 * k)
                 for i in range(j, min(j + k, n - k))
                 if i // (2 * p) == (i + k) // (2 * p)
-            )
+            ))
             k //= 2
         p *= 2
-    return Network(n, level, tuple(gates))
+    return Network(n, tuple(levels))
 
 
 def limit_depth(network: Network, d_max: int) -> Network:
-    """Sub-network of comparators at levels <= d_max; width unchanged."""
+    """Sub-network of the levels up to d_max; width unchanged."""
     if d_max < 0:
         raise NetworkError(f"depth limit must be >= 0, got {d_max}")
-    depth = min(network.depth, d_max)
-    kept = tuple(c for c in network.comparators if c.level <= d_max)
-    return Network(network.width, depth, kept)
+    return Network(network.width, network.levels[:d_max])
 
 
 class _ConfinedNetwork(NamedTuple):
@@ -232,12 +213,11 @@ def decompose_sparse(network: Network, k: int) -> Decomposition:
     if k < 1:
         raise NetworkError(f"sparseness factor must be >= 1, got {k}")
     components: list[ConfinedNetwork] = []
-    layers = network.layers()
     n = network.width
     lo = 1
     while lo <= network.depth:
         hi = min(lo + k - 1, network.depth)
-        block = [c for level in range(lo, hi + 1) for c in layers.get(level, [])]
+        block = [gate for gates in network.levels[lo - 1 : hi] for gate in gates]
         parent = {w: w for w in range(1, n + 1)}
 
         def find(w: int) -> int:
@@ -246,13 +226,13 @@ def decompose_sparse(network: Network, k: int) -> Decomposition:
                 w = parent[w]
             return w
 
-        for c in block:
-            ri, rj = find(c.i), find(c.j)
+        for i, j in block:
+            ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
         groups: dict[int, set[int]] = {}
-        for c in block:
-            groups.setdefault(find(c.i), set()).update((c.i, c.j))
+        for i, j in block:
+            groups.setdefault(find(i), set()).update((i, j))
         parts = list(groups.values())
         untouched = set(range(1, n + 1)).difference(*parts)
         if untouched:
@@ -263,6 +243,29 @@ def decompose_sparse(network: Network, k: int) -> Decomposition:
     return Decomposition(tuple(components))
 
 
+# bytes a drawing may take with its closing newline: the full sorter on 4096
+# wires (67 MB) is drawn, the one on 8192 wires (268 MB) is refused
+RENDER_BYTE_BUDGET = 1 << 27
+
+
+def _subcolumns(gates: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """A level's gates packed into the subcolumns that draw them.
+
+    Gates come in ascending i, so a gate fits a subcolumn when it starts
+    below that subcolumn's last gate; it takes the first such.  A level
+    without gates draws as one empty subcolumn.
+    """
+    subcolumns: list[list[tuple[int, int]]] = []
+    for gate in gates:
+        for sub in subcolumns:
+            if sub[-1][1] < gate[0]:
+                sub.append(gate)
+                break
+        else:
+            subcolumns.append([gate])
+    return subcolumns or [[]]
+
+
 def render_diagram(
     network: Network,
     annotations: dict[tuple[int, int], str] | None = None,
@@ -271,45 +274,50 @@ def render_diagram(
     vertical ties, rows joined by newlines.
 
     ``annotations`` maps (wire, level) to a label drawn on the wire right
-    after that level's column (level 0 labels sit at the far left).
+    after that level's column (level 0 labels sit at the far left).  A
+    drawing that would take more than ``RENDER_BYTE_BUDGET`` bytes with a
+    closing newline is refused before any of it is drawn.
     """
     annotations = annotations or {}
     for (wire, level) in annotations:
         if not (1 <= wire <= network.width and 0 <= level <= network.depth):
             raise NetworkError(f"annotation position ({wire}, {level}) out of range")
     n = network.width
-    layers = network.layers()
-
-    def label_cells(level: int) -> list[bytes]:
-        texts = [annotations.get((w, level), "") for w in range(1, n + 1)]
-        width = max(map(len, texts), default=0)
-        return [(t.rjust(width, "-") + "-").encode() if width else b"" for t in texts]
+    columns = [_subcolumns(gates) for gates in network.levels]
+    label_widths = [0] * (network.depth + 1)
+    for (_, level), text in annotations.items():
+        label_widths[level] = max(label_widths[level], len(text))
+    # a row is its two end cells, two bytes per subcolumn and a padded label
+    # cell per labelled column; a non-ASCII label adds its extra bytes
+    row_bytes = 2 + 2 * sum(map(len, columns)) + sum(w + 1 for w in label_widths if w)
+    size = max(n * (row_bytes + 1), 1) + sum(
+        len(t.encode()) - len(t) for t in annotations.values()
+    )
+    if size > RENDER_BYTE_BUDGET:
+        raise NetworkError(
+            f"a drawing of {n} wires would take {size} bytes, "
+            f"over the budget of {RENDER_BYTE_BUDGET}"
+        )
 
     # one bytearray per wire, so a drawing takes a byte per character, and
     # once more when the rows are joined
     rows = [bytearray(b"-") for _ in range(n)]
-    for cell, row in zip(label_cells(0), rows):
-        row += cell
-    for level in range(1, network.depth + 1):
-        # Gates come in (i, j) order, so a gate fits a subcolumn when it
-        # starts below that subcolumn's last gate; it takes the first such.
-        # A level without gates draws as one empty subcolumn.
-        subcolumns: list[list[Comparator]] = []
-        for c in layers.get(level, ()):
-            for sub in subcolumns:
-                if sub[-1].j < c.i:
-                    sub.append(c)
-                    break
-            else:
-                subcolumns.append([c])
-        for sub in subcolumns or [[]]:
+
+    def add_labels(level: int) -> None:
+        width = label_widths[level]
+        if width:
+            for wire, row in enumerate(rows, 1):
+                row += (annotations.get((wire, level), "").rjust(width, "-") + "-").encode()
+
+    add_labels(0)
+    for level, subcolumns in enumerate(columns, 1):
+        for sub in subcolumns:
             cells = [b"--"] * n
-            for c in sub:
-                cells[c.i - 1 : c.j] = [b"o-", *[b"+-"] * (c.j - c.i - 1), b"o-"]
+            for i, j in sub:
+                cells[i - 1 : j] = [b"o-", *[b"+-"] * (j - i - 1), b"o-"]
             for cell, row in zip(cells, rows):
                 row += cell
-        for cell, row in zip(label_cells(level), rows):
-            row += cell
+        add_labels(level)
     for row in rows:
         row += b"-"
     return b"\n".join(rows)

@@ -18,46 +18,47 @@ from optsort.asplang import (
     SemanticsError,
 )
 from optsort.encode import WireAtomMap
-from optsort.network import Comparator, ConfinedNetwork, Decomposition, Network, NetworkError
+from optsort.network import ConfinedNetwork, Decomposition, Network, NetworkError
 from optsort.propagate import WeightMatrix
 
 
 # Hand-drawn networks of the tests and the paper's figures.
 
 
-def _check_comparator(c: Comparator, width: int, depth: int) -> None:
-    if not (1 <= c.i < c.j):
-        raise NetworkError(f"comparator wires must satisfy 1 <= i < j, got {c}")
-    if c.j > width:
-        raise NetworkError(f"comparator {c} exceeds width {width}")
-    if not (1 <= c.level <= depth):
-        raise NetworkError(f"comparator {c} outside level range 1..{depth}")
-
-
 def new_network(
     width: int,
     declared_depth: int,
-    comparators: Iterable[Comparator | tuple[int, int, int]],
+    comparators: Iterable[tuple[int, int, int]],
 ) -> Network:
-    """Validate and build a network; duplicate comparators are dropped.
+    """Validate ``(i, j, level)`` triples and build their network's levels.
 
-    Rejects out-of-range wires or levels and any two distinct comparators that
-    share a wire on the same level.
+    Duplicate comparators are dropped.  Rejects out-of-range wires or levels
+    and any two distinct comparators that share a wire on the same level.
     """
     if width < 0:
         raise NetworkError(f"width must be >= 0, got {width}")
     if declared_depth < 0:
         raise NetworkError(f"depth must be >= 0, got {declared_depth}")
-    unique = sorted({Comparator(*c) for c in comparators}, key=lambda c: (c.level, c.i, c.j))
-    seen_at_level: dict[int, set[int]] = {}
-    for c in unique:
-        _check_comparator(c, width, declared_depth)
-        used = seen_at_level.setdefault(c.level, set())
-        if c.i in used or c.j in used:
-            raise NetworkError(f"comparator {c} overlaps another on level {c.level}")
-        used.add(c.i)
-        used.add(c.j)
-    return Network(width, declared_depth, tuple(unique))
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(declared_depth)]
+    used: list[set[int]] = [set() for _ in range(declared_depth)]
+    for c in sorted(set(map(tuple, comparators))):
+        i, j, level = c
+        if not (1 <= i < j):
+            raise NetworkError(f"comparator wires must satisfy 1 <= i < j, got {c}")
+        if j > width:
+            raise NetworkError(f"comparator {c} exceeds width {width}")
+        if not (1 <= level <= declared_depth):
+            raise NetworkError(f"comparator {c} outside level range 1..{declared_depth}")
+        if i in used[level - 1] or j in used[level - 1]:
+            raise NetworkError(f"comparator {c} overlaps another on level {level}")
+        used[level - 1].update((i, j))
+        levels[level - 1].append((i, j))
+    return Network(width, tuple(map(tuple, levels)))
+
+
+def gate_triples(network: Network) -> list[tuple[int, int, int]]:
+    """The network's gates as ``(i, j, level)`` triples, level by level."""
+    return [(i, j, level) for level, gates in enumerate(network.levels, 1) for i, j in gates]
 
 
 FIG_COMPARATORS = [(1, 2, 1), (3, 4, 1), (1, 3, 2), (2, 4, 2), (2, 3, 3)]
@@ -298,14 +299,14 @@ def read_rules(lines: Iterable[str]) -> list[aspif.Rule]:
     return list(aspif.parse("\n".join(["asp 1 0 0", *lines, "0"])).statements)
 
 
-def region_gates(network: Network, region: ConfinedNetwork) -> set[Comparator]:
-    """The network's gates with both wires and the level inside the region."""
+def region_gates(network: Network, region: ConfinedNetwork) -> set[tuple[int, int, int]]:
+    """The network's gate triples with both wires and the level inside the region."""
     return {
-        c
-        for c in network.comparators
-        if region.min_level <= c.level <= region.max_level
-        and c.i in region.wires
-        and c.j in region.wires
+        (i, j, level)
+        for i, j, level in gate_triples(network)
+        if region.min_level <= level <= region.max_level
+        and i in region.wires
+        and j in region.wires
     }
 
 
@@ -319,11 +320,11 @@ def confines_every_gate(decomposition: Decomposition, network: Network) -> bool:
     regions = decomposition.components
     if any(max(r.wires) > network.width or r.max_level > network.depth for r in regions):
         return False
-    for c in network.comparators:
+    for i, j, level in gate_triples(network):
         inside = 0
         for r in regions:
-            if r.min_level <= c.level <= r.max_level:
-                ends = (c.i in r.wires) + (c.j in r.wires)
+            if r.min_level <= level <= r.max_level:
+                ends = (i in r.wires) + (j in r.wires)
                 if ends == 1:
                     return False
                 inside += ends == 2
@@ -339,12 +340,11 @@ def decompose_sparse_rescan(network: Network, k: int) -> Decomposition:
     union-find group; the wires no gate of the block touches form one more.
     """
     components = []
-    layers = network.layers()
     n = network.width
     lo = 1
     while lo <= network.depth:
         hi = min(lo + k - 1, network.depth)
-        block = [c for level in range(lo, hi + 1) for c in layers.get(level, [])]
+        block = [(i, j) for i, j, level in gate_triples(network) if lo <= level <= hi]
         parent = {w: w for w in range(1, n + 1)}
 
         def find(w: int) -> int:
@@ -353,14 +353,14 @@ def decompose_sparse_rescan(network: Network, k: int) -> Decomposition:
                 w = parent[w]
             return w
 
-        for c in block:
-            ri, rj = find(c.i), find(c.j)
+        for i, j in block:
+            ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
         parts = []
-        for root in {find(c.i) for c in block}:
-            gates = [c for c in block if find(c.i) == root]
-            parts.append({w for c in gates for w in (c.i, c.j)})
+        for root in {find(i) for i, _ in block}:
+            gates = [gate for gate in block if find(gate[0]) == root]
+            parts.append({w for gate in gates for w in gate})
         untouched = set(range(1, n + 1)).difference(*parts)
         if untouched:
             parts.append(untouched)

@@ -45,7 +45,14 @@ from optsort.rewrite import (
     verify_grid,
 )
 
-from conftest import binary_vectors, input_facts, new_network, read_rules, row_models
+from conftest import (
+    binary_vectors,
+    gate_triples,
+    input_facts,
+    new_network,
+    read_rules,
+    row_models,
+)
 
 
 def announce(tag: str, detail: str = "") -> None:
@@ -65,7 +72,7 @@ def sorter_family(max_width: int):
 def random_confined_region(rng: random.Random, net: Network) -> ConfinedNetwork:
     lo = rng.randint(1, net.depth)
     hi = rng.randint(lo, net.depth)
-    gates = [c for c in net.comparators if lo <= c.level <= hi]
+    gates = [(i, j) for i, j, level in gate_triples(net) if lo <= level <= hi]
     parent = {w: w for w in range(1, net.width + 1)}
 
     def find(w):
@@ -74,8 +81,8 @@ def random_confined_region(rng: random.Random, net: Network) -> ConfinedNetwork:
             w = parent[w]
         return w
 
-    for c in gates:
-        parent[find(c.i)] = find(c.j)
+    for i, j in gates:
+        parent[find(i)] = find(j)
     groups: dict[int, set[int]] = {}
     for w in range(1, net.width + 1):
         groups.setdefault(find(w), set()).add(w)
@@ -92,10 +99,9 @@ def test_01_propagation_preserves_weight_functions():
     networks = [net for net in sorter_family(6)]
     seen = set()
     for net in networks:
-        key = (net.width, net.depth, net.comparators)
-        if key in seen:
+        if net in seen:
             continue
-        seen.add(key)
+        seen.add(net)
         vectors = list(binary_vectors(net.width))
         for _ in range(100):
             matrix = WeightMatrix(

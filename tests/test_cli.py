@@ -339,6 +339,13 @@ class TestRenderCommand:
         )
 
 
+    def test_an_oversized_drawing_is_refused_before_it_is_drawn(self, capsys, monkeypatch):
+        monkeypatch.setattr("optsort.network.RENDER_BYTE_BUDGET", 1000)
+        code, out, err = run(capsys, monkeypatch, ["render", "32"])
+        assert code == 2 and out == ""
+        assert err == "error: a drawing of 32 wires would take 3744 bytes, over the budget of 1000\n"
+
+
 class TestCyclicCollector:
     """``main`` runs with the cyclic collector off and hands it back."""
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optsort import network
 from optsort.network import (
-    Comparator,
     ConfinedNetwork,
     Decomposition,
     NetworkError,
@@ -19,12 +19,14 @@ from optsort.network import (
     render_diagram,
     whole_network_decomposition,
 )
+from optsort.propagate import from_input_weights, propagate_sparse
 
 from conftest import (
     FIG_COMPARATORS,
     binary_vectors,
     confines_every_gate,
     decompose_sparse_rescan,
+    gate_triples,
     new_network,
     random_network,
     region_gates,
@@ -32,13 +34,19 @@ from conftest import (
 )
 
 
-SMALL_SORTERS_SHA256 = "cec1c1755eaa7ab51f35462ba62451f0821744e3a916f8e5950a4a85cbb17412"
+SMALL_SORTERS_SHA256 = "a8eee962a2c995be38f8665a8595825ff2642d69f78005c02a82fb8bb38b1286"
 WIDE_SORTER_SHA256 = {
-    (2048, None): "3d1c4cfc5dba077dd8704a3e97abdc0b0d5e01e9322ce33b006dd84ef6739f43",
-    (2048, 8): "8b6b58353a4d74fc2370070d88a6a906106a0c7a0455b11089b2dfa698e2eb31",
-    (4096, None): "aa895e06171fc84e6ca5c8ae571cb3491ff06637a32d932ad73ca29f5e0d0ab4",
-    (4096, 8): "184dbf1ac4edd434fb25e5b5241b1e8a5f5ecd4348e77b28d271d4c873bdcbcb",
+    (2048, None): "eb0da0923c59aa0a88a876139775a66fefab39c96c831054983ca71812b8bcba",
+    (2048, 8): "66e11f7f416a7e8e00100a573e6170d486fb7a780cb08902e7d645a292997602",
+    (4096, None): "acffa2bcf5b12fcb07af2927ec1b3fad08f4235e7a69fa466eab5a2bbdde13e6",
+    (4096, 8): "4002ec2603c9af45f2f67da6813c13b31a2f54c88005f084d34a170046d32c38",
 }
+
+
+def pin_key(net) -> bytes:
+    """The network's shape and gates, as the construction pins hash them."""
+    gates = [(level, i, j) for i, j, level in gate_triples(net)]
+    return repr((net.width, net.depth, gates)).encode()
 
 
 class TestConstruction:
@@ -127,7 +135,7 @@ class TestPermutation:
 
 class TestOddEvenSorter:
     def test_four_wires_gives_the_classic_network(self, four_wire_sorter):
-        assert set(oe_sorter(4).comparators) == {Comparator(*c) for c in FIG_COMPARATORS}
+        assert set(gate_triples(oe_sorter(4))) == set(FIG_COMPARATORS)
         assert oe_sorter(4).depth == 3
 
     def test_single_wire_is_empty(self):
@@ -148,7 +156,7 @@ class TestOddEvenSorter:
     @pytest.mark.parametrize("n", range(0, 131))
     def test_pruned_build_equals_the_trimmed_full_sorter(self, n):
         full = oe_sorter(n)
-        assert full.depth == max((c.level for c in full.comparators), default=0)
+        assert full.depth == max((level for _, _, level in gate_triples(full)), default=0)
         for d in range(full.depth + 3):
             assert oe_sorter(n, d) == limit_depth(full, d), (n, d)
 
@@ -158,12 +166,16 @@ class TestOddEvenSorter:
         for d in (1, 5, 8, 13, full.depth):
             assert oe_sorter(n, d) == limit_depth(full, d), (n, d)
 
-    def test_comparators_come_in_level_i_j_order(self):
-        # the Network invariant that encode.asp_of_network relies on
+    def test_each_level_holds_disjoint_gates_in_ascending_i(self):
+        # the Network invariant that encode.asp_of_network and
+        # render_diagram rely on
         for n in range(65):
             for depth in [None, *range(oe_sorter(n).depth + 1)]:
-                gates = [(c.level, c.i, c.j) for c in oe_sorter(n, depth).comparators]
-                assert gates == sorted(gates), (n, depth)
+                for gates in oe_sorter(n, depth).levels:
+                    assert all(1 <= i < j <= n for i, j in gates), (n, depth)
+                    assert [i for i, _ in gates] == sorted(i for i, _ in gates), (n, depth)
+                    wires = [w for gate in gates for w in gate]
+                    assert len(wires) == len(set(wires)), (n, depth)
 
     def test_negative_depth_is_refused(self):
         for n in (0, 1, 5):
@@ -175,20 +187,21 @@ class TestOddEvenSorter:
             oe_sorter(-1, -1)
 
     def test_construction_is_pinned(self):
-        # sha256 of the networks' reprs, recorded from the earlier recursive build
+        # sha256 of the networks' pin keys, recorded from the earlier build
+        # that kept one flat tuple of gates sorted by (level, i, j)
         digest = hashlib.sha256()
         for n in range(129):
             for d in [None, *range(oe_sorter(n).depth + 2)]:
-                digest.update(repr(oe_sorter(n, d)).encode())
+                digest.update(pin_key(oe_sorter(n, d)))
         assert digest.hexdigest() == SMALL_SORTERS_SHA256
         for (n, d), expected in WIDE_SORTER_SHA256.items():
-            assert hashlib.sha256(repr(oe_sorter(n, d)).encode()).hexdigest() == expected, (n, d)
+            assert hashlib.sha256(pin_key(oe_sorter(n, d))).hexdigest() == expected, (n, d)
 
 
 class TestLimitDepth:
     def test_keeps_only_early_levels(self, four_wire_sorter):
         limited = limit_depth(four_wire_sorter, 1)
-        assert set(limited.comparators) == {Comparator(1, 2, 1), Comparator(3, 4, 1)}
+        assert gate_triples(limited) == [(1, 2, 1), (3, 4, 1)]
         assert limited.depth == 1
 
     def test_zero_limit_gives_empty_network(self, four_wire_sorter):
@@ -265,7 +278,7 @@ class TestDecomposeSparse:
             gates = region_gates(net, component)
             assert not gates & seen
             seen |= gates
-        assert seen == set(net.comparators)
+        assert seen == set(gate_triples(net))
 
     @pytest.mark.parametrize("n", range(0, 41))
     def test_matches_the_per_component_rescan(self, n):
@@ -379,3 +392,27 @@ class TestRenderDiagram:
     def test_out_of_range_label_is_rejected(self, four_wire_sorter):
         with pytest.raises(NetworkError):
             render_diagram(four_wire_sorter, {(5, 0): "x"})
+
+    @pytest.mark.parametrize("n", range(0, 65))
+    def test_the_budget_counts_the_drawing_and_its_newline(self, monkeypatch, n):
+        rng = random.Random(n)
+        for depth in (None, 3):
+            net = oe_sorter(n, depth)
+            weights = from_input_weights([rng.randint(0, 999) for _ in range(n)], net.depth)
+            labelled = {(i, j): str(w) for i, j, w in propagate_sparse(weights, net, 2).nonzero_entries()}
+            if n:
+                labelled[(n, net.depth)] = "é"
+            for annotations in (None, labelled):
+                size = len(render_diagram(net, annotations)) + 1
+                monkeypatch.setattr(network, "RENDER_BYTE_BUDGET", size - 1)
+                with pytest.raises(NetworkError, match=rf" would take {size} bytes, "):
+                    render_diagram(net, annotations)
+                monkeypatch.undo()
+
+    def test_the_full_sorter_on_8192_wires_passes_the_budget(self, monkeypatch):
+        # render 4096 writes the 67 006 464 bytes that CI pins
+        with pytest.raises(NetworkError, match=r"^a drawing of 8192 wires would take 268214272 "):
+            render_diagram(oe_sorter(8192))
+        monkeypatch.setattr(network, "RENDER_BYTE_BUDGET", 0)
+        with pytest.raises(NetworkError, match=r"^a drawing of 4096 wires would take 67006464 "):
+            render_diagram(oe_sorter(4096))

@@ -24,7 +24,7 @@ from optsort.propagate import (
     weight_function,
 )
 
-from conftest import binary_vectors, new_network, random_network, total
+from conftest import binary_vectors, gate_triples, new_network, random_network, total
 
 
 def random_matrix(rng, width, depth, top=40):
@@ -39,7 +39,7 @@ def random_confined_region(rng, net: Network) -> ConfinedNetwork:
     # untouched wires) of some contiguous level window.
     lo = rng.randint(1, net.depth)
     hi = rng.randint(lo, net.depth)
-    gates = [c for c in net.comparators if lo <= c.level <= hi]
+    gates = [(i, j) for i, j, level in gate_triples(net) if lo <= level <= hi]
     parent = {w: w for w in range(1, net.width + 1)}
 
     def find(w):
@@ -48,8 +48,8 @@ def random_confined_region(rng, net: Network) -> ConfinedNetwork:
             w = parent[w]
         return w
 
-    for c in gates:
-        parent[find(c.i)] = find(c.j)
+    for i, j in gates:
+        parent[find(i)] = find(j)
     groups = {}
     for w in range(1, net.width + 1):
         groups.setdefault(find(w), set()).add(w)
