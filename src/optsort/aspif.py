@@ -7,6 +7,10 @@ downstream consumers lose nothing.  Writing is canonical: single spaces,
 rules a rewrite adds are aspif lines already (see ``encode``), so each level's
 rules are one ``Raw`` statement of many lines, never a record per rule.
 
+A literal is a signed int, as in the text: ``a`` for atom a, ``-a`` for its
+default negation.  ``to_ground_program`` hands literals to ``asplang`` in the
+same form, and each priority's objective as its (literal, weight) terms.
+
 Statements are named tuples, so they compare as plain tuples:
 ``WeightBody(0, t) == Minimize(0, t)`` holds, and only ``isinstance`` tells
 the kinds apart.
@@ -17,17 +21,9 @@ from __future__ import annotations
 import math
 from itertools import chain, takewhile
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .asplang import (
-    CardinalityConstraint,
-    ChoiceRule,
-    GroundProgram,
-    Literal,
-    Nogood,
-    NormalRule,
-    ObjectiveFunction,
-)
+from .asplang import CardinalityConstraint, ChoiceRule, GroundProgram, Nogood, NormalRule
 
 DISJUNCTIVE = 0
 CHOICE = 1
@@ -307,13 +303,6 @@ def write(doc: AspifDocument) -> str:
     return "\n".join([header, *map(_render_statement, doc.statements), "0\n"])
 
 
-def literal_from_int(lit: int) -> Literal:
-    """Signed aspif literal to semantic literal (negative = default negation)."""
-    if lit == 0:
-        raise UnsupportedStatementError("literal 0 is not allowed")
-    return Literal(abs(lit), lit > 0)
-
-
 def _constraint_from_weight_body(body: WeightBody) -> CardinalityConstraint | Nogood | None:
     """Integrity constraint over a weight body, when weights are uniform.
 
@@ -339,11 +328,24 @@ def _constraint_from_weight_body(body: WeightBody) -> CardinalityConstraint | No
         return Nogood(frozenset())
     if needed > n:
         return None
-    complements = tuple(literal_from_int(lit).negated() for lit in sorted(merged))
+    complements = tuple(-lit for lit in sorted(merged))
     return CardinalityConstraint(complements, n - needed + 1)
 
 
-def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, ObjectiveFunction]]:
+def _atoms_of(literals: Sequence[int]) -> Iterator[int]:
+    """The atoms of a statement's literals.  ``parse`` refuses literal 0, so
+    only a document built in code can hold it; it is refused here."""
+    if 0 in literals:
+        raise UnsupportedStatementError("literal 0 is not allowed")
+    return map(abs, literals)
+
+
+# A ground program and each priority's objective: its minimize terms,
+# (literal, weight) pairs in statement order.
+Bridged = tuple[GroundProgram, dict[int, tuple[tuple[int, int], ...]]]
+
+
+def to_ground_program(doc: AspifDocument) -> Bridged:
     """Bridge the document to brute-force semantics.
 
     Supports normal rules, integrity constraints (normal or uniform-weight
@@ -354,7 +356,7 @@ def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, Obje
     choice_rules: list[ChoiceRule] = []
     cardinality: list[CardinalityConstraint] = []
     nogoods: list[Nogood] = []
-    objective_terms: dict[int, list[tuple[int, Literal]]] = {}
+    objective_terms: dict[int, list[tuple[int, int]]] = {}
     atoms: set[int] = set()
     for s in doc.statements:
         if isinstance(s, Raw):
@@ -362,28 +364,26 @@ def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, Obje
                 f"statement {s.line.split(' ', 1)[0]!r} has no ground-program bridge"
             )
         if isinstance(s, Output):
-            atoms.update(abs(l) for l in s.condition)
+            atoms.update(_atoms_of(s.condition))
             continue
         if isinstance(s, Minimize):
-            bucket = objective_terms.setdefault(s.priority, [])
-            for lit, w in s.terms:
-                bucket.append((w, literal_from_int(lit)))
-                atoms.add(abs(lit))
+            atoms.update(_atoms_of([l for l, _ in s.terms]))
+            objective_terms.setdefault(s.priority, []).extend(s.terms)
             continue
         if isinstance(s.body, WeightBody):
             if s.head_atoms or s.head_kind == CHOICE:
                 raise UnsupportedStatementError(
                     "weight bodies are only bridged on integrity constraints"
                 )
-            atoms.update(abs(l) for l, _ in s.body.terms)
+            atoms.update(_atoms_of([l for l, _ in s.body.terms]))
             constraint = _constraint_from_weight_body(s.body)
             if isinstance(constraint, CardinalityConstraint):
                 cardinality.append(constraint)
             elif isinstance(constraint, Nogood):
                 nogoods.append(constraint)
             continue
-        lits = [literal_from_int(l) for l in s.body.literals]
-        atoms.update(l.atom for l in lits)
+        lits = s.body.literals
+        atoms.update(_atoms_of(lits))
         atoms.update(s.head_atoms)
         if s.head_kind == CHOICE:
             if s.head_atoms:
@@ -391,19 +391,13 @@ def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, Obje
             continue
         if len(s.head_atoms) > 1:
             raise UnsupportedStatementError("disjunctive heads are not bridged")
-        pos_body = frozenset(l.atom for l in lits if l.positive)
-        neg_body = frozenset(l.atom for l in lits if not l.positive)
+        pos_body = frozenset(l for l in lits if l > 0)
+        neg_body = frozenset(-l for l in lits if l < 0)
         if s.head_atoms:
             normal_rules.append(NormalRule(s.head_atoms[0], pos_body, neg_body))
         elif not pos_body & neg_body:
             # a constraint needing some atom both true and false never fires
-            nogoods.append(
-                Nogood(
-                    frozenset(
-                        {(a, True) for a in pos_body} | {(a, False) for a in neg_body}
-                    )
-                )
-            )
+            nogoods.append(Nogood(frozenset(lits)))
     program = GroundProgram(
         signature=frozenset(atoms),
         normal_rules=tuple(normal_rules),
@@ -411,7 +405,5 @@ def to_ground_program(doc: AspifDocument) -> tuple[GroundProgram, dict[int, Obje
         cardinality_constraints=tuple(cardinality),
         nogoods=tuple(nogoods),
     )
-    objectives = {
-        p: ObjectiveFunction(tuple(terms)) for p, terms in sorted(objective_terms.items())
-    }
+    objectives = {p: tuple(terms) for p, terms in sorted(objective_terms.items())}
     return program, objectives

@@ -1,9 +1,10 @@
 """Ground answer-set programs and their brute-force semantics.
 
 Programs mix normal rules, choice rules, cardinality constraints and nogoods
-over positive integer atoms.  Everything here is meant for desk-scale
-verification: answer sets are enumerated exhaustively, every guess at
-once as one bit lane of a Python integer, guarded by an atom-count limit.
+over positive integer atoms.  A literal is an int as in aspif: ``a`` for
+atom a, ``-a`` for its default negation.  Everything here is meant for
+desk-scale verification: answer sets are enumerated exhaustively, every guess
+at once as one bit lane of a Python integer, guarded by an atom-count limit.
 """
 
 from __future__ import annotations
@@ -18,16 +19,6 @@ MAX_ENUM_ATOMS = 24
 
 class SemanticsError(ValueError):
     """Raised for malformed programs or blown enumeration guards."""
-
-
-class Literal(NamedTuple):
-    """An atom or its default negation."""
-
-    atom: int
-    positive: bool = True
-
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
 
 
 class NormalRule(NamedTuple):
@@ -45,10 +36,10 @@ class NormalRule(NamedTuple):
 
 class _ChoiceRule(NamedTuple):
     head_atoms: frozenset[int]
-    body: frozenset[Literal] = frozenset()
+    body: frozenset[int] = frozenset()
 
     def atoms(self) -> frozenset[int]:
-        return self.head_atoms | frozenset(l.atom for l in self.body)
+        return self.head_atoms | frozenset(map(abs, self.body))
 
 
 class ChoiceRule(_ChoiceRule):
@@ -64,11 +55,11 @@ class ChoiceRule(_ChoiceRule):
 
 
 class _CardinalityConstraint(NamedTuple):
-    literals: tuple[Literal, ...]
+    literals: tuple[int, ...]
     lower_bound: int
 
     def atoms(self) -> frozenset[int]:
-        return frozenset(l.atom for l in self.literals)
+        return frozenset(map(abs, self.literals))
 
 
 class CardinalityConstraint(_CardinalityConstraint):
@@ -87,27 +78,23 @@ class CardinalityConstraint(_CardinalityConstraint):
 
 
 class _Nogood(NamedTuple):
-    signed_literals: frozenset[tuple[int, bool]]
+    literals: frozenset[int]
 
     def conflicts_with(self, interpretation: frozenset[int]) -> bool:
-        return all((a in interpretation) == sign for a, sign in self.signed_literals)
+        return all((abs(l) in interpretation) == (l > 0) for l in self.literals)
 
     def atoms(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.signed_literals)
+        return frozenset(map(abs, self.literals))
 
 
 class Nogood(_Nogood):
-    """Forbids every total assignment extending the signed literals.
-
-    Signed literals are (atom, sign) pairs, sign True meaning assigned true.
-    """
+    """Forbids every total assignment in which all its literals hold."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> Nogood:
         self = super().__new__(cls, *args, **kwargs)
-        atoms = [a for a, _ in self.signed_literals]
-        if len(atoms) != len(set(atoms)):
+        if len(self.atoms()) != len(self.literals):
             raise SemanticsError("nogood mentions an atom with both signs")
         return self
 
@@ -146,12 +133,6 @@ class GroundProgram(_GroundProgram):
             if a < 1:
                 raise SemanticsError(f"atom ids must be >= 1, got {a}")
         return self
-
-
-class ObjectiveFunction(NamedTuple):
-    """One priority level of a minimize statement: weighted literals."""
-
-    terms: tuple[tuple[int, Literal], ...]
 
 
 class FreshAtoms:
@@ -310,16 +291,17 @@ def lane_rows(true_in: dict[int, int], lanes: int, width: int) -> tuple[list[int
     return atoms, rows
 
 
-def lane_values(objective: ObjectiveFunction, lanes: dict[int, int], width: int) -> list[int]:
-    """Each lane's value: the summed weights of the literals that hold in it.
+def lane_values(terms: Sequence[tuple[int, int]], lanes: dict[int, int], width: int) -> list[int]:
+    """Each lane's value: the summed weights of the (literal, weight) terms
+    whose literal holds in it.
 
     An atom missing from ``lanes`` holds in no lane, so its negation in all.
     """
     all_lanes = (1 << width) - 1
-    weights = [w for w, _ in objective.terms]
+    weights = [w for _, w in terms]
     columns = [
-        _lane_flags(lanes.get(l.atom, 0) ^ (0 if l.positive else all_lanes), width)
-        for _, l in objective.terms
+        _lane_flags(lanes.get(abs(l), 0) ^ (0 if l > 0 else all_lanes), width)
+        for l, _ in terms
     ]
     rows = zip(*columns) if columns else repeat((), width)
     return [sum(compress(weights, row)) for row in rows]
@@ -354,7 +336,7 @@ def _guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list
         if not c.atoms() <= bottom_atoms:
             raise SemanticsError("choice rule straddles the splitting set")
         heads |= c.head_atoms
-        read |= c.head_atoms | {l.atom for l in c.body if not l.positive}
+        read |= c.head_atoms | {-l for l in c.body if l < 0}
     return sorted(heads & read)
 
 
@@ -461,26 +443,26 @@ def answer_lanes(
 
     rules = [LaneRule(r.head, r.pos_body, unguessed(r.neg_body)) for r in normal_rules]
     for c in choice_rules:
-        pos_body = frozenset(l.atom for l in c.body if l.positive)
-        lanes = unguessed(l.atom for l in c.body if not l.positive)
+        pos_body = frozenset(l for l in c.body if l > 0)
+        lanes = unguessed(-l for l in c.body if l < 0)
         rules += (LaneRule(a, pos_body, lanes & guess[a]) for a in c.head_atoms)
     if bottom is not None:
         rules += (LaneRule(a, frozenset(), lanes) for a, lanes in guess.items())
     true_in = least_model(rules)
 
-    def holds(atom: int, positive: bool) -> int:
-        lanes = true_in.get(atom, 0)
-        return lanes if positive else all_lanes ^ lanes
+    def holds(literal: int) -> int:
+        lanes = true_in.get(abs(literal), 0)
+        return lanes if literal > 0 else all_lanes ^ lanes
 
     answers = all_lanes
     for atom, lanes in guess.items():
         answers &= ~(true_in.get(atom, 0) ^ lanes)
     for ng in program.nogoods:
         conflict = all_lanes
-        for a, sign in ng.signed_literals:
-            conflict &= holds(a, sign)
+        for literal in ng.literals:
+            conflict &= holds(literal)
         answers &= ~conflict
     for cc in program.cardinality_constraints:
-        satisfied = [holds(l.atom, l.positive) for l in set(cc.literals)]
+        satisfied = [holds(l) for l in set(cc.literals)]
         answers &= _at_least(satisfied, cc.lower_bound, all_lanes)
     return true_in, answers, width

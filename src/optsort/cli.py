@@ -23,7 +23,7 @@ from .analysis import (
     run_pch,
 )
 from .asplang import SemanticsError, auto_split_atoms
-from .network import oe_sorter, render_diagram
+from .network import layout_diagram, oe_sorter, render_diagram
 from .propagate import from_input_weights, propagate_sparse
 from .rewrite import (
     VERIFY_GRID,
@@ -255,6 +255,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         if len(weights) != args.n:
             print(f"error: expected {args.n} weights, got {len(weights)}", file=sys.stderr)
             return 2
+        layout_diagram(network, {})  # refuses a drawing too big even without labels
         matrix = from_input_weights(weights, network.depth)
         if not args.no_propagate:
             matrix = propagate_sparse(matrix, network, args.sparseness)

@@ -7,6 +7,7 @@ it is built and read.  All values are immutable once built.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 
@@ -252,33 +253,37 @@ def _subcolumns(gates: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]
     """A level's gates packed into the subcolumns that draw them.
 
     Gates come in ascending i, so a gate fits a subcolumn when it starts
-    below that subcolumn's last gate; it takes the first such.  A level
-    without gates draws as one empty subcolumn.
+    below that subcolumn's last gate; it takes the first such.  A subcolumn
+    that fits one gate fits every later gate until it takes one, so the
+    fitting subcolumns wait in a heap of their indices, and the others in a
+    heap keyed by the end of their last gate.  A level without gates draws
+    as one empty subcolumn.
     """
     subcolumns: list[list[tuple[int, int]]] = []
+    free: list[int] = []
+    busy: list[tuple[int, int]] = []  # (end of the last gate, subcolumn index)
     for gate in gates:
-        for sub in subcolumns:
-            if sub[-1][1] < gate[0]:
-                sub.append(gate)
-                break
+        while busy and busy[0][0] < gate[0]:
+            heappush(free, heappop(busy)[1])
+        if free:
+            index = heappop(free)
+            subcolumns[index].append(gate)
         else:
+            index = len(subcolumns)
             subcolumns.append([gate])
+        heappush(busy, (gate[1], index))
     return subcolumns or [[]]
 
 
-def render_diagram(
-    network: Network,
-    annotations: dict[tuple[int, int], str] | None = None,
-) -> bytes:
-    """Plain-text drawing as UTF-8 bytes: one row per wire, comparators as
-    vertical ties, rows joined by newlines.
+def layout_diagram(
+    network: Network, annotations: dict[tuple[int, int], str]
+) -> tuple[list[list[list[tuple[int, int]]]], list[int]]:
+    """Each level's subcolumns and each column's label width, once the
+    annotations and the drawing's size are checked (see ``render_diagram``).
 
-    ``annotations`` maps (wire, level) to a label drawn on the wire right
-    after that level's column (level 0 labels sit at the far left).  A
-    drawing that would take more than ``RENDER_BYTE_BUDGET`` bytes with a
-    closing newline is refused before any of it is drawn.
+    Labels only widen a drawing, so the drawing without them bounds the
+    labelled one from below.
     """
-    annotations = annotations or {}
     for (wire, level) in annotations:
         if not (1 <= wire <= network.width and 0 <= level <= network.depth):
             raise NetworkError(f"annotation position ({wire}, {level}) out of range")
@@ -298,6 +303,24 @@ def render_diagram(
             f"a drawing of {n} wires would take {size} bytes, "
             f"over the budget of {RENDER_BYTE_BUDGET}"
         )
+    return columns, label_widths
+
+
+def render_diagram(
+    network: Network,
+    annotations: dict[tuple[int, int], str] | None = None,
+) -> bytes:
+    """Plain-text drawing as UTF-8 bytes: one row per wire, comparators as
+    vertical ties, rows joined by newlines.
+
+    ``annotations`` maps (wire, level) to a label drawn on the wire right
+    after that level's column (level 0 labels sit at the far left).  A
+    drawing that would take more than ``RENDER_BYTE_BUDGET`` bytes with a
+    closing newline is refused before any of it is drawn.
+    """
+    annotations = annotations or {}
+    columns, label_widths = layout_diagram(network, annotations)
+    n = network.width
 
     # one bytearray per wire, so a drawing takes a byte per character, and
     # once more when the rows are joined

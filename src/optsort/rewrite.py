@@ -18,7 +18,6 @@ from . import aspif
 from .asplang import (
     FreshAtoms,
     GroundProgram,
-    ObjectiveFunction,
     answer_lanes,
     enumerate_answer_sets_layered,
     flag_lanes,
@@ -318,20 +317,20 @@ class InputLanes(NamedTuple):
     values: dict[int, list[int]]
 
 
-def input_lanes(before: tuple[GroundProgram, dict[int, ObjectiveFunction]]) -> InputLanes:
+def input_lanes(before: aspif.Bridged) -> InputLanes:
     """The input's answer sets and each priority's values on them, as lanes."""
     program, objectives = before
     atoms, rows = enumerate_answer_sets_layered(program)
     # An atom's lanes are its column of the joined rows: every n-th byte.
     n, matrix = len(atoms), b"".join(rows)
     lanes = {a: flag_lanes(matrix[p::n]) for p, a in enumerate(atoms)}
-    values = {p: lane_values(objective, lanes, len(rows)) for p, objective in objectives.items()}
+    values = {p: lane_values(terms, lanes, len(rows)) for p, terms in objectives.items()}
     return InputLanes(atoms, rows, lanes, values)
 
 
 def verify_rewrite(
-    before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
-    after: tuple[GroundProgram, dict[int, ObjectiveFunction]],
+    before: aspif.Bridged,
+    after: aspif.Bridged,
     before_lanes: InputLanes | None = None,
 ) -> VerifyReport:
     """Brute-force check that a rewrite preserves answer sets and values.
@@ -383,7 +382,7 @@ VERIFY_GRID = tuple(
 
 def verify_grid(
     document: aspif.AspifDocument,
-    before: tuple[GroundProgram, dict[int, ObjectiveFunction]],
+    before: aspif.Bridged,
 ) -> list[tuple[RewriteConfig, VerifyReport]]:
     """Rewrite under every ``VERIFY_GRID`` configuration and verify each result.
 

@@ -1,7 +1,7 @@
 import itertools
 import random
 import tracemalloc
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -11,10 +11,8 @@ from optsort.analysis import Propagator, PropagatorTrace, binomial_document
 from optsort.asplang import (
     CardinalityConstraint,
     GroundProgram,
-    Literal,
     Nogood,
     NormalRule,
-    ObjectiveFunction,
     SemanticsError,
 )
 from optsort.encode import WireAtomMap
@@ -150,15 +148,12 @@ def aspif_texts():
     )
 
 
-# Constructors for the semantic model.
+# Constructors for the semantic model, whose literals are aspif's signed ints.
 
 
-def pos(atom: int) -> Literal:
-    return Literal(atom, True)
-
-
-def neg(atom: int) -> Literal:
-    return Literal(atom, False)
+def signed_literals(atoms: st.SearchStrategy[int]) -> st.SearchStrategy[int]:
+    """Literals over the drawn atoms, each sign drawn as a boolean."""
+    return st.builds(lambda atom, positive: atom if positive else -atom, atoms, st.booleans())
 
 
 def rule(head: int, body=(), not_body=()) -> NormalRule:
@@ -170,15 +165,14 @@ def fact(head: int) -> NormalRule:
 
 
 def nogood(true_atoms=(), false_atoms=()) -> Nogood:
-    signed = {(a, True) for a in true_atoms} | {(a, False) for a in false_atoms}
-    return Nogood(frozenset(signed))
+    return Nogood(frozenset(true_atoms) | frozenset(-a for a in false_atoms))
 
 
 # Brute-force oracles that tests check the product against.
 
 
-def literal_holds(literal: Literal, interpretation: frozenset[int]) -> bool:
-    return (literal.atom in interpretation) == literal.positive
+def literal_holds(literal: int, interpretation: frozenset[int]) -> bool:
+    return (abs(literal) in interpretation) == (literal > 0)
 
 
 def constraint_holds(constraint: CardinalityConstraint, interpretation: frozenset[int]) -> bool:
@@ -188,13 +182,13 @@ def constraint_holds(constraint: CardinalityConstraint, interpretation: frozense
 
 
 def nogood_holds(ng: Nogood, interpretation: frozenset[int]) -> bool:
-    """The interpretation does not extend the nogood's signed literals."""
+    """Some literal of the nogood fails in the interpretation."""
     return not ng.conflicts_with(interpretation)
 
 
-def evaluate(objective: ObjectiveFunction, interpretation: frozenset[int]) -> int:
-    """Sum of weights of the satisfied literals."""
-    return sum(w for w, l in objective.terms if literal_holds(l, interpretation))
+def evaluate(terms: Iterable[tuple[int, int]], interpretation: frozenset[int]) -> int:
+    """Sum of weights of the (literal, weight) terms whose literal holds."""
+    return sum(w for l, w in terms if literal_holds(l, interpretation))
 
 
 def closure(rules) -> frozenset[int]:
@@ -237,8 +231,8 @@ def is_answer_set(program: GroundProgram, interpretation: frozenset[int]) -> boo
         if not r.neg_body & interpretation
     ]
     for c in program.choice_rules:
-        if all(l.positive or l.atom not in interpretation for l in c.body):
-            body = frozenset(l.atom for l in c.body if l.positive)
+        if all(l > 0 or -l not in interpretation for l in c.body):
+            body = frozenset(l for l in c.body if l > 0)
             reduct += [(a, body) for a in c.head_atoms & interpretation]
     return closure(reduct) == interpretation
 
@@ -268,14 +262,14 @@ def models_as_lanes(models, atoms) -> dict[int, int]:
     return {a: sum(1 << i for i, m in enumerate(models) if a in m) for a in atoms}
 
 
-def optimal_value(program: GroundProgram, objective: ObjectiveFunction) -> int | None:
+def optimal_value(program: GroundProgram, terms: Sequence[tuple[int, int]]) -> int | None:
     answer_sets = enumerate_answer_sets(program)
     if not answer_sets:
         return None
-    return min(evaluate(objective, m) for m in answer_sets)
+    return min(evaluate(terms, m) for m in answer_sets)
 
 
-def binomial_opt_program(n: int, k: int) -> tuple[GroundProgram, ObjectiveFunction]:
+def binomial_opt_program(n: int, k: int) -> tuple[GroundProgram, tuple[tuple[int, int], ...]]:
     """The binomial program with the unit-weight objective over its atoms."""
     program, objectives = aspif.to_ground_program(binomial_document(n, k, opt=True))
     return program, objectives[0]

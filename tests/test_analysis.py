@@ -16,7 +16,6 @@ from optsort.asplang import (
     CardinalityConstraint,
     ChoiceRule,
     GroundProgram,
-    Literal,
     SemanticsError,
     _at_least,
 )
@@ -31,12 +30,11 @@ from conftest import (
     evaluate,
     fact,
     literal_holds,
-    neg,
     nogood,
     nogood_holds,
     optimal_value,
-    pos,
     rule,
+    signed_literals,
     traced_peak,
     verify_trace,
 )
@@ -265,7 +263,7 @@ class TestReferencePch:
     @pytest.mark.parametrize("bound", range(6))
     def test_cardinality_over_negated_derived_and_duplicated_literals(self, bound):
         # four distinct literals, so bounds 0 (always) to 5 (never) are legal
-        literals = (neg(1), pos(6), pos(6), neg(7), pos(2))
+        literals = (-1, 6, 6, -7, 2)
         program = choice_program(
             4,
             normal_rules=(rule(6, body=[1, 2]), rule(7, body=[3])),
@@ -313,7 +311,7 @@ def test_bit_sliced_at_least_counter_matches_satisfied_by(data):
     models = data.draw(
         st.lists(st.frozensets(st.integers(1, 5)), min_size=lanes, max_size=lanes)
     )
-    literals = data.draw(st.lists(st.builds(Literal, st.integers(1, 5), st.booleans())))
+    literals = data.draw(st.lists(signed_literals(st.integers(1, 5))))
     constraint = CardinalityConstraint(
         tuple(literals), data.draw(st.integers(0, len(set(literals)) + 1))
     )
@@ -387,7 +385,7 @@ class TestNetworkedPch:
         program = binomial_program(2, 1)
         spoiled = type(program)(
             signature=program.signature,
-            choice_rules=(ChoiceRule(frozenset({2}), frozenset({pos(1)})),),
+            choice_rules=(ChoiceRule(frozenset({2}), frozenset({1})),),
         )
         refusal = "^candidate enumeration needs empty choice bodies$"
         with pytest.raises(SemanticsError, match=refusal):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from optsort import aspif
 from optsort.analysis import binomial_document
-from optsort.asplang import CardinalityConstraint, Literal, NormalRule
+from optsort.asplang import CardinalityConstraint, NormalRule
 from optsort.rewrite import RewriteConfig, rewrite_objective
 
 from conftest import aspif_texts, enumerate_answer_sets, evaluate, optimal_value, traced_peak
@@ -267,14 +267,14 @@ class TestGroundProgramBridge:
         )
         (choice,) = program.choice_rules
         assert choice.head_atoms == frozenset({1, 2})
-        assert choice.body == frozenset({Literal(3, False)})
+        assert choice.body == frozenset({-3})
 
     def test_constraint_maps_to_a_nogood(self):
         program, _ = aspif.to_ground_program(
             aspif.parse("asp 1 0 0\n1 0 0 0 2 1 -2\n0\n")
         )
         (ng,) = program.nogoods
-        assert ng.signed_literals == frozenset({(1, True), (2, False)})
+        assert ng.literals == frozenset({1, -2})
 
     def test_uniform_weight_constraint_becomes_cardinality(self):
         program, _ = aspif.to_ground_program(
@@ -309,6 +309,21 @@ class TestGroundProgramBridge:
     def test_raw_statements_are_unsupported_for_semantics(self):
         with pytest.raises(aspif.UnsupportedStatementError):
             aspif.to_ground_program(aspif.parse("asp 1 0 0\n3 4 2\n0\n"))
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            aspif.Rule(aspif.CHOICE, (1,), aspif.NormalBody((0,))),
+            aspif.Rule(aspif.DISJUNCTIVE, (), aspif.WeightBody(1, ((1, 1), (0, 1)))),
+            aspif.Minimize(0, ((1, 2), (0, 3))),
+            aspif.Output("x", (1, 0)),
+        ],
+        ids=["choice body", "weight body", "minimize term", "output condition"],
+    )
+    def test_literal_zero_in_a_document_built_in_code_is_refused(self, statement):
+        doc = aspif.AspifDocument(statements=(statement,))
+        with pytest.raises(aspif.UnsupportedStatementError, match="^literal 0 is not allowed$"):
+            aspif.to_ground_program(doc)
 
     def test_minimize_objectives_are_collected_per_priority(self):
         _, objectives = aspif.to_ground_program(

@@ -11,9 +11,7 @@ from optsort.asplang import (
     ChoiceRule,
     GroundProgram,
     LaneRule,
-    Literal,
     Nogood,
-    ObjectiveFunction,
     SemanticsError,
     answer_lanes,
     auto_split_atoms,
@@ -32,13 +30,12 @@ from conftest import (
     is_answer_set,
     is_supported_model,
     models_as_lanes,
-    neg,
     nogood,
     nogood_holds,
     optimal_value,
-    pos,
     row_models,
     rule,
+    signed_literals,
 )
 
 
@@ -71,7 +68,7 @@ class TestExpandCardinality:
         # a free choice kept to at least k of n atoms has one answer set per
         # subset of size k or more: the binomial tail sum_{j >= k} C(n, j)
         atoms = frozenset(range(1, n + 1))
-        constraint = CardinalityConstraint(tuple(pos(a) for a in sorted(atoms)), k)
+        constraint = CardinalityConstraint(tuple(sorted(atoms)), k)
         p = program(atoms, choices=[ChoiceRule(atoms)], cardinality=[constraint])
         models = answer_sets(p)
         assert len(models) == sum(math.comb(n, j) for j in range(k, n + 1))
@@ -152,7 +149,7 @@ class TestAnswerSets:
 
     def test_nogood_rejects_two_signed_atoms(self):
         with pytest.raises(SemanticsError):
-            Nogood(frozenset({(1, True), (1, False)}))
+            Nogood(frozenset({1, -1}))
 
 
 class TestSupportedModels:
@@ -199,9 +196,9 @@ class TestMonotoneNogoods:
         extra = []
         for _ in range(rng.randint(1, 3)):
             signed = frozenset(
-                (a, rng.random() < 0.5) for a in rng.sample(sorted(atoms), k=2)
+                a if rng.random() < 0.5 else -a for a in rng.sample(sorted(atoms), k=2)
             )
-            if len({x for x, _ in signed}) == 2:
+            if len({abs(x) for x in signed}) == 2:
                 extra.append(Nogood(signed))
         constrained = program(
             atoms,
@@ -254,13 +251,13 @@ class TestSplitEnumeration:
         cardinality = []
         for _ in range(rng.randint(0, 2)):
             picked = rng.sample(everything, k=rng.randint(2, min(4, len(everything))))
-            lits = tuple(pos(a) if rng.random() < 0.6 else neg(a) for a in picked)
+            lits = tuple(a if rng.random() < 0.6 else -a for a in picked)
             bound = rng.randint(1, len(lits) - 1)
             cardinality.append(CardinalityConstraint(lits, bound))
         nogoods = []
         for _ in range(rng.randint(0, 2)):
             atoms = rng.sample(everything, k=rng.randint(2, 3))
-            nogoods.append(Nogood(frozenset((a, rng.random() < 0.5) for a in atoms)))
+            nogoods.append(Nogood(frozenset(a if rng.random() < 0.5 else -a for a in atoms)))
         p = program(
             bottom | top,
             rules=rules,
@@ -277,7 +274,7 @@ class TestSplitEnumeration:
             {1, 2},
             choices=[
                 ChoiceRule(frozenset({1})),
-                ChoiceRule(frozenset({2}), frozenset({pos(1)})),
+                ChoiceRule(frozenset({2}), frozenset({1})),
             ],
         )
         with pytest.raises(SemanticsError, match="above the splitting set"):
@@ -317,33 +314,33 @@ class TestSplitEnumeration:
 
 class TestObjectives:
     def test_weighted_sum_over_satisfied_literals(self):
-        objective = ObjectiveFunction(((40, pos(1)), (70, pos(2))))
+        objective = ((1, 40), (2, 70))
         assert evaluate(objective, frozenset({2})) == 70
         assert evaluate(objective, frozenset()) == 0
 
     def test_negated_literal_counts_when_atom_is_absent(self):
-        assert evaluate(ObjectiveFunction(((30, neg(1)),)), frozenset()) == 30
+        assert evaluate(((-1, 30),), frozenset()) == 30
 
     def test_optimal_value_over_subsets(self):
         atoms = frozenset(range(1, 5))
         p = program(
             atoms,
             choices=[ChoiceRule(atoms)],
-            cardinality=[CardinalityConstraint(tuple(pos(a) for a in sorted(atoms)), 2)],
+            cardinality=[CardinalityConstraint(tuple(sorted(atoms)), 2)],
         )
-        objective = ObjectiveFunction(tuple((1, pos(a)) for a in sorted(atoms)))
+        objective = tuple((a, 1) for a in sorted(atoms))
         assert optimal_value(p, objective) == 2
 
     def test_no_answer_sets_means_no_value(self):
         p = program({1}, rules=[rule(1, not_body=[1])])
-        assert optimal_value(p, ObjectiveFunction(())) is None
+        assert optimal_value(p, ()) is None
 
     def test_empty_objective_is_zero(self):
         p = program({1}, rules=[fact(1)])
-        assert optimal_value(p, ObjectiveFunction(())) == 0
+        assert optimal_value(p, ()) == 0
 
 
-_TERMS = st.tuples(st.integers(-5, 9), st.builds(Literal, st.integers(1, 6), st.booleans()))
+_TERMS = st.tuples(signed_literals(st.integers(1, 6)), st.integers(-5, 9))
 
 
 @given(
@@ -353,7 +350,7 @@ _TERMS = st.tuples(st.integers(-5, 9), st.builds(Literal, st.integers(1, 6), st.
 def test_lane_values_match_the_per_model_oracle(models, terms):
     # atoms 5 and 6 are in no model and have no lanes: positive they hold
     # in no lane, negated in every lane
-    objective = ObjectiveFunction(tuple(terms))
+    objective = tuple(terms)
     lanes = models_as_lanes(models, range(1, 5))
     assert lane_values(objective, lanes, len(models)) == [evaluate(objective, m) for m in models]
     assert lane_values(objective, {}, 0) == []
@@ -378,8 +375,8 @@ def split_programs(draw):
     choices = []
     for _ in range(draw(st.integers(0, 2))):
         heads = draw(st.lists(st.sampled_from(bottom), min_size=1, max_size=3, unique=True))
-        body = [pos(a) for a in draw(subsets(bottom, 2))]
-        body += [neg(a) for a in draw(subsets(bottom, 2))]
+        body = draw(subsets(bottom, 2))
+        body += [-a for a in draw(subsets(bottom, 2))]
         choices.append(ChoiceRule(frozenset(heads), frozenset(body)))
     rules = [
         rule(draw(st.sampled_from(bottom)), draw(subsets(bottom, 2)), draw(subsets(bottom, 2)))
@@ -394,10 +391,13 @@ def split_programs(draw):
         for _ in range(draw(st.integers(0, 2 * n_top)))
     ]
     signs = st.dictionaries(st.sampled_from(everything), st.booleans(), min_size=1, max_size=3)
-    nogoods = [Nogood(frozenset(draw(signs).items())) for _ in range(draw(st.integers(0, 2)))]
+    nogoods = [
+        Nogood(frozenset(a if positive else -a for a, positive in draw(signs).items()))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
     cardinality = []
     for _ in range(draw(st.integers(0, 2))):
-        literal = st.builds(Literal, st.sampled_from(everything), st.booleans())
+        literal = signed_literals(st.sampled_from(everything))
         literals = draw(st.lists(literal, min_size=1, max_size=4))
         bound = draw(st.integers(0, len(set(literals)) + 1))
         cardinality.append(CardinalityConstraint(tuple(literals), bound))

@@ -345,6 +345,28 @@ class TestRenderCommand:
         assert code == 2 and out == ""
         assert err == "error: a drawing of 32 wires would take 3744 bytes, over the budget of 1000\n"
 
+    def test_an_oversized_drawing_is_refused_before_its_weights_propagate(
+        self, capsys, monkeypatch
+    ):
+        def propagate(*args):
+            raise AssertionError("propagate_sparse ran")
+
+        monkeypatch.setattr("optsort.cli.propagate_sparse", propagate)
+        monkeypatch.setattr("optsort.network.RENDER_BYTE_BUDGET", 1000)
+        code, out, err = run(capsys, monkeypatch, ["render", "32", "--weights", ",".join("1" * 32)])
+        assert code == 2 and out == ""
+        assert err == "error: a drawing of 32 wires would take 3744 bytes, over the budget of 1000\n"
+
+    def test_labels_that_pass_the_budget_are_refused_after_propagation(
+        self, capsys, monkeypatch
+    ):
+        # the bare drawing fits exactly; its labels push it over
+        monkeypatch.setattr("optsort.network.RENDER_BYTE_BUDGET", 3744)
+        code, out, err = run(capsys, monkeypatch, ["render", "32", "--weights", ",".join("1" * 32)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: a drawing of 32 wires would take ")
+        assert err.endswith(" bytes, over the budget of 3744\n") and " 3744 bytes" not in err
+
 
 class TestCyclicCollector:
     """``main`` runs with the cyclic collector off and hands it back."""

@@ -33,7 +33,6 @@ from optsort.asplang import (
     CardinalityConstraint,
     ChoiceRule,
     GroundProgram,
-    Literal,
     Nogood,
     NormalRule,
     SemanticsError,
@@ -171,14 +170,14 @@ VALIDATING_RECORDS = [
         "choice rule needs a nonempty head",
     ),
     (
-        CardinalityConstraint((Literal(1),), 1),
-        lambda: CardinalityConstraint((Literal(1),), 3),
+        CardinalityConstraint((1,), 1),
+        lambda: CardinalityConstraint((1,), 3),
         SemanticsError,
         "cardinality bound 3 outside 0..2",
     ),
     (
-        Nogood(frozenset({(1, True)})),
-        lambda: Nogood(frozenset({(1, True), (1, False)})),
+        Nogood(frozenset({1})),
+        lambda: Nogood(frozenset({1, -1})),
         SemanticsError,
         "nogood mentions an atom with both signs",
     ),

@@ -357,6 +357,34 @@ GOLDEN_LABELED = b"\n".join(
 )
 
 
+def subcolumns_by_scan(gates):
+    """Reference ``_subcolumns``: each gate scans the open subcolumns for the
+    first whose last gate ends above the gate's start."""
+    subcolumns = []
+    for gate in gates:
+        for sub in subcolumns:
+            if sub[-1][1] < gate[0]:
+                sub.append(gate)
+                break
+        else:
+            subcolumns.append([gate])
+    return subcolumns or [[]]
+
+
+class TestSubcolumns:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_heaps_pack_like_the_first_fit_scan(self, seed):
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(0, 60), rng.randint(1, 6))
+        for gates in net.levels:
+            assert network._subcolumns(gates) == subcolumns_by_scan(gates)
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 100, 257])
+    def test_heaps_pack_sorter_levels_like_the_first_fit_scan(self, n):
+        for gates in oe_sorter(n).levels:
+            assert network._subcolumns(gates) == subcolumns_by_scan(gates)
+
+
 class TestRenderDiagram:
     def test_empty_two_wire_network(self):
         assert render_diagram(new_network(2, 0, [])) == b"--\n--"
