@@ -9,7 +9,6 @@ until no candidate survives.  The trace length measures solving difficulty.
 from __future__ import annotations
 
 import random
-from itertools import compress
 from typing import NamedTuple, Sequence
 
 from . import aspif
@@ -19,7 +18,7 @@ from .asplang import (
     _dependency_order,
     auto_split_atoms,
     enumerate_answer_sets_split,
-    flag_lanes,
+    in_sorted_order,
 )
 from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
 from .network import Network
@@ -126,8 +125,8 @@ def check_candidate_cost(choice_atoms: int, rules: int) -> None:
         )
 
 
-def _supported_candidates(program: GroundProgram) -> tuple[list[int], list[bytes]]:
-    """Total supported-model candidates as flag rows, in order of their sorted atoms.
+def _supported_candidates(program: GroundProgram) -> tuple[dict[int, int], int]:
+    """Total supported-model candidates as (atom lanes, count), candidate i in lane i.
 
     See ``enumerate_answer_sets_split``.  Requires empty-bodied choice rules
     and negation-free, acyclic normal rules.  Such a program is tight, so its
@@ -164,31 +163,20 @@ def run_pch(
     A surviving non-conflicting candidate would be an answer set, ending the
     history incomplete.
     """
-    atoms, rows = _supported_candidates(program)
-    if shuffle_rng is not None:
-        shuffle_rng.shuffle(rows)
-    # Candidate i is row i of the matrix, n bytes from byte i * n on, which
-    # holds the rows from here on; only a visited candidate becomes a set.
     # Bit i stands for candidate i: in remaining while no learned nogood
-    # prunes it, and in an atom's column when the candidate holds the atom.
-    n = len(atoms)
-    matrix = b"".join(rows)
-    remaining = (1 << len(rows)) - 1
-    del rows
-    position = {a: p for p, a in enumerate(atoms)}
-    columns: dict[int, int] = {}
-
-    def holds(atom: int) -> int:
-        if atom not in columns:
-            p = position.get(atom)
-            columns[atom] = 0 if p is None else flag_lanes(matrix[p::n])
-        return columns[atom]
-
+    # prunes it, and in an atom's lanes when the candidate holds the atom.
+    lanes, count = _supported_candidates(program)
+    remaining = (1 << count) - 1
+    if shuffle_rng is None:
+        candidates = in_sorted_order(lanes, count, lambda: remaining)
+    else:
+        order = list(in_sorted_order(lanes, count, lambda: remaining))
+        shuffle_rng.shuffle(order)
+        candidates = (c for c in order if remaining >> c[1] & 1)
     assignments: list[frozenset[int]] = []
     learned: list[tuple[int, ...]] = []
-    while remaining:
-        start = ((remaining & -remaining).bit_length() - 1) * n
-        current = frozenset(compress(atoms, matrix[start : start + n]))
+    for model, _ in candidates:
+        current = frozenset(model)
         if not propagator.conflicts_with(current):
             return PropagatorTrace(tuple(assignments), tuple(learned), False)
         explanation = propagator.explain(current)
@@ -196,7 +184,7 @@ def run_pch(
         learned.append(explanation)
         pruned = remaining
         for a in explanation:
-            pruned &= holds(a)
+            pruned &= lanes.get(a, 0)
         remaining ^= pruned
     return PropagatorTrace(tuple(assignments), tuple(learned), True)
 

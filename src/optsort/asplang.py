@@ -9,8 +9,9 @@ at once as one bit lane of a Python integer, guarded by an atom-count limit.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from typing import Iterable, NamedTuple, Sequence, TypeVar
+from itertools import accumulate, compress, repeat
+from operator import or_
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 # The most atoms an enumeration guesses: each guess is one bit lane, so every
 # atom's lane vector then takes 2 MB.
@@ -247,11 +248,9 @@ def _at_least(vectors: Iterable[int], bound: int, all_lanes: int) -> int:
     return reached[bound]
 
 
-# Lane flags (one 0 or 1 byte per lane) to and from base-2 digits, and 0 and 1
-# swapped.
+# Lane flags (one 0 or 1 byte per lane) to and from base-2 digits.
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
-_SWAP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _lane_flags(vector: int, width: int) -> bytes:
@@ -264,31 +263,38 @@ def flag_lanes(flags: bytes) -> int:
     return int(flags[::-1].translate(_DIGITS) or b"0", 2)
 
 
-def _row_order(row: bytes) -> bytes:
-    # At the first atom two rows disagree on, the row that holds it comes
-    # first by its sorted atoms, unless the other holds no later atom.  The
-    # swapped flags without their trailing ones order the rows the same way.
-    return row.translate(_SWAP).rstrip(b"\1")
+def in_sorted_order(
+    lanes: dict[int, int], count: int, live: Callable[[], int]
+) -> Iterator[tuple[list[int], int]]:
+    """The models held in the live lanes as (sorted atoms, lane), in order of their sorted atoms.
 
-
-def lane_rows(true_in: dict[int, int], lanes: int, width: int) -> tuple[list[int], list[bytes]]:
-    """The models held in the given lanes as flag rows, in order of their sorted atoms.
-
-    Returns the atoms that any of the lanes holds, sorted, and one row per
-    lane: a byte per atom, 1 where the lane holds it.
+    ``lanes`` maps each atom to the lanes that hold it, out of ``count``
+    lanes that hold distinct models.  ``live()`` gives the lanes still
+    wanted.  It is read at every step, so it may drop lanes between two
+    models, never add one, and the walk skips what it dropped.
     """
-    keep = _lane_flags(lanes, width)
-    atoms = sorted(a for a, held in true_in.items() if held & lanes)
-    n, count = len(atoms), lanes.bit_count()
-    if not n:
-        return atoms, [b""] * count
-    # The lanes' rows one after another: each atom's column is every n-th byte.
-    matrix = bytearray(n * count)
-    for p, a in enumerate(atoms):
-        matrix[p::n] = bytes(compress(_lane_flags(true_in[a], width), keep))
-    rows = [bytes(matrix[i : i + n]) for i in range(0, len(matrix), n)]
-    rows.sort(key=_row_order)
-    return atoms, rows
+    atoms = sorted(lanes)
+    columns = [lanes[a] for a in atoms]
+    everything = (1 << count) - 1
+    # ended[p]: the lanes that hold no atom at position p or after
+    ended = [everything ^ later for later in accumulate(reversed(columns), or_, initial=0)][::-1]
+    # Depth first: a node holds the lanes whose models agree on the atoms
+    # before position p.  The lane that holds no further atom comes first,
+    # then the lanes that hold the atom at p, then those that skip it.
+    stack = [(0, everything, ())]
+    while stack:
+        p, mask, model = stack.pop()
+        mask &= live()
+        done = mask & ended[p]
+        if done:
+            yield list(model), done.bit_length() - 1
+            mask ^= done
+        if mask:
+            held = mask & columns[p]
+            if held != mask:
+                stack.append((p + 1, mask ^ held, model))
+            if held:
+                stack.append((p + 1, held, (*model, atoms[p])))
 
 
 def lane_values(terms: Sequence[tuple[int, int]], lanes: dict[int, int], width: int) -> list[int]:
@@ -367,8 +373,8 @@ def auto_split_atoms(program: GroundProgram) -> frozenset[int]:
     return frozenset(bottom)
 
 
-def enumerate_answer_sets_layered(program: GroundProgram) -> tuple[list[int], list[bytes]]:
-    """Answer sets across the smallest workable splitting set, as flag rows.
+def enumerate_answer_sets_layered(program: GroundProgram) -> tuple[dict[int, int], int]:
+    """Answer sets across the smallest workable splitting set, as lanes.
 
     Only the choice heads and negated atoms below it are guessed, so
     programs whose upper layers are positive and deterministic (for example
@@ -380,12 +386,20 @@ def enumerate_answer_sets_layered(program: GroundProgram) -> tuple[list[int], li
 
 def enumerate_answer_sets_split(
     program: GroundProgram, bottom_atoms: frozenset[int]
-) -> tuple[list[int], list[bytes]]:
-    """Answer sets across a splitting set as flag rows, in order of their sorted atoms.
+) -> tuple[dict[int, int], int]:
+    """Answer sets across a splitting set as (atom lanes, count), answer set i in lane i.
 
-    See ``answer_lanes`` for the split and ``lane_rows`` for the rows.
+    Each atom that some answer set holds maps to the lanes that hold it.  See
+    ``answer_lanes`` for the split; its answer lanes are packed in order.
     """
-    return lane_rows(*answer_lanes(program, bottom_atoms))
+    true_in, answers, width = answer_lanes(program, bottom_atoms)
+    keep = _lane_flags(answers, width)
+    lanes = {
+        a: flag_lanes(bytes(compress(_lane_flags(held, width), keep)))
+        for a, held in true_in.items()
+        if held & answers
+    }
+    return lanes, answers.bit_count()
 
 
 def answer_lanes(
@@ -424,7 +438,9 @@ def answer_lanes(
                 f"{len(guessed)} atoms exceed the brute-force guard of {MAX_ENUM_ATOMS}"
             )
         width = 1 << len(guessed)
-        guess = dict(zip(guessed, _choice_lanes(len(guessed))))
+        # The smallest atom takes the top bit: the models that come first by
+        # their sorted atoms lie in the top lanes, which pch prunes first.
+        guess = dict(zip(reversed(guessed), _choice_lanes(len(guessed))))
         normal_rules, choice_rules = program.normal_rules, program.choice_rules
     elif not bottom[1]:
         return {}, 0, 0

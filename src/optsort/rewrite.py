@@ -11,7 +11,7 @@ answer set, in bijection with the original ones.
 from __future__ import annotations
 
 import random
-from itertools import compress
+from operator import ne
 from typing import NamedTuple
 
 from . import aspif
@@ -21,6 +21,7 @@ from .asplang import (
     answer_lanes,
     enumerate_answer_sets_layered,
     flag_lanes,
+    in_sorted_order,
     lane_values,
 )
 from .encode import ONE_BODY_RULE, WireAtomMap, asp_of_network, dense_wire_atom_map
@@ -102,7 +103,7 @@ class RewriteReport(NamedTuple):
 def wire_inputs(
     terms: list[tuple[int, int]], fresh: FreshAtoms
 ) -> tuple[list[str], list[int]]:
-    """Bridge each weighted signed aspif literal onto a fresh network input atom.
+    """Bridge each (literal, weight) term onto a fresh network input atom.
 
     One rule line ``atom :- literal`` per term: the input atom is derived
     exactly when the literal holds.  Weights must be positive (normalization
@@ -110,7 +111,7 @@ def wire_inputs(
     """
     lines = []
     inputs = []
-    for w, lit in terms:
+    for lit, w in terms:
         if w <= 0:
             raise RewriteError(f"cannot wire non-positive weight {w}")
         if lit == 0:
@@ -194,7 +195,7 @@ def _rewrite_level(
         return [statement], _passthrough_report(priority, input_terms, len(merged))
 
     weights = [w for _, w in rewritable]
-    lines, input_atoms = wire_inputs([(w, lit) for lit, w in rewritable], fresh)
+    lines, input_atoms = wire_inputs(rewritable, fresh)
     network = oe_sorter(len(input_atoms), config.depth_limit)
     first_wire_atom = fresh.reserve(network.width * network.depth)
     wire_map = dense_wire_atom_map(
@@ -306,26 +307,22 @@ def _keeps_input(before: GroundProgram, after: GroundProgram) -> bool:
 class InputLanes(NamedTuple):
     """The input's answer sets as lanes, answer set i in lane i.
 
-    ``atoms`` and ``rows`` are the answer sets as ``lane_rows`` gives them,
-    row i for lane i.  ``lanes`` maps each of those atoms to the lanes that
-    hold it, and ``values`` each priority to its lane values.
+    ``lanes`` maps each atom that an answer set holds to the lanes that hold
+    it, ``count`` is the number of answer sets and ``values`` maps each
+    priority to its lane values.
     """
 
-    atoms: list[int]
-    rows: list[bytes]
     lanes: dict[int, int]
+    count: int
     values: dict[int, list[int]]
 
 
 def input_lanes(before: aspif.Bridged) -> InputLanes:
     """The input's answer sets and each priority's values on them, as lanes."""
     program, objectives = before
-    atoms, rows = enumerate_answer_sets_layered(program)
-    # An atom's lanes are its column of the joined rows: every n-th byte.
-    n, matrix = len(atoms), b"".join(rows)
-    lanes = {a: flag_lanes(matrix[p::n]) for p, a in enumerate(atoms)}
-    values = {p: lane_values(terms, lanes, len(rows)) for p, terms in objectives.items()}
-    return InputLanes(atoms, rows, lanes, values)
+    lanes, count = enumerate_answer_sets_layered(program)
+    values = {p: lane_values(terms, lanes, count) for p, terms in objectives.items()}
+    return InputLanes(lanes, count, values)
 
 
 def verify_rewrite(
@@ -347,8 +344,7 @@ def verify_rewrite(
         return VerifyReport(False, 0, "objective priority levels differ")
     if before_lanes is None:
         before_lanes = input_lanes(before)
-    atoms, rows, base_lanes, base_values = before_lanes
-    count = len(rows)
+    base_lanes, count, base_values = before_lanes
     if not _keeps_input(before_program, after_program):
         return VerifyReport(
             False, count, "the rewrite does not keep the input's rules and constraints"
@@ -362,13 +358,11 @@ def verify_rewrite(
         )
     for priority, values in base_values.items():
         new_values = lane_values(after_objectives[priority], lanes, width)
-        if values == new_values:
-            continue
-        for row, value, new_value in zip(rows, values, new_values):
-            if value != new_value:
-                model = list(compress(atoms, row))
-                detail = f"value mismatch at priority {priority} on {model}: "
-                return VerifyReport(False, count, detail + f"{value} vs {new_value}")
+        if values != new_values:
+            differ = flag_lanes(bytes(map(ne, values, new_values)))
+            model, lane = next(in_sorted_order(base_lanes, count, lambda: differ))
+            detail = f"value mismatch at priority {priority} on {model}: "
+            return VerifyReport(False, count, detail + f"{values[lane]} vs {new_values[lane]}")
     return VerifyReport(True, count)
 
 

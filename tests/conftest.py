@@ -251,10 +251,11 @@ def enumerate_answer_sets(program: GroundProgram) -> list[frozenset[int]]:
     )
 
 
-def row_models(enumerated) -> list[frozenset[int]]:
-    """An enumerator's ``(atoms, rows)`` as frozensets, one per row in row order."""
-    atoms, rows = enumerated
-    return [frozenset(itertools.compress(atoms, row)) for row in rows]
+def lane_models(enumerated) -> list[frozenset[int]]:
+    """An enumerator's ``(atom lanes, count)`` as frozensets, in order of their sorted atoms."""
+    lanes, count = enumerated
+    models = [frozenset(a for a, held in lanes.items() if held >> i & 1) for i in range(count)]
+    return sorted(models, key=sorted)
 
 
 def models_as_lanes(models, atoms) -> dict[int, int]:

@@ -51,7 +51,7 @@ from conftest import (
     input_facts,
     new_network,
     read_rules,
-    row_models,
+    lane_models,
 )
 
 
@@ -209,7 +209,7 @@ def test_05_network_translation_has_one_answer_set_per_input():
                     statements=(*map(aspif.Raw, lines), *input_facts(bits, wire_map))
                 )
                 program, _ = aspif.to_ground_program(aspif.parse(aspif.write(document)))
-                models = row_models(enumerate_answer_sets_layered(program))
+                models = lane_models(enumerate_answer_sets_layered(program))
                 assert len(models) == 1, (n, bits)
                 model = models[0]
                 values = apply(net, bits)

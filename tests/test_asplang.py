@@ -17,7 +17,7 @@ from optsort.asplang import (
     auto_split_atoms,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
-    lane_rows,
+    in_sorted_order,
     lane_values,
     least_model,
 )
@@ -33,7 +33,7 @@ from conftest import (
     nogood,
     nogood_holds,
     optimal_value,
-    row_models,
+    lane_models,
     rule,
     signed_literals,
 )
@@ -55,7 +55,7 @@ def lex(models):
 
 def answer_sets(p):
     """The lane enumerator's answer sets, once the brute-force oracle agrees."""
-    models = row_models(enumerate_answer_sets_layered(p))
+    models = lane_models(enumerate_answer_sets_layered(p))
     assert models == enumerate_answer_sets(p)
     return models
 
@@ -228,7 +228,7 @@ class TestSplitEnumeration:
             not_body = rng.sample(sorted(bottom), k=rng.randint(0, 1))
             rules.append(rule(t, body, not_body))
         p = program(bottom | top, rules=rules, choices=[ChoiceRule(bottom)])
-        assert row_models(enumerate_answer_sets_split(p, bottom)) == enumerate_answer_sets(p)
+        assert lane_models(enumerate_answer_sets_split(p, bottom)) == enumerate_answer_sets(p)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_split_equals_direct_with_straddling_constraints(self, seed):
@@ -266,8 +266,8 @@ class TestSplitEnumeration:
             nogoods=nogoods,
         )
         direct = enumerate_answer_sets(p)
-        assert row_models(enumerate_answer_sets_split(p, bottom)) == direct
-        assert row_models(enumerate_answer_sets_layered(p)) == direct
+        assert lane_models(enumerate_answer_sets_split(p, bottom)) == direct
+        assert lane_models(enumerate_answer_sets_layered(p)) == direct
 
     def test_split_refuses_an_upper_choice_rule(self):
         p = program(
@@ -295,7 +295,7 @@ class TestSplitEnumeration:
             rules=[rule(3, body=[1]), rule(4, body=[3, 2])],
             choices=[ChoiceRule(frozenset({1, 2}))],
         )
-        assert row_models(enumerate_answer_sets_layered(p)) == enumerate_answer_sets(p)
+        assert lane_models(enumerate_answer_sets_layered(p)) == enumerate_answer_sets(p)
 
     def test_split_rejects_leaky_bottom(self):
         p = program({1, 2}, rules=[rule(1, body=[2]), rule(2)])
@@ -309,7 +309,7 @@ class TestSplitEnumeration:
             choices=[ChoiceRule(frozenset({1}))],
             nogoods=[nogood(true_atoms=[2])],
         )
-        assert row_models(enumerate_answer_sets_split(p, frozenset({1}))) == [frozenset()]
+        assert lane_models(enumerate_answer_sets_split(p, frozenset({1}))) == [frozenset()]
 
 
 class TestObjectives:
@@ -354,6 +354,21 @@ def test_lane_values_match_the_per_model_oracle(models, terms):
     lanes = models_as_lanes(models, range(1, 5))
     assert lane_values(objective, lanes, len(models)) == [evaluate(objective, m) for m in models]
     assert lane_values(objective, {}, 0) == []
+
+
+@given(st.data())
+def test_in_sorted_order_walks_the_selected_models_by_their_sorted_atoms(data):
+    # the empty model comes before every other, and a model before one that
+    # extends it by a larger atom
+    longer = data.draw(st.frozensets(st.integers(1, 5), min_size=2))
+    others = data.draw(st.lists(st.frozensets(st.integers(1, 5)), max_size=8))
+    distinct = dict.fromkeys([frozenset(), frozenset(sorted(longer)[:-1]), longer, *others])
+    models = data.draw(st.permutations(list(distinct)))
+    mask = data.draw(st.integers(1, (1 << len(models)) - 1))
+    lanes = models_as_lanes(models, range(1, 6))
+    selected = [m for i, m in enumerate(models) if mask >> i & 1]
+    walked = list(in_sorted_order(lanes, len(models), lambda: mask))
+    assert walked == [(sorted(m), models.index(m)) for m in sorted(selected, key=sorted)]
 
 
 def subsets(pool, most):
@@ -412,9 +427,9 @@ def test_lane_enumeration_matches_the_brute_force_oracle(case):
     # sets of the part below it, gives the oracle's answer sets
     p, bottom = case
     expected = enumerate_answer_sets(p)
-    assert row_models(enumerate_answer_sets_layered(p)) == expected
-    assert row_models(enumerate_answer_sets_split(p, auto_split_atoms(p))) == expected
-    assert row_models(enumerate_answer_sets_split(p, bottom)) == expected
+    assert lane_models(enumerate_answer_sets_layered(p)) == expected
+    assert lane_models(enumerate_answer_sets_split(p, auto_split_atoms(p))) == expected
+    assert lane_models(enumerate_answer_sets_split(p, bottom)) == expected
     below = program(
         bottom,
         [r for r in p.normal_rules if r.head in bottom],
@@ -424,4 +439,10 @@ def test_lane_enumeration_matches_the_brute_force_oracle(case):
     )
     bottom_models = enumerate_answer_sets(below)
     bottom_lanes = (models_as_lanes(bottom_models, bottom), len(bottom_models))
-    assert row_models(lane_rows(*answer_lanes(p, bottom, bottom_lanes))) == expected
+    true_in, answers, width = answer_lanes(p, bottom, bottom_lanes)
+    models = [
+        frozenset(a for a, lanes in true_in.items() if lanes >> i & 1)
+        for i in range(width)
+        if answers >> i & 1
+    ]
+    assert sorted(models, key=sorted) == expected

@@ -15,7 +15,7 @@ from conftest import (
     new_network,
     random_network,
     read_rules,
-    row_models,
+    lane_models,
 )
 
 
@@ -108,7 +108,7 @@ class TestWireValueCorrespondence:
         for net in nets:
             for bits in binary_vectors(n):
                 prog, wire_map = network_program(net, bits)
-                models = row_models(enumerate_answer_sets_layered(prog))
+                models = lane_models(enumerate_answer_sets_layered(prog))
                 assert len(models) == 1
                 model = models[0]
                 values = apply(net, bits)

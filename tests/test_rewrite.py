@@ -22,7 +22,7 @@ from optsort.rewrite import (
     wire_inputs,
 )
 
-from conftest import enumerate_answer_sets, read_rules, row_models, traced_peak
+from conftest import enumerate_answer_sets, read_rules, lane_models, traced_peak
 
 TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
 
@@ -34,7 +34,7 @@ def bridge(doc):
 
 class TestWireInputs:
     def test_positive_and_negated_literals(self):
-        lines, atoms = wire_inputs([(40, 1), (70, -2)], FreshAtoms(10))
+        lines, atoms = wire_inputs([(1, 40), (-2, 70)], FreshAtoms(10))
         assert atoms == [10, 11]
         assert lines == ["1 0 1 10 0 1 1", "1 0 1 11 0 1 -2"]
 
@@ -43,11 +43,11 @@ class TestWireInputs:
 
     def test_rejects_non_positive_weights(self):
         with pytest.raises(RewriteError):
-            wire_inputs([(0, 1)], FreshAtoms(5))
+            wire_inputs([(1, 0)], FreshAtoms(5))
 
     def test_rejects_literal_zero(self):
         with pytest.raises(RewriteError):
-            wire_inputs([(3, 0)], FreshAtoms(5))
+            wire_inputs([(0, 3)], FreshAtoms(5))
 
 
 class TestConfig:
@@ -466,7 +466,7 @@ class TestVerifyRewrite:
         doc = random_opt_document(rng)
         before = bridge(doc)
         expected = enumerate_answer_sets(before[0])
-        assert row_models(enumerate_answer_sets_layered(before[0])) == expected
+        assert lane_models(enumerate_answer_sets_layered(before[0])) == expected
         results = verify_grid(doc, before)
         assert [config for config, _ in results] == list(VERIFY_GRID)
         for config, report in results:
