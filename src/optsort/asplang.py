@@ -9,7 +9,7 @@ at once as one bit lane of a Python integer, guarded by an atom-count limit.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -238,14 +238,26 @@ def _choice_lanes(n: int) -> list[int]:
     return lanes
 
 
-def _at_least(vectors: Iterable[int], bound: int, all_lanes: int) -> int:
-    """The lanes in which at least ``bound`` of the lane vectors are set."""
-    # reached[j]: the lanes where at least j of the vectors seen so far are set
-    reached = [all_lanes] + [0] * bound
-    for vector in vectors:
-        for j in range(bound, 0, -1):
-            reached[j] |= reached[j - 1] & vector
-    return reached[bound]
+def lane_sum(terms: Sequence[tuple[int, int]]) -> list[int]:
+    """Each lane's sum of the weights of the (lane vector, weight) terms set in it, as bit planes.
+
+    Plane b holds bit b of every lane's sum in two's complement, and the last
+    plane is the sign.  The planes are wide enough for any sum the absolute
+    weights allow, so a lane sums to zero exactly where no plane holds it.
+    """
+    bits = sum(abs(w) for _, w in terms).bit_length() + 1
+    planes = [0] * bits
+    for vector, weight in terms:
+        weight &= (1 << bits) - 1
+        for b in range(weight.bit_length()):
+            if weight >> b & 1:
+                # add the vector at plane b, rippling the carry upwards
+                carry = vector
+                for p in range(b, bits):
+                    planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                    if not carry:
+                        break
+    return planes
 
 
 # Lane flags (one 0 or 1 byte per lane) to and from base-2 digits.
@@ -295,22 +307,6 @@ def in_sorted_order(
                 stack.append((p + 1, mask ^ held, model))
             if held:
                 stack.append((p + 1, held, (*model, atoms[p])))
-
-
-def lane_values(terms: Sequence[tuple[int, int]], lanes: dict[int, int], width: int) -> list[int]:
-    """Each lane's value: the summed weights of the (literal, weight) terms
-    whose literal holds in it.
-
-    An atom missing from ``lanes`` holds in no lane, so its negation in all.
-    """
-    all_lanes = (1 << width) - 1
-    weights = [w for _, w in terms]
-    columns = [
-        _lane_flags(lanes.get(abs(l), 0) ^ (0 if l > 0 else all_lanes), width)
-        for l, _ in terms
-    ]
-    rows = zip(*columns) if columns else repeat((), width)
-    return [sum(compress(weights, row)) for row in rows]
 
 
 def _guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list[int]:
@@ -479,6 +475,6 @@ def answer_lanes(
             conflict &= holds(literal)
         answers &= ~conflict
     for cc in program.cardinality_constraints:
-        satisfied = [holds(l) for l in set(cc.literals)]
-        answers &= _at_least(satisfied, cc.lower_bound, all_lanes)
+        count = [(holds(l), 1) for l in set(cc.literals)]
+        answers &= ~lane_sum([*count, (all_lanes, -cc.lower_bound)])[-1]
     return true_in, answers, width

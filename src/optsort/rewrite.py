@@ -11,7 +11,8 @@ answer set, in bijection with the original ones.
 from __future__ import annotations
 
 import random
-from operator import ne
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from . import aspif
@@ -20,9 +21,8 @@ from .asplang import (
     GroundProgram,
     answer_lanes,
     enumerate_answer_sets_layered,
-    flag_lanes,
     in_sorted_order,
-    lane_values,
+    lane_sum,
 )
 from .encode import ONE_BODY_RULE, WireAtomMap, asp_of_network, dense_wire_atom_map
 from .network import oe_sorter
@@ -304,31 +304,10 @@ def _keeps_input(before: GroundProgram, after: GroundProgram) -> bool:
     )
 
 
-class InputLanes(NamedTuple):
-    """The input's answer sets as lanes, answer set i in lane i.
-
-    ``lanes`` maps each atom that an answer set holds to the lanes that hold
-    it, ``count`` is the number of answer sets and ``values`` maps each
-    priority to its lane values.
-    """
-
-    lanes: dict[int, int]
-    count: int
-    values: dict[int, list[int]]
-
-
-def input_lanes(before: aspif.Bridged) -> InputLanes:
-    """The input's answer sets and each priority's values on them, as lanes."""
-    program, objectives = before
-    lanes, count = enumerate_answer_sets_layered(program)
-    values = {p: lane_values(terms, lanes, count) for p, terms in objectives.items()}
-    return InputLanes(lanes, count, values)
-
-
 def verify_rewrite(
     before: aspif.Bridged,
     after: aspif.Bridged,
-    before_lanes: InputLanes | None = None,
+    before_lanes: tuple[dict[int, int], int] | None = None,
 ) -> VerifyReport:
     """Brute-force check that a rewrite preserves answer sets and values.
 
@@ -336,33 +315,46 @@ def verify_rewrite(
     closed over the input's answer sets, lane i holding answer set i: every
     lane must survive its constraints (a bijection onto the input's answer
     sets) and keep every level's value (hence also at the optimum).
-    ``before_lanes``, when given, must be ``input_lanes`` of the input.
+    ``before_lanes``, when given, must be the input's
+    ``enumerate_answer_sets_layered``.
     """
     before_program, before_objectives = before
     after_program, after_objectives = after
     if set(before_objectives) != set(after_objectives):
         return VerifyReport(False, 0, "objective priority levels differ")
     if before_lanes is None:
-        before_lanes = input_lanes(before)
-    base_lanes, count, base_values = before_lanes
+        before_lanes = enumerate_answer_sets_layered(before_program)
+    base_lanes, count = before_lanes
     if not _keeps_input(before_program, after_program):
         return VerifyReport(
             False, count, "the rewrite does not keep the input's rules and constraints"
         )
     lanes, answers, width = answer_lanes(
-        after_program, before_program.signature, (base_lanes, count)
+        after_program, before_program.signature, before_lanes
     )
-    if answers != (1 << width) - 1:
+    all_lanes = (1 << width) - 1
+    if answers != all_lanes:
         return VerifyReport(
             False, count, f"answer set counts differ: {count} vs {answers.bit_count()}"
         )
-    for priority, values in base_values.items():
-        new_values = lane_values(after_objectives[priority], lanes, width)
-        if values != new_values:
-            differ = flag_lanes(bytes(map(ne, values, new_values)))
+
+    def holds(literal: int) -> int:
+        held = lanes.get(abs(literal), 0)
+        return held if literal > 0 else all_lanes ^ held
+
+    # The input's atoms are facts in the rewrite's lanes, so one lane sum
+    # takes the input's value minus the rewrite's in every lane.
+    for priority, terms in before_objectives.items():
+        new_terms = after_objectives[priority]
+        difference = [(holds(l), w) for l, w in terms] + [(holds(l), -w) for l, w in new_terms]
+        differ = reduce(or_, lane_sum(difference))
+        if differ:
             model, lane = next(in_sorted_order(base_lanes, count, lambda: differ))
+            value, new_value = (
+                sum(w for l, w in side if holds(l) >> lane & 1) for side in (terms, new_terms)
+            )
             detail = f"value mismatch at priority {priority} on {model}: "
-            return VerifyReport(False, count, detail + f"{values[lane]} vs {new_values[lane]}")
+            return VerifyReport(False, count, detail + f"{value} vs {new_value}")
     return VerifyReport(True, count)
 
 
@@ -381,12 +373,12 @@ def verify_grid(
     """Rewrite under every ``VERIFY_GRID`` configuration and verify each result.
 
     ``before`` is the document's own ground program.  Its answer sets are
-    enumerated once for the whole grid, and their lanes and values built
-    once too.  Each distinct ``aspif.write`` text is parsed back and verified
-    once, as a solver would read it; configurations often share one (depth 0
-    ignores the other knobs, small networks reach full depth early).
+    enumerated once for the whole grid.  Each distinct ``aspif.write`` text
+    is parsed back and verified once, as a solver would read it;
+    configurations often share one (depth 0 ignores the other knobs, small
+    networks reach full depth early).
     """
-    before_lanes = input_lanes(before)
+    before_lanes = enumerate_answer_sets_layered(before[0])
     reports: dict[str, VerifyReport] = {}
     results = []
     for config in VERIFY_GRID:

@@ -17,7 +17,7 @@ from optsort.asplang import (
     ChoiceRule,
     GroundProgram,
     SemanticsError,
-    _at_least,
+    lane_sum,
 )
 from optsort.network import limit_depth, oe_sorter
 
@@ -312,16 +312,17 @@ def test_bit_sliced_at_least_counter_matches_satisfied_by(data):
         st.lists(st.frozensets(st.integers(1, 5)), min_size=lanes, max_size=lanes)
     )
     literals = data.draw(st.lists(signed_literals(st.integers(1, 5))))
-    constraint = CardinalityConstraint(
-        tuple(literals), data.draw(st.integers(0, len(set(literals)) + 1))
-    )
-    vectors = [
-        sum(1 << i for i, m in enumerate(models) if literal_holds(l, m)) for l in set(literals)
+    count = [
+        (sum(1 << i for i, m in enumerate(models) if literal_holds(l, m)), 1)
+        for l in set(literals)
     ]
-    satisfied = _at_least(vectors, constraint.lower_bound, (1 << lanes) - 1)
-    assert [bool(satisfied >> i & 1) for i in range(lanes)] == [
-        constraint_holds(constraint, m) for m in models
-    ]
+    for bound in range(len(count) + 2):
+        # the count minus the bound has a clear sign plane where the bound is met
+        sign = lane_sum([*count, ((1 << lanes) - 1, -bound)])[-1]
+        constraint = CardinalityConstraint(tuple(literals), bound)
+        assert [not sign >> i & 1 for i in range(lanes)] == [
+            constraint_holds(constraint, m) for m in models
+        ]
 
 
 class TestNetworkedPch:

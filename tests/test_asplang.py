@@ -18,7 +18,7 @@ from optsort.asplang import (
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
     in_sorted_order,
-    lane_values,
+    lane_sum,
     least_model,
 )
 
@@ -340,7 +340,10 @@ class TestObjectives:
         assert optimal_value(p, ()) == 0
 
 
-_TERMS = st.tuples(signed_literals(st.integers(1, 6)), st.integers(-5, 9))
+_TERMS = st.tuples(
+    signed_literals(st.integers(1, 6)),
+    st.one_of(st.integers(-5, 9), st.integers(-(2**50), 2**50)),
+)
 
 
 @given(
@@ -348,12 +351,19 @@ _TERMS = st.tuples(signed_literals(st.integers(1, 6)), st.integers(-5, 9))
     st.lists(_TERMS, max_size=6),
 )
 def test_lane_values_match_the_per_model_oracle(models, terms):
-    # atoms 5 and 6 are in no model and have no lanes: positive they hold
-    # in no lane, negated in every lane
-    objective = tuple(terms)
-    lanes = models_as_lanes(models, range(1, 5))
-    assert lane_values(objective, lanes, len(models)) == [evaluate(objective, m) for m in models]
-    assert lane_values(objective, {}, 0) == []
+    # atoms 5 and 6 are in no model: positive they hold in no lane, negated
+    # in every lane; weights past 2^40 exercise the plane width and the sign
+    lanes = models_as_lanes(models, range(1, 7))
+    everything = (1 << len(models)) - 1
+    planes = lane_sum([(lanes[l] if l > 0 else everything ^ lanes[-l], w) for l, w in terms])
+    # the last plane is the sign, worth minus its place value
+    decoded = [
+        sum((plane >> i & 1) << b for b, plane in enumerate(planes))
+        - ((planes[-1] >> i & 1) << len(planes))
+        for i in range(len(models))
+    ]
+    assert decoded == [evaluate(tuple(terms), m) for m in models]
+    assert not any(lane_sum([(0, w) for _, w in terms]))
 
 
 @given(st.data())

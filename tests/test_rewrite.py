@@ -402,20 +402,27 @@ KEEPS_NO_INPUT = "the rewrite does not keep the input's rules and constraints"
 
 
 class TestVerifyRewrite:
-    def test_detects_a_corrupted_weight(self):
+    @pytest.mark.parametrize(
+        "shift, rewritten",
+        [(1, 15), (-5, 9), (2**20, 1048590), (2**64, 18446744073709551630)],
+        ids=["plus-1", "minus-5", "plus-2^20", "plus-2^64"],
+    )
+    def test_detects_a_corrupted_weight(self, shift, rewritten):
+        # a shift of 2^64 exceeds every weight of the rewrite: the value sum
+        # must take its width from both objectives, or the difference wraps
         doc = aspif.parse("asp 1 0 0\n1 1 3 1 2 3 0 0\n2 0 3 1 5 2 9 3 4\n0\n")
         out, _ = rewrite_objective(doc, RewriteConfig())
         corrupted = []
         for s in out.statements:
             if isinstance(s, aspif.Minimize):
                 lit, w = s.terms[0]
-                s = aspif.Minimize(s.priority, ((lit, w + 1),) + s.terms[1:])
+                s = aspif.Minimize(s.priority, ((lit, w + shift),) + s.terms[1:])
             corrupted.append(s)
         bad = aspif.AspifDocument(statements=tuple(corrupted))
         report = verify_rewrite(bridge(doc), bridge(bad))
         assert not report.ok
         # the first input answer set whose value changed: 5 + 9 on {1, 2}
-        assert report.detail == "value mismatch at priority 0 on [1, 2]: 14 vs 15"
+        assert report.detail == f"value mismatch at priority 0 on [1, 2]: 14 vs {rewritten}"
 
     def test_detects_a_dropped_answer_set(self):
         doc = aspif.parse("asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 4 2 6\n0\n")
