@@ -50,6 +50,23 @@ def binomial_document(n: int, k: int, opt: bool = False) -> aspif.AspifDocument:
     return aspif.AspifDocument(statements=tuple(statements))
 
 
+# Bytes `gen-binomial` may print.  Each atom takes at most 3 x its digits + 8
+# bytes over the three statements.  The budget admits n = 1 000 000 (25.7 MB
+# printed with --opt; 1.2 s and a 304 MB peak end to end on a shared 2-vCPU
+# machine) and refuses n = 3 000 000 (84 MB printed, 3.4 s, 851 MB peak):
+# the writer holds about ten bytes per byte it prints.
+GEN_BYTE_BUDGET = 1 << 25
+
+
+def check_binomial_bytes(n: int) -> None:
+    """Refuse printing the binomial document over n atoms past ``GEN_BYTE_BUDGET``."""
+    size = n * (3 * len(str(n)) + 8) + 64
+    if size > GEN_BYTE_BUDGET:
+        raise SemanticsError(
+            f"gen-binomial {n} could print {size} bytes, over the budget of {GEN_BYTE_BUDGET}"
+        )
+
+
 def binomial_program(n: int, k: int) -> GroundProgram:
     """The binomial document in the semantic model."""
     return aspif.to_ground_program(binomial_document(n, k))[0]
@@ -109,9 +126,10 @@ class PropagatorTrace(NamedTuple):
 
 # Closing every choice subset costs about 2^n x (normal rules + n) steps.  The
 # budget admits bare binomial programs up to n = 17 and full sorters up to
-# n = 14.  End to end on a shared 2-vCPU machine, `optsort pch` takes 0.18 s
-# at 14 7, 0.22 s at 15 7, 0.3-0.4 s at 16 8, 0.75-0.85 s at 17 8 and 0.23 s
-# at 14 7 with a full sorter; time roughly doubles per atom, as the lanes do.
+# n = 14.  End to end on a shared 2-vCPU machine, `optsort pch` takes
+# 0.11-0.14 s at 14 7, 0.14-0.17 s at 15 7, 0.36-0.37 s at 16 8, 0.81-0.96 s
+# at 17 8 and 0.12 s at 14 7 with a full sorter; past 15 atoms time roughly
+# doubles per atom, as the lanes do.
 CANDIDATE_COST_BUDGET = 1 << 22
 
 
@@ -126,7 +144,7 @@ def check_candidate_cost(choice_atoms: int, rules: int) -> None:
 
 
 def _supported_candidates(program: GroundProgram) -> tuple[dict[int, int], int]:
-    """Total supported-model candidates as (atom lanes, count), candidate i in lane i.
+    """Total supported-model candidates as (atom lanes, candidates mask), one per lane.
 
     See ``enumerate_answer_sets_split``.  Requires empty-bodied choice rules
     and negation-free, acyclic normal rules.  Such a program is tight, so its
@@ -163,14 +181,13 @@ def run_pch(
     A surviving non-conflicting candidate would be an answer set, ending the
     history incomplete.
     """
-    # Bit i stands for candidate i: in remaining while no learned nogood
-    # prunes it, and in an atom's lanes when the candidate holds the atom.
-    lanes, count = _supported_candidates(program)
-    remaining = (1 << count) - 1
+    # Each candidate has a lane: in remaining while no learned nogood prunes
+    # it, and in an atom's lanes when the candidate holds the atom.
+    lanes, remaining = _supported_candidates(program)
     if shuffle_rng is None:
-        candidates = in_sorted_order(lanes, count, lambda: remaining)
+        candidates = in_sorted_order(lanes, lambda: remaining)
     else:
-        order = list(in_sorted_order(lanes, count, lambda: remaining))
+        order = list(in_sorted_order(lanes, lambda: remaining))
         shuffle_rng.shuffle(order)
         candidates = (c for c in order if remaining >> c[1] & 1)
     assignments: list[frozenset[int]] = []

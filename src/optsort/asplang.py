@@ -9,7 +9,7 @@ at once as one bit lane of a Python integer, guarded by an atom-count limit.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -207,7 +207,8 @@ def least_model(rules: Sequence[LaneRule]) -> dict[int, int]:
 
     Maps each head atom to the lanes in which it is derived.  Acyclic rules
     close in one pass in dependency order; over a positive cycle the passes
-    repeat until no atom gains a lane.
+    repeat until no atom gains a lane.  A head derived exactly where its body
+    atom holds gets that atom's int itself, so copy rules add no lane vector.
     """
     ordered, cyclic = _dependency_order(rules)
     true_in: dict[int, int] = {}
@@ -216,9 +217,12 @@ def least_model(rules: Sequence[LaneRule]) -> dict[int, int]:
         grew = False
         for head, body, lanes in ordered:
             for atom in body:
-                lanes &= true_in.get(atom, 0)
+                # a lane vector that the rule copies unchanged is shared, not rebuilt
+                held = true_in.get(atom, 0)
+                both = lanes & held
+                lanes = held if both == held else both
             known = true_in.get(head, 0)
-            true_in[head] = known | lanes
+            true_in[head] = known | lanes if known else lanes
             if cyclic and lanes & ~known:
                 grew = True
     return true_in
@@ -248,48 +252,36 @@ def lane_sum(terms: Sequence[tuple[int, int]]) -> list[int]:
     bits = sum(abs(w) for _, w in terms).bit_length() + 1
     planes = [0] * bits
     for vector, weight in terms:
-        weight &= (1 << bits) - 1
-        for b in range(weight.bit_length()):
-            if weight >> b & 1:
-                # add the vector at plane b, rippling the carry upwards
+        size = abs(weight)
+        for b in range(size.bit_length()):
+            if size >> b & 1:
+                # add or subtract the vector at plane b, rippling the carry
+                # or borrow upwards
                 carry = vector
                 for p in range(b, bits):
-                    planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                    held = planes[p] & carry
+                    planes[p] ^= carry
+                    carry = held if weight > 0 else held ^ carry
                     if not carry:
                         break
     return planes
 
 
-# Lane flags (one 0 or 1 byte per lane) to and from base-2 digits.
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _lane_flags(vector: int, width: int) -> bytes:
-    """One byte per lane, 1 where the vector has the lane's bit set (none at width 0)."""
-    return format(vector, f"0{width}b")[::-1][:width].encode().translate(_FLAGS)
-
-
-def flag_lanes(flags: bytes) -> int:
-    """The lanes whose flag byte is set, lane i from byte i."""
-    return int(flags[::-1].translate(_DIGITS) or b"0", 2)
-
-
 def in_sorted_order(
-    lanes: dict[int, int], count: int, live: Callable[[], int]
+    lanes: dict[int, int], live: Callable[[], int]
 ) -> Iterator[tuple[list[int], int]]:
     """The models held in the live lanes as (sorted atoms, lane), in order of their sorted atoms.
 
-    ``lanes`` maps each atom to the lanes that hold it, out of ``count``
-    lanes that hold distinct models.  ``live()`` gives the lanes still
-    wanted.  It is read at every step, so it may drop lanes between two
-    models, never add one, and the walk skips what it dropped.
+    ``lanes`` maps each atom to the lanes that hold it, and the lanes hold
+    distinct models.  ``live()`` gives the lanes wanted: the walk starts from
+    its first value, and it is read again at every step, so it may drop lanes
+    between two models, never add one, and the walk skips what it dropped.
     """
     atoms = sorted(lanes)
     columns = [lanes[a] for a in atoms]
-    everything = (1 << count) - 1
+    everything = live()
     # ended[p]: the lanes that hold no atom at position p or after
-    ended = [everything ^ later for later in accumulate(reversed(columns), or_, initial=0)][::-1]
+    ended = [everything & ~later for later in accumulate(reversed(columns), or_, initial=0)][::-1]
     # Depth first: a node holds the lanes whose models agree on the atoms
     # before position p.  The lane that holds no further atom comes first,
     # then the lanes that hold the atom at p, then those that skip it.
@@ -383,27 +375,23 @@ def enumerate_answer_sets_layered(program: GroundProgram) -> tuple[dict[int, int
 def enumerate_answer_sets_split(
     program: GroundProgram, bottom_atoms: frozenset[int]
 ) -> tuple[dict[int, int], int]:
-    """Answer sets across a splitting set as (atom lanes, count), answer set i in lane i.
+    """Answer sets across a splitting set as (atom lanes, answers), one answer set per answer lane.
 
-    Each atom that some answer set holds maps to the lanes that hold it.  See
-    ``answer_lanes`` for the split; its answer lanes are packed in order.
+    ``answers`` is the mask of lanes that hold an answer set, and each atom
+    that some answer set holds maps to the answer lanes that hold it.  See
+    ``answer_lanes`` for the split and the lanes.
     """
-    true_in, answers, width = answer_lanes(program, bottom_atoms)
-    keep = _lane_flags(answers, width)
-    lanes = {
-        a: flag_lanes(bytes(compress(_lane_flags(held, width), keep)))
-        for a, held in true_in.items()
-        if held & answers
-    }
-    return lanes, answers.bit_count()
+    true_in, answers = answer_lanes(program, bottom_atoms)
+    lanes = {a: held for a, derived in true_in.items() if (held := derived & answers)}
+    return lanes, answers
 
 
 def answer_lanes(
     program: GroundProgram,
     bottom_atoms: frozenset[int],
     bottom: tuple[dict[int, int], int] | None = None,
-) -> tuple[dict[int, int], int, int]:
-    """Answer sets across a splitting set as (atom lanes, answer lanes, lane count).
+) -> tuple[dict[int, int], int]:
+    """Answer sets across a splitting set as (atom lanes, answers), one answer set per answer lane.
 
     ``bottom_atoms`` must be closed under rule heads: any rule defining a
     bottom atom may only mention bottom atoms.  The part above the split may
@@ -416,15 +404,17 @@ def answer_lanes(
     from the guess, and a choice head is derivable only where it is guessed.
     A lane is stable when the atoms it derives equal its guess on the guessed
     atoms; every other atom is derived.  The stable lanes that pass the
-    nogoods and cardinality constraints are the answer sets, one lane each.
+    nogoods and cardinality constraints are the answer sets, and ``answers``
+    is their mask.  An atom's lanes may also hold lanes outside it.
 
     ``bottom``, when given, must hold the answer sets of the part below the
-    split as lanes, answer set i in lane i: each bottom atom's lanes and the
-    lane count.  They are the answer sets of the rules defining bottom atoms
-    and the constraints over them alone.  Nothing is guessed then.  Lane i
-    holds bottom model i as facts, and only the rules above the split are
-    closed over it; by the splitting-set theorem each lane that passes the
-    constraints is one answer set.
+    split as the enumerators return them: each bottom atom's lanes and the
+    mask of answer lanes.  They are the answer sets of the rules defining
+    bottom atoms and the constraints over them alone.  Nothing is guessed
+    then, and the mask is the lane universe: each of its lanes holds its
+    bottom model as facts, and only the rules above the split are closed
+    over it.  By the splitting-set theorem each lane that passes the
+    constraints is one answer set, in the lane of its bottom model.
     """
     bottom_atoms = frozenset(bottom_atoms)
     guessed = _guessed_atoms(program, bottom_atoms)
@@ -433,19 +423,16 @@ def answer_lanes(
             raise SemanticsError(
                 f"{len(guessed)} atoms exceed the brute-force guard of {MAX_ENUM_ATOMS}"
             )
-        width = 1 << len(guessed)
+        all_lanes = (1 << (1 << len(guessed))) - 1
         # The smallest atom takes the top bit: the models that come first by
         # their sorted atoms lie in the top lanes, which pch prunes first.
         guess = dict(zip(reversed(guessed), _choice_lanes(len(guessed))))
         normal_rules, choice_rules = program.normal_rules, program.choice_rules
-    elif not bottom[1]:
-        return {}, 0, 0
     else:
-        bottom_lanes, width = bottom
+        bottom_lanes, all_lanes = bottom
         guess = {a: bottom_lanes.get(a, 0) for a in bottom_atoms}
         normal_rules = [r for r in program.normal_rules if r.head not in bottom_atoms]
         choice_rules = ()
-    all_lanes = (1 << width) - 1
 
     def unguessed(atoms: Iterable[int]) -> int:
         lanes = all_lanes
@@ -477,4 +464,4 @@ def answer_lanes(
     for cc in program.cardinality_constraints:
         count = [(holds(l), 1) for l in set(cc.literals)]
         answers &= ~lane_sum([*count, (all_lanes, -cc.lower_bound)])[-1]
-    return true_in, answers, width
+    return true_in, answers

@@ -18,6 +18,7 @@ from .analysis import (
     binomial_document,
     binomial_program,
     card_propagator,
+    check_binomial_bytes,
     check_candidate_cost,
     output_atoms,
     run_pch,
@@ -149,6 +150,7 @@ def _cmd_gen_binomial(args: argparse.Namespace) -> int:
     if args.n < 0 or args.k < 0:
         print("error: n and k must be non-negative", file=sys.stderr)
         return 2
+    check_binomial_bytes(args.n)
     if args.k > args.n:
         print(f"warning: k={args.k} > n={args.n}, the program has no answer sets", file=sys.stderr)
     sys.stdout.write(aspif.write(binomial_document(args.n, args.k, opt=args.opt)))

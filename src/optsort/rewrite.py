@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from operator import or_
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import aspif
 from .asplang import (
@@ -182,6 +182,25 @@ def check_rule_budget(sizes: list[int], depth_limit: int | None, wiring: str) ->
         )
 
 
+def _minimize_levels(document: aspif.AspifDocument) -> dict[int, list[tuple[int, int]]]:
+    """Each priority's minimize terms, those of statements sharing it joined in order."""
+    by_priority: dict[int, list[tuple[int, int]]] = {}
+    for s in document.statements:
+        if isinstance(s, aspif.Minimize):
+            by_priority.setdefault(s.priority, []).extend(s.terms)
+    return by_priority
+
+
+def _check_wiring(
+    normalized: Iterable[tuple[_Terms, _Terms, _Terms]], depth_limit: int | None
+) -> None:
+    """Refuse wiring the normalized levels into sorters past ``REWRITE_RULE_BUDGET``."""
+    wired = [len(rewritable) for rewritable, _, _ in normalized if len(rewritable) >= 2]
+    check_rule_budget(
+        wired, depth_limit, f"wiring {sum(wired)} objective terms into sorting networks"
+    )
+
+
 def _rewrite_level(
     priority: int,
     input_terms: int,
@@ -237,12 +256,11 @@ def rewrite_objective(
     statements sharing a priority are merged into one.  A depth limit of 0
     leaves the document exactly as parsed.  A rewrite whose levels could add
     more than ``REWRITE_RULE_BUDGET`` rules is refused before any network is
-    built.
+    built.  One whose fresh atoms would leave the 32-bit range that aspif
+    consumers store atoms in is refused too, unless an input atom already
+    lies outside it: that atom is the user's, as with weights.
     """
-    by_priority: dict[int, list[tuple[int, int]]] = {}
-    for s in document.statements:
-        if isinstance(s, aspif.Minimize):
-            by_priority.setdefault(s.priority, []).extend(s.terms)
+    by_priority = _minimize_levels(document)
     if config.depth_limit == 0 or not by_priority:
         levels = tuple(
             _passthrough_report(priority, len(terms), len(terms))
@@ -251,14 +269,10 @@ def rewrite_objective(
         return document, RewriteReport(levels)
 
     normalized = {p: _normalize(tuple(terms)) for p, terms in sorted(by_priority.items())}
-    wired = [
-        len(rewritable) for rewritable, _, _ in normalized.values() if len(rewritable) >= 2
-    ]
-    check_rule_budget(
-        wired, config.depth_limit, f"wiring {sum(wired)} objective terms into sorting networks"
-    )
+    _check_wiring(normalized.values(), config.depth_limit)
 
-    fresh = FreshAtoms(document.max_atom_id() + 1)
+    top = document.max_atom_id()
+    fresh = FreshAtoms(top + 1)
     replacements: dict[int, list[aspif.Statement]] = {}
     reports = []
     for priority, level in normalized.items():
@@ -267,6 +281,9 @@ def rewrite_objective(
         )
         replacements[priority] = statements
         reports.append(report)
+    highest = fresh.reserve(0) - 1  # the last id a level took
+    if _fits_32_bits(top) and not _fits_32_bits(highest):
+        raise RewriteError(f"fresh atom {highest} leaves the 32-bit range")
 
     out_statements: list[aspif.Statement] = []
     emitted: set[int] = set()
@@ -312,9 +329,9 @@ def verify_rewrite(
     """Brute-force check that a rewrite preserves answer sets and values.
 
     The rewrite must keep the input's rules and constraints.  It is then
-    closed over the input's answer sets, lane i holding answer set i: every
-    lane must survive its constraints (a bijection onto the input's answer
-    sets) and keep every level's value (hence also at the optimum).
+    closed over the input's answer sets, each in its own lane: every lane
+    must survive its constraints (a bijection onto the input's answer sets)
+    and keep every level's value (hence also at the optimum).
     ``before_lanes``, when given, must be the input's
     ``enumerate_answer_sets_layered``.
     """
@@ -324,15 +341,13 @@ def verify_rewrite(
         return VerifyReport(False, 0, "objective priority levels differ")
     if before_lanes is None:
         before_lanes = enumerate_answer_sets_layered(before_program)
-    base_lanes, count = before_lanes
+    base_lanes, all_lanes = before_lanes
+    count = all_lanes.bit_count()
     if not _keeps_input(before_program, after_program):
         return VerifyReport(
             False, count, "the rewrite does not keep the input's rules and constraints"
         )
-    lanes, answers, width = answer_lanes(
-        after_program, before_program.signature, before_lanes
-    )
-    all_lanes = (1 << width) - 1
+    lanes, answers = answer_lanes(after_program, before_program.signature, before_lanes)
     if answers != all_lanes:
         return VerifyReport(
             False, count, f"answer set counts differ: {count} vs {answers.bit_count()}"
@@ -349,7 +364,7 @@ def verify_rewrite(
         difference = [(holds(l), w) for l, w in terms] + [(holds(l), -w) for l, w in new_terms]
         differ = reduce(or_, lane_sum(difference))
         if differ:
-            model, lane = next(in_sorted_order(base_lanes, count, lambda: differ))
+            model, lane = next(in_sorted_order(base_lanes, lambda: differ))
             value, new_value = (
                 sum(w for l, w in side if holds(l) >> lane & 1) for side in (terms, new_terms)
             )
@@ -378,6 +393,12 @@ def verify_grid(
     configurations often share one (depth 0 ignores the other knobs, small
     networks reach full depth early).
     """
+    # what a configuration's rewrite would refuse is refused before any
+    # configuration is checked, with the error the first such one gives
+    levels = sorted(_minimize_levels(document).items())
+    normalized = [_normalize(tuple(terms)) for _, terms in levels]
+    for depth in dict.fromkeys(c.depth_limit for c in VERIFY_GRID if c.depth_limit != 0):
+        _check_wiring(normalized, depth)
     before_lanes = enumerate_answer_sets_layered(before[0])
     reports: dict[str, VerifyReport] = {}
     results = []

@@ -252,15 +252,20 @@ def enumerate_answer_sets(program: GroundProgram) -> list[frozenset[int]]:
 
 
 def lane_models(enumerated) -> list[frozenset[int]]:
-    """An enumerator's ``(atom lanes, count)`` as frozensets, in order of their sorted atoms."""
-    lanes, count = enumerated
-    models = [frozenset(a for a, held in lanes.items() if held >> i & 1) for i in range(count)]
+    """An enumerator's ``(atom lanes, answers)`` as frozensets, in order of their sorted atoms."""
+    lanes, answers = enumerated
+    models = [
+        frozenset(a for a, held in lanes.items() if held >> i & 1)
+        for i in range(answers.bit_length())
+        if answers >> i & 1
+    ]
     return sorted(models, key=sorted)
 
 
-def models_as_lanes(models, atoms) -> dict[int, int]:
-    """Each atom's lanes over the models, model i in lane i."""
-    return {a: sum(1 << i for i, m in enumerate(models) if a in m) for a in atoms}
+def models_as_lanes(models, atoms) -> tuple[dict[int, int], int]:
+    """Each atom's lanes over the models, model i in lane i, and the mask of the models' lanes."""
+    lanes = {a: sum(1 << i for i, m in enumerate(models) if a in m) for a in atoms}
+    return lanes, (1 << len(models)) - 1
 
 
 def optimal_value(program: GroundProgram, terms: Sequence[tuple[int, int]]) -> int | None:

@@ -113,6 +113,23 @@ class TestPositiveRules:
         expected = [closure(rules + [(a, frozenset()) for a in facts]) for facts in fact_sets]
         assert lane_closures(rules, fact_sets) == expected
 
+    def test_a_copy_rule_shares_its_body_atoms_lane_vector(self):
+        # a head derived exactly where its one body atom holds gets that
+        # atom's int, not an equal copy; the vectors are wider than the ints
+        # that Python caches
+        everything = (1 << 100) - 1
+        held = (1 << 99) | (1 << 50) | 1
+        true_in = least_model(
+            [
+                LaneRule(1, frozenset(), held),
+                LaneRule(2, frozenset({1}), everything),
+                LaneRule(3, frozenset({2}), everything),
+                LaneRule(4, frozenset({1}), everything ^ 1),
+            ]
+        )
+        assert true_in[1] is held and true_in[2] is held and true_in[3] is held
+        assert true_in[4] == held ^ 1
+
 
 class TestAnswerSets:
     def test_even_negative_loop_has_two_answer_sets(self):
@@ -269,6 +286,21 @@ class TestSplitEnumeration:
         assert lane_models(enumerate_answer_sets_split(p, bottom)) == direct
         assert lane_models(enumerate_answer_sets_layered(p)) == direct
 
+    def test_answer_sets_keep_their_guess_lanes_under_the_answers_mask(self):
+        # a free choice over four atoms kept to at least three: 16 guess
+        # lanes, of which the five answer sets keep theirs, and no atom holds
+        # a lane outside the mask
+        atoms = frozenset(range(1, 5))
+        p = program(
+            atoms,
+            choices=[ChoiceRule(atoms)],
+            cardinality=[CardinalityConstraint(tuple(sorted(atoms)), 3)],
+        )
+        lanes, answers = enumerate_answer_sets_split(p, atoms)
+        assert answers.bit_count() == 5 and answers.bit_length() == 16
+        assert all(held and not held & ~answers for held in lanes.values())
+        assert lane_models((lanes, answers)) == enumerate_answer_sets(p)
+
     def test_split_refuses_an_upper_choice_rule(self):
         p = program(
             {1, 2},
@@ -353,8 +385,7 @@ _TERMS = st.tuples(
 def test_lane_values_match_the_per_model_oracle(models, terms):
     # atoms 5 and 6 are in no model: positive they hold in no lane, negated
     # in every lane; weights past 2^40 exercise the plane width and the sign
-    lanes = models_as_lanes(models, range(1, 7))
-    everything = (1 << len(models)) - 1
+    lanes, everything = models_as_lanes(models, range(1, 7))
     planes = lane_sum([(lanes[l] if l > 0 else everything ^ lanes[-l], w) for l, w in terms])
     # the last plane is the sign, worth minus its place value
     decoded = [
@@ -375,9 +406,9 @@ def test_in_sorted_order_walks_the_selected_models_by_their_sorted_atoms(data):
     distinct = dict.fromkeys([frozenset(), frozenset(sorted(longer)[:-1]), longer, *others])
     models = data.draw(st.permutations(list(distinct)))
     mask = data.draw(st.integers(1, (1 << len(models)) - 1))
-    lanes = models_as_lanes(models, range(1, 6))
+    lanes, _ = models_as_lanes(models, range(1, 6))
     selected = [m for i, m in enumerate(models) if mask >> i & 1]
-    walked = list(in_sorted_order(lanes, len(models), lambda: mask))
+    walked = list(in_sorted_order(lanes, lambda: mask))
     assert walked == [(sorted(m), models.index(m)) for m in sorted(selected, key=sorted)]
 
 
@@ -447,12 +478,8 @@ def test_lane_enumeration_matches_the_brute_force_oracle(case):
         [cc for cc in p.cardinality_constraints if cc.atoms() <= bottom],
         [ng for ng in p.nogoods if ng.atoms() <= bottom],
     )
-    bottom_models = enumerate_answer_sets(below)
-    bottom_lanes = (models_as_lanes(bottom_models, bottom), len(bottom_models))
-    true_in, answers, width = answer_lanes(p, bottom, bottom_lanes)
-    models = [
-        frozenset(a for a, lanes in true_in.items() if lanes >> i & 1)
-        for i in range(width)
-        if answers >> i & 1
-    ]
-    assert sorted(models, key=sorted) == expected
+    bottom_lanes = models_as_lanes(enumerate_answer_sets(below), bottom)
+    assert lane_models(answer_lanes(p, bottom, bottom_lanes)) == expected
+    # the enumerator's lanes of the part below, spread under its mask, too
+    below_lanes = enumerate_answer_sets_split(below, bottom)
+    assert lane_models(answer_lanes(p, bottom, below_lanes)) == expected

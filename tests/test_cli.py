@@ -1,8 +1,13 @@
 import gc
 import io
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -139,6 +144,33 @@ class TestRewriteCommand:
         assert err.count("\n") == 1 and err.startswith("error: wiring 100000 objective terms")
         assert "budget" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "atoms,highest",
+        [
+            ((2147483642, 2147483643), None),
+            ((2147483643, 2147483644), 2147483648),
+            ((2147483640, 2147483641, 2147483642), 2147483654),
+        ],
+    )
+    def test_fresh_atoms_stay_in_the_32_bit_range(self, capsys, monkeypatch, atoms, highest):
+        # two terms take two bridge atoms and two wire atoms above the input's
+        # highest atom, three terms take three and nine
+        terms = " ".join(f"{a} 1" for a in atoms)
+        doc = f"asp 1 0 0\n2 0 {len(atoms)} {terms}\n0\n"
+        code, out, err = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
+        if highest is None:
+            assert code == 0 and err == "" and " 2147483647 " in out
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: fresh atom {highest} leaves the 32-bit range\n"
+
+    def test_fresh_atoms_above_an_input_atom_past_32_bits_are_the_users(
+        self, capsys, monkeypatch
+    ):
+        doc = "asp 1 0 0\n2 0 2 5 1 3000000000 1\n0\n"
+        code, out, err = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
+        assert code == 0 and err == "" and "\n1 0 1 3000000001 0 1 5\n" in out
+
     def test_unknown_statements_pass_through(self, capsys, monkeypatch):
         doc = "asp 1 0 0\n3 4 2\n1 1 2 1 2 0 0\n2 0 2 1 4 2 9\n0\n"
         code, out, _ = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
@@ -171,6 +203,41 @@ class TestGenerators:
             assert code == 0 and "no answer sets" in err
             program, _ = aspif.to_ground_program(aspif.parse(out))
             assert enumerate_answer_sets(program) == [], (n, k)
+
+    def test_an_oversized_binomial_is_refused_before_it_is_built(self):
+        # a child capped at 1 GiB of address space: building the document
+        # would need tens of GB
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = [sys.executable, "-m", "optsort.cli", "gen-binomial", "100000000", "1"]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = time.perf_counter()
+        done = subprocess.run(
+            argv, capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60
+        )
+        assert time.perf_counter() - start < 10
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: gen-binomial 100000000 could print 3500000064 bytes, "
+            "over the budget of 33554432\n"
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 1000, 10_000])
+    def test_the_binomial_byte_bound_covers_what_is_printed(self, capsys, monkeypatch, n):
+        # a budget of exactly the bound admits every k, one byte less refuses
+        bound = n * (3 * len(str(n)) + 8) + 64
+        monkeypatch.setattr("optsort.analysis.GEN_BYTE_BUDGET", bound)
+        for k in {0, n // 2, n, n + 1}:
+            code, out, _ = run(capsys, monkeypatch, ["gen-binomial", str(n), str(k), "--opt"])
+            assert code == 0 and len(out.encode()) <= bound
+        monkeypatch.setattr("optsort.analysis.GEN_BYTE_BUDGET", bound - 1)
+        code, out, err = run(capsys, monkeypatch, ["gen-binomial", str(n), "0"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: gen-binomial {n} could print {bound} bytes, over the budget of {bound - 1}\n"
+        )
 
     def test_gen_sorter_stats(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["gen-sorter", "8"])
@@ -225,6 +292,29 @@ class TestVerifyCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: 25 atoms exceed the brute-force guard of 24\n"
+
+    def test_an_over_budget_rewrite_is_refused_before_the_grid_starts(
+        self, capsys, monkeypatch
+    ):
+        # nothing is enumerated or rewritten: the full-depth configuration's
+        # rule budget refuses 20 000 terms with the error rewrite gives
+        def started(*args):
+            raise AssertionError("the grid started")
+
+        monkeypatch.setattr("optsort.rewrite.rewrite_objective", started)
+        monkeypatch.setattr("optsort.rewrite.enumerate_answer_sets_layered", started)
+        terms = " ".join(f"{a} 1" for a in range(1, 20_001))
+        doc = f"asp 1 0 0\n2 0 20000 {terms}\n0\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin=doc)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: wiring 20000 objective terms into sorting networks could add "
+            "3620000 rules, over the budget of 2097152\n"
+        )
+        monkeypatch.undo()
+        assert run(capsys, monkeypatch, ["rewrite"], stdin=doc)[2] == err
 
     def test_negative_count_is_refused(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["verify", "--random", "--count", "-3"])
