@@ -8,7 +8,6 @@ until no candidate survives.  The trace length measures solving difficulty.
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple, Sequence
 
 from . import aspif
@@ -134,13 +133,22 @@ CANDIDATE_COST_BUDGET = 1 << 22
 
 
 def check_candidate_cost(choice_atoms: int, rules: int) -> None:
-    """Refuse closing 2^choice_atoms subsets over ``rules`` normal rules past the budget."""
-    cost = (1 << choice_atoms) * (rules + choice_atoms)
-    if cost > CANDIDATE_COST_BUDGET:
-        raise SemanticsError(
-            f"closing 2^{choice_atoms} choice subsets over {rules} rules "
-            f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
-        )
+    """Refuse closing 2^choice_atoms subsets over ``rules`` normal rules past the budget.
+
+    Past the budget's bit length the subsets alone pass it, so the refusal
+    is decided and worded without building 2^choice_atoms.
+    """
+    steps = rules + choice_atoms  # per subset
+    if choice_atoms <= CANDIDATE_COST_BUDGET.bit_length():
+        cost = steps << choice_atoms
+        if cost <= CANDIDATE_COST_BUDGET:
+            return
+    else:
+        cost = f"2^{choice_atoms} x {steps}"
+    raise SemanticsError(
+        f"closing 2^{choice_atoms} choice subsets over {rules} rules "
+        f"costs about {cost} steps, over the budget of {CANDIDATE_COST_BUDGET}"
+    )
 
 
 def _supported_candidates(program: GroundProgram) -> tuple[dict[int, int], int]:
@@ -167,32 +175,22 @@ def _supported_candidates(program: GroundProgram) -> tuple[dict[int, int], int]:
     return enumerate_answer_sets_split(program, auto_split_atoms(program))
 
 
-def run_pch(
-    program: GroundProgram,
-    propagator: Propagator,
-    shuffle_rng: random.Random | None = None,
-) -> PropagatorTrace:
+def run_pch(program: GroundProgram, propagator: Propagator) -> PropagatorTrace:
     """Drive the propagator with supported-model candidates until none remain.
 
-    Candidates are visited in lexicographic order (or shuffled with the given
-    generator); each conflicting one contributes its explanation, the atoms
-    of a nogood forbidding them all true, to the pool of learned nogoods,
-    which immediately prunes the remaining candidates.
+    Candidates are visited in lexicographic order; each conflicting one
+    contributes its explanation, the atoms of a nogood forbidding them all
+    true, to the pool of learned nogoods, which immediately prunes the
+    remaining candidates.
     A surviving non-conflicting candidate would be an answer set, ending the
     history incomplete.
     """
     # Each candidate has a lane: in remaining while no learned nogood prunes
     # it, and in an atom's lanes when the candidate holds the atom.
     lanes, remaining = _supported_candidates(program)
-    if shuffle_rng is None:
-        candidates = in_sorted_order(lanes, lambda: remaining)
-    else:
-        order = list(in_sorted_order(lanes, lambda: remaining))
-        shuffle_rng.shuffle(order)
-        candidates = (c for c in order if remaining >> c[1] & 1)
     assignments: list[frozenset[int]] = []
     learned: list[tuple[int, ...]] = []
-    for model, _ in candidates:
+    for model, _ in in_sorted_order(lanes, lambda: remaining):
         current = frozenset(model)
         if not propagator.conflicts_with(current):
             return PropagatorTrace(tuple(assignments), tuple(learned), False)
@@ -216,9 +214,7 @@ def attach_network(
     from their aspif lines, as ``verify`` reads a rewrite.
     """
     first_free = max(program.signature, default=0) + 1
-    wire_map = dense_wire_atom_map(
-        network.width, network.depth, first_free, inputs=list(input_atoms)
-    )
+    wire_map = dense_wire_atom_map(input_atoms, network.depth, first_free)
     statements = tuple(map(aspif.Raw, asp_of_network(network, wire_map)))
     text = aspif.write(aspif.AspifDocument(statements=statements))
     rules = aspif.to_ground_program(aspif.parse(text))[0].normal_rules

@@ -29,6 +29,7 @@ from .propagate import from_input_weights, propagate_sparse
 from .rewrite import (
     VERIFY_GRID,
     RewriteConfig,
+    check_random_count,
     check_rule_budget,
     random_opt_document,
     rewrite_objective,
@@ -197,6 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.count < 0:
         print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
         return 2
+    check_random_count(args.count)
     # every program is checked before any line is printed, so a refusal
     # leaves stdout empty
     seeds = range(args.seed, args.seed + args.count)
@@ -225,14 +227,21 @@ def _cmd_pch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # the cost is checked before the program is built: the binomial program
+    # has no normal rules, and a sorter, once the rule budget admits it,
+    # adds width x depth + size
+    rules = 0
+    if args.network != "none":
+        depth_limit = int(depth) if kind == "depth" else None
+        check_rule_budget([args.n], depth_limit, f"a sorter on {args.n} wires")
+        network = oe_sorter(args.n, depth_limit)
+        rules = network.width * network.depth + network.size()
+    check_candidate_cost(args.n, rules)
     program = binomial_program(args.n, args.k)
     inputs = list(range(1, args.n + 1))
     if args.network == "none":
         propagator = card_propagator(inputs, args.k)
     else:
-        network = oe_sorter(args.n, int(depth) if kind == "depth" else None)
-        added = network.width * network.depth + network.size()
-        check_candidate_cost(args.n, len(program.normal_rules) + added)
         program, wire_map = attach_network(program, inputs, network)
         propagator = card_propagator(output_atoms(wire_map), args.k)
     trace = run_pch(program, propagator)

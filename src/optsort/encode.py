@@ -66,21 +66,16 @@ class WireAtomMap(_WireAtomMap):
         return self
 
 
-def dense_wire_atom_map(
-    width: int, depth: int, first_free: int, inputs: Sequence[int] | None = None
-) -> WireAtomMap:
-    """Allocate wire atoms level-major above ``first_free - 1``.
+def dense_wire_atom_map(inputs: Sequence[int], depth: int, first_free: int) -> WireAtomMap:
+    """Level-0 atoms ``inputs``, one per wire, and the deeper levels' atoms
+    allocated level-major from ``first_free``.
 
-    ``inputs``, when given, supplies the level-0 atoms (one per wire) so the
-    network can be grafted onto existing program atoms.
+    The inputs may be existing program atoms, onto which the network is
+    grafted.
     """
-    if inputs is not None and len(inputs) != width:
-        raise SemanticsError(f"expected {width} input atoms, got {len(inputs)}")
-    next_id = first_free
-    if inputs is None:
-        inputs = range(next_id, next_id + width)
-        next_id += width
+    width = len(inputs)
     columns = [tuple(inputs)]
+    next_id = first_free
     for _ in range(depth):
         columns.append(tuple(range(next_id, next_id + width)))
         next_id += width

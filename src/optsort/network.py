@@ -1,4 +1,4 @@
-"""Compare-exchange networks: construction, evaluation, decomposition and rendering.
+"""Compare-exchange networks: construction, decomposition and rendering.
 
 Wires are numbered 1..n top to bottom and levels 1..d left to right; level 0
 denotes the input column.  A network stores its gates level by level, as
@@ -30,60 +30,6 @@ class Network(NamedTuple):
 
     def size(self) -> int:
         return sum(map(len, self.levels))
-
-
-class WireValueMatrix(NamedTuple):
-    """Values ``x[i][l]`` carried by wire i after layer l (column 0 = input)."""
-
-    width: int
-    depth: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def column(self, level: int) -> list[int]:
-        return [row[level] for row in self.rows]
-
-    def output(self) -> list[int]:
-        return self.column(self.depth)
-
-
-def apply(network: Network, input: Sequence[int]) -> WireValueMatrix:
-    """Run the network on an input vector and record every wire value.
-
-    Each layer performs compare-exchange on its comparators (minimum to the
-    lower-numbered wire) and leaves untouched wires unchanged.
-    """
-    if len(input) != network.width:
-        raise NetworkError(
-            f"input length {len(input)} does not match width {network.width}"
-        )
-    columns = [list(input)]
-    current = list(input)
-    for gates in network.levels:
-        for i, j in gates:
-            a, b = current[i - 1], current[j - 1]
-            if a > b:
-                current[i - 1], current[j - 1] = b, a
-        columns.append(list(current))
-    rows = tuple(
-        tuple(columns[l][i] for l in range(network.depth + 1))
-        for i in range(network.width)
-    )
-    return WireValueMatrix(network.width, network.depth, rows)
-
-
-def permutation_of(network: Network, input: Sequence[int]) -> list[int]:
-    """Permutation sigma with ``input[i] = output[sigma(i)]`` (1-based lists).
-
-    Equal values are paired stably: earlier input wires take earlier output
-    wires, which is the lexicographically smallest valid sigma.
-    """
-    values = apply(network, input)
-    output = values.output()
-    slots: dict[int, list[int]] = {}
-    for pos in range(len(output) - 1, -1, -1):
-        slots.setdefault(output[pos], []).append(pos + 1)
-    sigma = [slots[v].pop() for v in input]
-    return sigma
 
 
 def oe_sorter(n: int, depth: int | None = None) -> Network:
@@ -193,14 +139,6 @@ class Decomposition(_Decomposition):
                 comp.min_level if running_min is None else max(running_min, comp.min_level)
             )
         return self
-
-
-def whole_network_decomposition(network: Network) -> Decomposition:
-    """The coarsest decomposition: the entire network as one component."""
-    if network.depth == 0 or network.width == 0:
-        return Decomposition(())
-    comp = ConfinedNetwork(frozenset(range(1, network.width + 1)), 1, network.depth)
-    return Decomposition((comp,))
 
 
 def decompose_sparse(network: Network, k: int) -> Decomposition:

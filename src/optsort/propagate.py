@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .network import ConfinedNetwork, Decomposition, Network, apply, decompose_sparse
+from .network import ConfinedNetwork, Decomposition, Network, decompose_sparse
 
 
 class WeightError(ValueError):
@@ -24,9 +24,6 @@ class _WeightMatrix(NamedTuple):
 
     def weight(self, wire: int, level: int) -> int:
         return self.rows[wire - 1][level]
-
-    def column(self, level: int) -> list[int]:
-        return [row[level] for row in self.rows]
 
     def nonzero_entries(self) -> list[tuple[int, int, int]]:
         """(wire, level, weight) triples with weight > 0, ordered by level then wire."""
@@ -74,40 +71,6 @@ def from_input_weights(input_weights: Sequence[int], depth: int) -> WeightMatrix
             raise WeightError(f"negative input weight {w}")
     rows = tuple((w,) + (0,) * depth for w in input_weights)
     return WeightMatrix(len(input_weights), depth, rows)
-
-
-def _check_shape(network: Network, weights: WeightMatrix) -> None:
-    if (network.width, network.depth) != (weights.width, weights.depth):
-        raise WeightError(
-            f"weight shape ({weights.width}, {weights.depth}) does not match "
-            f"network ({network.width}, {network.depth})"
-        )
-
-
-def weight_function(network: Network, weights: WeightMatrix, input: Sequence[int]) -> int:
-    """Sum of weight * wire value over all positions, for the given input."""
-    _check_shape(network, weights)
-    values = apply(network, input)
-    return sum(
-        w * v
-        for wrow, vrow in zip(weights.rows, values.rows)
-        for w, v in zip(wrow, vrow)
-    )
-
-
-def propagate_full(weights: WeightMatrix) -> WeightMatrix:
-    """Move the minimum input weight from column 0 to the last column.
-
-    Treats the whole network as a black box; the total weight is conserved and
-    at least one column-0 entry becomes zero.  Depth-0 matrices are returned
-    unchanged, as is any matrix whose column 0 already contains a zero.
-    """
-    if weights.depth == 0 or weights.width == 0:
-        return weights
-    c = min(weights.column(0))
-    if c == 0:
-        return weights
-    return weights._shifted(range(1, weights.width + 1), 0, weights.depth, c)
 
 
 def propagate_confined(weights: WeightMatrix, confined: ConfinedNetwork) -> WeightMatrix:

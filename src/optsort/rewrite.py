@@ -217,9 +217,7 @@ def _rewrite_level(
     lines, input_atoms = wire_inputs(rewritable, fresh)
     network = oe_sorter(len(input_atoms), config.depth_limit)
     first_wire_atom = fresh.reserve(network.width * network.depth)
-    wire_map = dense_wire_atom_map(
-        network.width, network.depth, first_wire_atom, inputs=input_atoms
-    )
+    wire_map = dense_wire_atom_map(input_atoms, network.depth, first_wire_atom)
     lines += asp_of_network(network, wire_map)
 
     matrix = from_input_weights(weights, network.depth)
@@ -324,7 +322,7 @@ def _keeps_input(before: GroundProgram, after: GroundProgram) -> bool:
 def verify_rewrite(
     before: aspif.Bridged,
     after: aspif.Bridged,
-    before_lanes: tuple[dict[int, int], int] | None = None,
+    before_lanes: tuple[dict[int, int], int],
 ) -> VerifyReport:
     """Brute-force check that a rewrite preserves answer sets and values.
 
@@ -332,15 +330,12 @@ def verify_rewrite(
     closed over the input's answer sets, each in its own lane: every lane
     must survive its constraints (a bijection onto the input's answer sets)
     and keep every level's value (hence also at the optimum).
-    ``before_lanes``, when given, must be the input's
-    ``enumerate_answer_sets_layered``.
+    ``before_lanes`` must be the input's ``enumerate_answer_sets_layered``.
     """
     before_program, before_objectives = before
     after_program, after_objectives = after
     if set(before_objectives) != set(after_objectives):
         return VerifyReport(False, 0, "objective priority levels differ")
-    if before_lanes is None:
-        before_lanes = enumerate_answer_sets_layered(before_program)
     base_lanes, all_lanes = before_lanes
     count = all_lanes.bit_count()
     if not _keeps_input(before_program, after_program):
@@ -379,6 +374,22 @@ VERIFY_GRID = tuple(
     for sparseness in (1, 2, None)
     for propagate in (True, False)
 )
+
+
+# Configurations `verify --random` may check: programs x len(VERIFY_GRID).
+# A program takes 8-10 ms over the grid, so the budget admits --count 1000
+# (30 000 checks, 8.4-10.4 s end to end on a shared 2-vCPU machine) and
+# refuses --count 1093 at once; --count 100 000 000 would run for days.
+RANDOM_VERIFY_BUDGET = 1 << 15
+
+
+def check_random_count(count: int) -> None:
+    """Refuse verifying ``count`` random programs over the grid past ``RANDOM_VERIFY_BUDGET``."""
+    if count * len(VERIFY_GRID) > RANDOM_VERIFY_BUDGET:
+        raise RewriteError(
+            f"verify --random --count {count} would check {count} x {len(VERIFY_GRID)} "
+            f"configurations, over the budget of {RANDOM_VERIFY_BUDGET}"
+        )
 
 
 def verify_grid(

@@ -1,7 +1,7 @@
 import itertools
 import random
 import tracemalloc
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -17,7 +17,7 @@ from optsort.asplang import (
 )
 from optsort.encode import WireAtomMap
 from optsort.network import ConfinedNetwork, Decomposition, Network, NetworkError
-from optsort.propagate import WeightMatrix
+from optsort.propagate import WeightError, WeightMatrix
 
 
 # Hand-drawn networks of the tests and the paper's figures.
@@ -81,6 +81,110 @@ def random_network(rng: random.Random, width: int, depth: int) -> Network:
             a, b = free.pop(), free.pop()
             comparators.append((min(a, b), max(a, b), level))
     return new_network(width, depth, comparators)
+
+
+# The paper's calculus: evaluating a network and moving weight over the whole
+# of it.  No command runs these; the acceptance tests pin them.
+
+
+class WireValueMatrix(NamedTuple):
+    """Values ``x[i][l]`` carried by wire i after layer l (column 0 = input)."""
+
+    width: int
+    depth: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def column(self, level: int) -> list[int]:
+        return [row[level] for row in self.rows]
+
+    def output(self) -> list[int]:
+        return self.column(self.depth)
+
+
+def apply(network: Network, input: Sequence[int]) -> WireValueMatrix:
+    """Run the network on an input vector and record every wire value.
+
+    Each layer performs compare-exchange on its comparators (minimum to the
+    lower-numbered wire) and leaves untouched wires unchanged.
+    """
+    if len(input) != network.width:
+        raise NetworkError(
+            f"input length {len(input)} does not match width {network.width}"
+        )
+    columns = [list(input)]
+    current = list(input)
+    for gates in network.levels:
+        for i, j in gates:
+            a, b = current[i - 1], current[j - 1]
+            if a > b:
+                current[i - 1], current[j - 1] = b, a
+        columns.append(list(current))
+    rows = tuple(
+        tuple(columns[l][i] for l in range(network.depth + 1))
+        for i in range(network.width)
+    )
+    return WireValueMatrix(network.width, network.depth, rows)
+
+
+def permutation_of(network: Network, input: Sequence[int]) -> list[int]:
+    """Permutation sigma with ``input[i] = output[sigma(i)]`` (1-based lists).
+
+    Equal values are paired stably: earlier input wires take earlier output
+    wires, which is the lexicographically smallest valid sigma.
+    """
+    values = apply(network, input)
+    output = values.output()
+    slots: dict[int, list[int]] = {}
+    for pos in range(len(output) - 1, -1, -1):
+        slots.setdefault(output[pos], []).append(pos + 1)
+    sigma = [slots[v].pop() for v in input]
+    return sigma
+
+
+def whole_network_decomposition(network: Network) -> Decomposition:
+    """The coarsest decomposition: the entire network as one component."""
+    if network.depth == 0 or network.width == 0:
+        return Decomposition(())
+    comp = ConfinedNetwork(frozenset(range(1, network.width + 1)), 1, network.depth)
+    return Decomposition((comp,))
+
+
+def column(weights: WeightMatrix, level: int) -> list[int]:
+    return [row[level] for row in weights.rows]
+
+
+def _check_shape(network: Network, weights: WeightMatrix) -> None:
+    if (network.width, network.depth) != (weights.width, weights.depth):
+        raise WeightError(
+            f"weight shape ({weights.width}, {weights.depth}) does not match "
+            f"network ({network.width}, {network.depth})"
+        )
+
+
+def weight_function(network: Network, weights: WeightMatrix, input: Sequence[int]) -> int:
+    """Sum of weight * wire value over all positions, for the given input."""
+    _check_shape(network, weights)
+    values = apply(network, input)
+    return sum(
+        w * v
+        for wrow, vrow in zip(weights.rows, values.rows)
+        for w, v in zip(wrow, vrow)
+    )
+
+
+def propagate_full(weights: WeightMatrix) -> WeightMatrix:
+    """Move the minimum input weight from column 0 to the last column.
+
+    Treats the whole network as a black box; the total weight is conserved and
+    at least one column-0 entry becomes zero.  Depth-0 matrices are returned
+    unchanged, as is any matrix whose column 0 already contains a zero.
+    """
+    if weights.depth == 0 or weights.width == 0:
+        return weights
+    c = min(column(weights, 0))
+    if c == 0:
+        return weights
+    return weights._shifted(range(1, weights.width + 1), 0, weights.depth, c)
 
 
 _TOKENS = st.one_of(
@@ -377,6 +481,47 @@ def total(matrix: WeightMatrix) -> int:
 def constraint_nogoods(propagator: Propagator) -> list[tuple[int, ...]]:
     """The propagator's full constraint, one ascending atom tuple per true k-subset."""
     return list(itertools.combinations(sorted(propagator.atoms), propagator.bound))
+
+
+def reference_candidates(program):
+    """Supported-model candidates by per-subset closures, in order of their sorted atoms."""
+    choice = sorted(set().union(*(c.head_atoms for c in program.choice_rules)))
+    derivations = [(r.head, r.pos_body) for r in program.normal_rules]
+    models = {
+        closure(derivations + [(a, frozenset()) for b, a in enumerate(choice) if mask >> b & 1])
+        for mask in range(1 << len(choice))
+    }
+    return sorted(
+        (
+            m
+            for m in models
+            if all(constraint_holds(cc, m) for cc in program.cardinality_constraints)
+            and all(nogood_holds(ng, m) for ng in program.nogoods)
+        ),
+        key=lambda m: tuple(sorted(m)),
+    )
+
+
+def reference_pch(program, propagator, shuffle_rng=None, candidates=None):
+    """``run_pch`` by per-subset closures and a frozenset nogood filter.
+
+    The candidates are visited in sorted order, or shuffled with
+    ``shuffle_rng``.  ``candidates``, when given, must be
+    ``reference_candidates(program)``.
+    """
+    candidates = list(reference_candidates(program) if candidates is None else candidates)
+    if shuffle_rng is not None:
+        shuffle_rng.shuffle(candidates)
+    assignments, learned = [], []
+    while candidates:
+        current = candidates[0]
+        if not propagator.conflicts_with(current):
+            return tuple(assignments), tuple(learned), False
+        explanation = propagator.explain(current)
+        assignments.append(current)
+        learned.append(explanation)
+        candidates = [c for c in candidates if not c.issuperset(explanation)]
+    return tuple(assignments), tuple(learned), True
 
 
 def is_supported_model(program: GroundProgram, interpretation: frozenset[int]) -> bool:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optsort import analysis
 from optsort.analysis import (
     attach_network,
     binomial_program,
     card_propagator,
+    check_candidate_cost,
     output_atoms,
     run_pch,
 )
@@ -23,7 +25,6 @@ from optsort.network import limit_depth, oe_sorter
 
 from conftest import (
     binomial_opt_program,
-    closure,
     constraint_holds,
     constraint_nogoods,
     enumerate_answer_sets,
@@ -31,8 +32,8 @@ from conftest import (
     fact,
     literal_holds,
     nogood,
-    nogood_holds,
     optimal_value,
+    reference_pch,
     rule,
     signed_literals,
     traced_peak,
@@ -40,51 +41,9 @@ from conftest import (
 )
 
 
-def reference_candidates(program):
-    """Supported-model candidates by per-subset closures, in order of their sorted atoms."""
-    choice = sorted(set().union(*(c.head_atoms for c in program.choice_rules)))
-    derivations = [(r.head, r.pos_body) for r in program.normal_rules]
-    models = {
-        closure(derivations + [(a, frozenset()) for b, a in enumerate(choice) if mask >> b & 1])
-        for mask in range(1 << len(choice))
-    }
-    return sorted(
-        (
-            m
-            for m in models
-            if all(constraint_holds(cc, m) for cc in program.cardinality_constraints)
-            and all(nogood_holds(ng, m) for ng in program.nogoods)
-        ),
-        key=lambda m: tuple(sorted(m)),
-    )
-
-
-def reference_pch(program, propagator, shuffle_rng=None, candidates=None):
-    """run_pch with per-subset closures and a frozenset nogood filter.
-
-    ``candidates``, when given, must be ``reference_candidates(program)``.
-    """
-    candidates = list(reference_candidates(program) if candidates is None else candidates)
-    if shuffle_rng is not None:
-        shuffle_rng.shuffle(candidates)
-    assignments, learned = [], []
-    while candidates:
-        current = candidates[0]
-        if not propagator.conflicts_with(current):
-            return tuple(assignments), tuple(learned), False
-        explanation = propagator.explain(current)
-        assignments.append(current)
-        learned.append(explanation)
-        candidates = [c for c in candidates if not c.issuperset(explanation)]
-    return tuple(assignments), tuple(learned), True
-
-
-def assert_matches_reference(program, propagator, seed=None):
-    def order():
-        return None if seed is None else random.Random(seed)
-
-    trace = run_pch(program, propagator, order())
-    expected = reference_pch(program, propagator, order())
+def assert_matches_reference(program, propagator):
+    trace = run_pch(program, propagator)
+    expected = reference_pch(program, propagator)
     assert (trace.assignments, trace.nogoods, trace.complete) == expected
 
 
@@ -100,9 +59,6 @@ def choice_program(n, normal_rules=(), cardinality_constraints=(), nogoods=()):
         cardinality_constraints=tuple(cardinality_constraints),
         nogoods=tuple(nogoods),
     )
-
-
-SEEDS = (None, 0, 1, 2, 3, 4)
 
 
 class TestBinomialPrograms:
@@ -178,12 +134,11 @@ class TestBarePch:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_length_is_order_independent(self, seed):
-        trace = run_pch(
-            binomial_program(6, 3),
-            card_propagator(range(1, 7), 3),
-            shuffle_rng=random.Random(seed),
-        )
-        assert trace.m == math.comb(6, 3)
+        # run_pch visits in sorted order only, so other orders run on the oracle
+        program = binomial_program(6, 3)
+        propagator = card_propagator(range(1, 7), 3)
+        assignments, _, complete = reference_pch(program, propagator, random.Random(seed))
+        assert complete and len(assignments) == math.comb(6, 3)
 
     def test_trace_survives_post_hoc_validation(self):
         program = binomial_program(4, 2)
@@ -215,9 +170,7 @@ class TestReferencePch:
             if networked:
                 program, wire_map = attach_network(program, atoms, oe_sorter(n))
                 atoms = output_atoms(wire_map)
-            propagator = card_propagator(atoms, k)
-            for seed in (None, 0, 1, 2, 3, 4):
-                assert_matches_reference(program, propagator, seed)
+            assert_matches_reference(program, card_propagator(atoms, k))
 
     def test_rules_deriving_choice_atoms_match_the_frozenset_filter(self):
         base = binomial_program(4, 2)
@@ -227,8 +180,7 @@ class TestReferencePch:
             choice_rules=base.choice_rules,
             cardinality_constraints=base.cardinality_constraints,
         )
-        for seed in (None, 0, 1, 2, 3, 4):
-            assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2), seed)
+        assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2))
 
     def test_incomplete_history_matches_the_frozenset_filter(self):
         program, wire_map = attach_network(
@@ -244,8 +196,7 @@ class TestReferencePch:
         program = choice_program(
             4, normal_rules=(rule(7, body=[6, 2]), rule(6, body=[5, 1]), fact(5))
         )
-        for seed in SEEDS:
-            assert_matches_reference(program, card_propagator([5, 6, 7, 3, 4], 3), seed)
+        assert_matches_reference(program, card_propagator([5, 6, 7, 3, 4], 3))
 
     def test_nogoods_with_both_signs(self):
         program = choice_program(
@@ -257,8 +208,7 @@ class TestReferencePch:
                 nogood(false_atoms=[5]),
             ),
         )
-        for seed in SEEDS:
-            assert_matches_reference(program, card_propagator([1, 2, 3, 4, 5], 3), seed)
+        assert_matches_reference(program, card_propagator([1, 2, 3, 4, 5], 3))
 
     @pytest.mark.parametrize("bound", range(6))
     def test_cardinality_over_negated_derived_and_duplicated_literals(self, bound):
@@ -269,21 +219,41 @@ class TestReferencePch:
             normal_rules=(rule(6, body=[1, 2]), rule(7, body=[3])),
             cardinality_constraints=(CardinalityConstraint(literals, bound),),
         )
-        for seed in SEEDS:
-            assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2), seed)
+        assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2))
 
     def test_a_surviving_empty_choice_subset(self):
         # every nonempty subset is forbidden, so only the empty model is left
         program = choice_program(3, nogoods=[nogood(true_atoms=[a]) for a in (1, 2, 3)])
         assert run_pch(program, card_propagator([1, 2, 3], 0)).assignments == (frozenset(),)
-        for seed in SEEDS:
-            assert_matches_reference(program, card_propagator([1, 2, 3], 0), seed)
-            assert_matches_reference(program, card_propagator([1, 2, 3], 1), seed)
+        assert_matches_reference(program, card_propagator([1, 2, 3], 0))
+        assert_matches_reference(program, card_propagator([1, 2, 3], 1))
 
     def test_no_atoms_at_all(self):
         program = choice_program(0)
         assert run_pch(program, card_propagator([], 0)).assignments == (frozenset(),)
         assert_matches_reference(program, card_propagator([], 0))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 100, 1 << 22])
+def test_the_candidate_cost_check_refuses_what_the_exact_cost_passes(monkeypatch, budget):
+    # past the budget's bit length the check neither builds nor prints 2^n
+    monkeypatch.setattr(analysis, "CANDIDATE_COST_BUDGET", budget)
+    for choice_atoms in range(40):
+        for rules in (0, 1, 7, 1000):
+            cost = (1 << choice_atoms) * (rules + choice_atoms)
+            if cost <= budget:
+                check_candidate_cost(choice_atoms, rules)
+                continue
+            if choice_atoms > budget.bit_length():
+                about = f"2^{choice_atoms} x {rules + choice_atoms}"
+            else:
+                about = str(cost)
+            with pytest.raises(SemanticsError) as refused:
+                check_candidate_cost(choice_atoms, rules)
+            assert str(refused.value) == (
+                f"closing 2^{choice_atoms} choice subsets over {rules} rules "
+                f"costs about {about} steps, over the budget of {budget}"
+            )
 
 
 class TestPchMemory:
@@ -297,12 +267,8 @@ class TestPchMemory:
         trace, peak = traced_peak(run_pch, program, propagator)
         assert trace.summary() == "m=8 complete=true"
         assert peak < 20 * 2**20
-        candidates = reference_candidates(program)
-        for seed in (0, 1):
-            trace, peak = traced_peak(run_pch, program, propagator, random.Random(seed))
-            assert peak < 20 * 2**20
-            expected = reference_pch(program, propagator, random.Random(seed), candidates)
-            assert (trace.assignments, trace.nogoods, trace.complete) == expected
+        expected = reference_pch(program, propagator)
+        assert (trace.assignments, trace.nogoods, trace.complete) == expected
 
 
 @given(st.data())

@@ -321,6 +321,30 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: --count must be >= 0, got -3\n"
 
+    def test_an_over_budget_count_is_refused_before_any_program_is_checked(
+        self, capsys, monkeypatch
+    ):
+        def checked(*args):
+            raise AssertionError("a program was checked")
+
+        monkeypatch.setattr("optsort.cli.verify_grid", checked)
+        start = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch, ["verify", "--random", "--count", "100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: verify --random --count 100000000 would check 100000000 x 30 "
+            "configurations, over the budget of 32768\n"
+        )
+
+    def test_a_count_of_exactly_the_budget_is_admitted(self, capsys, monkeypatch):
+        monkeypatch.setattr("optsort.rewrite.RANDOM_VERIFY_BUDGET", 60)
+        code, out, _ = run(capsys, monkeypatch, ["verify", "--random", "--count", "2"])
+        assert code == 0 and out.endswith("verified 2 programs x 30 configurations\n")
+        code, out, err = run(capsys, monkeypatch, ["verify", "--random", "--count", "3"])
+        assert (code, out) == (2, "")
+        assert err.endswith("would check 3 x 30 configurations, over the budget of 60\n")
+
     def test_random_sweep_honours_max_atoms(self, capsys, monkeypatch):
         document = aspif.write(random_opt_document(random.Random(0)))
         refusals = [
@@ -378,6 +402,48 @@ class TestPchCommand:
             code, out, err = run(capsys, monkeypatch, ["pch", n, "12"])
             assert code == 2 and out == ""
             assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["100000000", "1"],
+                "closing 2^100000000 choice subsets over 0 rules costs about "
+                "2^100000000 x 100000000 steps, over the budget of 4194304",
+            ),
+            (
+                ["20000", "1"],
+                "closing 2^20000 choice subsets over 0 rules costs about "
+                "2^20000 x 20000 steps, over the budget of 4194304",
+            ),
+            (
+                ["30000000", "1", "--network", "full"],
+                "a sorter on 30000000 wires could add 14655000000 rules, "
+                "over the budget of 2097152",
+            ),
+        ],
+        ids=["bare-1e8", "bare-20000", "full-3e7"],
+    )
+    def test_an_oversized_pch_is_refused_before_anything_is_built(self, argv, error):
+        # a child capped at 1 GiB of address space: the program or the
+        # sorter would need tens of GB, and 2^20000 has more digits than
+        # Python prints
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "optsort.cli", "pch", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {error}\n")
 
     def test_over_budget_network_is_refused_before_it_is_attached(self, capsys, monkeypatch):
         # 2048 wires x 66 levels plus 58 367 comparators: 193 535 rules

@@ -6,9 +6,10 @@ import pytest
 from optsort import aspif
 from optsort.asplang import SemanticsError, enumerate_answer_sets_layered
 from optsort.encode import asp_of_network, dense_wire_atom_map
-from optsort.network import apply, oe_sorter
+from optsort.network import oe_sorter
 
 from conftest import (
+    apply,
     binary_vectors,
     enumerate_answer_sets,
     input_facts,
@@ -21,11 +22,11 @@ from conftest import (
 
 class TestWireAtomMap:
     def test_dense_allocation_is_level_major(self):
-        m = dense_wire_atom_map(2, 2, 10)
+        m = dense_wire_atom_map([10, 11], 2, 12)
         assert m.columns == ((10, 11), (12, 13), (14, 15))
 
     def test_existing_inputs_are_grafted(self):
-        m = dense_wire_atom_map(2, 1, 7, inputs=[3, 5])
+        m = dense_wire_atom_map([3, 5], 1, 7)
         assert m.atom(1, 0) == 3 and m.atom(2, 0) == 5
         assert m.atom(1, 1) == 7 and m.atom(2, 1) == 8
 
@@ -36,7 +37,7 @@ class TestWireAtomMap:
             WireAtomMap(2, 0, ((1, 1),))
 
     def test_sidecar_lists_every_position(self):
-        m = dense_wire_atom_map(2, 1, 1)
+        m = dense_wire_atom_map([1, 2], 1, 3)
         assert m.sidecar_lines() == [
             "wire 1 level 0 atom 1",
             "wire 2 level 0 atom 2",
@@ -48,21 +49,21 @@ class TestWireAtomMap:
 class TestNetworkRules:
     def test_single_comparator_gives_three_rules(self):
         net = new_network(2, 1, [(1, 2, 1)])
-        m = dense_wire_atom_map(2, 1, 3, inputs=[1, 2])
+        m = dense_wire_atom_map([1, 2], 1, 3)
         assert asp_of_network(net, m) == ["1 0 1 3 0 2 1 2", "1 0 1 4 0 1 1", "1 0 1 4 0 1 2"]
 
     def test_rule_count_matches_gates_plus_inertia(self, four_wire_sorter):
-        m = dense_wire_atom_map(4, 3, 1)
+        m = dense_wire_atom_map([1, 2, 3, 4], 3, 5)
         rules = asp_of_network(four_wire_sorter, m)
         assert len(rules) == 3 * 5 + 2
 
     def test_empty_network_yields_no_rules(self):
         net = new_network(2, 0, [])
-        assert asp_of_network(net, dense_wire_atom_map(2, 0, 1)) == []
+        assert asp_of_network(net, dense_wire_atom_map([1, 2], 0, 3)) == []
 
     def test_translation_is_negation_free(self):
         net = oe_sorter(5)
-        lines = asp_of_network(net, dense_wire_atom_map(5, net.depth, 1))
+        lines = asp_of_network(net, dense_wire_atom_map(range(1, 6), net.depth, 6))
         rules = read_rules(lines)
         assert len(rules) == len(lines)
         assert all(len(rule.head_atoms) == 1 for rule in rules)
@@ -71,30 +72,33 @@ class TestNetworkRules:
     def test_map_shape_must_match(self):
         net = oe_sorter(3)
         with pytest.raises(SemanticsError):
-            asp_of_network(net, dense_wire_atom_map(3, 0, 1))
+            asp_of_network(net, dense_wire_atom_map([1, 2, 3], 0, 4))
+        # the map takes its width from its inputs
+        with pytest.raises(SemanticsError):
+            asp_of_network(net, dense_wire_atom_map([1, 2], net.depth, 3))
 
 
 class TestInputFacts:
     def test_facts_for_one_entries_only(self):
-        m = dense_wire_atom_map(4, 0, 1)
+        m = dense_wire_atom_map([1, 2, 3, 4], 0, 5)
         assert input_facts([0, 1, 1, 0], m) == [
             aspif.Rule(aspif.DISJUNCTIVE, (2,), aspif.NormalBody(())),
             aspif.Rule(aspif.DISJUNCTIVE, (3,), aspif.NormalBody(())),
         ]
 
     def test_all_zero_gives_no_facts(self):
-        assert input_facts([0, 0], dense_wire_atom_map(2, 0, 1)) == []
+        assert input_facts([0, 0], dense_wire_atom_map([1, 2], 0, 3)) == []
 
     def test_all_one_gives_width_facts(self):
-        assert len(input_facts([1, 1, 1], dense_wire_atom_map(3, 0, 1))) == 3
+        assert len(input_facts([1, 1, 1], dense_wire_atom_map([1, 2, 3], 0, 4))) == 3
 
     def test_rejects_non_binary_values(self):
         with pytest.raises(SemanticsError):
-            input_facts([0, 2], dense_wire_atom_map(2, 0, 1))
+            input_facts([0, 2], dense_wire_atom_map([1, 2], 0, 3))
 
 
 def network_program(net, bits):
-    wire_map = dense_wire_atom_map(net.width, net.depth, 1)
+    wire_map = dense_wire_atom_map(range(1, net.width + 1), net.depth, net.width + 1)
     rules = map(aspif.Raw, asp_of_network(net, wire_map))
     document = aspif.AspifDocument(statements=(*rules, *input_facts(bits, wire_map)))
     program, _ = aspif.to_ground_program(aspif.parse(aspif.write(document)))

@@ -11,26 +11,26 @@ from optsort.network import (
     ConfinedNetwork,
     Decomposition,
     NetworkError,
-    apply,
     decompose_sparse,
     limit_depth,
     oe_sorter,
-    permutation_of,
     render_diagram,
-    whole_network_decomposition,
 )
 from optsort.propagate import from_input_weights, propagate_sparse
 
 from conftest import (
     FIG_COMPARATORS,
+    apply,
     binary_vectors,
     confines_every_gate,
     decompose_sparse_rescan,
     gate_triples,
     new_network,
+    permutation_of,
     random_network,
     region_gates,
     traced_peak,
+    whole_network_decomposition,
 )
 
 

@@ -11,7 +11,6 @@ from optsort.network import (
     decompose_sparse,
     limit_depth,
     oe_sorter,
-    whole_network_decomposition,
 )
 from optsort.propagate import (
     WeightError,
@@ -19,12 +18,20 @@ from optsort.propagate import (
     from_input_weights,
     propagate_confined,
     propagate_decomposition,
-    propagate_full,
     propagate_sparse,
-    weight_function,
 )
 
-from conftest import binary_vectors, gate_triples, new_network, random_network, total
+from conftest import (
+    binary_vectors,
+    column,
+    gate_triples,
+    new_network,
+    propagate_full,
+    random_network,
+    total,
+    weight_function,
+    whole_network_decomposition,
+)
 
 
 def random_matrix(rng, width, depth, top=40):
@@ -63,8 +70,8 @@ def random_confined_region(rng, net: Network) -> ConfinedNetwork:
 class TestConstruction:
     def test_input_weights_fill_column_zero(self):
         matrix = from_input_weights([40, 50, 90, 70], 3)
-        assert matrix.column(0) == [40, 50, 90, 70]
-        assert all(matrix.column(j) == [0, 0, 0, 0] for j in range(1, 4))
+        assert column(matrix, 0) == [40, 50, 90, 70]
+        assert all(column(matrix, j) == [0, 0, 0, 0] for j in range(1, 4))
 
     def test_empty_and_zero_matrices(self):
         assert from_input_weights([], 0).rows == ()
@@ -110,8 +117,8 @@ class TestPropagateFull:
         net = oe_sorter(5)
         matrix = from_input_weights([10] * 5, net.depth)
         result = propagate_full(matrix)
-        assert result.column(0) == [0] * 5
-        assert result.column(net.depth) == [10] * 5
+        assert column(result, 0) == [0] * 5
+        assert column(result, net.depth) == [10] * 5
 
     def test_zero_in_column_zero_is_a_fixed_point(self):
         matrix = from_input_weights([0, 7], 2)
@@ -137,11 +144,11 @@ class TestPropagateConfined:
         )
         region = ConfinedNetwork(frozenset({1, 3, 4, 5}), 2, 3)
         result = propagate_confined(weights, region)
-        assert result.column(1) == [80, 40, 0, 10, 40]
-        assert result.column(3) == [70, 50, 10, 20, 40]
-        assert result.column(0) == weights.column(0)
-        assert result.column(2) == weights.column(2)
-        assert result.column(4) == weights.column(4)
+        assert column(result, 1) == [80, 40, 0, 10, 40]
+        assert column(result, 3) == [70, 50, 10, 20, 40]
+        assert column(result, 0) == column(weights, 0)
+        assert column(result, 2) == column(weights, 2)
+        assert column(result, 4) == column(weights, 4)
 
     def test_zero_boundary_weight_blocks_the_move(self):
         weights = WeightMatrix(2, 2, ((5, 0, 0), (3, 9, 0)))
@@ -152,8 +159,8 @@ class TestPropagateConfined:
         weights = from_input_weights([6, 8], 2)
         region = ConfinedNetwork(frozenset({1, 2}), 1, 2)
         result = propagate_confined(weights, region)
-        assert result.column(0) == [0, 2]
-        assert result.column(2) == [6, 6]
+        assert column(result, 0) == [0, 2]
+        assert column(result, 2) == [6, 6]
 
     @pytest.mark.parametrize(
         "wires, interval, error",
@@ -180,18 +187,18 @@ class TestPropagateDecomposition:
         after_block_1 = propagate_confined(
             propagate_confined(matrix, steps[0]), steps[1]
         )
-        assert after_block_1.column(0) == [0, 10, 20, 0]
-        assert after_block_1.column(1) == [40, 40, 70, 70]
+        assert column(after_block_1, 0) == [0, 10, 20, 0]
+        assert column(after_block_1, 1) == [40, 40, 70, 70]
         after_block_2 = propagate_confined(
             propagate_confined(after_block_1, steps[2]), steps[3]
         )
-        assert after_block_2.column(1) == [0, 0, 30, 30]
-        assert after_block_2.column(2) == [40, 40, 40, 40]
+        assert column(after_block_2, 1) == [0, 0, 30, 30]
+        assert column(after_block_2, 2) == [40, 40, 40, 40]
         final = propagate_decomposition(matrix, decompose_sparse(four_wire_sorter, 1))
-        assert final.column(0) == [0, 10, 20, 0]
-        assert final.column(1) == [0, 0, 30, 30]
-        assert final.column(2) == [0, 0, 0, 0]
-        assert final.column(3) == [40, 40, 40, 40]
+        assert column(final, 0) == [0, 10, 20, 0]
+        assert column(final, 1) == [0, 0, 30, 30]
+        assert column(final, 2) == [0, 0, 0, 0]
+        assert column(final, 3) == [40, 40, 40, 40]
 
     def test_two_level_blocks_on_a_five_wire_network(self):
         net = new_network(
@@ -199,11 +206,11 @@ class TestPropagateDecomposition:
         )
         matrix = from_input_weights([20, 90, 80, 30, 70], 4)
         result = propagate_decomposition(matrix, decompose_sparse(net, 2))
-        assert result.column(0) == [0, 70, 60, 0, 40]
-        assert result.column(2) == [0, 0, 0, 10, 10]
-        assert result.column(4) == [20, 20, 20, 20, 20]
-        assert result.column(1) == [0] * 5
-        assert result.column(3) == [0] * 5
+        assert column(result, 0) == [0, 70, 60, 0, 40]
+        assert column(result, 2) == [0, 0, 0, 10, 10]
+        assert column(result, 4) == [20, 20, 20, 20, 20]
+        assert column(result, 1) == [0] * 5
+        assert column(result, 3) == [0] * 5
 
     def test_single_component_matches_black_box_propagation(self):
         rng = random.Random(3)

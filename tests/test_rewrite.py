@@ -32,6 +32,12 @@ def bridge(doc):
     return aspif.to_ground_program(aspif.parse(aspif.write(doc)))
 
 
+def verified(doc, rewritten):
+    """``verify_rewrite`` of the document against its rewrite."""
+    before = bridge(doc)
+    return verify_rewrite(before, bridge(rewritten), enumerate_answer_sets_layered(before[0]))
+
+
 class TestWireInputs:
     def test_positive_and_negated_literals(self):
         lines, atoms = wire_inputs([(1, 40), (-2, 70)], FreshAtoms(10))
@@ -99,7 +105,7 @@ class TestTwoTermRewrite:
     def test_rewrite_preserves_semantics(self):
         doc = aspif.parse(TWO_TERM_DOC)
         out, _ = rewrite_objective(doc, RewriteConfig())
-        assert verify_rewrite(bridge(doc), bridge(out)).ok
+        assert verified(doc, out).ok
 
 
 class TestTrivialCases:
@@ -141,7 +147,7 @@ class TestTrivialCases:
     def test_identity_rewrite_verifies(self):
         doc = aspif.parse(TWO_TERM_DOC)
         out, _ = rewrite_objective(doc, RewriteConfig(depth_limit=0))
-        assert verify_rewrite(bridge(doc), bridge(out)).ok
+        assert verified(doc, out).ok
 
 
 class TestNormalization:
@@ -149,7 +155,7 @@ class TestNormalization:
         text = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 3 1 10 2 5 1 20\n0\n"
         out, report = rewrite_objective(aspif.parse(text), RewriteConfig())
         assert report.levels[0].rewritten_terms == 2
-        assert verify_rewrite(bridge(aspif.parse(text)), bridge(out)).ok
+        assert verified(aspif.parse(text), out).ok
 
     def test_non_positive_weights_pass_through_unchanged(self):
         text = "asp 1 0 0\n1 1 3 1 2 3 0 0\n2 0 4 1 12 2 0 3 -7 -1 9\n0\n"
@@ -161,7 +167,7 @@ class TestNormalization:
         assert report.levels[0].passthrough_terms == 2
         wired = [t for t in minimize.terms if t not in ((2, 0), (3, -7))]
         assert sum(w for _, w in wired) == 12 + 9
-        assert verify_rewrite(bridge(doc), bridge(out)).ok
+        assert verified(doc, out).ok
 
     def test_all_non_positive_terms_leave_the_statement_merged_only(self):
         text = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 0 2 -3\n0\n"
@@ -216,7 +222,7 @@ class TestWeightAccounting:
         out, _ = rewrite_objective(doc, RewriteConfig(propagate=False))
         (minimize,) = [s for s in out.statements if isinstance(s, aspif.Minimize)]
         assert sorted(w for _, w in minimize.terms) == [40, 70]
-        assert verify_rewrite(bridge(doc), bridge(out)).ok
+        assert verified(doc, out).ok
 
 
 class TestPriorityLevels:
@@ -241,7 +247,7 @@ class TestPriorityLevels:
             assert merged_level.network_size == solo_level.network_size
             assert merged_level.output_terms == solo_level.output_terms
             assert merged_level.rules_added == solo_level.rules_added
-        assert verify_rewrite(bridge(combined), bridge(out)).ok
+        assert verified(combined, out).ok
 
     def test_statements_sharing_a_priority_are_merged(self):
         doc = aspif.parse(
@@ -252,7 +258,7 @@ class TestPriorityLevels:
         assert len(minimizes) == 1
         assert report.levels[0].input_terms == 4
         assert report.levels[0].rewritten_terms == 3  # atom 2 merged to 13
-        assert verify_rewrite(bridge(doc), bridge(out)).ok
+        assert verified(doc, out).ok
 
 
 def added_rules(doc, out):
@@ -419,7 +425,7 @@ class TestVerifyRewrite:
                 s = aspif.Minimize(s.priority, ((lit, w + shift),) + s.terms[1:])
             corrupted.append(s)
         bad = aspif.AspifDocument(statements=tuple(corrupted))
-        report = verify_rewrite(bridge(doc), bridge(bad))
+        report = verified(doc, bad)
         assert not report.ok
         # the first input answer set whose value changed: 5 + 9 on {1, 2}
         assert report.detail == f"value mismatch at priority 0 on [1, 2]: 14 vs {rewritten}"
@@ -431,7 +437,7 @@ class TestVerifyRewrite:
             statements=out.statements
             + (aspif.Rule(aspif.DISJUNCTIVE, (), aspif.NormalBody((1,))),)
         )
-        report = verify_rewrite(bridge(doc), bridge(constrained))
+        report = verified(doc, constrained)
         assert not report.ok and "counts differ" in report.detail
 
     @pytest.mark.parametrize("index", [0, 1, 2], ids=["choice", "nogood", "cardinality"])
@@ -442,7 +448,7 @@ class TestVerifyRewrite:
         )
         out, _ = rewrite_objective(doc, RewriteConfig())
         dropped = tuple(s for s in out.statements if s != doc.statements[index])
-        report = verify_rewrite(bridge(doc), bridge(aspif.AspifDocument(statements=dropped)))
+        report = verified(doc, aspif.AspifDocument(statements=dropped))
         assert not report.ok and report.detail == KEEPS_NO_INPUT
 
     def test_detects_a_changed_input_rule(self):
@@ -454,7 +460,7 @@ class TestVerifyRewrite:
         statements = tuple(
             changed if s == doc.statements[1] else s for s in out.statements
         )
-        report = verify_rewrite(bridge(doc), bridge(aspif.AspifDocument(statements=statements)))
+        report = verified(doc, aspif.AspifDocument(statements=statements))
         assert not report.ok and report.detail == KEEPS_NO_INPUT
 
     def test_guesses_no_more_atoms_than_the_input(self, monkeypatch):
@@ -483,10 +489,11 @@ class TestVerifyRewrite:
 def _grid_reference(document):
     """Every configuration rewritten and verified on its own, no sharing."""
     before = bridge(document)
+    before_lanes = enumerate_answer_sets_layered(before[0])
     results = []
     for config in VERIFY_GRID:
         rewritten, _ = rewrite_objective(document, config)
-        results.append((config, verify_rewrite(before, bridge(rewritten))))
+        results.append((config, verify_rewrite(before, bridge(rewritten), before_lanes)))
     return results, before
 
 
