@@ -136,24 +136,6 @@ class GroundProgram(_GroundProgram):
         return self
 
 
-class FreshAtoms:
-    """Hands out unused atom ids, counting up from a start value."""
-
-    def __init__(self, first_free: int):
-        self._next = first_free
-
-    def take(self) -> int:
-        atom = self._next
-        self._next += 1
-        return atom
-
-    def reserve(self, count: int) -> int:
-        """Claim a contiguous block of ids; returns the first one."""
-        first = self._next
-        self._next += count
-        return first
-
-
 class LaneRule(NamedTuple):
     """A positive rule that derives its head only in the given bit lanes."""
 
@@ -301,7 +283,7 @@ def in_sorted_order(
                 stack.append((p + 1, held, (*model, atoms[p])))
 
 
-def _guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list[int]:
+def guessed_atoms(program: GroundProgram, bottom_atoms: frozenset[int]) -> list[int]:
     """The atoms a guess must fix, sorted, once the bottom atoms are checked to split the program.
 
     These are the bottom's head atoms that the reduct reads: choice heads and
@@ -417,7 +399,7 @@ def answer_lanes(
     constraints is one answer set, in the lane of its bottom model.
     """
     bottom_atoms = frozenset(bottom_atoms)
-    guessed = _guessed_atoms(program, bottom_atoms)
+    guessed = guessed_atoms(program, bottom_atoms)
     if bottom is None:
         if len(guessed) > MAX_ENUM_ATOMS:
             raise SemanticsError(

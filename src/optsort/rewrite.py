@@ -17,10 +17,12 @@ from typing import Iterable, NamedTuple
 
 from . import aspif
 from .asplang import (
-    FreshAtoms,
+    MAX_ENUM_ATOMS,
     GroundProgram,
     answer_lanes,
+    auto_split_atoms,
     enumerate_answer_sets_layered,
+    guessed_atoms,
     in_sorted_order,
     lane_sum,
 )
@@ -100,26 +102,21 @@ class RewriteReport(NamedTuple):
         return "\n".join(lines)
 
 
-def wire_inputs(
-    terms: list[tuple[int, int]], fresh: FreshAtoms
-) -> tuple[list[str], list[int]]:
-    """Bridge each (literal, weight) term onto a fresh network input atom.
+def wire_inputs(terms: list[tuple[int, int]], first: int) -> list[str]:
+    """Bridge the (literal, weight) terms onto network input atoms ``first``, ``first`` + 1, ...
 
     One rule line ``atom :- literal`` per term: the input atom is derived
     exactly when the literal holds.  Weights must be positive (normalization
     runs first).
     """
     lines = []
-    inputs = []
-    for lit, w in terms:
+    for atom, (lit, w) in enumerate(terms, first):
         if w <= 0:
             raise RewriteError(f"cannot wire non-positive weight {w}")
         if lit == 0:
             raise RewriteError("cannot wire literal 0")
-        atom = fresh.take()
         lines.append(ONE_BODY_RULE % (atom, lit))
-        inputs.append(atom)
-    return lines, inputs
+    return lines
 
 
 def _fits_32_bits(weight: int) -> bool:
@@ -164,13 +161,16 @@ def _passthrough_report(priority: int, input_terms: int, kept_terms: int) -> Lev
 REWRITE_RULE_BUDGET = 1 << 21
 
 
-def _rule_bound(n: int, depth_limit: int | None) -> int:
-    """Most rules that wiring n terms into an odd-even sorter can add."""
+def _sorter_depth(n: int, depth_limit: int | None) -> int:
+    """Levels of the odd-even sorter on n >= 1 wires, cut to ``depth_limit``."""
     p = (n - 1).bit_length()  # the sorter is built on 2^p wires
     depth = p * (p + 1) // 2
-    if depth_limit is not None:
-        depth = min(depth, depth_limit)
-    return n + 3 * n * depth // 2
+    return depth if depth_limit is None else min(depth, depth_limit)
+
+
+def _rule_bound(n: int, depth_limit: int | None) -> int:
+    """Most rules that wiring n terms into an odd-even sorter can add."""
+    return n + 3 * n * _sorter_depth(n, depth_limit) // 2
 
 
 def check_rule_budget(sizes: list[int], depth_limit: int | None, wiring: str) -> None:
@@ -191,11 +191,16 @@ def _minimize_levels(document: aspif.AspifDocument) -> dict[int, list[tuple[int,
     return by_priority
 
 
+def _wired_sizes(normalized: Iterable[tuple[_Terms, _Terms, _Terms]]) -> list[int]:
+    """How many terms each normalized level wires into a sorter, for the levels that wire any."""
+    return [len(rewritable) for rewritable, _, _ in normalized if len(rewritable) >= 2]
+
+
 def _check_wiring(
     normalized: Iterable[tuple[_Terms, _Terms, _Terms]], depth_limit: int | None
 ) -> None:
     """Refuse wiring the normalized levels into sorters past ``REWRITE_RULE_BUDGET``."""
-    wired = [len(rewritable) for rewritable, _, _ in normalized if len(rewritable) >= 2]
+    wired = _wired_sizes(normalized)
     check_rule_budget(
         wired, depth_limit, f"wiring {sum(wired)} objective terms into sorting networks"
     )
@@ -206,18 +211,20 @@ def _rewrite_level(
     input_terms: int,
     normalized: tuple[_Terms, _Terms, _Terms],
     config: RewriteConfig,
-    fresh: FreshAtoms,
+    first: int,
 ) -> tuple[list[aspif.Statement], LevelReport]:
+    # a wired level's n bridge atoms start at `first`, then come its wire
+    # columns of n atoms each, level by level
     rewritable, passthrough, merged = normalized
     if len(rewritable) < 2:
         statement = aspif.Minimize(priority, tuple(merged))
         return [statement], _passthrough_report(priority, input_terms, len(merged))
 
+    n = len(rewritable)
     weights = [w for _, w in rewritable]
-    lines, input_atoms = wire_inputs(rewritable, fresh)
-    network = oe_sorter(len(input_atoms), config.depth_limit)
-    first_wire_atom = fresh.reserve(network.width * network.depth)
-    wire_map = dense_wire_atom_map(input_atoms, network.depth, first_wire_atom)
+    lines = wire_inputs(rewritable, first)
+    network = oe_sorter(n, config.depth_limit)
+    wire_map = dense_wire_atom_map(range(first, first + n), network.depth, first + n)
     lines += asp_of_network(network, wire_map)
 
     matrix = from_input_weights(weights, network.depth)
@@ -238,7 +245,7 @@ def _rewrite_level(
         network_depth=network.depth,
         network_size=network.size(),
         output_terms=len(out_terms),
-        atoms_added=len(input_atoms) + network.width * network.depth,
+        atoms_added=n + n * network.depth,
         rules_added=len(lines),
         wire_map=wire_map,
     )
@@ -269,17 +276,16 @@ def rewrite_objective(
     normalized = {p: _normalize(tuple(terms)) for p, terms in sorted(by_priority.items())}
     _check_wiring(normalized.values(), config.depth_limit)
 
-    top = document.max_atom_id()
-    fresh = FreshAtoms(top + 1)
+    top = highest = document.max_atom_id()
     replacements: dict[int, list[aspif.Statement]] = {}
     reports = []
     for priority, level in normalized.items():
         statements, report = _rewrite_level(
-            priority, len(by_priority[priority]), level, config, fresh
+            priority, len(by_priority[priority]), level, config, highest + 1
         )
+        highest += report.atoms_added
         replacements[priority] = statements
         reports.append(report)
-    highest = fresh.reserve(0) - 1  # the last id a level took
     if _fits_32_bits(top) and not _fits_32_bits(highest):
         raise RewriteError(f"fresh atom {highest} leaves the 32-bit range")
 
@@ -392,6 +398,17 @@ def check_random_count(count: int) -> None:
         )
 
 
+# Each configuration's rewrite is closed over the input's 2^g answer lanes, g
+# its guessed atoms, as one lane vector of up to 2^g bits per atom: the input's
+# and the most that a configuration adds (per wired level, n bridges and n per
+# sorter level, at full depth).  The budget admits gen-binomial 22 11 --opt
+# (374 atoms x 2^22 lanes, 1.6e9 bits) and a 256-rule objective over 18 choice
+# atoms (9746 x 2^18, 2.6e9), which takes 6.2 s and peaks at 291 MB end to end
+# on a shared 2-vCPU machine.  The same objective over 20 choice atoms
+# (1.0e10) ran out of an 800 MB address space after 7.3 s.
+VERIFY_LANE_BUDGET = 1 << 32
+
+
 def verify_grid(
     document: aspif.AspifDocument,
     before: aspif.Bridged,
@@ -410,6 +427,17 @@ def verify_grid(
     normalized = [_normalize(tuple(terms)) for _, terms in levels]
     for depth in dict.fromkeys(c.depth_limit for c in VERIFY_GRID if c.depth_limit != 0):
         _check_wiring(normalized, depth)
+    # past the brute-force guard the enumeration refuses first, with its own error
+    program = before[0]
+    guessed = len(guessed_atoms(program, auto_split_atoms(program)))
+    atoms = len(program.signature) + sum(
+        n + n * _sorter_depth(n, None) for n in _wired_sizes(normalized)
+    )
+    if guessed <= MAX_ENUM_ATOMS and atoms << guessed > VERIFY_LANE_BUDGET:
+        raise RewriteError(
+            f"closing {atoms} atoms over 2^{guessed} answer lanes would take "
+            f"{atoms << guessed} lane bits, over the budget of {VERIFY_LANE_BUDGET}"
+        )
     before_lanes = enumerate_answer_sets_layered(before[0])
     reports: dict[str, VerifyReport] = {}
     results = []

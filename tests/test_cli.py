@@ -293,6 +293,51 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: 25 atoms exceed the brute-force guard of 24\n"
 
+    def test_an_input_whose_lanes_cannot_fit_is_refused_before_the_grid_starts(
+        self, capsys, monkeypatch
+    ):
+        # 20 guessed atoms, 256 rules h :- a, b and one minimize over their
+        # heads: 276 input atoms plus 256 bridges and 36 sorter columns of 256
+        # wire atoms at full depth, each over 2^20 lanes
+        rng = random.Random(5)
+        heads = range(21, 277)
+        lines = ["asp 1 0 0", "1 1 20 " + " ".join(map(str, range(1, 21))) + " 0 0"]
+        for h in heads:
+            a, b = rng.sample(range(1, 21), 2)
+            lines.append(f"1 0 1 {h} 0 2 {a} {b}")
+        lines += ["2 0 256 " + " ".join(f"{h} {rng.randint(1, 9)}" for h in heads), "0"]
+
+        def started(*args):
+            raise AssertionError("the grid started")
+
+        monkeypatch.setattr("optsort.rewrite.rewrite_objective", started)
+        monkeypatch.setattr("optsort.rewrite.enumerate_answer_sets_layered", started)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, monkeypatch, ["verify", "--max-atoms", "20"], stdin="\n".join(lines)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: closing 9748 atoms over 2^20 answer lanes would take "
+            "10221518848 lane bits, over the budget of 4294967296\n"
+        )
+
+    @pytest.mark.parametrize("budget,refused", [(120 << 10, False), ((120 << 10) - 1, True)])
+    def test_the_lane_budget_counts_input_bridge_and_wire_atoms(
+        self, capsys, monkeypatch, budget, refused
+    ):
+        # gen-binomial 10 5 --opt: 10 input atoms, 10 bridges and 10 full-depth
+        # sorter columns of 10 wire atoms, over 2^10 lanes
+        monkeypatch.setattr("optsort.rewrite.VERIFY_LANE_BUDGET", budget)
+        _, generated, _ = run(capsys, monkeypatch, ["gen-binomial", "10", "5", "--opt"])
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin=generated)
+        if refused:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: closing 120 atoms over 2^10 answer lanes")
+        else:
+            assert (code, err) == (0, "") and out.count(" ok ") == 30
+
     def test_an_over_budget_rewrite_is_refused_before_the_grid_starts(
         self, capsys, monkeypatch
     ):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from optsort import aspif, asplang, rewrite
 from optsort.analysis import binomial_document
-from optsort.asplang import FreshAtoms, enumerate_answer_sets_layered
+from optsort.asplang import enumerate_answer_sets_layered
 from optsort.encode import asp_of_network
 from optsort.network import oe_sorter
 from optsort.rewrite import (
@@ -40,20 +40,20 @@ def verified(doc, rewritten):
 
 class TestWireInputs:
     def test_positive_and_negated_literals(self):
-        lines, atoms = wire_inputs([(1, 40), (-2, 70)], FreshAtoms(10))
-        assert atoms == [10, 11]
+        lines = wire_inputs([(1, 40), (-2, 70)], 10)
+        assert [r.head_atoms for r in read_rules(lines)] == [(10,), (11,)]
         assert lines == ["1 0 1 10 0 1 1", "1 0 1 11 0 1 -2"]
 
     def test_empty_terms(self):
-        assert wire_inputs([], FreshAtoms(1)) == ([], [])
+        assert wire_inputs([], 1) == []
 
     def test_rejects_non_positive_weights(self):
         with pytest.raises(RewriteError):
-            wire_inputs([(1, 0)], FreshAtoms(5))
+            wire_inputs([(1, 0)], 5)
 
     def test_rejects_literal_zero(self):
         with pytest.raises(RewriteError):
-            wire_inputs([(0, 3)], FreshAtoms(5))
+            wire_inputs([(0, 3)], 5)
 
 
 class TestConfig:
@@ -293,6 +293,31 @@ class TestAtomHygiene:
         assert all(w == 10 for _, w in minimize.terms)
         assert len(minimize.terms) == 4  # output wires only
         assert report.levels[0].rules_added == 4 + 3 * 5 + 2
+
+    def test_each_wired_level_takes_one_block_of_atoms(self):
+        # priority 0 wires three terms into a 3-level sorter, priority 1 is a
+        # single positive term that passes through, priority 2 wires two
+        doc = aspif.parse(
+            "asp 1 0 0\n1 1 5 1 2 3 4 5 0 0\n"
+            "2 0 3 1 3 2 5 -3 4\n2 1 1 4 7\n2 2 2 4 2 5 6\n0\n"
+        )
+        out, report = rewrite_objective(doc, RewriteConfig())
+        wired, passed, last = report.levels
+        first = doc.max_atom_id() + 1
+        assert wired.wire_map.columns == tuple(
+            tuple(range(first + 3 * level, first + 3 * level + 3)) for level in range(4)
+        )
+        assert (passed.wire_map, passed.atoms_added) == (None, 0)
+        first += wired.atoms_added
+        assert last.wire_map.columns == ((first, first + 1), (first + 2, first + 3))
+        assert out.max_atom_id() == first + last.atoms_added - 1 == 21
+        bridges = [
+            (r.head_atoms[0], r.body.literals)
+            for r in added_rules(doc, out)
+            if set(r.body.literals) <= {1, 2, -3, 4, 5}
+        ]
+        assert bridges == [(6, (1,)), (7, (2,)), (8, (-3,)), (18, (4,)), (19, (5,))]
+        assert verified(doc, out).ok
 
     def test_sidecar_lists_the_wire_allocations(self):
         out, report = rewrite_objective(aspif.parse(TWO_TERM_DOC), RewriteConfig())
