@@ -19,7 +19,7 @@ from .asplang import (
     enumerate_answer_sets_split,
     in_sorted_order,
 )
-from .encode import WireAtomMap, asp_of_network, dense_wire_atom_map
+from .encode import asp_of_network, dense_wire_atom_map
 from .network import Network
 
 
@@ -204,29 +204,29 @@ def run_pch(program: GroundProgram, propagator: Propagator) -> PropagatorTrace:
     return PropagatorTrace(tuple(assignments), tuple(learned), True)
 
 
-def attach_network(
-    program: GroundProgram, input_atoms: Sequence[int], network: Network
-) -> tuple[GroundProgram, WireAtomMap]:
-    """Graft a network's rule translation onto existing input atoms.
+def attach_network(program: GroundProgram, network: Network) -> tuple[GroundProgram, range]:
+    """Graft a network's rule translation onto input atoms 1..width.
 
     It adds ``width * depth + size`` rules: three per comparator and one per
     (wire, level) position that no comparator touches.  They are read back
-    from their aspif lines, as ``verify`` reads a rewrite.
+    from their aspif lines, as ``verify`` reads a rewrite.  The wire atoms
+    above the inputs must be fresh, so a program atom above ``width`` is
+    refused.  Returns the merged program and the network's output atoms.
     """
-    first_free = max(program.signature, default=0) + 1
-    wire_map = dense_wire_atom_map(input_atoms, network.depth, first_free)
-    statements = tuple(map(aspif.Raw, asp_of_network(network, wire_map)))
+    highest = max(program.signature, default=0)
+    if highest > network.width:
+        raise SemanticsError(
+            f"program atom {highest} lies above the network's {network.width} input atoms"
+        )
+    columns = dense_wire_atom_map(1, network.width, network.depth)
+    statements = tuple(map(aspif.Raw, asp_of_network(network, 1)))
     text = aspif.write(aspif.AspifDocument(statements=statements))
     rules = aspif.to_ground_program(aspif.parse(text))[0].normal_rules
     merged = GroundProgram(
-        signature=program.signature | frozenset(wire_map.atoms()),
+        signature=program.signature | frozenset(range(1, columns[-1].stop)),
         normal_rules=program.normal_rules + rules,
         choice_rules=program.choice_rules,
         cardinality_constraints=program.cardinality_constraints,
         nogoods=program.nogoods,
     )
-    return merged, wire_map
-
-
-def output_atoms(wire_map: WireAtomMap) -> list[int]:
-    return list(wire_map.columns[-1])
+    return merged, columns[-1]

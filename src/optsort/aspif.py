@@ -212,14 +212,18 @@ def _parse_minimize(v: list[int], refused: tuple[str, ...], line_no: int) -> Min
 
 
 def _parse_output(rest: str, line_no: int) -> Output:
+    # the length counts the string's UTF-8 bytes, as gringo writes it
     len_token, _, tail = rest.partition(" ")
     length = _integer(len_token)
     if length is None:
         raise AspifParseError(f"line {line_no}: bad output string length")
-    if length < 0 or len(tail) < length:
+    data = tail.encode("utf-8", "surrogateescape")
+    if length < 0 or len(data) < length:
         raise AspifParseError(f"line {line_no}: output string shorter than declared")
-    name = tail[:length]
-    remainder = tail[length:]
+    if length < len(data) and data[length] & 0xC0 == 0x80:  # a continuation byte
+        raise AspifParseError(f"line {line_no}: output string length ends inside a character")
+    name = data[:length].decode("utf-8", "surrogateescape")
+    remainder = data[length:].decode("utf-8", "surrogateescape")
     if remainder and not remainder.startswith(" "):
         raise AspifParseError(f"line {line_no}: output string length mismatch")
     v, refused = _integers(remainder)
@@ -289,7 +293,8 @@ def _render_statement(s: Statement) -> str:
     elif isinstance(s, Minimize):
         values = (2, s.priority, len(s.terms), *chain.from_iterable(s.terms))
     elif isinstance(s, Output):
-        return " ".join(map(str, (4, len(s.name), s.name, len(s.condition), *s.condition)))
+        length = len(s.name.encode("utf-8", "surrogateescape"))
+        return " ".join(map(str, (4, length, s.name, len(s.condition), *s.condition)))
     else:
         return s.line
     # one format per line; "%d" renders an int as str() does, and faster

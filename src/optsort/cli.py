@@ -20,7 +20,6 @@ from .analysis import (
     card_propagator,
     check_binomial_bytes,
     check_candidate_cost,
-    output_atoms,
     run_pch,
 )
 from .asplang import SemanticsError, auto_split_atoms
@@ -133,17 +132,18 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     )
     rewritten, report = rewrite_objective(doc, config)
     text = aspif.write(rewritten)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # the side files first: a path that cannot be written leaves stdout empty
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report.to_text() + "\n")
     if args.sidecar:
         with open(args.sidecar, "w", encoding="utf-8") as handle:
             handle.write(report.sidecar_text() + "\n")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -238,13 +238,10 @@ def _cmd_pch(args: argparse.Namespace) -> int:
         rules = network.width * network.depth + network.size()
     check_candidate_cost(args.n, rules)
     program = binomial_program(args.n, args.k)
-    inputs = list(range(1, args.n + 1))
-    if args.network == "none":
-        propagator = card_propagator(inputs, args.k)
-    else:
-        program, wire_map = attach_network(program, inputs, network)
-        propagator = card_propagator(output_atoms(wire_map), args.k)
-    trace = run_pch(program, propagator)
+    outputs = range(1, args.n + 1)
+    if args.network != "none":
+        program, outputs = attach_network(program, network)
+    trace = run_pch(program, card_propagator(outputs, args.k))
     if args.trace:
         print(trace.to_text())
     else:

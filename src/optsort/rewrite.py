@@ -26,7 +26,7 @@ from .asplang import (
     in_sorted_order,
     lane_sum,
 )
-from .encode import ONE_BODY_RULE, WireAtomMap, asp_of_network, dense_wire_atom_map
+from .encode import ONE_BODY_RULE, asp_of_network, dense_wire_atom_map
 from .network import oe_sorter
 from .propagate import from_input_weights, propagate_sparse
 
@@ -75,7 +75,7 @@ class LevelReport(NamedTuple):
     output_terms: int
     atoms_added: int
     rules_added: int
-    wire_map: WireAtomMap | None = None
+    wire_map: tuple[range, ...] | None = None  # the network's atom columns
 
 
 class RewriteReport(NamedTuple):
@@ -94,12 +94,13 @@ class RewriteReport(NamedTuple):
 
     def sidecar_text(self) -> str:
         """Debug dump of every (wire, level) -> atom allocation, per priority."""
-        lines = []
-        for lv in self.levels:
-            if lv.wire_map is not None:
-                for entry in lv.wire_map.sidecar_lines():
-                    lines.append(f"priority {lv.priority} {entry}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"priority {lv.priority} wire {i} level {l} atom {a}"
+            for lv in self.levels
+            if lv.wire_map is not None
+            for l, column in enumerate(lv.wire_map)
+            for i, a in enumerate(column, 1)
+        )
 
 
 def wire_inputs(terms: list[tuple[int, int]], first: int) -> list[str]:
@@ -213,8 +214,8 @@ def _rewrite_level(
     config: RewriteConfig,
     first: int,
 ) -> tuple[list[aspif.Statement], LevelReport]:
-    # a wired level's n bridge atoms start at `first`, then come its wire
-    # columns of n atoms each, level by level
+    # a wired level's atoms are one block from `first`: its n bridge atoms
+    # are the network's input column
     rewritable, passthrough, merged = normalized
     if len(rewritable) < 2:
         statement = aspif.Minimize(priority, tuple(merged))
@@ -224,16 +225,14 @@ def _rewrite_level(
     weights = [w for _, w in rewritable]
     lines = wire_inputs(rewritable, first)
     network = oe_sorter(n, config.depth_limit)
-    wire_map = dense_wire_atom_map(range(first, first + n), network.depth, first + n)
-    lines += asp_of_network(network, wire_map)
+    wire_map = dense_wire_atom_map(first, n, network.depth)
+    lines += asp_of_network(network, first)
 
     matrix = from_input_weights(weights, network.depth)
     if config.propagate:
         matrix = propagate_sparse(matrix, network, config.sparseness)
 
-    wire_terms = [
-        (wire_map.atom(i, j), w) for i, j, w in matrix.nonzero_entries()
-    ]
+    wire_terms = [(wire_map[j][i - 1], w) for i, j, w in matrix.nonzero_entries()]
     out_terms = tuple(wire_terms) + tuple(passthrough)
     statements = [aspif.Raw("\n".join(lines)), aspif.Minimize(priority, out_terms)]
     report = LevelReport(
@@ -245,7 +244,7 @@ def _rewrite_level(
         network_depth=network.depth,
         network_size=network.size(),
         output_terms=len(out_terms),
-        atoms_added=n + n * network.depth,
+        atoms_added=wire_map[-1].stop - first,
         rules_added=len(lines),
         wire_map=wire_map,
     )

@@ -15,7 +15,6 @@ from optsort.asplang import (
     NormalRule,
     SemanticsError,
 )
-from optsort.encode import WireAtomMap
 from optsort.network import ConfinedNetwork, Decomposition, Network, NetworkError
 from optsort.propagate import WeightError, WeightMatrix
 
@@ -385,15 +384,13 @@ def binomial_opt_program(n: int, k: int) -> tuple[GroundProgram, tuple[tuple[int
     return program, objectives[0]
 
 
-def input_facts(x, wire_map: WireAtomMap) -> list[aspif.Rule]:
-    """Facts asserting the 1-entries of a binary input vector."""
-    if len(x) != wire_map.width:
-        raise SemanticsError(f"expected {wire_map.width} input bits, got {len(x)}")
+def input_facts(x) -> list[aspif.Rule]:
+    """Facts asserting the 1-entries of a binary input vector on input atoms 1, 2, ..."""
     if any(bit not in (0, 1) for bit in x):
         raise SemanticsError(f"input vector {list(x)} is not binary")
     return [
-        aspif.Rule(aspif.DISJUNCTIVE, (wire_map.atom(i + 1, 0),), aspif.NormalBody(()))
-        for i, bit in enumerate(x)
+        aspif.Rule(aspif.DISJUNCTIVE, (atom,), aspif.NormalBody(()))
+        for atom, bit in enumerate(x, 1)
         if bit
     ]
 

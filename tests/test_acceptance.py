@@ -16,7 +16,6 @@ from optsort.analysis import (
     binomial_document,
     binomial_program,
     card_propagator,
-    output_atoms,
     run_pch,
 )
 from optsort.asplang import enumerate_answer_sets_layered
@@ -198,12 +197,12 @@ def test_05_network_translation_has_one_answer_set_per_input():
             nets.append(limit_depth(nets[0], 1))
         nets.append(random_network(random.Random(n), n, 3))
         for net in nets:
-            wire_map = dense_wire_atom_map(range(1, n + 1), net.depth, n + 1)
-            lines = asp_of_network(net, wire_map)
+            wire_map = dense_wire_atom_map(1, n, net.depth)
+            lines = asp_of_network(net, 1)
             assert all(lit > 0 for rule in read_rules(lines) for lit in rule.body.literals)
             for bits in binary_vectors(n):
                 document = aspif.AspifDocument(
-                    statements=(*map(aspif.Raw, lines), *input_facts(bits, wire_map))
+                    statements=(*map(aspif.Raw, lines), *input_facts(bits))
                 )
                 program, _ = aspif.to_ground_program(aspif.parse(aspif.write(document)))
                 models = lane_models(enumerate_answer_sets_layered(program))
@@ -211,7 +210,7 @@ def test_05_network_translation_has_one_answer_set_per_input():
                 model = models[0]
                 values = apply(net, bits)
                 for wire, level in product(range(1, n + 1), range(net.depth + 1)):
-                    assert (wire_map.atom(wire, level) in model) == (
+                    assert (wire_map[level][wire - 1] in model) == (
                         values.rows[wire - 1][level] == 1
                     )
                 checked += 1
@@ -266,10 +265,8 @@ def test_08_sorter_caps_history_length_linearly():
     for n in range(2, 11):
         net = oe_sorter(n)
         for k in range(1, n + 1):
-            program, wire_map = attach_network(
-                binomial_program(n, k), range(1, n + 1), net
-            )
-            propagator = card_propagator(output_atoms(wire_map), k)
+            program, outputs = attach_network(binomial_program(n, k), net)
+            propagator = card_propagator(outputs, k)
             trace = run_pch(program, propagator)
             assert trace.complete
             assert trace.m <= n - k + 1, (n, k, trace.m)

@@ -11,7 +11,6 @@ from optsort.analysis import (
     binomial_program,
     card_propagator,
     check_candidate_cost,
-    output_atoms,
     run_pch,
 )
 from optsort.asplang import (
@@ -168,8 +167,7 @@ class TestReferencePch:
             program = binomial_program(n, k)
             atoms = list(range(1, n + 1))
             if networked:
-                program, wire_map = attach_network(program, atoms, oe_sorter(n))
-                atoms = output_atoms(wire_map)
+                program, atoms = attach_network(program, oe_sorter(n))
             assert_matches_reference(program, card_propagator(atoms, k))
 
     def test_rules_deriving_choice_atoms_match_the_frozenset_filter(self):
@@ -183,10 +181,8 @@ class TestReferencePch:
         assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2))
 
     def test_incomplete_history_matches_the_frozenset_filter(self):
-        program, wire_map = attach_network(
-            binomial_program(4, 1), [1, 2, 3, 4], limit_depth(oe_sorter(4), 1)
-        )
-        propagator = card_propagator(output_atoms(wire_map), 3)
+        program, outputs = attach_network(binomial_program(4, 1), limit_depth(oe_sorter(4), 1))
+        propagator = card_propagator(outputs, 3)
         assert not run_pch(program, propagator).complete
         assert_matches_reference(program, propagator)
 
@@ -260,10 +256,8 @@ class TestPchMemory:
     def test_full_sorter_at_fourteen_over_seven_keeps_candidates_as_lanes(self):
         # A set for each of the 9908 candidates peaked at 43 MB; only the
         # visited candidates become sets
-        program, wire_map = attach_network(
-            binomial_program(14, 7), range(1, 15), oe_sorter(14)
-        )
-        propagator = card_propagator(output_atoms(wire_map), 7)
+        program, outputs = attach_network(binomial_program(14, 7), oe_sorter(14))
+        propagator = card_propagator(outputs, 7)
         trace, peak = traced_peak(run_pch, program, propagator)
         assert trace.summary() == "m=8 complete=true"
         assert peak < 20 * 2**20
@@ -295,20 +289,15 @@ class TestNetworkedPch:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_sorter_outputs_cap_the_history_linearly(self, n):
         for k in range(1, n + 1):
-            program, wire_map = attach_network(
-                binomial_program(n, k), range(1, n + 1), oe_sorter(n)
-            )
-            propagator = card_propagator(output_atoms(wire_map), k)
+            program, outputs = attach_network(binomial_program(n, k), oe_sorter(n))
+            propagator = card_propagator(outputs, k)
             trace = run_pch(program, propagator)
             assert trace.complete
             assert trace.m <= n - k + 1, (n, k, trace.m)
 
     def test_distinct_first_output_positions_bound_the_learned_nogoods(self):
         n, k = 6, 3
-        program, wire_map = attach_network(
-            binomial_program(n, k), range(1, n + 1), oe_sorter(n)
-        )
-        outputs = output_atoms(wire_map)
+        program, outputs = attach_network(binomial_program(n, k), oe_sorter(n))
         trace = run_pch(program, card_propagator(outputs, k))
         first_positions = {
             min(outputs.index(a) for a in ng)
@@ -318,10 +307,8 @@ class TestNetworkedPch:
         assert len(first_positions) <= n - k + 1
 
     def test_networked_trace_survives_post_hoc_validation(self):
-        program, wire_map = attach_network(
-            binomial_program(3, 2), [1, 2, 3], oe_sorter(3)
-        )
-        propagator = card_propagator(output_atoms(wire_map), 2)
+        program, outputs = attach_network(binomial_program(3, 2), oe_sorter(3))
+        propagator = card_propagator(outputs, 2)
         trace = run_pch(program, propagator)
         assert verify_trace(program, propagator, trace)
         assert trace.m <= 2
@@ -332,9 +319,23 @@ class TestNetworkedPch:
             for depth in (None, 0, 1, 3):
                 network = oe_sorter(n, depth)
                 program = binomial_program(n, n // 2)
-                attached, _ = attach_network(program, range(1, n + 1), network)
+                attached, _ = attach_network(program, network)
                 added = len(attached.normal_rules) - len(program.normal_rules)
                 assert added == network.width * network.depth + network.size(), (n, depth)
+
+    def test_wire_atoms_follow_the_inputs_and_the_last_column_is_returned(self):
+        network = oe_sorter(5)
+        attached, outputs = attach_network(binomial_program(5, 2), network)
+        last = 5 * network.depth
+        assert outputs == range(last + 1, last + 6)
+        assert attached.signature == frozenset(range(1, last + 6))
+
+    def test_a_program_atom_above_the_inputs_is_refused(self):
+        # a wire atom would share it
+        with pytest.raises(
+            SemanticsError, match="^program atom 4 lies above the network's 3 input atoms$"
+        ):
+            attach_network(GroundProgram(frozenset({1, 4})), oe_sorter(3))
 
     def test_rejects_programs_with_negation(self):
         program = binomial_program(2, 1)

@@ -90,6 +90,18 @@ class TestParse:
         doc = aspif.parse("asp 1 0 0\n4 5 a b c 1 -4\n0\n")
         assert doc.statements == (aspif.Output("a b c", (-4,)),)
 
+    def test_output_string_length_counts_utf8_bytes(self):
+        doc = aspif.parse("asp 1 0 0\n4 2 é 1 1\n4 8 € a ü 0\n0\n")
+        assert doc.statements == (aspif.Output("é", (1,)), aspif.Output("€ a ü", ()))
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_output_string_length_ending_inside_a_character_is_refused(self, length):
+        with pytest.raises(
+            aspif.AspifParseError,
+            match="^line 2: output string length ends inside a character$",
+        ):
+            aspif.parse(f"asp 1 0 0\n4 {length} é€ 1 1\n0\n")
+
     def test_unknown_codes_are_kept_verbatim(self):
         doc = aspif.parse("asp 1 0 0\n3 4 2\n7 whatever 9\n0\n")
         assert doc.statements == (aspif.Raw("3 4 2"), aspif.Raw("7 whatever 9"))
@@ -142,6 +154,11 @@ class TestWrite:
     def test_empty_minimize_statement(self):
         doc = aspif.AspifDocument(statements=(aspif.Minimize(3, ()),))
         assert aspif.write(doc) == "asp 1 0 0\n2 3 0\n0\n"
+
+    def test_output_string_length_counts_utf8_bytes(self):
+        doc = aspif.AspifDocument(statements=(aspif.Output("é", (1,)),))
+        assert aspif.write(doc) == "asp 1 0 0\n4 2 é 1 1\n0\n"
+        assert aspif.parse(aspif.write(doc)) == doc
 
     def test_terminator_is_appended_when_missing(self):
         doc = aspif.parse("asp 1 0 0\n1 0 1 1 0 0\n")
@@ -373,7 +390,7 @@ def documents(draw):
             )
             statements.append(aspif.Minimize(draw(st.integers(0, 2)), tuple(terms)))
         else:
-            name = draw(st.text(alphabet="ab (,)", max_size=6))
+            name = draw(st.text(alphabet="ab (,)é€", max_size=6))
             statements.append(aspif.Output(name, tuple(draw(st.lists(st.integers(1, n_atoms), max_size=2)))))
     return aspif.AspifDocument(statements=tuple(statements))
 
@@ -435,6 +452,7 @@ _WORDINGS = [
     "bad output string length",
     "output string shorter than declared",
     "output string length mismatch",
+    "output string length ends inside a character",
 ]
 
 
@@ -483,6 +501,9 @@ def test_parse_outcomes_are_pinned():
     # The statements or the exact error of 20 000 one-statement documents,
     # by sha256; the digest was recorded before the rule and minimize
     # decoders were rewritten, so any change of outcome or wording shows.
+    # It was re-recorded once, when output string lengths became UTF-8 byte
+    # counts: that changed the outcome of 84 lines, each an output statement
+    # holding the two-byte probe.
     digest = hashlib.sha256()
     reached = set()
     for line in _pinned_lines(random.Random(2016), 20_000):
@@ -493,4 +514,4 @@ def test_parse_outcomes_are_pinned():
             reached.update(w for w in _WORDINGS if re.fullmatch(f"line 2: {w}", outcome))
         digest.update(outcome.encode() + b"\n")
     assert reached == set(_WORDINGS)
-    assert digest.hexdigest() == "e355af15a56b3d9a68b4b1a482d55a8812b4df4cfec3cb9855b8f67640b3e256"
+    assert digest.hexdigest() == "31454533b9ce9572428779de06782ac10f4db154aecfcab90e8b5455019ab19d"

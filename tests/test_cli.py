@@ -76,6 +76,17 @@ class TestRewriteCommand:
         assert "priority 0" in report.read_text()
         assert "wire 1 level 0 atom 3" in sidecar.read_text()
 
+    @pytest.mark.parametrize("option", ["--report", "--sidecar"])
+    def test_an_unwritable_side_file_leaves_stdout_empty(
+        self, tmp_path, capsys, monkeypatch, option
+    ):
+        path = tmp_path / "missing" / "side.txt"
+        code, out, err = run(
+            capsys, monkeypatch, ["rewrite", option, str(path)], stdin=TWO_TERM_DOC
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
     def test_missing_terminator_warns_on_stderr_only(self, capsys, monkeypatch):
         code, out, err = run(
             capsys, monkeypatch, ["rewrite"], stdin="asp 1 0 0\n1 0 1 1 0 0\n"

@@ -38,7 +38,6 @@ from optsort.asplang import (
     NormalRule,
     SemanticsError,
 )
-from optsort.encode import WireAtomMap
 from optsort.network import ConfinedNetwork, Decomposition, NetworkError
 from optsort.propagate import WeightError, WeightMatrix
 from optsort.rewrite import RewriteConfig, RewriteError
@@ -185,12 +184,6 @@ VALIDATING_RECORDS = [
         lambda: GroundProgram(frozenset({1}), (NormalRule(2, frozenset({1})),)),
         SemanticsError,
         "atoms [2] missing from signature",
-    ),
-    (
-        WireAtomMap(1, 1, ((1,), (2,))),
-        lambda: WireAtomMap(1, 1, ((1,), (1,))),
-        SemanticsError,
-        "wire atom map is not injective",
     ),
     (
         ConfinedNetwork(frozenset({1}), 1, 1),

@@ -304,12 +304,12 @@ class TestAtomHygiene:
         out, report = rewrite_objective(doc, RewriteConfig())
         wired, passed, last = report.levels
         first = doc.max_atom_id() + 1
-        assert wired.wire_map.columns == tuple(
-            tuple(range(first + 3 * level, first + 3 * level + 3)) for level in range(4)
+        assert wired.wire_map == tuple(
+            range(first + 3 * level, first + 3 * level + 3) for level in range(4)
         )
         assert (passed.wire_map, passed.atoms_added) == (None, 0)
         first += wired.atoms_added
-        assert last.wire_map.columns == ((first, first + 1), (first + 2, first + 3))
+        assert last.wire_map == (range(first, first + 2), range(first + 2, first + 4))
         assert out.max_atom_id() == first + last.atoms_added - 1 == 21
         bridges = [
             (r.head_atoms[0], r.body.literals)
@@ -354,7 +354,7 @@ class TestRulesAdded:
             network_lines = []
             if lv.wire_map is not None:
                 network = oe_sorter(lv.rewritten_terms, config.depth_limit)
-                network_lines = asp_of_network(network, lv.wire_map)
+                network_lines = asp_of_network(network, lv.wire_map[0].start)
             assert lv.rules_added == lv.rewritten_terms + len(network_lines)
 
 
@@ -411,6 +411,36 @@ def test_rewritten_documents_read_back_as_written(seed, config):
     parsed = aspif.parse(aspif.write(doc))
     assert parsed == raw_as_parsed(doc)
     assert parsed.max_atom_id() == doc.max_atom_id()
+
+
+SIDECAR_LINE = re.compile(r"priority (-?\d+) wire (\d+) level (\d+) atom (\d+)")
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_each_wired_level_numbers_its_atoms_as_one_block(seed):
+    # wire i after level l is atom first + width * l + i - 1, and the wired
+    # levels' blocks abut from above the input's atoms to the output's last
+    document = random_opt_document(random.Random(seed))
+    for config in VERIFY_GRID:
+        out, report = rewrite_objective(document, config)
+        positions: dict[int, dict[tuple[int, int], int]] = {}
+        for line in report.sidecar_text().splitlines():
+            priority, wire, level, atom = map(int, SIDECAR_LINE.fullmatch(line).groups())
+            positions.setdefault(priority, {})[wire, level] = atom
+        first = document.max_atom_id() + 1
+        for lv in report.levels:
+            atoms = positions.pop(lv.priority, {})
+            width, columns = lv.network_width, lv.network_depth + 1
+            assert lv.atoms_added == len(atoms) == width * columns
+            assert atoms == {
+                (i, l): first + width * l + i - 1
+                for i in range(1, width + 1)
+                for l in range(columns)
+            }
+            first += lv.atoms_added
+        assert positions == {}
+        assert out.max_atom_id() == first - 1
 
 
 def test_negated_and_repeated_literals_read_back_as_written():
