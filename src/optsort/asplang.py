@@ -31,11 +31,9 @@ class NormalRule(NamedTuple):
         return frozenset({self.head}) | self.pos_body | self.neg_body
 
 
-# A record that validates is a thin subclass of its fields' NamedTuple that
-# checks them in ``__new__``: NamedTuple bodies may not define ``__new__``.
+class ChoiceRule(NamedTuple):
+    """Justifies any subset of its head atoms when the body holds."""
 
-
-class _ChoiceRule(NamedTuple):
     head_atoms: frozenset[int]
     body: frozenset[int] = frozenset()
 
@@ -43,19 +41,9 @@ class _ChoiceRule(NamedTuple):
         return self.head_atoms | frozenset(map(abs, self.body))
 
 
-class ChoiceRule(_ChoiceRule):
-    """Justifies any subset of its head atoms when the body holds."""
+class CardinalityConstraint(NamedTuple):
+    """Requires at least ``lower_bound`` of the listed literals to hold."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ChoiceRule:
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.head_atoms:
-            raise SemanticsError("choice rule needs a nonempty head")
-        return self
-
-
-class _CardinalityConstraint(NamedTuple):
     literals: tuple[int, ...]
     lower_bound: int
 
@@ -63,22 +51,9 @@ class _CardinalityConstraint(NamedTuple):
         return frozenset(map(abs, self.literals))
 
 
-class CardinalityConstraint(_CardinalityConstraint):
-    """Requires at least ``lower_bound`` of the listed literals to hold."""
+class Nogood(NamedTuple):
+    """Forbids every total assignment in which all its literals hold."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> CardinalityConstraint:
-        self = super().__new__(cls, *args, **kwargs)
-        n = len(set(self.literals))
-        if not (0 <= self.lower_bound <= n + 1):
-            raise SemanticsError(
-                f"cardinality bound {self.lower_bound} outside 0..{n + 1}"
-            )
-        return self
-
-
-class _Nogood(NamedTuple):
     literals: frozenset[int]
 
     def conflicts_with(self, interpretation: frozenset[int]) -> bool:
@@ -88,52 +63,12 @@ class _Nogood(NamedTuple):
         return frozenset(map(abs, self.literals))
 
 
-class Nogood(_Nogood):
-    """Forbids every total assignment in which all its literals hold."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> Nogood:
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.atoms()) != len(self.literals):
-            raise SemanticsError("nogood mentions an atom with both signs")
-        return self
-
-
-class _GroundProgram(NamedTuple):
+class GroundProgram(NamedTuple):
     signature: frozenset[int]
     normal_rules: tuple[NormalRule, ...] = ()
     choice_rules: tuple[ChoiceRule, ...] = ()
     cardinality_constraints: tuple[CardinalityConstraint, ...] = ()
     nogoods: tuple[Nogood, ...] = ()
-
-    def used_atoms(self) -> frozenset[int]:
-        used: set[int] = set()
-        for r in self.normal_rules:
-            used |= r.atoms()
-        for c in self.choice_rules:
-            used |= c.atoms()
-        for cc in self.cardinality_constraints:
-            used |= cc.atoms()
-        for ng in self.nogoods:
-            used |= ng.atoms()
-        return frozenset(used)
-
-
-class GroundProgram(_GroundProgram):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> GroundProgram:
-        self = super().__new__(cls, *args, **kwargs)
-        used = self.used_atoms()
-        if not used <= self.signature:
-            raise SemanticsError(
-                f"atoms {sorted(used - self.signature)} missing from signature"
-            )
-        for a in self.signature:
-            if a < 1:
-                raise SemanticsError(f"atom ids must be >= 1, got {a}")
-        return self
 
 
 class LaneRule(NamedTuple):

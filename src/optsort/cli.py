@@ -87,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=20, help="number of random programs")
     p_verify.add_argument(
-        "--max-atoms", type=int, default=16, help="refuse programs with more atoms"
+        "--max-atoms", type=int, default=16,
+        help="refuse inputs with more search atoms: the atoms of choice rules and constraints, "
+        "negated atoms, and the atoms of the rules defining any of these",
     )
 
     p_pch = sub.add_parser("pch", help="simulate the propagator call history on a binomial program")

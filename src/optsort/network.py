@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 
 class NetworkError(ValueError):
-    """Raised for malformed comparators, networks or decompositions."""
+    """Raised for out-of-range network parameters, annotations and drawing sizes."""
 
 
 class Network(NamedTuple):
@@ -71,74 +71,26 @@ def limit_depth(network: Network, d_max: int) -> Network:
     return Network(network.width, network.levels[:d_max])
 
 
-class _ConfinedNetwork(NamedTuple):
-    wires: frozenset[int]
-    min_level: int
-    max_level: int
-
-
-class ConfinedNetwork(_ConfinedNetwork):
+class ConfinedNetwork(NamedTuple):
     """A region of a network: a wire set over a contiguous level interval.
 
     The region's gates are the network's own gates inside it; propagation
     reads only the wires and the interval, so the region does not hold them.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ConfinedNetwork:
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.wires or min(self.wires) < 1:
-            raise NetworkError(f"region needs one or more wires >= 1, got {sorted(self.wires)}")
-        if self.min_level > self.max_level or self.min_level < 1:
-            raise NetworkError(
-                f"level interval {self.min_level}..{self.max_level} is empty or invalid"
-            )
-        return self
+    wires: frozenset[int]
+    min_level: int
+    max_level: int
 
 
-class _Decomposition(NamedTuple):
-    components: tuple[ConfinedNetwork, ...] = ()
-
-
-class Decomposition(_Decomposition):
+class Decomposition(NamedTuple):
     """An ordered list of pairwise compatible regions covering a network.
 
     The order respects data flow: a component never depends on the output of a
     later one (min level of an earlier component <= max level of any later one).
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> Decomposition:
-        self = super().__new__(cls, *args, **kwargs)
-        # Components sharing an identical level interval must have disjoint
-        # wires; groups with merely overlapping intervals must as well.
-        by_interval: dict[tuple[int, int], set[int]] = {}
-        for comp in self.components:
-            key = (comp.min_level, comp.max_level)
-            seen = by_interval.setdefault(key, set())
-            if seen & comp.wires:
-                raise NetworkError("components with equal level intervals share wires")
-            seen |= comp.wires
-        intervals = sorted(by_interval)
-        for idx, key in enumerate(intervals):
-            for later in intervals[idx + 1 :]:
-                if later[0] > key[1]:
-                    break
-                shared = by_interval[key] & by_interval[later]
-                if shared:
-                    raise NetworkError(
-                        f"incompatible components over wires {sorted(shared)}"
-                    )
-        running_min = None
-        for comp in self.components:
-            if running_min is not None and running_min > comp.max_level:
-                raise NetworkError("component order violates data-flow ordering")
-            running_min = (
-                comp.min_level if running_min is None else max(running_min, comp.min_level)
-            )
-        return self
+    components: tuple[ConfinedNetwork, ...] = ()
 
 
 def decompose_sparse(network: Network, k: int) -> Decomposition:

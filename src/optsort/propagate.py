@@ -82,8 +82,16 @@ def propagate_confined(weights: WeightMatrix, confined: ConfinedNetwork) -> Weig
     region over inert wires still shifts weight (inertia keeps values put).
     """
     wires = confined.wires
-    if max(wires) > weights.width or confined.max_level > weights.depth:
-        raise WeightError(f"region exceeds the {weights.width}x{weights.depth} weight matrix")
+    # wire 0 would index the last row, and level 0 would move weight out of
+    # the last column
+    if not (
+        wires and min(wires) >= 1 and max(wires) <= weights.width
+        and 1 <= confined.min_level <= confined.max_level <= weights.depth
+    ):
+        raise WeightError(
+            f"region must hold wires in 1..{weights.width} over a nonempty "
+            f"level interval in 1..{weights.depth}"
+        )
     src = confined.min_level - 1
     c = min(weights.weight(w, src) for w in wires)
     if c == 0:

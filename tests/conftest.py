@@ -289,6 +289,27 @@ def nogood_holds(ng: Nogood, interpretation: frozenset[int]) -> bool:
     return not ng.conflicts_with(interpretation)
 
 
+def assert_well_formed(program: GroundProgram) -> None:
+    """The invariants of every program that ``to_ground_program`` and
+    ``attach_network`` build: the signature holds every atom used and each
+    atom is >= 1, choice heads are nonempty, no nogood holds an atom with
+    both signs, and each cardinality bound lies in 0..n + 1 for its n
+    distinct literals."""
+    parts = [
+        *program.normal_rules,
+        *program.choice_rules,
+        *program.cardinality_constraints,
+        *program.nogoods,
+    ]
+    used = set().union(*(part.atoms() for part in parts))
+    assert used <= program.signature, sorted(used - program.signature)
+    assert all(a >= 1 for a in program.signature)
+    assert all(c.head_atoms for c in program.choice_rules)
+    assert all(len(ng.atoms()) == len(ng.literals) for ng in program.nogoods)
+    for cc in program.cardinality_constraints:
+        assert 0 <= cc.lower_bound <= len(set(cc.literals)) + 1, cc
+
+
 def evaluate(terms: Iterable[tuple[int, int]], interpretation: frozenset[int]) -> int:
     """Sum of weights of the (literal, weight) terms whose literal holds."""
     return sum(w for l, w in terms if literal_holds(l, interpretation))

@@ -23,6 +23,7 @@ from optsort.asplang import (
 from optsort.network import limit_depth, oe_sorter
 
 from conftest import (
+    assert_well_formed,
     binomial_opt_program,
     constraint_holds,
     constraint_nogoods,
@@ -322,6 +323,12 @@ class TestNetworkedPch:
                 attached, _ = attach_network(program, network)
                 added = len(attached.normal_rules) - len(program.normal_rules)
                 assert added == network.width * network.depth + network.size(), (n, depth)
+
+    def test_attached_programs_are_well_formed(self):
+        for n in range(9):
+            for k in range(n + 2):
+                attached, _ = attach_network(binomial_program(n, k), oe_sorter(n))
+                assert_well_formed(attached)
 
     def test_wire_atoms_follow_the_inputs_and_the_last_column_is_returned(self):
         network = oe_sorter(5)

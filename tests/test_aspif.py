@@ -12,12 +12,28 @@ from optsort.analysis import binomial_document
 from optsort.asplang import CardinalityConstraint, NormalRule
 from optsort.rewrite import RewriteConfig, rewrite_objective
 
-from conftest import aspif_texts, enumerate_answer_sets, evaluate, optimal_value, traced_peak
+from conftest import (
+    aspif_texts,
+    assert_well_formed,
+    enumerate_answer_sets,
+    evaluate,
+    optimal_value,
+    traced_peak,
+)
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.aspif"))
 
 # these two are deliberately non-canonical (missing terminator, loose spacing)
 NON_CANONICAL = {"22_no_terminator.aspif", "23_messy_spacing.aspif"}
+# these hold a statement that has no ground-program bridge
+UNBRIDGED = {
+    "08_weight_body_rule.aspif",
+    "15_external.aspif",
+    "16_edge.aspif",
+    "17_heuristic.aspif",
+    "18_theory.aspif",
+    "19_comment.aspif",
+}
 
 
 # each malformed input with the exact error it gets
@@ -293,6 +309,12 @@ class TestGroundProgramBridge:
         (ng,) = program.nogoods
         assert ng.literals == frozenset({1, -2})
 
+    def test_constraint_on_an_atom_and_its_negation_is_dropped(self):
+        # it never fires, and a nogood may not hold an atom with both signs
+        program, _ = aspif.to_ground_program(aspif.parse("asp 1 0 0\n1 0 0 0 2 1 -1\n0\n"))
+        assert program.nogoods == ()
+        assert_well_formed(program)
+
     def test_uniform_weight_constraint_becomes_cardinality(self):
         program, _ = aspif.to_ground_program(
             aspif.parse("asp 1 0 0\n1 0 0 1 2 3 -1 1 -2 1 -3 1\n0\n")
@@ -341,6 +363,15 @@ class TestGroundProgramBridge:
         doc = aspif.AspifDocument(statements=(statement,))
         with pytest.raises(aspif.UnsupportedStatementError, match="^literal 0 is not allowed$"):
             aspif.to_ground_program(doc)
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+    def test_corpus_programs_are_well_formed(self, path):
+        doc = aspif.parse(path.read_text())
+        if path.name in UNBRIDGED:
+            with pytest.raises(aspif.UnsupportedStatementError):
+                aspif.to_ground_program(doc)
+        else:
+            assert_well_formed(aspif.to_ground_program(doc)[0])
 
     def test_minimize_objectives_are_collected_per_priority(self):
         _, objectives = aspif.to_ground_program(
@@ -409,6 +440,16 @@ def test_random_statement_lines_parse_or_raise_a_parse_error(text):
     except aspif.AspifParseError:
         return
     assert aspif.parse(aspif.write(doc)).statements == doc.statements
+
+
+@given(aspif_texts())
+@settings(max_examples=300)
+def test_random_documents_that_bridge_are_well_formed(text):
+    try:
+        program, _ = aspif.to_ground_program(aspif.parse(text))
+    except (aspif.AspifParseError, aspif.UnsupportedStatementError):
+        return
+    assert_well_formed(program)
 
 
 def test_generated_texts_reach_the_accepting_side():

@@ -164,10 +164,6 @@ class TestAnswerSets:
         with pytest.raises(SemanticsError, match="25 atoms exceed the brute-force guard of 24"):
             enumerate_answer_sets_layered(p)
 
-    def test_nogood_rejects_two_signed_atoms(self):
-        with pytest.raises(SemanticsError):
-            Nogood(frozenset({1, -1}))
-
 
 class TestSupportedModels:
     def test_self_support_is_allowed(self):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +290,39 @@ class TestDecomposeSparse:
                 expected = decompose_sparse_rescan(prefix, k)
                 assert decompose_sparse(prefix, k) == expected, (n, d, k)
 
+    @staticmethod
+    def _assert_blocks_partition_the_wires(network, k):
+        # The blocks are 1..k, k+1..2k, ... in order, the last ending at the
+        # depth, so every region lies in 1..depth; within each block the
+        # regions partition wires 1..width.
+        blocks = [
+            (interval, [c.wires for c in group])
+            for interval, group in groupby(
+                decompose_sparse(network, k).components, lambda c: (c.min_level, c.max_level)
+            )
+        ]
+        tiles = [(lo, min(lo + k - 1, network.depth)) for lo in range(1, network.depth + 1, k)]
+        assert [interval for interval, _ in blocks] == tiles
+        wires = set(range(1, network.width + 1))
+        for interval, parts in blocks:
+            assert all(parts) and sum(map(len, parts)) == len(wires), interval
+            assert set().union(*parts) == wires, interval
+
+    @pytest.mark.parametrize("n", range(0, 41))
+    def test_blocks_partition_the_wires_of_every_sorter_prefix(self, n):
+        full = oe_sorter(n)
+        for d in range(full.depth + 1):
+            prefix = limit_depth(full, d)
+            for k in {1, 2, 3, max(d, 1)}:
+                self._assert_blocks_partition_the_wires(prefix, k)
+
+    @pytest.mark.parametrize(
+        "n, depth, k", [(512, 8, 1), (512, 8, 8), (4096, 8, 1), (4096, 8, 8), (2048, None, None)]
+    )
+    def test_blocks_partition_the_wires_of_wide_sorters(self, n, depth, k):
+        network = oe_sorter(n, depth)
+        self._assert_blocks_partition_the_wires(network, k or network.depth)
+
     def test_empty_depth_network_has_no_components(self):
         assert decompose_sparse(new_network(3, 0, []), 2).components == ()
 
@@ -307,18 +341,6 @@ def regions(parts) -> Decomposition:
 
 
 class TestDecompositionValidation:
-    def test_rejects_overlapping_components(self):
-        a = ConfinedNetwork(frozenset({1, 2, 3, 4}), 1, 1)
-        with pytest.raises(NetworkError):
-            Decomposition((a, a))
-
-    def test_rejects_misordered_components(self):
-        early = ConfinedNetwork(frozenset({1, 2, 3, 4}), 1, 1)
-        late = ConfinedNetwork(frozenset({1, 2, 3, 4}), 2, 3)
-        Decomposition((early, late))
-        with pytest.raises(NetworkError):
-            Decomposition((late, early))
-
     def test_whole_network_decomposition_covers(self, four_wire_sorter):
         assert confines_every_gate(
             whole_network_decomposition(four_wire_sorter), four_wire_sorter

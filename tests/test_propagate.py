@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from optsort.network import (
     ConfinedNetwork,
     Network,
-    NetworkError,
     decompose_sparse,
     limit_depth,
     oe_sorter,
@@ -165,18 +164,19 @@ class TestPropagateConfined:
     @pytest.mark.parametrize(
         "wires, interval, error",
         [
-            (set(), (1, 2), NetworkError),  # no wire to take a minimum over
-            ({0, 1}, (1, 2), NetworkError),  # wire 0 would index the last row
-            ({-2}, (1, 2), NetworkError),
-            ({1, 2}, (0, 1), NetworkError),
-            ({1, 2}, (2, 1), NetworkError),
+            (set(), (1, 2), WeightError),  # no wire to take a minimum over
+            ({0, 1}, (1, 2), WeightError),  # wire 0 would index the last row
+            ({-2}, (1, 2), WeightError),
+            ({1, 2}, (0, 1), WeightError),  # level 0 would take from the last column
+            ({1, 2}, (2, 1), WeightError),
             ({1, 4}, (1, 2), WeightError),  # wire above the width
             ({1, 3}, (1, 3), WeightError),  # level above the depth
         ],
     )
     def test_refuses_bad_regions(self, wires, interval, error):
         weights = from_input_weights([5, 6, 7], 2)
-        with pytest.raises(error):
+        message = "^region must hold wires in 1..3 over a nonempty level interval in 1..2$"
+        with pytest.raises(error, match=message):
             propagate_confined(weights, ConfinedNetwork(frozenset(wires), *interval))
 
 
