@@ -76,7 +76,6 @@ Statement = Union[Rule, Minimize, Output, Raw]
 
 
 class AspifDocument(NamedTuple):
-    version: tuple[int, int, int] = (1, 0, 0)
     tags: tuple[str, ...] = ()
     statements: tuple[Statement, ...] = ()
     had_terminator: bool = True
@@ -278,7 +277,7 @@ def parse(text: str) -> AspifDocument:
             statements.append(_parse_output(rest, line_no))
         else:
             statements.append(Raw(line))
-    return AspifDocument(version, tags, tuple(statements), terminated)
+    return AspifDocument(tags, tuple(statements), terminated)
 
 
 def _render_statement(s: Statement) -> str:
@@ -303,7 +302,7 @@ def _render_statement(s: Statement) -> str:
 
 def write(doc: AspifDocument) -> str:
     """Canonical rendering; always ends with the terminator line."""
-    header = " ".join(["asp", *map(str, doc.version), *doc.tags])
+    header = " ".join(["asp 1 0 0", *doc.tags])
     # the final newline too, so the text is joined once
     return "\n".join([header, *map(_render_statement, doc.statements), "0\n"])
 

@@ -24,12 +24,12 @@ from .analysis import (
 )
 from .asplang import SemanticsError, auto_split_atoms
 from .network import layout_diagram, oe_sorter, render_diagram
-from .propagate import from_input_weights, propagate_sparse
 from .rewrite import (
     VERIFY_GRID,
     RewriteConfig,
     check_random_count,
     check_rule_budget,
+    place_weights,
     random_opt_document,
     rewrite_objective,
     verify_grid,
@@ -64,9 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_rewrite.add_argument("--no-propagate", action="store_true", help="attach the network only")
     p_rewrite.add_argument("--report", help="write a rewrite summary to this path")
-    p_rewrite.add_argument(
-        "--sidecar", help="write the wire-to-atom debug mapping to this path"
-    )
 
     p_gen = sub.add_parser("gen-binomial", help="emit a subset-choice program with a lower bound")
     p_gen.add_argument("n", type=int)
@@ -127,20 +124,15 @@ def _read_document(path: str | None) -> aspif.AspifDocument:
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    config = RewriteConfig(
-        depth_limit=args.depth,
-        sparseness=args.sparseness,
-        propagate=not args.no_propagate,
-    )
+    if args.depth is not None and args.depth < 0:
+        raise ValueError(f"depth limit must be >= 0, got {args.depth}")
+    config = RewriteConfig(args.depth, args.sparseness, not args.no_propagate)
     rewritten, report = rewrite_objective(doc, config)
     text = aspif.write(rewritten)
-    # the side files first: a path that cannot be written leaves stdout empty
+    # the report first: a path that cannot be written leaves stdout empty
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report.to_text() + "\n")
-    if args.sidecar:
-        with open(args.sidecar, "w", encoding="utf-8") as handle:
-            handle.write(report.sidecar_text() + "\n")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -151,8 +143,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 def _cmd_gen_binomial(args: argparse.Namespace) -> int:
     if args.n < 0 or args.k < 0:
-        print("error: n and k must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("n and k must be non-negative")
     check_binomial_bytes(args.n)
     if args.k > args.n:
         print(f"warning: k={args.k} > n={args.n}, the program has no answer sets", file=sys.stderr)
@@ -198,8 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("\n".join(lines))
         return 0 if ok else 1
     if args.count < 0:
-        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     check_random_count(args.count)
     # every program is checked before any line is printed, so a refusal
     # leaves stdout empty
@@ -216,19 +206,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_pch(args: argparse.Namespace) -> int:
     if not (0 <= args.k <= args.n):
-        print("error: need 0 <= k <= n", file=sys.stderr)
-        return 2
+        raise ValueError("need 0 <= k <= n")
     kind, _, depth = args.network.partition(":")
     if not (
         args.network in ("none", "full")
         or (kind == "depth" and depth.isascii() and depth.isdigit())
     ):
-        print(
-            f"error: unknown network kind {args.network!r} for --network, "
-            "expected 'none', 'full' or 'depth:D' with an integer D >= 0",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown network kind {args.network!r} for --network, "
+            "expected 'none', 'full' or 'depth:D' with an integer D >= 0"
         )
-        return 2
     # the cost is checked before the program is built: the binomial program
     # has no normal rules, and a sorter, once the rule budget admits it,
     # adds width x depth + size
@@ -263,13 +250,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
                 f"--weights expects {args.n} comma-separated integers, got {args.weights!r}"
             ) from None
         if len(weights) != args.n:
-            print(f"error: expected {args.n} weights, got {len(weights)}", file=sys.stderr)
-            return 2
+            raise ValueError(f"expected {args.n} weights, got {len(weights)}")
         layout_diagram(network, {})  # refuses a drawing too big even without labels
-        matrix = from_input_weights(weights, network.depth)
-        if not args.no_propagate:
-            matrix = propagate_sparse(matrix, network, args.sparseness)
-        annotations = {(i, j): str(w) for i, j, w in matrix.nonzero_entries()}
+        config = RewriteConfig(args.depth, args.sparseness, not args.no_propagate)
+        placed = place_weights(weights, network, config)
+        annotations = {(i, j): str(w) for i, j, w in placed}
     drawing = render_diagram(network, annotations)
     sys.stdout.flush()  # the drawing's bytes bypass the text layer
     sys.stdout.buffer.write(drawing)

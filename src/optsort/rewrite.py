@@ -2,10 +2,12 @@
 
 Each priority level of the objective is wired onto the inputs of an odd-even
 sorting network (optionally depth-limited), the bridge and network rules are
-emitted as aspif lines, one ``aspif.Raw`` statement per level, and the
-level's weights are propagated over a sparse decomposition.  The new
-objective ranges over wire atoms and carries exactly the same value on every
-answer set, in bijection with the original ones.
+emitted as aspif lines, one ``aspif.Raw`` statement per level, and
+``place_weights`` moves the level's weights over a sparse decomposition.  A
+wired level's atoms are one block from ``first``: wire i after level l is
+atom ``first + width * l + i - 1``, and the report names each block.  The
+new objective ranges over wire atoms and carries exactly the same value on
+every answer set, in bijection with the original ones.
 """
 
 from __future__ import annotations
@@ -27,21 +29,15 @@ from .asplang import (
     lane_sum,
 )
 from .encode import ONE_BODY_RULE, asp_of_network, dense_wire_atom_map
-from .network import oe_sorter
+from .network import Network, oe_sorter
 from .propagate import from_input_weights, propagate_sparse
 
 
 class RewriteError(ValueError):
-    """Raised for invalid rewrite configurations or inputs."""
+    """Raised for inputs that a rewrite or a verification refuses."""
 
 
-class _RewriteConfig(NamedTuple):
-    depth_limit: int | None = None
-    sparseness: int | None = 1
-    propagate: bool = True
-
-
-class RewriteConfig(_RewriteConfig):
+class RewriteConfig(NamedTuple):
     """The three pipeline knobs.
 
     - ``depth_limit``: levels of the odd-even sorter kept; None means the
@@ -51,31 +47,26 @@ class RewriteConfig(_RewriteConfig):
       land only on the input and output columns).
     - ``propagate``: with it off the network is still attached but weights
       stay on the input column.
+
+    The values are checked where they enter: ``optsort rewrite`` refuses a
+    negative ``--depth``, and argparse a ``--sparseness`` below 1.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> RewriteConfig:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.depth_limit is not None and self.depth_limit < 0:
-            raise RewriteError(f"depth limit must be >= 0, got {self.depth_limit}")
-        if self.sparseness is not None and self.sparseness < 1:
-            raise RewriteError(f"sparseness must be >= 1, got {self.sparseness}")
-        return self
+    depth_limit: int | None = None
+    sparseness: int | None = 1
+    propagate: bool = True
 
 
 class LevelReport(NamedTuple):
     priority: int
     input_terms: int
-    rewritten_terms: int
     passthrough_terms: int
-    network_width: int
+    network_width: int  # the terms wired, 0 for a level that is not wired
     network_depth: int
     network_size: int
     output_terms: int
-    atoms_added: int
     rules_added: int
-    wire_map: tuple[range, ...] | None = None  # the network's atom columns
+    atoms: range = range(0)  # the level's atom block, empty when not wired
 
 
 class RewriteReport(NamedTuple):
@@ -84,23 +75,15 @@ class RewriteReport(NamedTuple):
     def to_text(self) -> str:
         lines = []
         for lv in self.levels:
+            block = f" ({lv.atoms[0]}..{lv.atoms[-1]})" if lv.atoms else ""
             lines.append(
                 f"priority {lv.priority}: terms {lv.input_terms} -> {lv.output_terms} "
-                f"(wired {lv.rewritten_terms}, passed {lv.passthrough_terms}), "
+                f"(wired {lv.network_width}, passed {lv.passthrough_terms}), "
                 f"network {lv.network_width}x{lv.network_depth} "
-                f"size {lv.network_size}, atoms +{lv.atoms_added}, rules +{lv.rules_added}"
+                f"size {lv.network_size}, atoms +{len(lv.atoms)}{block}, "
+                f"rules +{lv.rules_added}"
             )
         return "\n".join(lines)
-
-    def sidecar_text(self) -> str:
-        """Debug dump of every (wire, level) -> atom allocation, per priority."""
-        return "\n".join(
-            f"priority {lv.priority} wire {i} level {l} atom {a}"
-            for lv in self.levels
-            if lv.wire_map is not None
-            for l, column in enumerate(lv.wire_map)
-            for i, a in enumerate(column, 1)
-        )
 
 
 def wire_inputs(terms: list[tuple[int, int]], first: int) -> list[str]:
@@ -150,7 +133,7 @@ def _normalize(terms: tuple[tuple[int, int], ...]) -> tuple[_Terms, _Terms, _Ter
 
 def _passthrough_report(priority: int, input_terms: int, kept_terms: int) -> LevelReport:
     """Report of a level that is not wired: its kept terms pass through."""
-    return LevelReport(priority, input_terms, 0, kept_terms, 0, 0, 0, kept_terms, 0, 0)
+    return LevelReport(priority, input_terms, kept_terms, 0, 0, 0, kept_terms, 0)
 
 
 # Wiring n terms adds n bridge rules and, per sorter level, at most 1.5 n
@@ -207,6 +190,20 @@ def _check_wiring(
     )
 
 
+def place_weights(
+    weights: list[int], network: Network, config: RewriteConfig
+) -> list[tuple[int, int, int]]:
+    """The (wire, level, weight) terms that carry the input weights over the network.
+
+    With ``config.propagate`` off the weights stay on the input column;
+    otherwise they move over blocks of ``config.sparseness`` levels.
+    """
+    matrix = from_input_weights(weights, network.depth)
+    if config.propagate:
+        matrix = propagate_sparse(matrix, network, config.sparseness)
+    return matrix.nonzero_entries()
+
+
 def _rewrite_level(
     priority: int,
     input_terms: int,
@@ -222,31 +219,25 @@ def _rewrite_level(
         return [statement], _passthrough_report(priority, input_terms, len(merged))
 
     n = len(rewritable)
-    weights = [w for _, w in rewritable]
     lines = wire_inputs(rewritable, first)
     network = oe_sorter(n, config.depth_limit)
-    wire_map = dense_wire_atom_map(first, n, network.depth)
+    columns = dense_wire_atom_map(first, n, network.depth)
     lines += asp_of_network(network, first)
 
-    matrix = from_input_weights(weights, network.depth)
-    if config.propagate:
-        matrix = propagate_sparse(matrix, network, config.sparseness)
-
-    wire_terms = [(wire_map[j][i - 1], w) for i, j, w in matrix.nonzero_entries()]
+    placed = place_weights([w for _, w in rewritable], network, config)
+    wire_terms = [(columns[j][i - 1], w) for i, j, w in placed]
     out_terms = tuple(wire_terms) + tuple(passthrough)
     statements = [aspif.Raw("\n".join(lines)), aspif.Minimize(priority, out_terms)]
     report = LevelReport(
         priority=priority,
         input_terms=input_terms,
-        rewritten_terms=len(rewritable),
         passthrough_terms=len(passthrough),
         network_width=network.width,
         network_depth=network.depth,
         network_size=network.size(),
         output_terms=len(out_terms),
-        atoms_added=wire_map[-1].stop - first,
         rules_added=len(lines),
-        wire_map=wire_map,
+        atoms=range(first, columns[-1].stop),
     )
     return statements, report
 
@@ -282,7 +273,7 @@ def rewrite_objective(
         statements, report = _rewrite_level(
             priority, len(by_priority[priority]), level, config, highest + 1
         )
-        highest += report.atoms_added
+        highest += len(report.atoms)
         replacements[priority] = statements
         reports.append(report)
     if _fits_32_bits(top) and not _fits_32_bits(highest):
@@ -297,9 +288,7 @@ def rewrite_objective(
                 out_statements.extend(replacements[s.priority])
         else:
             out_statements.append(s)
-    rewritten = aspif.AspifDocument(
-        document.version, document.tags, tuple(out_statements), True
-    )
+    rewritten = aspif.AspifDocument(document.tags, tuple(out_statements), True)
     return rewritten, RewriteReport(tuple(reports))
 
 

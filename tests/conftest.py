@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
 import pytest
@@ -232,6 +233,60 @@ def written_lines(draw):
         else:
             del tokens[position]
     return " ".join(tokens)
+
+
+_ATOMS = st.integers(1, 5)
+_BODIES = st.lists(_LITERALS, max_size=3).map(tuple)
+_BOTH_SIGNS = st.builds(
+    lambda positive, negative: (*positive, *map(neg, negative)),
+    st.lists(_ATOMS, min_size=1, max_size=2),
+    st.lists(_ATOMS, min_size=1, max_size=2),
+)
+
+
+@st.composite
+def _uniform_constraint(draw):
+    """An integrity constraint over a weight body whose distinct literals
+    share one weight, its bound on both sides of what they can reach."""
+    literals = draw(st.lists(_LITERALS, min_size=1, max_size=4, unique=True))
+    weight = draw(st.integers(0, 3))
+    bound = draw(st.integers(-1, weight * len(literals) + 1))
+    body = aspif.WeightBody(bound, tuple((lit, weight) for lit in literals))
+    return aspif.Rule(aspif.DISJUNCTIVE, (), body)
+
+
+@st.composite
+def _contradictory_constraint(draw):
+    """An integrity constraint whose body holds some atom with both signs."""
+    atom = draw(_ATOMS)
+    body = draw(st.permutations([atom, -atom, *draw(_BODIES)]))
+    return aspif.Rule(aspif.DISJUNCTIVE, (), aspif.NormalBody(tuple(body)))
+
+
+def bridgeable_documents():
+    """Documents that ``to_ground_program`` bridges: choice rules, normal
+    rules and constraints with literals of both signs, uniform-weight
+    constraints, contradictory constraints and minimize statements."""
+    statements = st.one_of(
+        st.builds(
+            aspif.Rule,
+            st.just(aspif.CHOICE),
+            st.lists(_ATOMS, max_size=3, unique=True).map(tuple),
+            st.builds(aspif.NormalBody, _BODIES),
+        ),
+        st.builds(
+            aspif.Rule,
+            st.just(aspif.DISJUNCTIVE),
+            st.lists(_ATOMS, max_size=1).map(tuple),
+            st.builds(aspif.NormalBody, st.one_of(_BODIES, _BOTH_SIGNS)),
+        ),
+        _uniform_constraint(),
+        _contradictory_constraint(),
+        st.builds(aspif.Minimize, st.integers(-1, 2), _WEIGHTED),
+    )
+    return st.lists(statements, min_size=1, max_size=8).map(
+        lambda drawn: aspif.AspifDocument(statements=tuple(drawn))
+    )
 
 
 def aspif_texts():

@@ -51,32 +51,48 @@ class TestRewriteCommand:
         ]
         assert runs[0] == runs[1]
 
-    def test_file_arguments_report_and_sidecar(self, tmp_path, capsys, monkeypatch):
+    def test_file_arguments_and_report(self, tmp_path, capsys, monkeypatch):
         source = tmp_path / "in.aspif"
         source.write_text(TWO_TERM_DOC)
         target = tmp_path / "out.aspif"
         report = tmp_path / "report.txt"
-        sidecar = tmp_path / "wires.txt"
         code, out, _ = run(
             capsys,
             monkeypatch,
-            [
-                "rewrite",
-                str(source),
-                "-o",
-                str(target),
-                "--report",
-                str(report),
-                "--sidecar",
-                str(sidecar),
-            ],
+            ["rewrite", str(source), "-o", str(target), "--report", str(report)],
         )
         assert code == 0 and out == ""
         assert target.read_text().startswith("asp 1 0 0\n")
-        assert "priority 0" in report.read_text()
-        assert "wire 1 level 0 atom 3" in sidecar.read_text()
+        assert report.read_text() == (
+            "priority 0: terms 2 -> 3 (wired 2, passed 0), "
+            "network 2x1 size 1, atoms +4 (3..6), rules +5\n"
+        )
 
-    @pytest.mark.parametrize("option", ["--report", "--sidecar"])
+    def test_a_negative_depth_is_refused_after_the_document_is_read(
+        self, capsys, monkeypatch
+    ):
+        # the document's own error comes first, even where nothing is wired
+        refused = "error: depth limit must be >= 0, got -1\n"
+        warned = "warning: missing terminator, one will be appended\n"
+        malformed = "error: line 2: non-integer token 'x' for head atom\n"
+        for stdin, err in [
+            (TWO_TERM_DOC, refused),
+            ("asp 1 0 0\n0\n", refused),
+            ("asp 1 0 0\n1 1 1 1 0 0\n", warned + refused),
+            ("asp 1 0 0\n1 0 1 x 0 0\n0\n", malformed),
+        ]:
+            assert run(capsys, monkeypatch, ["rewrite", "--depth", "-1"], stdin) == (2, "", err)
+
+    @pytest.mark.parametrize("command", ["rewrite", "render 4"])
+    def test_a_sparseness_below_one_is_refused(self, capsys, monkeypatch, command):
+        with pytest.raises(SystemExit) as stop:
+            run(capsys, monkeypatch, [*command.split(), "--sparseness", "0"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --sparseness: sparseness must be >= 1\n"
+        )
+
+    @pytest.mark.parametrize("option", ["--report"])
     def test_an_unwritable_side_file_leaves_stdout_empty(
         self, tmp_path, capsys, monkeypatch, option
     ):
@@ -560,10 +576,10 @@ class TestRenderCommand:
     def test_an_oversized_drawing_is_refused_before_its_weights_propagate(
         self, capsys, monkeypatch
     ):
-        def propagate(*args):
-            raise AssertionError("propagate_sparse ran")
+        def place(*args):
+            raise AssertionError("place_weights ran")
 
-        monkeypatch.setattr("optsort.cli.propagate_sparse", propagate)
+        monkeypatch.setattr("optsort.cli.place_weights", place)
         monkeypatch.setattr("optsort.network.RENDER_BYTE_BUDGET", 1000)
         code, out, err = run(capsys, monkeypatch, ["render", "32", "--weights", ",".join("1" * 32)])
         assert code == 2 and out == ""

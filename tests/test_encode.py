@@ -7,7 +7,6 @@ from optsort import aspif
 from optsort.asplang import SemanticsError, enumerate_answer_sets_layered
 from optsort.encode import asp_of_network, dense_wire_atom_map
 from optsort.network import oe_sorter
-from optsort.rewrite import LevelReport, RewriteReport
 
 from conftest import (
     apply,
@@ -24,15 +23,6 @@ from conftest import (
 class TestWireAtomMap:
     def test_dense_allocation_is_level_major(self):
         assert dense_wire_atom_map(10, 2, 2) == (range(10, 12), range(12, 14), range(14, 16))
-
-    def test_sidecar_lists_every_position(self):
-        level = LevelReport(*[0] * 10, wire_map=dense_wire_atom_map(1, 2, 1))
-        assert RewriteReport((level,)).sidecar_text().splitlines() == [
-            "priority 0 wire 1 level 0 atom 1",
-            "priority 0 wire 2 level 0 atom 2",
-            "priority 0 wire 1 level 1 atom 3",
-            "priority 0 wire 2 level 1 atom 4",
-        ]
 
 
 class TestNetworkRules:

@@ -1,8 +1,10 @@
-"""Byte-level goldens of the rewrite: printed program plus sidecar, hashed.
+"""Byte-level goldens of the rewrite: printed program plus atom layout, hashed.
 
-Any change to the emitted rules, their order, the atom numbering, the
-minimize terms or the sidecar shows here.  Refresh a digest only for a
-deliberate change of the encoding, after the verify grid has passed.
+The layout is one line per wired (wire, level) position, rebuilt from each
+level's reported block.  Any change to the emitted rules, their order, the
+atom numbering, the minimize terms or a level's block shows here.  Refresh
+a digest only for a deliberate change of the encoding, after the verify
+grid has passed.
 
 The ``pch --trace`` goldens pin the simulated call history the same way:
 every visited candidate's size and every learned nogood, in order.
@@ -17,7 +19,7 @@ import pytest
 from optsort import aspif
 from optsort.analysis import binomial_document
 from optsort.cli import main
-from optsort.rewrite import RewriteConfig, rewrite_objective
+from optsort.rewrite import RewriteConfig, RewriteReport, rewrite_objective
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -48,9 +50,23 @@ INPUTS = {
 }
 
 
+def layout_text(report: RewriteReport) -> str:
+    """``priority p wire i level l atom a`` for every wired position: wire i
+    after level l of a level whose block starts at ``first`` is atom
+    ``first + width * l + i - 1``."""
+    return "\n".join(
+        f"priority {lv.priority} wire {i} level {l} "
+        f"atom {lv.atoms.start + lv.network_width * l + i - 1}"
+        for lv in report.levels
+        if lv.atoms
+        for l in range(lv.network_depth + 1)
+        for i in range(1, lv.network_width + 1)
+    )
+
+
 def digest(document: aspif.AspifDocument, config: RewriteConfig) -> str:
     rewritten, report = rewrite_objective(document, config)
-    text = aspif.write(rewritten) + "\0" + report.sidecar_text()
+    text = aspif.write(rewritten) + "\0" + layout_text(report)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -57,12 +57,6 @@ class TestWireInputs:
 
 
 class TestConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(RewriteError):
-            RewriteConfig(depth_limit=-1)
-        with pytest.raises(RewriteError):
-            RewriteConfig(sparseness=0)
-
     def test_verify_grid_holds_the_thirty_documented_configurations(self):
         # depth 0/1/2/4/full x sparseness 1/2/inf x propagation on/off, in
         # the order `optsort verify` prints them
@@ -97,10 +91,10 @@ class TestTwoTermRewrite:
             "0\n"
         )
         (level,) = report.levels
-        assert level.rewritten_terms == 2
+        assert level.network_width == 2
         assert level.output_terms == 3
         assert level.rules_added == 5
-        assert level.atoms_added == 4
+        assert level.atoms == range(3, 7)
 
     def test_rewrite_preserves_semantics(self):
         doc = aspif.parse(TWO_TERM_DOC)
@@ -137,12 +131,13 @@ class TestTrivialCases:
         kept = 3 if depth == 0 else 2
         assert (zero.input_terms, zero.passthrough_terms, zero.output_terms) == (3, kept, kept)
         assert (one.input_terms, one.passthrough_terms, one.output_terms) == (1, 1, 1)
-        assert all(lv.rewritten_terms == lv.rules_added == 0 for lv in report.levels)
+        assert all(
+            lv.network_width == lv.rules_added == len(lv.atoms) == 0 for lv in report.levels
+        )
         assert report.to_text().splitlines()[0] == (
             f"priority 0: terms 3 -> {kept} (wired 0, passed {kept}), "
             "network 0x0 size 0, atoms +0, rules +0"
         )
-        assert report.sidecar_text() == ""
 
     def test_identity_rewrite_verifies(self):
         doc = aspif.parse(TWO_TERM_DOC)
@@ -154,7 +149,7 @@ class TestNormalization:
     def test_duplicate_literals_are_merged(self):
         text = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 3 1 10 2 5 1 20\n0\n"
         out, report = rewrite_objective(aspif.parse(text), RewriteConfig())
-        assert report.levels[0].rewritten_terms == 2
+        assert report.levels[0].network_width == 2
         assert verified(aspif.parse(text), out).ok
 
     def test_non_positive_weights_pass_through_unchanged(self):
@@ -257,7 +252,7 @@ class TestPriorityLevels:
         minimizes = [s for s in out.statements if isinstance(s, aspif.Minimize)]
         assert len(minimizes) == 1
         assert report.levels[0].input_terms == 4
-        assert report.levels[0].rewritten_terms == 3  # atom 2 merged to 13
+        assert report.levels[0].network_width == 3  # atom 2 merged to 13
         assert verified(doc, out).ok
 
 
@@ -304,13 +299,10 @@ class TestAtomHygiene:
         out, report = rewrite_objective(doc, RewriteConfig())
         wired, passed, last = report.levels
         first = doc.max_atom_id() + 1
-        assert wired.wire_map == tuple(
-            range(first + 3 * level, first + 3 * level + 3) for level in range(4)
-        )
-        assert (passed.wire_map, passed.atoms_added) == (None, 0)
-        first += wired.atoms_added
-        assert last.wire_map == (range(first, first + 2), range(first + 2, first + 4))
-        assert out.max_atom_id() == first + last.atoms_added - 1 == 21
+        assert wired.atoms == range(first, first + 3 * 4)
+        assert passed.atoms == range(0)
+        assert last.atoms == range(wired.atoms.stop, wired.atoms.stop + 2 * 2)
+        assert out.max_atom_id() == last.atoms[-1] == 21
         bridges = [
             (r.head_atoms[0], r.body.literals)
             for r in added_rules(doc, out)
@@ -319,11 +311,12 @@ class TestAtomHygiene:
         assert bridges == [(6, (1,)), (7, (2,)), (8, (-3,)), (18, (4,)), (19, (5,))]
         assert verified(doc, out).ok
 
-    def test_sidecar_lists_the_wire_allocations(self):
-        out, report = rewrite_objective(aspif.parse(TWO_TERM_DOC), RewriteConfig())
-        sidecar = report.sidecar_text()
-        assert "priority 0 wire 1 level 0 atom 3" in sidecar
-        assert "priority 0 wire 2 level 1 atom 6" in sidecar
+    def test_report_names_each_wired_levels_block(self):
+        _, report = rewrite_objective(aspif.parse(TWO_TERM_DOC), RewriteConfig())
+        assert report.to_text() == (
+            "priority 0: terms 2 -> 3 (wired 2, passed 0), "
+            "network 2x1 size 1, atoms +4 (3..6), rules +5"
+        )
 
 
 class TestRulesAdded:
@@ -352,10 +345,10 @@ class TestRulesAdded:
         assert {lv.priority: lv.rules_added for lv in report.levels} == written
         for lv in report.levels:
             network_lines = []
-            if lv.wire_map is not None:
-                network = oe_sorter(lv.rewritten_terms, config.depth_limit)
-                network_lines = asp_of_network(network, lv.wire_map[0].start)
-            assert lv.rules_added == lv.rewritten_terms + len(network_lines)
+            if lv.atoms:
+                network = oe_sorter(lv.network_width, config.depth_limit)
+                network_lines = asp_of_network(network, lv.atoms.start)
+            assert lv.rules_added == lv.network_width + len(network_lines)
 
 
 def _unit_objective(n, priority=0):
@@ -413,33 +406,50 @@ def test_rewritten_documents_read_back_as_written(seed, config):
     assert parsed.max_atom_id() == doc.max_atom_id()
 
 
-SIDECAR_LINE = re.compile(r"priority (-?\d+) wire (\d+) level (\d+) atom (\d+)")
+def level_rules(document):
+    """Each wired level's added rules, by priority, read from the lines that
+    are written verbatim: the ``Raw`` statement just before the level's
+    minimize statement."""
+    statements = document.statements
+    return {
+        after.priority: read_rules(s.line.split("\n"))
+        for s, after in zip(statements, statements[1:])
+        if isinstance(s, aspif.Raw)
+    }
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_each_wired_level_numbers_its_atoms_as_one_block(seed):
-    # wire i after level l is atom first + width * l + i - 1, and the wired
-    # levels' blocks abut from above the input's atoms to the output's last
+    # wire i after level l is atom first + width * l + i - 1: a level's rules
+    # derive exactly its block, a bridge reads an input literal, any other
+    # rule reads the column before its head's, and the wired levels' blocks
+    # abut from above the input's atoms to the output's last
     document = random_opt_document(random.Random(seed))
+    top = document.max_atom_id()
     for config in VERIFY_GRID:
         out, report = rewrite_objective(document, config)
-        positions: dict[int, dict[tuple[int, int], int]] = {}
-        for line in report.sidecar_text().splitlines():
-            priority, wire, level, atom = map(int, SIDECAR_LINE.fullmatch(line).groups())
-            positions.setdefault(priority, {})[wire, level] = atom
-        first = document.max_atom_id() + 1
+        written = level_rules(out)
+        first = top + 1
         for lv in report.levels:
-            atoms = positions.pop(lv.priority, {})
-            width, columns = lv.network_width, lv.network_depth + 1
-            assert lv.atoms_added == len(atoms) == width * columns
-            assert atoms == {
-                (i, l): first + width * l + i - 1
-                for i in range(1, width + 1)
-                for l in range(columns)
-            }
-            first += lv.atoms_added
-        assert positions == {}
+            if not lv.atoms:
+                assert lv.priority not in written
+                continue
+            width = lv.network_width
+            assert lv.atoms == range(first, first + width * (lv.network_depth + 1))
+            rules = written.pop(lv.priority)
+            assert {a for r in rules for a in r.head_atoms} == set(lv.atoms)
+            for r in rules:
+                (head,) = r.head_atoms
+                column = (head - first) // width
+                body = r.body.literals
+                if column == 0:
+                    assert len(body) == 1 and abs(body[0]) <= top
+                else:
+                    below = range(first + width * (column - 1), first + width * column)
+                    assert body and all(a in below for a in body)
+            first = lv.atoms.stop
+        assert written == {}
         assert out.max_atom_id() == first - 1
 
 
