@@ -210,20 +210,18 @@ def attach_network(program: GroundProgram, network: Network) -> tuple[GroundProg
     It adds ``width * depth + size`` rules: three per comparator and one per
     (wire, level) position that no comparator touches.  They are read back
     from their aspif lines, as ``verify`` reads a rewrite.  The wire atoms
-    above the inputs must be fresh, so a program atom above ``width`` is
-    refused.  Returns the merged program and the network's output atoms.
+    are one block from the first atom above every program atom and input.
+    Returns the merged program and the network's output atoms, the inputs
+    themselves when the network has no level.
     """
-    highest = max(program.signature, default=0)
-    if highest > network.width:
-        raise SemanticsError(
-            f"program atom {highest} lies above the network's {network.width} input atoms"
-        )
-    columns = dense_wire_atom_map(1, network.width, network.depth)
-    statements = tuple(map(aspif.Raw, asp_of_network(network, 1)))
+    inputs = range(1, network.width + 1)
+    first = max(program.signature | frozenset(inputs), default=0) + 1
+    columns = dense_wire_atom_map(inputs, first, network.depth)
+    statements = tuple(map(aspif.Raw, asp_of_network(network, inputs, first)))
     text = aspif.write(aspif.AspifDocument(statements=statements))
     rules = aspif.to_ground_program(aspif.parse(text))[0].normal_rules
     merged = GroundProgram(
-        signature=program.signature | frozenset(range(1, columns[-1].stop)),
+        signature=program.signature.union(inputs, *columns[1:]),
         normal_rules=program.normal_rules + rules,
         choice_rules=program.choice_rules,
         cardinality_constraints=program.cardinality_constraints,

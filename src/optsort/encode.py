@@ -1,18 +1,21 @@
-"""Translation of comparator networks into negation-free aspif rules.
+"""Translation of comparator networks into aspif rules over the inputs' literals.
 
 Each comparator becomes three rules (min output needs both inputs, max output
 needs either) and every wire untouched at a level gets an inertia rule, so
-wire values at every level are captured bit-for-bit by atoms.  A network's
-atoms are one block (see ``dense_wire_atom_map``).  Each rule is one aspif
-normal-rule line, formatted from ``ONE_BODY_RULE`` or ``TWO_BODY_RULE``, the
-only two rule shapes a rewrite adds.  A rewrite writes a level's lines
-verbatim as one ``aspif.Raw`` statement; ``verify`` and
-``analysis.attach_network`` read them back through ``aspif.parse``.
+wire values at every level are captured bit-for-bit by atoms.  The input
+column is the literals the network sorts, of either sign; the sorter columns
+after it are one block of fresh atoms (see ``dense_wire_atom_map``), and no
+rule negates one.  Each rule is one aspif normal-rule line, formatted from
+``ONE_BODY_RULE`` or ``TWO_BODY_RULE``, the only two rule shapes a rewrite
+adds.  A rewrite writes a level's lines verbatim as one ``aspif.Raw``
+statement; ``verify`` and ``analysis.attach_network`` read them back through
+``aspif.parse``.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from typing import Sequence
 
 from .network import Network
 
@@ -21,31 +24,35 @@ ONE_BODY_RULE = "1 0 1 %d 0 1 %d"
 TWO_BODY_RULE = "1 0 1 %d 0 2 %d %d"
 
 
-def dense_wire_atom_map(first: int, width: int, depth: int) -> tuple[range, ...]:
-    """The atoms of a network's (wire, level) positions, one block from ``first``.
+def dense_wire_atom_map(
+    inputs: Sequence[int], first: int, depth: int
+) -> tuple[Sequence[int], ...]:
+    """The literals of a network's (wire, level) positions: the inputs, then one block from ``first``.
 
-    Wire i after level l is atom ``first + width * l + i - 1``; the result
-    holds the ``depth + 1`` columns, input column first.
+    Wire i holds ``inputs[i - 1]`` before the network, and atom
+    ``first + width * (l - 1) + i - 1`` after level l >= 1; the result holds
+    the ``depth + 1`` columns, input column first.
     """
-    return tuple(range(first + width * l, first + width * (l + 1)) for l in range(depth + 1))
+    width = len(inputs)
+    return (inputs, *(range(first + width * l, first + width * (l + 1)) for l in range(depth)))
 
 
-def asp_of_network(network: Network, first: int) -> list[str]:
+def asp_of_network(network: Network, inputs: Sequence[int], first: int) -> list[str]:
     """Rules capturing every wire value of the network, one aspif line each.
 
-    The wire atoms are the block ``dense_wire_atom_map`` lays out from
-    ``first``.  Rule count is 3 * |comparators| plus one inertia rule per
-    untouched (wire, level) position.  Each level gives its gates' rules in
-    the order the level holds them (ascending i), then its inertia rules by
-    wire; each body is positive, in ascending atom order.
+    The network sorts the ``inputs`` literals, and its wire atoms are the
+    block ``dense_wire_atom_map`` lays out from ``first``.  Rule count is
+    3 * |comparators| plus one inertia rule per untouched (wire, level)
+    position.  Each level gives its gates' rules in the order the level holds
+    them (ascending i), then its inertia rules by wire; a body holds wire i's
+    literal before wire j's, and only level 1's bodies hold input literals.
     """
-    columns = dense_wire_atom_map(first, network.width, network.depth)
+    columns = dense_wire_atom_map(inputs, first, network.depth)
     lines: list[str] = []
     for level, gates in enumerate(network.levels, 1):
         below, here = columns[level - 1], columns[level]
         untouched = bytearray(b"\x01") * network.width
         for i, j in gates:
-            # i < j, so the block numbers wire i's atom below wire j's
             below_i, below_j = below[i - 1], below[j - 1]
             lines.append(TWO_BODY_RULE % (here[i - 1], below_i, below_j))
             lines.append(ONE_BODY_RULE % (here[j - 1], below_i))

@@ -1,13 +1,14 @@
 """Rewriting of minimize statements through weighted sorting networks.
 
-Each priority level of the objective is wired onto the inputs of an odd-even
-sorting network (optionally depth-limited), the bridge and network rules are
-emitted as aspif lines, one ``aspif.Raw`` statement per level, and
-``place_weights`` moves the level's weights over a sparse decomposition.  A
-wired level's atoms are one block from ``first``: wire i after level l is
-atom ``first + width * l + i - 1``, and the report names each block.  The
-new objective ranges over wire atoms and carries exactly the same value on
-every answer set, in bijection with the original ones.
+Each priority level's literals are the inputs of an odd-even sorting network
+(optionally depth-limited), the network rules are emitted as aspif lines,
+one ``aspif.Raw`` statement per level, and ``place_weights`` moves the
+level's weights over a sparse decomposition.  A wired level's atoms are one
+block from ``first``: wire i after level l >= 1 is atom
+``first + width * (l - 1) + i - 1``, and the report names each block.  The
+new objective ranges over the input literals and the wire atoms and carries
+exactly the same value on every answer set, in bijection with the original
+ones.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .asplang import (
     in_sorted_order,
     lane_sum,
 )
-from .encode import ONE_BODY_RULE, asp_of_network, dense_wire_atom_map
+from .encode import asp_of_network, dense_wire_atom_map
 from .network import Network, oe_sorter
 from .propagate import from_input_weights, propagate_sparse
 
@@ -86,23 +87,6 @@ class RewriteReport(NamedTuple):
         return "\n".join(lines)
 
 
-def wire_inputs(terms: list[tuple[int, int]], first: int) -> list[str]:
-    """Bridge the (literal, weight) terms onto network input atoms ``first``, ``first`` + 1, ...
-
-    One rule line ``atom :- literal`` per term: the input atom is derived
-    exactly when the literal holds.  Weights must be positive (normalization
-    runs first).
-    """
-    lines = []
-    for atom, (lit, w) in enumerate(terms, first):
-        if w <= 0:
-            raise RewriteError(f"cannot wire non-positive weight {w}")
-        if lit == 0:
-            raise RewriteError("cannot wire literal 0")
-        lines.append(ONE_BODY_RULE % (atom, lit))
-    return lines
-
-
 def _fits_32_bits(weight: int) -> bool:
     return -(2**31) <= weight < 2**31
 
@@ -113,11 +97,14 @@ _Terms = list[tuple[int, int]]
 def _normalize(terms: tuple[tuple[int, int], ...]) -> tuple[_Terms, _Terms, _Terms]:
     # Merge duplicate literals (weights summed, first occurrence keeps the
     # slot), then split off non-positive weights as pass-through terms.  A
-    # merge may not carry 32-bit parts out of the 32-bit range that aspif
-    # consumers store weights in; a part already outside it is the user's.
+    # literal 0 names no atom, so no network can read it.  A merge may not
+    # carry 32-bit parts out of the 32-bit range that aspif consumers store
+    # weights in; a part already outside it is the user's.
     merged: dict[int, int] = {}
     wide_parts: set[int] = set()
     for lit, w in terms:
+        if lit == 0:
+            raise RewriteError("cannot wire literal 0")
         merged[lit] = merged.get(lit, 0) + w
         if not _fits_32_bits(w):
             wide_parts.add(lit)
@@ -136,12 +123,11 @@ def _passthrough_report(priority: int, input_terms: int, kept_terms: int) -> Lev
     return LevelReport(priority, input_terms, kept_terms, 0, 0, 0, kept_terms, 0)
 
 
-# Wiring n terms adds n bridge rules and, per sorter level, at most 1.5 n
-# rules (a comparator's three rules replace two inertia rules).  The budget
-# admits n = 8192 at full depth: 91 levels, 1.13 M rules by this bound and
-# 1.08 M emitted.  End to end at sparseness inf on a shared 2-vCPU machine,
-# that rewrite takes 3.6 s and peaks at 293 MB; n = 12 000 (1.82 M rules)
-# takes 6.9 s and 485 MB.
+# Wiring n terms adds, per sorter level, at most 1.5 n rules (a comparator's
+# three rules replace two inertia rules).  The budget admits n = 8192 at full
+# depth: 91 levels, 1.12 M rules by this bound and 1.07 M emitted.  End to end
+# at sparseness inf on a shared 2-vCPU machine, that rewrite takes 1.1 s and
+# peaks at 191 MB; n = 12 000 (1.81 M rules) takes 1.7 s and 324 MB.
 REWRITE_RULE_BUDGET = 1 << 21
 
 
@@ -154,7 +140,7 @@ def _sorter_depth(n: int, depth_limit: int | None) -> int:
 
 def _rule_bound(n: int, depth_limit: int | None) -> int:
     """Most rules that wiring n terms into an odd-even sorter can add."""
-    return n + 3 * n * _sorter_depth(n, depth_limit) // 2
+    return 3 * n * _sorter_depth(n, depth_limit) // 2
 
 
 def check_rule_budget(sizes: list[int], depth_limit: int | None, wiring: str) -> None:
@@ -211,18 +197,17 @@ def _rewrite_level(
     config: RewriteConfig,
     first: int,
 ) -> tuple[list[aspif.Statement], LevelReport]:
-    # a wired level's atoms are one block from `first`: its n bridge atoms
-    # are the network's input column
+    # the level's literals are the network's input column, and its sorter
+    # columns are one block of fresh atoms from `first`
     rewritable, passthrough, merged = normalized
     if len(rewritable) < 2:
         statement = aspif.Minimize(priority, tuple(merged))
         return [statement], _passthrough_report(priority, input_terms, len(merged))
 
-    n = len(rewritable)
-    lines = wire_inputs(rewritable, first)
-    network = oe_sorter(n, config.depth_limit)
-    columns = dense_wire_atom_map(first, n, network.depth)
-    lines += asp_of_network(network, first)
+    network = oe_sorter(len(rewritable), config.depth_limit)
+    inputs = [lit for lit, _ in rewritable]
+    columns = dense_wire_atom_map(inputs, first, network.depth)
+    lines = asp_of_network(network, inputs, first)
 
     placed = place_weights([w for _, w in rewritable], network, config)
     wire_terms = [(columns[j][i - 1], w) for i, j, w in placed]
@@ -237,7 +222,7 @@ def _rewrite_level(
         network_size=network.size(),
         output_terms=len(out_terms),
         rules_added=len(lines),
-        atoms=range(first, columns[-1].stop),
+        atoms=range(first, first + network.width * network.depth),
     )
     return statements, report
 
@@ -388,12 +373,12 @@ def check_random_count(count: int) -> None:
 
 # Each configuration's rewrite is closed over the input's 2^g answer lanes, g
 # its guessed atoms, as one lane vector of up to 2^g bits per atom: the input's
-# and the most that a configuration adds (per wired level, n bridges and n per
-# sorter level, at full depth).  The budget admits gen-binomial 22 11 --opt
-# (374 atoms x 2^22 lanes, 1.6e9 bits) and a 256-rule objective over 18 choice
-# atoms (9746 x 2^18, 2.6e9), which takes 6.2 s and peaks at 291 MB end to end
+# and the most that a configuration adds (per wired level, n per sorter level,
+# at full depth).  The budget admits gen-binomial 22 11 --opt
+# (352 atoms x 2^22 lanes, 1.5e9 bits) and a 256-rule objective over 18 choice
+# atoms (9490 x 2^18, 2.5e9), which takes 3.1 s and peaks at 290 MB end to end
 # on a shared 2-vCPU machine.  The same objective over 20 choice atoms
-# (1.0e10) ran out of an 800 MB address space after 7.3 s.
+# (9492 x 2^20, 1.0e10) ran out of an 800 MB address space after 7.3 s.
 VERIFY_LANE_BUDGET = 1 << 32
 
 
@@ -419,7 +404,7 @@ def verify_grid(
     program = before[0]
     guessed = len(guessed_atoms(program, auto_split_atoms(program)))
     atoms = len(program.signature) + sum(
-        n + n * _sorter_depth(n, None) for n in _wired_sizes(normalized)
+        n * _sorter_depth(n, None) for n in _wired_sizes(normalized)
     )
     if guessed <= MAX_ENUM_ATOMS and atoms << guessed > VERIFY_LANE_BUDGET:
         raise RewriteError(

@@ -381,6 +381,66 @@ def closure(rules) -> frozenset[int]:
         model |= derived
 
 
+def read_added_rules(
+    text: str, top: int
+) -> tuple[list[tuple[int, tuple[int, ...]]], dict[int, list[tuple[int, int]]]]:
+    """The normal rules with a head above ``top`` and the minimize terms by
+    priority, read from aspif text by splitting its lines, without optsort's
+    own reader: ``[(head, body literals)]`` and ``{priority: terms}``."""
+    rules: list[tuple[int, tuple[int, ...]]] = []
+    objectives: dict[int, list[tuple[int, int]]] = {}
+    for line in text.split("\n")[1:]:
+        tokens = line.split(" ")
+        if tokens[0] == "2":
+            flat = list(map(int, tokens[3 : 3 + 2 * int(tokens[2])]))
+            objectives.setdefault(int(tokens[1]), []).extend(zip(flat[0::2], flat[1::2]))
+        elif tokens[:3] == ["1", "0", "1"] and int(tokens[3]) > top:
+            assert tokens[4] == "0", f"added rule without a normal body: {line}"
+            rules.append((int(tokens[3]), tuple(map(int, tokens[6:]))))
+    return rules, objectives
+
+
+def close_added_rules(rules, true_atoms: frozenset[int], top: int) -> frozenset[int]:
+    """The atoms above ``top`` that the rules derive when, of the atoms up to
+    ``top``, exactly ``true_atoms`` hold.  Those atoms fix every body literal
+    over them; the others must be positive, so the rest is a positive program."""
+    positive = []
+    for head, body in rules:
+        fresh = frozenset(lit for lit in body if abs(lit) > top)
+        assert all(lit > 0 for lit in fresh), f"the rule for {head} negates a fresh atom"
+        if all(literal_holds(lit, true_atoms) for lit in body if abs(lit) <= top):
+            positive.append((head, fresh))
+    return closure(positive)
+
+
+def value_mismatch(source: str, rewritten: str, top: int, seed: int) -> str | None:
+    """Where the rules a rewrite adds change a priority's value, or None.
+
+    ``source`` and ``rewritten`` are aspif texts over atoms 1..``top`` and
+    above.  The added rules are closed under the all-false and the all-true
+    assignment to atoms 1..``top`` and under three seeded ones, and each
+    priority's new terms must sum to its input terms' value in every one."""
+    _, before = read_added_rules(source, top)
+    rules, after = read_added_rules(rewritten, top)
+    if set(before) != set(after):
+        return f"priorities {sorted(before)} became {sorted(after)}"
+    rng = random.Random(seed)
+    atoms = range(1, top + 1)
+    assignments = [frozenset(), frozenset(atoms)] + [
+        frozenset(a for a in atoms if rng.random() < 0.5) for _ in range(3)
+    ]
+    for true_atoms in assignments:
+        model = true_atoms | close_added_rules(rules, true_atoms, top)
+        for priority, terms in sorted(before.items()):
+            value, new_value = evaluate(terms, model), evaluate(after[priority], model)
+            if value != new_value:
+                return (
+                    f"priority {priority} has value {value}, not {new_value}, "
+                    f"with {len(true_atoms)} of {top} atoms true"
+                )
+    return None
+
+
 def body_holds(r: NormalRule, interpretation: frozenset[int]) -> bool:
     return r.pos_body <= interpretation and not r.neg_body & interpretation
 

@@ -337,12 +337,20 @@ class TestNetworkedPch:
         assert outputs == range(last + 1, last + 6)
         assert attached.signature == frozenset(range(1, last + 6))
 
-    def test_a_program_atom_above_the_inputs_is_refused(self):
-        # a wire atom would share it
-        with pytest.raises(
-            SemanticsError, match="^program atom 4 lies above the network's 3 input atoms$"
-        ):
-            attach_network(GroundProgram(frozenset({1, 4})), oe_sorter(3))
+    def test_the_wire_block_starts_above_a_program_atom_past_the_inputs(self):
+        # atoms 1..3 stay the inputs, and no wire atom shares atom 7
+        network = oe_sorter(3)
+        attached, outputs = attach_network(GroundProgram(frozenset({1, 7})), network)
+        last = 7 + 3 * (network.depth - 1)
+        assert outputs == range(last + 1, last + 4)
+        assert attached.signature == frozenset({1, 2, 3, 7, *range(8, last + 4)})
+        assert min(rule.head for rule in attached.normal_rules) == 8
+        assert {a for rule in attached.normal_rules for a in rule.pos_body} >= {1, 2, 3}
+
+    def test_a_network_without_levels_outputs_its_inputs(self):
+        attached, outputs = attach_network(binomial_program(4, 2), oe_sorter(4, 0))
+        assert outputs == range(1, 5)
+        assert attached == binomial_program(4, 2)
 
     def test_rejects_programs_with_negation(self):
         program = binomial_program(2, 1)

@@ -36,7 +36,7 @@ class TestRewriteCommand:
         assert code == 0
         assert err == ""
         assert out.startswith("asp 1 0 0\n") and out.endswith("\n0\n")
-        assert "2 0 3 4 30 5 40 6 40" in out
+        assert "2 0 3 2 30 3 40 4 40" in out
 
     def test_depth_zero_is_byte_identical_to_canonical_input(self, capsys, monkeypatch):
         code, out, err = run(
@@ -65,7 +65,7 @@ class TestRewriteCommand:
         assert target.read_text().startswith("asp 1 0 0\n")
         assert report.read_text() == (
             "priority 0: terms 2 -> 3 (wired 2, passed 0), "
-            "network 2x1 size 1, atoms +4 (3..6), rules +5\n"
+            "network 2x1 size 1, atoms +2 (3..4), rules +3\n"
         )
 
     def test_a_negative_depth_is_refused_after_the_document_is_read(
@@ -174,14 +174,14 @@ class TestRewriteCommand:
     @pytest.mark.parametrize(
         "atoms,highest",
         [
-            ((2147483642, 2147483643), None),
-            ((2147483643, 2147483644), 2147483648),
-            ((2147483640, 2147483641, 2147483642), 2147483654),
+            ((2147483644, 2147483645), None),
+            ((2147483645, 2147483646), 2147483648),
+            ((2147483643, 2147483644, 2147483645), 2147483654),
         ],
     )
     def test_fresh_atoms_stay_in_the_32_bit_range(self, capsys, monkeypatch, atoms, highest):
-        # two terms take two bridge atoms and two wire atoms above the input's
-        # highest atom, three terms take three and nine
+        # two terms take two wire atoms above the input's highest atom, three
+        # terms take nine
         terms = " ".join(f"{a} 1" for a in atoms)
         doc = f"asp 1 0 0\n2 0 {len(atoms)} {terms}\n0\n"
         code, out, err = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
@@ -196,7 +196,7 @@ class TestRewriteCommand:
     ):
         doc = "asp 1 0 0\n2 0 2 5 1 3000000000 1\n0\n"
         code, out, err = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
-        assert code == 0 and err == "" and "\n1 0 1 3000000001 0 1 5\n" in out
+        assert code == 0 and err == "" and "\n1 0 1 3000000001 0 2 5 3000000000\n" in out
 
     def test_unknown_statements_pass_through(self, capsys, monkeypatch):
         doc = "asp 1 0 0\n3 4 2\n1 1 2 1 2 0 0\n2 0 2 1 4 2 9\n0\n"
@@ -324,8 +324,8 @@ class TestVerifyCommand:
         self, capsys, monkeypatch
     ):
         # 20 guessed atoms, 256 rules h :- a, b and one minimize over their
-        # heads: 276 input atoms plus 256 bridges and 36 sorter columns of 256
-        # wire atoms at full depth, each over 2^20 lanes
+        # heads: 276 input atoms plus 36 sorter columns of 256 wire atoms at
+        # full depth, each over 2^20 lanes
         rng = random.Random(5)
         heads = range(21, 277)
         lines = ["asp 1 0 0", "1 1 20 " + " ".join(map(str, range(1, 21))) + " 0 0"]
@@ -346,22 +346,22 @@ class TestVerifyCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == (
-            "error: closing 9748 atoms over 2^20 answer lanes would take "
-            "10221518848 lane bits, over the budget of 4294967296\n"
+            "error: closing 9492 atoms over 2^20 answer lanes would take "
+            "9953083392 lane bits, over the budget of 4294967296\n"
         )
 
-    @pytest.mark.parametrize("budget,refused", [(120 << 10, False), ((120 << 10) - 1, True)])
-    def test_the_lane_budget_counts_input_bridge_and_wire_atoms(
+    @pytest.mark.parametrize("budget,refused", [(110 << 10, False), ((110 << 10) - 1, True)])
+    def test_the_lane_budget_counts_input_and_wire_atoms(
         self, capsys, monkeypatch, budget, refused
     ):
-        # gen-binomial 10 5 --opt: 10 input atoms, 10 bridges and 10 full-depth
-        # sorter columns of 10 wire atoms, over 2^10 lanes
+        # gen-binomial 10 5 --opt: 10 input atoms and 10 full-depth sorter
+        # columns of 10 wire atoms, over 2^10 lanes
         monkeypatch.setattr("optsort.rewrite.VERIFY_LANE_BUDGET", budget)
         _, generated, _ = run(capsys, monkeypatch, ["gen-binomial", "10", "5", "--opt"])
         code, out, err = run(capsys, monkeypatch, ["verify"], stdin=generated)
         if refused:
             assert (code, out) == (2, "")
-            assert err.startswith("error: closing 120 atoms over 2^10 answer lanes")
+            assert err.startswith("error: closing 110 atoms over 2^10 answer lanes")
         else:
             assert (code, err) == (0, "") and out.count(" ok ") == 30
 
@@ -383,7 +383,7 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == (
             "error: wiring 20000 objective terms into sorting networks could add "
-            "3620000 rules, over the budget of 2097152\n"
+            "3600000 rules, over the budget of 2097152\n"
         )
         monkeypatch.undo()
         assert run(capsys, monkeypatch, ["rewrite"], stdin=doc)[2] == err
@@ -490,7 +490,7 @@ class TestPchCommand:
             ),
             (
                 ["30000000", "1", "--network", "full"],
-                "a sorter on 30000000 wires could add 14655000000 rules, "
+                "a sorter on 30000000 wires could add 14625000000 rules, "
                 "over the budget of 2097152",
             ),
         ],

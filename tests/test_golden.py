@@ -51,15 +51,16 @@ INPUTS = {
 
 
 def layout_text(report: RewriteReport) -> str:
-    """``priority p wire i level l atom a`` for every wired position: wire i
-    after level l of a level whose block starts at ``first`` is atom
-    ``first + width * l + i - 1``."""
+    """``priority p wire i level l atom a`` for every wired position after a
+    sorter level: wire i after level l >= 1 of a level whose block starts at
+    ``first`` is atom ``first + width * (l - 1) + i - 1``.  Before level 1 a
+    wire is its input literal, which the printed rules show."""
     return "\n".join(
         f"priority {lv.priority} wire {i} level {l} "
-        f"atom {lv.atoms.start + lv.network_width * l + i - 1}"
+        f"atom {lv.atoms.start + lv.network_width * (l - 1) + i - 1}"
         for lv in report.levels
         if lv.atoms
-        for l in range(lv.network_depth + 1)
+        for l in range(1, lv.network_depth + 1)
         for i in range(1, lv.network_width + 1)
     )
 
@@ -72,32 +73,32 @@ def digest(document: aspif.AspifDocument, config: RewriteConfig) -> str:
 
 GOLDEN = {
     "binomial-128": {
-        "default": "afe32ea2e6a600ba457e83d0e13b744e0266f4259b74d7d86dcf67df659fb68e",
-        "sparseness-2": "afe32ea2e6a600ba457e83d0e13b744e0266f4259b74d7d86dcf67df659fb68e",
-        "sparseness-inf": "afe32ea2e6a600ba457e83d0e13b744e0266f4259b74d7d86dcf67df659fb68e",
-        "depth-8": "27797812ccf658dbf1ddbd97c8ab621bb926f1ba9274898637fc413cf5dbc5b7",
-        "no-propagate": "a6ddef98b55ba4c40be58bcbd9380d26dceb1658e84cb4919d12cf008eca51a5",
+        "default": "14e16ebb8e13100da77658a3f68963ce14b267797fda2aba5ee38ba4aeb9d68b",
+        "sparseness-2": "14e16ebb8e13100da77658a3f68963ce14b267797fda2aba5ee38ba4aeb9d68b",
+        "sparseness-inf": "14e16ebb8e13100da77658a3f68963ce14b267797fda2aba5ee38ba4aeb9d68b",
+        "depth-8": "5d39395dc29caad8a65163b9a0cc195354d0bf48c60b5a7b7f024489410c67c9",
+        "no-propagate": "d916f713e90446217d83fda7dc9d81ca7598bfa982cc10e3b85a77ef834b1da6",
     },
     "binomial-16": {
-        "default": "06fb4b39dbf512eb6da2876bb2f2186cc39f692af39e9e478bcfb8273d03ed93",
-        "sparseness-2": "06fb4b39dbf512eb6da2876bb2f2186cc39f692af39e9e478bcfb8273d03ed93",
-        "sparseness-inf": "06fb4b39dbf512eb6da2876bb2f2186cc39f692af39e9e478bcfb8273d03ed93",
-        "depth-8": "4a386fefc20344b5b290e27c0157e48d5f707e1d4eff1c0ea40f19c1a4c12988",
-        "no-propagate": "c606d93132ec79d7a5ae8fb8b4c07060977693cdc9892379f3ecfff627ff9cf5",
+        "default": "a1e558a0fa31d4e456b46bc8ac7c4b18a2a90e06e048c609fd0312fb65697fa4",
+        "sparseness-2": "a1e558a0fa31d4e456b46bc8ac7c4b18a2a90e06e048c609fd0312fb65697fa4",
+        "sparseness-inf": "a1e558a0fa31d4e456b46bc8ac7c4b18a2a90e06e048c609fd0312fb65697fa4",
+        "depth-8": "36bc3c4c7e9f8294192146b068e28eebab850f406e5952fe5adc26e96a5764cf",
+        "no-propagate": "f1701230a551c8c989624564e15d65d0d3d58c530f4ab6e7977a7de437aab1d6",
     },
     "binomial-64": {
-        "default": "32bcfa618c01efb5d03f2178a5fe20d630347dfeabfe10f6125086e7a2997ba5",
-        "sparseness-2": "32bcfa618c01efb5d03f2178a5fe20d630347dfeabfe10f6125086e7a2997ba5",
-        "sparseness-inf": "32bcfa618c01efb5d03f2178a5fe20d630347dfeabfe10f6125086e7a2997ba5",
-        "depth-8": "8588df67e2336367b5960983414f53f20033b8a4456688033ec599a84622ec18",
-        "no-propagate": "bb6b24bbfb5918b5c58f96bfa82a923cf4391f533e5227a385b0e44e8e1f3837",
+        "default": "9f9683271aa3d3912981f8d1636a7bdc710a3b16888028d67b83e2520d135c35",
+        "sparseness-2": "9f9683271aa3d3912981f8d1636a7bdc710a3b16888028d67b83e2520d135c35",
+        "sparseness-inf": "9f9683271aa3d3912981f8d1636a7bdc710a3b16888028d67b83e2520d135c35",
+        "depth-8": "6a35cad63bd2a65743a0f6059e072c3c248310d859bdc2b369a3c6931f34d788",
+        "no-propagate": "55ba155d968f4cde5123403f83bc5b4da95c5f6ad2244d15fe9834d955094570",
     },
     "weighted-128": {
-        "default": "c3f483127fb5495a93abb04cb299be8c0df0db82b6ddd963d4bf5d2f530f1668",
-        "sparseness-2": "a71d6bef5ff56f9ee3680b50962b80732e522ee0e3a5586add5d6941a56c776f",
-        "sparseness-inf": "2b32db5bd4275f033605ad29ca6d6c0e5202ad213ede25038283ba06c3c766d5",
-        "depth-8": "0aa54f5a936e0b0824053e02e4f34208d347a5b835c71e6adeae2a1c1893ba3e",
-        "no-propagate": "6cf13991e2c9ef14709e143976281d3fa8fac437ab43468ecc1b0dbe795efb52",
+        "default": "e7869f6f5e3c6ff94f18582d831b258635db5b9cd3dba129e518f1aedd5b4b5a",
+        "sparseness-2": "13ac3cca9e7cc9b62ec63b7f817d5c905bc409d8e2c578a4e9301d4dbe177066",
+        "sparseness-inf": "1f3399f4b7502d6c77970b2df3a6dcbfba0bcb744e30063339fef4d949306d46",
+        "depth-8": "fac490ffa110a10e45a70e12649293d52bf5a24c4992a1a20699204ff6c47993",
+        "no-propagate": "f594886316f5bf72e9459b87b2d65f1b4cfca27acc15b5cf0607c35921ed61b8",
     },
 }
 
@@ -110,10 +111,10 @@ CORPUS_GOLDEN = {
     "06_choice_body.aspif": "3a70d0904745b47fd49a47a79c8ceecc4071e5e182d913c33761025fd7b7d8be",
     "07_weight_constraint.aspif": "a27e648d0741738bb069bd7c45f4d99bb29d215238460b2881c73cf190e618de",
     "08_weight_body_rule.aspif": "f5a25416e41e98bb8b7ef8180ce0f0a0680c01a5e67d64d08673f18d658afd62",
-    "09_minimize.aspif": "a7daa29ac47b508c218a31ed33c6d229d9f90c75e3b386af194d0afeaf3adc67",
-    "10_minimize_two_priorities.aspif": "c9ac727955eee693336f7ccc195f6f43a03003704f176ce45ec0b971fd536ebb",
-    "11_minimize_shared_priority.aspif": "645b8b52904d2d58000224a286d17b59cc4be422e4a132bcd964723e618bf319",
-    "12_minimize_mixed_weights.aspif": "24ee8b61103e622214fa99dc48e057ec943040ba9702d1c4e3535efbad7714a6",
+    "09_minimize.aspif": "a1c8f927c2398f3e0c472e604e3d7af092d9bd1fd376a3aee842271a05c58cf4",
+    "10_minimize_two_priorities.aspif": "69b4eecde7b9dc3af622c33963c54ece2df1f2e69ce0b6107f2021e6b00f635f",
+    "11_minimize_shared_priority.aspif": "a51e898ae3c518f055a058cc346e9342e67a138699c95eec657506300f64b792",
+    "12_minimize_mixed_weights.aspif": "6e85baac5767a6a7a319eacce963aededec545aa1b58aed0935454182b45a314",
     "13_output.aspif": "f00df6033ed3817819fb8a9f40318783597582ddaa0899401249ed49c3610875",
     "14_output_spaces.aspif": "f14c649cfcc6232c167fcbcf11923dd2566988a977a53380f349bd9fd301d924",
     "15_external.aspif": "07d976cf446cadecf13bc2c2082f5e0b8858b96d9219f3b8bcd1b80b175c1dd1",
@@ -121,8 +122,8 @@ CORPUS_GOLDEN = {
     "17_heuristic.aspif": "d0e69f4f5251753fbdcf0542b7a4504ea406b8adab42a1cf618715b376f0906e",
     "18_theory.aspif": "70ba58914486774a555ae0c2fc61de14302a1c002f15071d13cf902c342c24f0",
     "19_comment.aspif": "96d9b4cd71c54bf626a321db4d35ea511a931140c2150db1b3efd6d612068090",
-    "20_binomial.aspif": "8f2aac5424e933d3154e4c4ffc615c0bcae1944cebf6fc1de48ce31c144c0051",
-    "21_rewritten.aspif": "60b79e333affbffd01e92b9677d8d4ae7e7be03be3408986741dfde73a8918e4",
+    "20_binomial.aspif": "16f7c213ec67a9dfecf98ad5bc45dea6408ffaaac7671a7e734a7c99b876b24e",
+    "21_rewritten.aspif": "7e6b06eb485c258a1b2f0276bcf14616ed41e5dfb958f54249823ab5778fb399",
     "22_no_terminator.aspif": "f4234eb1d4a8694e1fcdd301ce8da7bd13153d66cb8d052f1b9fb2420ccd62cc",
     "23_messy_spacing.aspif": "63b478c5535ca3cf917408303fed483b5a7b37bcea3bab92093353f03275abed",
     "24_big_ids.aspif": "8c83a9b3ddbf7f97a3dbbd0fc919f767fd0c5310525993e70bbf5199cdc72234",

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,10 +20,9 @@ from optsort.rewrite import (
     rewrite_objective,
     verify_grid,
     verify_rewrite,
-    wire_inputs,
 )
 
-from conftest import enumerate_answer_sets, read_rules, lane_models, traced_peak
+from conftest import enumerate_answer_sets, lane_models, read_rules, traced_peak, value_mismatch
 
 TWO_TERM_DOC = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 2 70\n0\n"
 
@@ -40,20 +40,30 @@ def verified(doc, rewritten):
 
 class TestWireInputs:
     def test_positive_and_negated_literals(self):
-        lines = wire_inputs([(1, 40), (-2, 70)], 10)
-        assert [r.head_atoms for r in read_rules(lines)] == [(10,), (11,)]
-        assert lines == ["1 0 1 10 0 1 1", "1 0 1 11 0 1 -2"]
+        # the comparator reads both literals as they stand, and the weight
+        # left on the input column stays on the negated literal
+        text = "asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 40 -2 70\n0\n"
+        out, _ = rewrite_objective(aspif.parse(text), RewriteConfig())
+        (rules,) = [s for s in out.statements if isinstance(s, aspif.Raw)]
+        assert rules.line.split("\n") == ["1 0 1 3 0 2 1 -2", "1 0 1 4 0 1 1", "1 0 1 4 0 1 -2"]
+        (minimize,) = [s for s in out.statements if isinstance(s, aspif.Minimize)]
+        assert minimize.terms == ((-2, 30), (3, 40), (4, 40))
 
-    def test_empty_terms(self):
-        assert wire_inputs([], 1) == []
-
-    def test_rejects_non_positive_weights(self):
-        with pytest.raises(RewriteError):
-            wire_inputs([(1, 0)], 5)
+    def test_non_positive_weights_pass_through_unwired(self):
+        # only the positive merged weights are wired; no rule reads the others
+        text = "asp 1 0 0\n1 1 4 1 2 3 4 0 0\n2 0 4 1 0 -2 -3 3 5 4 6\n0\n"
+        out, report = rewrite_objective(aspif.parse(text), RewriteConfig())
+        (rules,) = [s for s in out.statements if isinstance(s, aspif.Raw)]
+        read = {lit for r in read_rules(rules.line.split("\n")) for lit in r.body.literals}
+        assert read == {3, 4}
+        (minimize,) = [s for s in out.statements if isinstance(s, aspif.Minimize)]
+        assert minimize.terms[-2:] == ((1, 0), (-2, -3))
+        assert report.levels[0].network_width == 2
 
     def test_rejects_literal_zero(self):
-        with pytest.raises(RewriteError):
-            wire_inputs([(0, 3)], 5)
+        document = aspif.AspifDocument(statements=(aspif.Minimize(0, ((0, 3), (1, 2))),))
+        with pytest.raises(RewriteError, match="^cannot wire literal 0$"):
+            rewrite_objective(document, RewriteConfig())
 
 
 class TestConfig:
@@ -82,19 +92,17 @@ class TestTwoTermRewrite:
         assert aspif.write(out) == (
             "asp 1 0 0\n"
             "1 1 2 1 2 0 0\n"
-            "1 0 1 3 0 1 1\n"
+            "1 0 1 3 0 2 1 2\n"
+            "1 0 1 4 0 1 1\n"
             "1 0 1 4 0 1 2\n"
-            "1 0 1 5 0 2 3 4\n"
-            "1 0 1 6 0 1 3\n"
-            "1 0 1 6 0 1 4\n"
-            "2 0 3 4 30 5 40 6 40\n"
+            "2 0 3 2 30 3 40 4 40\n"
             "0\n"
         )
         (level,) = report.levels
         assert level.network_width == 2
         assert level.output_terms == 3
-        assert level.rules_added == 5
-        assert level.atoms == range(3, 7)
+        assert level.rules_added == 3
+        assert level.atoms == range(3, 5)
 
     def test_rewrite_preserves_semantics(self):
         doc = aspif.parse(TWO_TERM_DOC)
@@ -287,7 +295,7 @@ class TestAtomHygiene:
         (minimize,) = [s for s in out.statements if isinstance(s, aspif.Minimize)]
         assert all(w == 10 for _, w in minimize.terms)
         assert len(minimize.terms) == 4  # output wires only
-        assert report.levels[0].rules_added == 4 + 3 * 5 + 2
+        assert report.levels[0].rules_added == 3 * 5 + 2
 
     def test_each_wired_level_takes_one_block_of_atoms(self):
         # priority 0 wires three terms into a 3-level sorter, priority 1 is a
@@ -299,32 +307,30 @@ class TestAtomHygiene:
         out, report = rewrite_objective(doc, RewriteConfig())
         wired, passed, last = report.levels
         first = doc.max_atom_id() + 1
-        assert wired.atoms == range(first, first + 3 * 4)
+        assert wired.atoms == range(first, first + 3 * 3)
         assert passed.atoms == range(0)
-        assert last.atoms == range(wired.atoms.stop, wired.atoms.stop + 2 * 2)
-        assert out.max_atom_id() == last.atoms[-1] == 21
-        bridges = [
-            (r.head_atoms[0], r.body.literals)
-            for r in added_rules(doc, out)
-            if set(r.body.literals) <= {1, 2, -3, 4, 5}
-        ]
-        assert bridges == [(6, (1,)), (7, (2,)), (8, (-3,)), (18, (4,)), (19, (5,))]
+        assert last.atoms == range(wired.atoms.stop, wired.atoms.stop + 2 * 1)
+        assert out.max_atom_id() == last.atoms[-1] == 16
+        read = {
+            lit for r in added_rules(doc, out) for lit in r.body.literals if abs(lit) < first
+        }
+        assert read == {1, 2, -3, 4, 5}
         assert verified(doc, out).ok
 
     def test_report_names_each_wired_levels_block(self):
         _, report = rewrite_objective(aspif.parse(TWO_TERM_DOC), RewriteConfig())
         assert report.to_text() == (
             "priority 0: terms 2 -> 3 (wired 2, passed 0), "
-            "network 2x1 size 1, atoms +4 (3..6), rules +5"
+            "network 2x1 size 1, atoms +2 (3..4), rules +3"
         )
 
 
 class TestRulesAdded:
     @pytest.mark.parametrize("seed", range(20))
     def test_counts_the_rule_lines_each_level_writes(self, seed):
-        # what the report prints and the tracer counts as rules: one bridge
-        # line per wired term and one line per network rule, each level's
-        # written just before its minimize statement
+        # what the report prints and the tracer counts as rules: one line
+        # per network rule, each level's written just before its minimize
+        # statement
         rng = random.Random(700 + seed)
         atoms = rng.randint(1, 12)
         statements = [aspif.Rule(aspif.CHOICE, tuple(range(1, atoms + 1)), aspif.NormalBody(()))]
@@ -346,9 +352,11 @@ class TestRulesAdded:
         for lv in report.levels:
             network_lines = []
             if lv.atoms:
+                # the rule count does not depend on the input literals
                 network = oe_sorter(lv.network_width, config.depth_limit)
-                network_lines = asp_of_network(network, lv.atoms.start)
-            assert lv.rules_added == lv.network_width + len(network_lines)
+                inputs = range(1, lv.network_width + 1)
+                network_lines = asp_of_network(network, inputs, lv.atoms.start)
+            assert lv.rules_added == len(network_lines)
 
 
 def _unit_objective(n, priority=0):
@@ -368,12 +376,12 @@ class TestRuleBudget:
         assert rewrite._rule_bound(8192, None) <= rewrite.REWRITE_RULE_BUDGET
 
     def test_levels_are_summed_against_the_budget(self, monkeypatch):
-        # each four-term level may add 4 + 1.5 * 4 * 3 = 22 rules
+        # each four-term level may add 1.5 * 4 * 3 = 18 rules
         doc = aspif.AspifDocument(statements=(_unit_objective(4), _unit_objective(4, 1)))
-        monkeypatch.setattr(rewrite, "REWRITE_RULE_BUDGET", 44)
+        monkeypatch.setattr(rewrite, "REWRITE_RULE_BUDGET", 36)
         rewrite_objective(doc, RewriteConfig())
-        monkeypatch.setattr(rewrite, "REWRITE_RULE_BUDGET", 43)
-        with pytest.raises(RewriteError, match="8 objective terms .* could add 44 rules, over"):
+        monkeypatch.setattr(rewrite, "REWRITE_RULE_BUDGET", 35)
+        with pytest.raises(RewriteError, match="8 objective terms .* could add 36 rules, over"):
             rewrite_objective(doc, RewriteConfig())
 
     def test_unwired_levels_cost_nothing(self, monkeypatch):
@@ -399,7 +407,7 @@ def raw_as_parsed(doc):
 @settings(max_examples=150, deadline=None)
 def test_rewritten_documents_read_back_as_written(seed, config):
     # random_opt_document repeats and negates objective literals, so the
-    # rewrite merges terms and bridges negated literals
+    # rewrite merges terms and feeds negated literals to the networks
     doc, _ = rewrite_objective(random_opt_document(random.Random(seed)), config)
     parsed = aspif.parse(aspif.write(doc))
     assert parsed == raw_as_parsed(doc)
@@ -421,10 +429,11 @@ def level_rules(document):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_each_wired_level_numbers_its_atoms_as_one_block(seed):
-    # wire i after level l is atom first + width * l + i - 1: a level's rules
-    # derive exactly its block, a bridge reads an input literal, any other
-    # rule reads the column before its head's, and the wired levels' blocks
-    # abut from above the input's atoms to the output's last
+    # wire i after level l >= 1 is atom first + width * (l - 1) + i - 1: a
+    # level's rules derive exactly its block, a level-1 rule reads input
+    # literals, any other rule reads the column before its head's, and the
+    # wired levels' blocks abut from above the input's atoms to the output's
+    # last
     document = random_opt_document(random.Random(seed))
     top = document.max_atom_id()
     for config in VERIFY_GRID:
@@ -436,17 +445,17 @@ def test_each_wired_level_numbers_its_atoms_as_one_block(seed):
                 assert lv.priority not in written
                 continue
             width = lv.network_width
-            assert lv.atoms == range(first, first + width * (lv.network_depth + 1))
+            assert lv.atoms == range(first, first + width * lv.network_depth)
             rules = written.pop(lv.priority)
             assert {a for r in rules for a in r.head_atoms} == set(lv.atoms)
             for r in rules:
                 (head,) = r.head_atoms
-                column = (head - first) // width
+                level = (head - first) // width + 1
                 body = r.body.literals
-                if column == 0:
-                    assert len(body) == 1 and abs(body[0]) <= top
+                if level == 1:
+                    assert body and all(0 < abs(lit) <= top for lit in body)
                 else:
-                    below = range(first + width * (column - 1), first + width * column)
+                    below = range(first + width * (level - 2), first + width * (level - 1))
                     assert body and all(a in below for a in body)
             first = lv.atoms.stop
         assert written == {}
@@ -457,12 +466,16 @@ def test_negated_and_repeated_literals_read_back_as_written():
     text = "asp 1 0 0\n1 1 3 1 2 3 0 0\n2 0 5 -1 3 2 4 -1 5 -3 6 2 1\n0\n"
     doc, _ = rewrite_objective(aspif.parse(text), RewriteConfig())
     (rules,) = [s for s in doc.statements if isinstance(s, aspif.Raw)]
-    assert rules.line.split("\n")[:3] == ["1 0 1 4 0 1 -1", "1 0 1 5 0 1 2", "1 0 1 6 0 1 -3"]
+    # the merged literals -1, 2 and -3 are the sorter's inputs
+    assert rules.line.split("\n")[:4] == [
+        "1 0 1 4 0 2 -1 2", "1 0 1 5 0 1 -1", "1 0 1 5 0 1 2", "1 0 1 6 0 1 -3"
+    ]
     parsed = aspif.parse(aspif.write(doc))
     assert parsed == raw_as_parsed(doc)
     program, _ = aspif.to_ground_program(parsed)
-    assert program.normal_rules[:3] == (
-        asplang.NormalRule(4, frozenset(), frozenset({1})),
+    assert program.normal_rules[:4] == (
+        asplang.NormalRule(4, frozenset({2}), frozenset({1})),
+        asplang.NormalRule(5, frozenset(), frozenset({1})),
         asplang.NormalRule(5, frozenset({2})),
         asplang.NormalRule(6, frozenset(), frozenset({3})),
     )
@@ -624,3 +637,87 @@ class TestVerifyMemory:
         results, peak = traced_peak(verify_grid, document, bridge(document))
         assert all(report.ok and report.answer_sets == 9908 for _, report in results)
         assert peak < 3 * 2**20
+
+
+def weighted_choice_text(seed, n):
+    """A choice over atoms 1..n with two priorities: one term per atom at
+    priority 0 and one per fourth atom at priority 1, weights in 1..1000 and
+    about a fifth of the literals negated."""
+    rng = random.Random(seed)
+
+    def terms(atoms):
+        return tuple((-a if rng.random() < 0.2 else a, rng.randint(1, 1000)) for a in atoms)
+
+    statements = (
+        aspif.Rule(aspif.CHOICE, tuple(range(1, n + 1)), aspif.NormalBody(())),
+        aspif.Minimize(0, terms(range(1, n + 1))),
+        aspif.Minimize(1, terms(range(1, n + 1, 4))),
+    )
+    return aspif.write(aspif.AspifDocument(statements=statements))
+
+
+def rewritten_text(source, config):
+    return aspif.write(rewrite_objective(aspif.parse(source), config)[0])
+
+
+class TestValuesPastTheOracle:
+    # the brute-force oracle stops at 24 search atoms; these objectives wire
+    # 128 and 512 literals and check the value under five assignments
+    @pytest.mark.parametrize(
+        "n,config",
+        [
+            (128, RewriteConfig(sparseness=1)),
+            (128, RewriteConfig(sparseness=2)),
+            (128, RewriteConfig(sparseness=None)),
+            (128, RewriteConfig(propagate=False)),
+            (512, RewriteConfig(depth_limit=8)),
+        ],
+        ids=["128-sparseness-1", "128-sparseness-2", "128-sparseness-inf", "128-no-propagate",
+             "512-depth-8"],
+    )
+    def test_every_priority_keeps_its_value(self, n, config):
+        source = weighted_choice_text(n, n)
+        assert value_mismatch(source, rewritten_text(source, config), n, seed=n) is None
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        source = weighted_choice_text(128, 128)
+        return source, rewritten_text(source, RewriteConfig()).split("\n")
+
+    @staticmethod
+    def first_comparator(lines):
+        # a comparator's min rule is the only two-body shape; its two max rules follow
+        return next(k for k, line in enumerate(lines) if line.startswith("1 0 1 ") and " 0 2 " in line)
+
+    def test_a_comparator_that_loses_a_max_rule_is_caught(self, wide):
+        source, lines = wide
+        c = self.first_comparator(lines)
+        mutant = lines[: c + 2] + lines[c + 3 :]
+        assert value_mismatch(source, "\n".join(mutant), 128, seed=128) is not None
+
+    def test_a_swapped_comparator_keeps_every_value(self, wide):
+        # the check is blind to a comparator's orientation, by construction:
+        # moving m = min(w_i, w_j) forward rests on w_i a + w_j b =
+        # (w_i - m) a + (w_j - m) b + m (min(a, b) + max(a, b)), which holds
+        # whichever output wire takes the min
+        source, lines = wide
+        c = self.first_comparator(lines)
+        low, high = lines[c].split(" ")[3], lines[c + 1].split(" ")[3]
+        swap = {low: high, high: low}
+        swapped = [
+            " ".join([*t[:3], swap[t[3]], *t[4:]]) for t in (l.split(" ") for l in lines[c : c + 3])
+        ]
+        mutant = lines[:c] + swapped + lines[c + 3 :]
+        assert mutant != lines
+        assert value_mismatch(source, "\n".join(mutant), 128, seed=128) is None
+
+    def test_dropping_an_inertia_rule_is_caught(self, wide):
+        source, lines = wide
+        # an inertia rule is the only rule for its head
+        heads = Counter(line.split(" ")[3] for line in lines if line.startswith("1 0 1 "))
+        inertia = next(
+            k for k, line in enumerate(lines)
+            if line.startswith("1 0 1 ") and heads[line.split(" ")[3]] == 1
+        )
+        mutant = lines[:inertia] + lines[inertia + 1 :]
+        assert value_mismatch(source, "\n".join(mutant), 128, seed=128) is not None
