@@ -15,12 +15,10 @@ from .asplang import (
     GroundProgram,
     SemanticsError,
     _dependency_order,
-    auto_split_atoms,
     enumerate_answer_sets_split,
     in_sorted_order,
 )
-from .encode import asp_of_network, dense_wire_atom_map
-from .network import Network
+from .rewrite import RewriteConfig, rewrite_objective
 
 
 def binomial_document(n: int, k: int, opt: bool = False) -> aspif.AspifDocument:
@@ -64,11 +62,6 @@ def check_binomial_bytes(n: int) -> None:
         raise SemanticsError(
             f"gen-binomial {n} could print {size} bytes, over the budget of {GEN_BYTE_BUDGET}"
         )
-
-
-def binomial_program(n: int, k: int) -> GroundProgram:
-    """The binomial document in the semantic model."""
-    return aspif.to_ground_program(binomial_document(n, k))[0]
 
 
 class Propagator(NamedTuple):
@@ -156,10 +149,9 @@ def _supported_candidates(program: GroundProgram) -> tuple[dict[int, int], int]:
 
     See ``enumerate_answer_sets_split``.  Requires empty-bodied choice rules
     and negation-free, acyclic normal rules.  Such a program is tight, so its
-    supported models are its answer sets.  The enumerator splits where
-    ``auto_split_atoms`` does.  With no negation the choice atoms are all it
-    guesses, so each choice subset is one bit lane and the budget counts its
-    lanes.
+    supported models are its answer sets.  With no negation the choice atoms
+    are all the enumerator guesses, so each choice subset is one bit lane and
+    the budget counts its lanes.
     """
     choice_atoms: set[int] = set()
     for c in program.choice_rules:
@@ -172,7 +164,7 @@ def _supported_candidates(program: GroundProgram) -> tuple[dict[int, int], int]:
     if _dependency_order(program.normal_rules)[1]:
         raise SemanticsError("positive rule cycle defeats candidate closure")
     check_candidate_cost(len(choice_atoms), len(program.normal_rules))
-    return enumerate_answer_sets_split(program, auto_split_atoms(program))
+    return enumerate_answer_sets_split(program)
 
 
 def run_pch(program: GroundProgram, propagator: Propagator) -> PropagatorTrace:
@@ -204,27 +196,20 @@ def run_pch(program: GroundProgram, propagator: Propagator) -> PropagatorTrace:
     return PropagatorTrace(tuple(assignments), tuple(learned), True)
 
 
-def attach_network(program: GroundProgram, network: Network) -> tuple[GroundProgram, range]:
-    """Graft a network's rule translation onto input atoms 1..width.
+def attach_network(
+    document: aspif.AspifDocument, depth_limit: int | None
+) -> tuple[GroundProgram, Sequence[int]]:
+    """The document rewritten with its objective's sorter, and the atoms a propagator watches.
 
-    It adds ``width * depth + size`` rules: three per comparator and one per
-    (wire, level) position that no comparator touches.  They are read back
-    from their aspif lines, as ``verify`` reads a rewrite.  The wire atoms
-    are one block from the first atom above every program atom and input.
-    Returns the merged program and the network's output atoms, the inputs
-    themselves when the network has no level.
+    The document is rewritten as ``optsort rewrite --depth D --no-propagate``
+    writes it, since nothing here reads the weights, and read back from its
+    aspif text, as ``verify`` reads a rewrite.  The document must hold one
+    objective level.  The watched atoms are the last column of the level's
+    atom block, or the level's own literals when it is not wired.
     """
-    inputs = range(1, network.width + 1)
-    first = max(program.signature | frozenset(inputs), default=0) + 1
-    columns = dense_wire_atom_map(inputs, first, network.depth)
-    statements = tuple(map(aspif.Raw, asp_of_network(network, inputs, first)))
-    text = aspif.write(aspif.AspifDocument(statements=statements))
-    rules = aspif.to_ground_program(aspif.parse(text))[0].normal_rules
-    merged = GroundProgram(
-        signature=program.signature.union(inputs, *columns[1:]),
-        normal_rules=program.normal_rules + rules,
-        choice_rules=program.choice_rules,
-        cardinality_constraints=program.cardinality_constraints,
-        nogoods=program.nogoods,
-    )
-    return merged, columns[-1]
+    rewritten, report = rewrite_objective(document, RewriteConfig(depth_limit, propagate=False))
+    program, objectives = aspif.to_ground_program(aspif.parse(aspif.write(rewritten)))
+    (level,) = report.levels
+    if level.network_width:
+        return program, level.atoms[-level.network_width:]
+    return program, [literal for literal, _ in objectives[level.priority]]

@@ -16,13 +16,11 @@ from . import aspif
 from .analysis import (
     attach_network,
     binomial_document,
-    binomial_program,
     card_propagator,
     check_binomial_bytes,
     check_candidate_cost,
     run_pch,
 )
-from .asplang import SemanticsError, auto_split_atoms
 from .network import layout_diagram, oe_sorter, render_diagram
 from .rewrite import (
     VERIFY_GRID,
@@ -77,17 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="brute-force check rewriting on a document or random programs"
     )
-    p_verify.add_argument("input", nargs="?", help="aspif file (default: stdin when piped)")
+    p_verify.add_argument("input", nargs="?", help="aspif file (default: stdin)")
     p_verify.add_argument(
         "--random", action="store_true", help="sweep seeded random programs instead of reading input"
     )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=20, help="number of random programs")
-    p_verify.add_argument(
-        "--max-atoms", type=int, default=16,
-        help="refuse inputs with more search atoms: the atoms of choice rules and constraints, "
-        "negated atoms, and the atoms of the rules defining any of these",
-    )
 
     p_pch = sub.add_parser("pch", help="simulate the propagator call history on a binomial program")
     p_pch.add_argument("n", type=int)
@@ -158,13 +151,8 @@ def _cmd_gen_sorter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_document(doc: aspif.AspifDocument, max_atoms: int) -> tuple[bool, list[str]]:
+def _verify_document(doc: aspif.AspifDocument) -> tuple[bool, list[str]]:
     before = aspif.to_ground_program(doc)
-    searched = len(auto_split_atoms(before[0]))
-    if searched > max_atoms:
-        raise SemanticsError(
-            f"{searched} search atoms exceed --max-atoms {max_atoms}"
-        )
     lines = []
     ok = True
     for config, report in verify_grid(doc, before):
@@ -183,9 +171,8 @@ def _verify_document(doc: aspif.AspifDocument, max_atoms: int) -> tuple[bool, li
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not args.random and (args.input is not None or not sys.stdin.isatty()):
-        doc = _read_document(args.input)
-        ok, lines = _verify_document(doc, args.max_atoms)
+    if not args.random:
+        ok, lines = _verify_document(_read_document(args.input))
         print("\n".join(lines))
         return 0 if ok else 1
     if args.count < 0:
@@ -194,10 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # every program is checked before any line is printed, so a refusal
     # leaves stdout empty
     seeds = range(args.seed, args.seed + args.count)
-    verdicts = [
-        _verify_document(random_opt_document(random.Random(s)), args.max_atoms)[0]
-        for s in seeds
-    ]
+    verdicts = [_verify_document(random_opt_document(random.Random(s)))[0] for s in seeds]
     for seed, ok in zip(seeds, verdicts):
         print(f"program seed={seed} {'ok' if ok else 'FAIL'}")
     print(f"verified {len(seeds)} programs x {len(VERIFY_GRID)} configurations")
@@ -216,21 +200,16 @@ def _cmd_pch(args: argparse.Namespace) -> int:
             f"unknown network kind {args.network!r} for --network, "
             "expected 'none', 'full' or 'depth:D' with an integer D >= 0"
         )
+    depth_limit = 0 if args.network == "none" else None if args.network == "full" else int(depth)
     # the cost is checked before the program is built: the binomial program
     # has no normal rules, and a sorter, once the rule budget admits it,
     # adds width x depth + size
-    rules = 0
-    if args.network != "none":
-        depth_limit = int(depth) if kind == "depth" else None
-        check_rule_budget([args.n], depth_limit, f"a sorter on {args.n} wires")
-        network = oe_sorter(args.n, depth_limit)
-        rules = network.width * network.depth + network.size()
-    check_candidate_cost(args.n, rules)
-    program = binomial_program(args.n, args.k)
-    outputs = range(1, args.n + 1)
-    if args.network != "none":
-        program, outputs = attach_network(program, network)
-    trace = run_pch(program, card_propagator(outputs, args.k))
+    check_rule_budget([args.n], depth_limit, f"a sorter on {args.n} wires")
+    network = oe_sorter(args.n, depth_limit)
+    check_candidate_cost(args.n, network.width * network.depth + network.size())
+    document = binomial_document(args.n, args.k, opt=True)
+    program, watched = attach_network(document, depth_limit)
+    trace = run_pch(program, card_propagator(watched, args.k))
     if args.trace:
         print(trace.to_text())
     else:

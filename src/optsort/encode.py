@@ -8,8 +8,8 @@ after it are one block of fresh atoms (see ``dense_wire_atom_map``), and no
 rule negates one.  Each rule is one aspif normal-rule line, formatted from
 ``ONE_BODY_RULE`` or ``TWO_BODY_RULE``, the only two rule shapes a rewrite
 adds.  A rewrite writes a level's lines verbatim as one ``aspif.Raw``
-statement; ``verify`` and ``analysis.attach_network`` read them back through
-``aspif.parse``.
+statement; ``verify`` and ``pch`` (through ``analysis.attach_network``)
+read the rewrite's text back through ``aspif.parse``.
 """
 
 from __future__ import annotations

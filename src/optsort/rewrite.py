@@ -23,7 +23,6 @@ from .asplang import (
     MAX_ENUM_ATOMS,
     GroundProgram,
     answer_lanes,
-    auto_split_atoms,
     enumerate_answer_sets_layered,
     guessed_atoms,
     in_sorted_order,
@@ -402,7 +401,7 @@ def verify_grid(
         _check_wiring(normalized, depth)
     # past the brute-force guard the enumeration refuses first, with its own error
     program = before[0]
-    guessed = len(guessed_atoms(program, auto_split_atoms(program)))
+    guessed = len(guessed_atoms(program))
     atoms = len(program.signature) + sum(
         n * _sorter_depth(n, None) for n in _wired_sizes(normalized)
     )

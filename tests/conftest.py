@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from optsort import aspif
-from optsort.analysis import Propagator, PropagatorTrace, binomial_document
+from optsort.analysis import Propagator, PropagatorTrace, attach_network, binomial_document
 from optsort.asplang import (
     CardinalityConstraint,
     GroundProgram,
@@ -339,6 +339,11 @@ def constraint_holds(constraint: CardinalityConstraint, interpretation: frozense
     return held >= constraint.lower_bound
 
 
+def constraint_atoms(constraint: CardinalityConstraint | Nogood) -> frozenset[int]:
+    """The atoms of a cardinality constraint's or a nogood's literals."""
+    return frozenset(map(abs, constraint.literals))
+
+
 def nogood_holds(ng: Nogood, interpretation: frozenset[int]) -> bool:
     """Some literal of the nogood fails in the interpretation."""
     return not ng.conflicts_with(interpretation)
@@ -350,17 +355,13 @@ def assert_well_formed(program: GroundProgram) -> None:
     atom is >= 1, choice heads are nonempty, no nogood holds an atom with
     both signs, and each cardinality bound lies in 0..n + 1 for its n
     distinct literals."""
-    parts = [
-        *program.normal_rules,
-        *program.choice_rules,
-        *program.cardinality_constraints,
-        *program.nogoods,
-    ]
-    used = set().union(*(part.atoms() for part in parts))
+    rules = [*program.normal_rules, *program.choice_rules]
+    constraints = [*program.cardinality_constraints, *program.nogoods]
+    used = set().union(*(r.atoms() for r in rules), *map(constraint_atoms, constraints))
     assert used <= program.signature, sorted(used - program.signature)
     assert all(a >= 1 for a in program.signature)
     assert all(c.head_atoms for c in program.choice_rules)
-    assert all(len(ng.atoms()) == len(ng.literals) for ng in program.nogoods)
+    assert all(len(constraint_atoms(ng)) == len(ng.literals) for ng in program.nogoods)
     for cc in program.cardinality_constraints:
         assert 0 <= cc.lower_bound <= len(set(cc.literals)) + 1, cc
 
@@ -512,6 +513,18 @@ def optimal_value(program: GroundProgram, terms: Sequence[tuple[int, int]]) -> i
     if not answer_sets:
         return None
     return min(evaluate(terms, m) for m in answer_sets)
+
+
+def binomial_program(n: int, k: int) -> GroundProgram:
+    """The binomial document in the semantic model."""
+    return aspif.to_ground_program(binomial_document(n, k))[0]
+
+
+def binomial_with_sorter(
+    n: int, k: int, depth_limit: int | None = None
+) -> tuple[GroundProgram, Sequence[int]]:
+    """The binomial program with a sorter on its objective, as ``pch`` builds it, and the watched atoms."""
+    return attach_network(binomial_document(n, k, opt=True), depth_limit)
 
 
 def binomial_opt_program(n: int, k: int) -> tuple[GroundProgram, tuple[tuple[int, int], ...]]:

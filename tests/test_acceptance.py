@@ -11,13 +11,7 @@ from itertools import product
 from pathlib import Path
 
 from optsort import aspif
-from optsort.analysis import (
-    attach_network,
-    binomial_document,
-    binomial_program,
-    card_propagator,
-    run_pch,
-)
+from optsort.analysis import binomial_document, card_propagator, run_pch
 from optsort.asplang import enumerate_answer_sets_layered
 from optsort.encode import asp_of_network, dense_wire_atom_map
 from optsort.network import ConfinedNetwork, Network, decompose_sparse, limit_depth, oe_sorter
@@ -38,6 +32,8 @@ from optsort.rewrite import (
 from conftest import (
     apply,
     binary_vectors,
+    binomial_program,
+    binomial_with_sorter,
     column,
     gate_triples,
     input_facts,
@@ -265,9 +261,8 @@ def test_07_propagator_history_length_is_binomial():
 def test_08_sorter_caps_history_length_linearly():
     worst = 0
     for n in range(2, 11):
-        net = oe_sorter(n)
         for k in range(1, n + 1):
-            program, outputs = attach_network(binomial_program(n, k), net)
+            program, outputs = binomial_with_sorter(n, k)
             propagator = card_propagator(outputs, k)
             trace = run_pch(program, propagator)
             assert trace.complete

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from optsort import analysis
+from optsort import analysis, aspif
 from optsort.analysis import (
     attach_network,
-    binomial_program,
     card_propagator,
     check_candidate_cost,
     run_pch,
@@ -20,11 +19,13 @@ from optsort.asplang import (
     SemanticsError,
     lane_sum,
 )
-from optsort.network import limit_depth, oe_sorter
+from optsort.network import oe_sorter
 
 from conftest import (
     assert_well_formed,
     binomial_opt_program,
+    binomial_program,
+    binomial_with_sorter,
     constraint_holds,
     constraint_nogoods,
     enumerate_answer_sets,
@@ -168,7 +169,7 @@ class TestReferencePch:
             program = binomial_program(n, k)
             atoms = list(range(1, n + 1))
             if networked:
-                program, atoms = attach_network(program, oe_sorter(n))
+                program, atoms = binomial_with_sorter(n, k)
             assert_matches_reference(program, card_propagator(atoms, k))
 
     def test_rules_deriving_choice_atoms_match_the_frozenset_filter(self):
@@ -182,7 +183,7 @@ class TestReferencePch:
         assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2))
 
     def test_incomplete_history_matches_the_frozenset_filter(self):
-        program, outputs = attach_network(binomial_program(4, 1), limit_depth(oe_sorter(4), 1))
+        program, outputs = binomial_with_sorter(4, 1, 1)
         propagator = card_propagator(outputs, 3)
         assert not run_pch(program, propagator).complete
         assert_matches_reference(program, propagator)
@@ -257,7 +258,7 @@ class TestPchMemory:
     def test_full_sorter_at_fourteen_over_seven_keeps_candidates_as_lanes(self):
         # A set for each of the 9908 candidates peaked at 43 MB; only the
         # visited candidates become sets
-        program, outputs = attach_network(binomial_program(14, 7), oe_sorter(14))
+        program, outputs = binomial_with_sorter(14, 7)
         propagator = card_propagator(outputs, 7)
         trace, peak = traced_peak(run_pch, program, propagator)
         assert trace.summary() == "m=8 complete=true"
@@ -290,7 +291,7 @@ class TestNetworkedPch:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_sorter_outputs_cap_the_history_linearly(self, n):
         for k in range(1, n + 1):
-            program, outputs = attach_network(binomial_program(n, k), oe_sorter(n))
+            program, outputs = binomial_with_sorter(n, k)
             propagator = card_propagator(outputs, k)
             trace = run_pch(program, propagator)
             assert trace.complete
@@ -298,7 +299,7 @@ class TestNetworkedPch:
 
     def test_distinct_first_output_positions_bound_the_learned_nogoods(self):
         n, k = 6, 3
-        program, outputs = attach_network(binomial_program(n, k), oe_sorter(n))
+        program, outputs = binomial_with_sorter(n, k)
         trace = run_pch(program, card_propagator(outputs, k))
         first_positions = {
             min(outputs.index(a) for a in ng)
@@ -308,7 +309,7 @@ class TestNetworkedPch:
         assert len(first_positions) <= n - k + 1
 
     def test_networked_trace_survives_post_hoc_validation(self):
-        program, outputs = attach_network(binomial_program(3, 2), oe_sorter(3))
+        program, outputs = binomial_with_sorter(3, 2)
         propagator = card_propagator(outputs, 2)
         trace = run_pch(program, propagator)
         assert verify_trace(program, propagator, trace)
@@ -320,19 +321,19 @@ class TestNetworkedPch:
             for depth in (None, 0, 1, 3):
                 network = oe_sorter(n, depth)
                 program = binomial_program(n, n // 2)
-                attached, _ = attach_network(program, network)
+                attached, _ = binomial_with_sorter(n, n // 2, depth)
                 added = len(attached.normal_rules) - len(program.normal_rules)
                 assert added == network.width * network.depth + network.size(), (n, depth)
 
     def test_attached_programs_are_well_formed(self):
         for n in range(9):
             for k in range(n + 2):
-                attached, _ = attach_network(binomial_program(n, k), oe_sorter(n))
+                attached, _ = binomial_with_sorter(n, k)
                 assert_well_formed(attached)
 
     def test_wire_atoms_follow_the_inputs_and_the_last_column_is_returned(self):
         network = oe_sorter(5)
-        attached, outputs = attach_network(binomial_program(5, 2), network)
+        attached, outputs = binomial_with_sorter(5, 2)
         last = 5 * network.depth
         assert outputs == range(last + 1, last + 6)
         assert attached.signature == frozenset(range(1, last + 6))
@@ -340,7 +341,13 @@ class TestNetworkedPch:
     def test_the_wire_block_starts_above_a_program_atom_past_the_inputs(self):
         # atoms 1..3 stay the inputs, and no wire atom shares atom 7
         network = oe_sorter(3)
-        attached, outputs = attach_network(GroundProgram(frozenset({1, 7})), network)
+        document = aspif.AspifDocument(
+            statements=(
+                aspif.Rule(aspif.CHOICE, (1, 7), aspif.NormalBody(())),
+                aspif.Minimize(0, ((1, 1), (2, 1), (3, 1))),
+            )
+        )
+        attached, outputs = attach_network(document, None)
         last = 7 + 3 * (network.depth - 1)
         assert outputs == range(last + 1, last + 4)
         assert attached.signature == frozenset({1, 2, 3, 7, *range(8, last + 4)})
@@ -348,9 +355,13 @@ class TestNetworkedPch:
         assert {a for rule in attached.normal_rules for a in rule.pos_body} >= {1, 2, 3}
 
     def test_a_network_without_levels_outputs_its_inputs(self):
-        attached, outputs = attach_network(binomial_program(4, 2), oe_sorter(4, 0))
-        assert outputs == range(1, 5)
+        # depth 0 wires nothing, and one term is not wired at any depth
+        attached, outputs = binomial_with_sorter(4, 2, 0)
+        assert list(outputs) == [1, 2, 3, 4]
         assert attached == binomial_program(4, 2)
+        attached, outputs = binomial_with_sorter(1, 1)
+        assert list(outputs) == [1]
+        assert attached == binomial_program(1, 1)
 
     def test_rejects_programs_with_negation(self):
         program = binomial_program(2, 1)

@@ -14,7 +14,6 @@ from optsort.asplang import (
     Nogood,
     SemanticsError,
     answer_lanes,
-    auto_split_atoms,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
     in_sorted_order,
@@ -24,6 +23,7 @@ from optsort.asplang import (
 
 from conftest import (
     closure,
+    constraint_atoms,
     enumerate_answer_sets,
     evaluate,
     fact,
@@ -58,6 +58,23 @@ def answer_sets(p):
     models = lane_models(enumerate_answer_sets_layered(p))
     assert models == enumerate_answer_sets(p)
     return models
+
+
+def part_below(p, bottom):
+    """The rules defining the bottom atoms, the choice rules and the constraints over the bottom alone."""
+    return program(
+        bottom,
+        [r for r in p.normal_rules if r.head in bottom],
+        p.choice_rules,
+        [cc for cc in p.cardinality_constraints if constraint_atoms(cc) <= bottom],
+        [ng for ng in p.nogoods if constraint_atoms(ng) <= bottom],
+    )
+
+
+def split_lanes(p, bottom):
+    """The answer lanes of p closed over the oracle's answer sets of its part below ``bottom``."""
+    below = models_as_lanes(enumerate_answer_sets(part_below(p, bottom)), bottom)
+    return answer_lanes(p, bottom, below)
 
 
 class TestExpandCardinality:
@@ -241,7 +258,9 @@ class TestSplitEnumeration:
             not_body = rng.sample(sorted(bottom), k=rng.randint(0, 1))
             rules.append(rule(t, body, not_body))
         p = program(bottom | top, rules=rules, choices=[ChoiceRule(bottom)])
-        assert lane_models(enumerate_answer_sets_split(p, bottom)) == enumerate_answer_sets(p)
+        direct = enumerate_answer_sets(p)
+        assert lane_models(enumerate_answer_sets_split(p)) == direct
+        assert lane_models(split_lanes(p, bottom)) == direct
 
     @pytest.mark.parametrize("seed", range(40))
     def test_split_equals_direct_with_straddling_constraints(self, seed):
@@ -279,8 +298,8 @@ class TestSplitEnumeration:
             nogoods=nogoods,
         )
         direct = enumerate_answer_sets(p)
-        assert lane_models(enumerate_answer_sets_split(p, bottom)) == direct
-        assert lane_models(enumerate_answer_sets_layered(p)) == direct
+        assert lane_models(enumerate_answer_sets_split(p)) == direct
+        assert lane_models(split_lanes(p, bottom)) == direct
 
     def test_answer_sets_keep_their_guess_lanes_under_the_answers_mask(self):
         # a free choice over four atoms kept to at least three: 16 guess
@@ -292,10 +311,13 @@ class TestSplitEnumeration:
             choices=[ChoiceRule(atoms)],
             cardinality=[CardinalityConstraint(tuple(sorted(atoms)), 3)],
         )
-        lanes, answers = enumerate_answer_sets_split(p, atoms)
+        lanes, answers = enumerate_answer_sets_split(p)
         assert answers.bit_count() == 5 and answers.bit_length() == 16
         assert all(held and not held & ~answers for held in lanes.values())
         assert lane_models((lanes, answers)) == enumerate_answer_sets(p)
+
+    # The three refusals of closing a program over the answer sets below a
+    # splitting set; guessing over the whole program takes each program.
 
     def test_split_refuses_an_upper_choice_rule(self):
         p = program(
@@ -305,8 +327,11 @@ class TestSplitEnumeration:
                 ChoiceRule(frozenset({2}), frozenset({1})),
             ],
         )
-        with pytest.raises(SemanticsError, match="above the splitting set"):
-            enumerate_answer_sets_split(p, frozenset({1}))
+        with pytest.raises(
+            SemanticsError, match=r"^choice rule for \[2\] lies above the splitting set$"
+        ):
+            answer_lanes(p, frozenset({1}), models_as_lanes([frozenset(), {1}], {1}))
+        assert lex(answer_sets(p)) == [[], [1], [1, 2]]
 
     def test_split_refuses_a_negated_upper_atom(self):
         p = program(
@@ -314,8 +339,11 @@ class TestSplitEnumeration:
             rules=[rule(2, body=[1], not_body=[3]), rule(3, not_body=[2])],
             choices=[ChoiceRule(frozenset({1}))],
         )
-        with pytest.raises(SemanticsError, match="negates atoms"):
-            enumerate_answer_sets_split(p, frozenset({1}))
+        with pytest.raises(
+            SemanticsError, match=r"^rule for 2 negates atoms \[3\] above the splitting set$"
+        ):
+            answer_lanes(p, frozenset({1}), models_as_lanes([frozenset(), {1}], {1}))
+        assert lex(answer_sets(p)) == [[1, 2], [1, 3], [3]]
 
     def test_layered_enumeration_matches_direct(self):
         p = program(
@@ -327,8 +355,9 @@ class TestSplitEnumeration:
 
     def test_split_rejects_leaky_bottom(self):
         p = program({1, 2}, rules=[rule(1, body=[2]), rule(2)])
-        with pytest.raises(SemanticsError):
-            enumerate_answer_sets_split(p, frozenset({1}))
+        with pytest.raises(SemanticsError, match="^rule for 1 reaches outside the splitting set$"):
+            answer_lanes(p, frozenset({1}), models_as_lanes([frozenset({1})], {1}))
+        assert lex(answer_sets(p)) == [[1, 2]]
 
     def test_straddling_nogoods_filter_combined_models(self):
         p = program(
@@ -337,7 +366,7 @@ class TestSplitEnumeration:
             choices=[ChoiceRule(frozenset({1}))],
             nogoods=[nogood(true_atoms=[2])],
         )
-        assert lane_models(enumerate_answer_sets_split(p, frozenset({1}))) == [frozenset()]
+        assert lane_models(enumerate_answer_sets_split(p)) == [frozenset()]
 
 
 class TestObjectives:
@@ -413,6 +442,53 @@ def subsets(pool, most):
 
 
 @st.composite
+def constraints(draw, atoms):
+    """Cardinality constraints and nogoods over the atoms."""
+    cardinality = []
+    for _ in range(draw(st.integers(0, 2))):
+        literal = signed_literals(st.sampled_from(atoms))
+        literals = draw(st.lists(literal, min_size=1, max_size=4))
+        bound = draw(st.integers(0, len(set(literals)) + 1))
+        cardinality.append(CardinalityConstraint(tuple(literals), bound))
+    signs = st.dictionaries(st.sampled_from(atoms), st.booleans(), min_size=1, max_size=3)
+    nogoods = [
+        Nogood(frozenset(a if positive else -a for a, positive in draw(signs).items()))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return cardinality, nogoods
+
+
+@st.composite
+def unsplit_programs(draw):
+    """A program over atoms 1..n whose rules and choice rules range over every atom.
+
+    Rules negate derived atoms and form positive cycles, and choice bodies
+    read derived atoms of either sign, so no smaller splitting set helps.
+    """
+    atoms = list(range(1, draw(st.integers(1, 6)) + 1))
+    literal = signed_literals(st.sampled_from(atoms))
+    choices = [
+        ChoiceRule(
+            frozenset(draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))),
+            frozenset(draw(st.lists(literal, max_size=2))),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    rules = [
+        rule(draw(st.sampled_from(atoms)), draw(subsets(atoms, 2)), draw(subsets(atoms, 2)))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    cardinality, nogoods = draw(constraints(atoms))
+    return program(atoms, rules, choices, cardinality, nogoods)
+
+
+@given(unsplit_programs())
+@settings(max_examples=300, deadline=None)
+def test_guessing_over_the_whole_program_matches_the_brute_force_oracle(p):
+    assert lane_models(enumerate_answer_sets_split(p)) == enumerate_answer_sets(p)
+
+
+@st.composite
 def split_programs(draw):
     """A program over bottom atoms 1..b and upper atoms above them, with its bottom.
 
@@ -442,17 +518,7 @@ def split_programs(draw):
         )
         for _ in range(draw(st.integers(0, 2 * n_top)))
     ]
-    signs = st.dictionaries(st.sampled_from(everything), st.booleans(), min_size=1, max_size=3)
-    nogoods = [
-        Nogood(frozenset(a if positive else -a for a, positive in draw(signs).items()))
-        for _ in range(draw(st.integers(0, 2)))
-    ]
-    cardinality = []
-    for _ in range(draw(st.integers(0, 2))):
-        literal = signed_literals(st.sampled_from(everything))
-        literals = draw(st.lists(literal, min_size=1, max_size=4))
-        bound = draw(st.integers(0, len(set(literals)) + 1))
-        cardinality.append(CardinalityConstraint(tuple(literals), bound))
+    cardinality, nogoods = draw(constraints(everything))
     p = program(everything, rules, choices, cardinality, nogoods)
     return p, frozenset(bottom)
 
@@ -460,22 +526,12 @@ def split_programs(draw):
 @given(split_programs())
 @settings(max_examples=300, deadline=None)
 def test_lane_enumeration_matches_the_brute_force_oracle(case):
-    # guessing below the split, or closing the upper rules over the answer
-    # sets of the part below it, gives the oracle's answer sets
+    # guessing over the whole program, or closing the upper rules over the
+    # answer sets of the part below the split, gives the oracle's answer sets
     p, bottom = case
     expected = enumerate_answer_sets(p)
     assert lane_models(enumerate_answer_sets_layered(p)) == expected
-    assert lane_models(enumerate_answer_sets_split(p, auto_split_atoms(p))) == expected
-    assert lane_models(enumerate_answer_sets_split(p, bottom)) == expected
-    below = program(
-        bottom,
-        [r for r in p.normal_rules if r.head in bottom],
-        p.choice_rules,
-        [cc for cc in p.cardinality_constraints if cc.atoms() <= bottom],
-        [ng for ng in p.nogoods if ng.atoms() <= bottom],
-    )
-    bottom_lanes = models_as_lanes(enumerate_answer_sets(below), bottom)
-    assert lane_models(answer_lanes(p, bottom, bottom_lanes)) == expected
+    assert lane_models(split_lanes(p, bottom)) == expected
     # the enumerator's lanes of the part below, spread under its mask, too
-    below_lanes = enumerate_answer_sets_split(below, bottom)
+    below_lanes = enumerate_answer_sets_split(part_below(p, bottom))
     assert lane_models(answer_lanes(p, bottom, below_lanes)) == expected

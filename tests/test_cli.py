@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from optsort import aspif
 from optsort.analysis import binomial_document
 from optsort.cli import main
-from optsort.rewrite import random_opt_document
 
 from conftest import aspif_texts, enumerate_answer_sets
 
@@ -305,17 +304,36 @@ class TestVerifyCommand:
         assert out1 == out2
         assert "verified 3 programs x 30 configurations" in out1
 
-    def test_oversized_input_is_refused(self, capsys, monkeypatch):
-        _, generated, _ = run(capsys, monkeypatch, ["gen-binomial", "18", "9"])
-        code, _, err = run(
-            capsys, monkeypatch, ["verify", "--max-atoms", "10"], stdin=generated
-        )
-        assert code == 2 and "exceed" in err
+    def test_a_terminal_stdin_is_read_as_the_document(self, capsys, monkeypatch):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        monkeypatch.setattr("sys.stdin", Terminal(TWO_TERM_DOC))
+        code = main(["verify"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("\n") == 30 and out.count(" ok answer_sets=4\n") == 30
+
+    def test_seventeen_over_eight_verifies_at_default_flags(self, capsys, monkeypatch):
+        # 272 atoms (17 input, 255 full-depth wire atoms) over 2^17 lanes:
+        # 3.6e7 lane bits, well inside the lane budget
+        _, generated, _ = run(capsys, monkeypatch, ["gen-binomial", "17", "8", "--opt"])
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin=generated)
+        assert (code, err) == (0, "")
+        assert out.count(" ok answer_sets=") == 30 and "FAIL" not in out
+
+    def test_max_atoms_is_a_usage_error(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as stop:
+            run(capsys, monkeypatch, ["verify", "--max-atoms", "16"], stdin=TWO_TERM_DOC)
+        captured = capsys.readouterr()
+        assert stop.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --max-atoms\n")
 
     def test_more_guessed_atoms_than_the_guard_are_refused(self, capsys, monkeypatch):
         _, generated, _ = run(capsys, monkeypatch, ["gen-binomial", "25", "12", "--opt"])
         code, out, err = run(
-            capsys, monkeypatch, ["verify", "--max-atoms", "30"], stdin=generated
+            capsys, monkeypatch, ["verify"], stdin=generated
         )
         assert (code, out) == (2, "")
         assert err == "error: 25 atoms exceed the brute-force guard of 24\n"
@@ -340,9 +358,7 @@ class TestVerifyCommand:
         monkeypatch.setattr("optsort.rewrite.rewrite_objective", started)
         monkeypatch.setattr("optsort.rewrite.enumerate_answer_sets_layered", started)
         start = time.perf_counter()
-        code, out, err = run(
-            capsys, monkeypatch, ["verify", "--max-atoms", "20"], stdin="\n".join(lines)
-        )
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin="\n".join(lines))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == (
@@ -416,17 +432,6 @@ class TestVerifyCommand:
         code, out, err = run(capsys, monkeypatch, ["verify", "--random", "--count", "3"])
         assert (code, out) == (2, "")
         assert err.endswith("would check 3 x 30 configurations, over the budget of 60\n")
-
-    def test_random_sweep_honours_max_atoms(self, capsys, monkeypatch):
-        document = aspif.write(random_opt_document(random.Random(0)))
-        refusals = [
-            run(capsys, monkeypatch, ["verify", "--max-atoms", "-1"], stdin=document),
-            run(capsys, monkeypatch, ["verify", "--random", "--count", "1", "--max-atoms", "-1"]),
-        ]
-        assert refusals[0][0] == 2 and refusals[0][1] == ""
-        assert refusals[0][2].count("\n") == 1
-        assert "exceed --max-atoms -1" in refusals[0][2]
-        assert refusals[1] == refusals[0]
 
 
 class TestPchCommand:

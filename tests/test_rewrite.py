@@ -661,7 +661,7 @@ def rewritten_text(source, config):
 
 
 class TestValuesPastTheOracle:
-    # the brute-force oracle stops at 24 search atoms; these objectives wire
+    # the brute-force oracle stops at 24 guessed atoms; these objectives wire
     # 128 and 512 literals and check the value under five assignments
     @pytest.mark.parametrize(
         "n,config",
