@@ -27,18 +27,12 @@ class NormalRule(NamedTuple):
     pos_body: frozenset[int] = frozenset()
     neg_body: frozenset[int] = frozenset()
 
-    def atoms(self) -> frozenset[int]:
-        return frozenset({self.head}) | self.pos_body | self.neg_body
-
 
 class ChoiceRule(NamedTuple):
     """Justifies any subset of its head atoms when the body holds."""
 
     head_atoms: frozenset[int]
     body: frozenset[int] = frozenset()
-
-    def atoms(self) -> frozenset[int]:
-        return self.head_atoms | frozenset(map(abs, self.body))
 
 
 class CardinalityConstraint(NamedTuple):
@@ -251,35 +245,25 @@ def enumerate_answer_sets_split(program: GroundProgram) -> tuple[dict[int, int],
 
 
 def answer_lanes(
-    program: GroundProgram,
-    bottom_atoms: frozenset[int] = frozenset(),
-    bottom: tuple[dict[int, int], int] | None = None,
+    program: GroundProgram, given: tuple[dict[int, int], int] | None = None
 ) -> tuple[dict[int, int], int]:
     """Answer sets as (atom lanes, answers), one answer set per answer lane.
 
-    Without ``bottom``, each guess is one bit lane: a subset of the
-    program's ``guessed_atoms``.  One ``least_model`` call closes the rules
-    in every lane: a negated atom is read from the guess, and a choice head
-    is derivable only where it is guessed.  A lane is stable when the atoms
-    it derives equal its guess on the guessed atoms; every other atom is
-    derived.  The stable lanes that pass the nogoods and cardinality
-    constraints are the answer sets, and ``answers`` is their mask.  An
-    atom's lanes may also hold lanes outside it.
-
-    ``bottom``, when given, must hold the answer sets of the part below a
-    splitting set, ``bottom_atoms``, as the enumerators return them: each
-    bottom atom's lanes and the mask of answer lanes.  They are the answer
-    sets of the rules defining bottom atoms and the constraints over them
-    alone.  A rule defining a bottom atom and every choice rule may only
-    mention bottom atoms, and the rules above the split may negate bottom
-    atoms only; anything else raises SemanticsError.  Nothing is guessed
-    then, and the mask is the lane universe: each of its lanes holds its
-    bottom model as facts, and only the rules above the split are closed
-    over it.  By the splitting-set theorem each lane that passes the
-    constraints is one answer set, in the lane of its bottom model.
+    Each lane is one guess.  Without ``given``, the lanes are the subsets of
+    the program's ``guessed_atoms``.  ``given`` is (atom lanes, lane
+    universe) instead: each lane of the universe guesses true the atoms
+    whose lanes hold it and false the other atoms of ``given``, which must
+    include every guessed atom, or SemanticsError is raised.  One
+    ``least_model`` call closes the rules in every lane: a negated atom is
+    read from the guess, and a choice head is derivable only where it is
+    guessed.  A lane is stable when the atoms it derives equal its guess on
+    every atom it guesses; every other atom is derived.  The stable lanes that
+    pass the nogoods and cardinality constraints are the answer sets, and
+    ``answers`` is their mask.  An atom's lanes may also hold lanes outside
+    it.
     """
-    if bottom is None:
-        guessed = guessed_atoms(program)
+    guessed = guessed_atoms(program)
+    if given is None:
         if len(guessed) > MAX_ENUM_ATOMS:
             raise SemanticsError(
                 f"{len(guessed)} atoms exceed the brute-force guard of {MAX_ENUM_ATOMS}"
@@ -288,29 +272,10 @@ def answer_lanes(
         # The smallest atom takes the top bit: the models that come first by
         # their sorted atoms lie in the top lanes, which pch prunes first.
         guess = dict(zip(reversed(guessed), _choice_lanes(len(guessed))))
-        normal_rules, choice_rules = program.normal_rules, program.choice_rules
     else:
-        bottom_atoms = frozenset(bottom_atoms)
-        for r in program.normal_rules:
-            if r.head in bottom_atoms:
-                if not r.atoms() <= bottom_atoms:
-                    raise SemanticsError(
-                        f"rule for {r.head} reaches outside the splitting set"
-                    )
-            elif r.neg_body - bottom_atoms:
-                raise SemanticsError(
-                    f"rule for {r.head} negates atoms "
-                    f"{sorted(r.neg_body - bottom_atoms)} above the splitting set"
-                )
-        for c in program.choice_rules:
-            if not c.atoms() <= bottom_atoms:
-                raise SemanticsError(
-                    f"choice rule for {sorted(c.head_atoms)} lies above the splitting set"
-                )
-        bottom_lanes, all_lanes = bottom
-        guess = {a: bottom_lanes.get(a, 0) for a in bottom_atoms}
-        normal_rules = [r for r in program.normal_rules if r.head not in bottom_atoms]
-        choice_rules = ()
+        guess, all_lanes = given
+        if missing := [a for a in guessed if a not in guess]:
+            raise SemanticsError(f"the guess leaves out the guessed atoms {missing}")
 
     def unguessed(atoms: Iterable[int]) -> int:
         lanes = all_lanes
@@ -318,13 +283,15 @@ def answer_lanes(
             lanes &= all_lanes ^ guess.get(atom, 0)
         return lanes
 
-    rules = [LaneRule(r.head, r.pos_body, unguessed(r.neg_body)) for r in normal_rules]
-    for c in choice_rules:
+    rules = [LaneRule(r.head, r.pos_body, unguessed(r.neg_body)) for r in program.normal_rules]
+    for c in program.choice_rules:
         pos_body = frozenset(l for l in c.body if l > 0)
-        lanes = unguessed(-l for l in c.body if l < 0)
-        rules += (LaneRule(a, pos_body, lanes & guess[a]) for a in c.head_atoms)
-    if bottom is not None:
-        rules += (LaneRule(a, frozenset(), lanes) for a, lanes in guess.items())
+        negated = [-l for l in c.body if l < 0]
+        lanes = unguessed(negated)
+        # without a negated body a head takes its guess's own int: no new lane vector
+        rules += (
+            LaneRule(a, pos_body, lanes & guess[a] if negated else guess[a]) for a in c.head_atoms
+        )
     true_in = least_model(rules)
 
     def holds(literal: int) -> int:

@@ -305,7 +305,7 @@ def verify_rewrite(
     """Brute-force check that a rewrite preserves answer sets and values.
 
     The rewrite must keep the input's rules and constraints.  It is then
-    closed over the input's answer sets, each in its own lane: every lane
+    guessed as the input's answer sets, each in its own lane: every lane
     must survive its constraints (a bijection onto the input's answer sets)
     and keep every level's value (hence also at the optimum).
     ``before_lanes`` must be the input's ``enumerate_answer_sets_layered``.
@@ -320,7 +320,8 @@ def verify_rewrite(
         return VerifyReport(
             False, count, "the rewrite does not keep the input's rules and constraints"
         )
-    lanes, answers = answer_lanes(after_program, before_program.signature, before_lanes)
+    guess = {a: base_lanes.get(a, 0) for a in before_program.signature}
+    lanes, answers = answer_lanes(after_program, (guess, all_lanes))
     if answers != all_lanes:
         return VerifyReport(
             False, count, f"answer set counts differ: {count} vs {answers.bit_count()}"
@@ -330,7 +331,7 @@ def verify_rewrite(
         held = lanes.get(abs(literal), 0)
         return held if literal > 0 else all_lanes ^ held
 
-    # The input's atoms are facts in the rewrite's lanes, so one lane sum
+    # Each lane holds its input answer set on the input's atoms, so one lane sum
     # takes the input's value minus the rewrite's in every lane.
     for priority, terms in before_objectives.items():
         new_terms = after_objectives[priority]

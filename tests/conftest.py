@@ -11,6 +11,7 @@ from optsort import aspif
 from optsort.analysis import Propagator, PropagatorTrace, attach_network, binomial_document
 from optsort.asplang import (
     CardinalityConstraint,
+    ChoiceRule,
     GroundProgram,
     Nogood,
     NormalRule,
@@ -344,6 +345,13 @@ def constraint_atoms(constraint: CardinalityConstraint | Nogood) -> frozenset[in
     return frozenset(map(abs, constraint.literals))
 
 
+def rule_atoms(r: NormalRule | ChoiceRule) -> frozenset[int]:
+    """The atoms of a normal rule's head and body, or of a choice rule's heads and body literals."""
+    if isinstance(r, NormalRule):
+        return frozenset({r.head}) | r.pos_body | r.neg_body
+    return r.head_atoms | frozenset(map(abs, r.body))
+
+
 def nogood_holds(ng: Nogood, interpretation: frozenset[int]) -> bool:
     """Some literal of the nogood fails in the interpretation."""
     return not ng.conflicts_with(interpretation)
@@ -357,7 +365,7 @@ def assert_well_formed(program: GroundProgram) -> None:
     distinct literals."""
     rules = [*program.normal_rules, *program.choice_rules]
     constraints = [*program.cardinality_constraints, *program.nogoods]
-    used = set().union(*(r.atoms() for r in rules), *map(constraint_atoms, constraints))
+    used = set().union(*map(rule_atoms, rules), *map(constraint_atoms, constraints))
     assert used <= program.signature, sorted(used - program.signature)
     assert all(a >= 1 for a in program.signature)
     assert all(c.head_atoms for c in program.choice_rules)

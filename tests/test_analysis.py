@@ -36,6 +36,7 @@ from conftest import (
     optimal_value,
     reference_pch,
     rule,
+    rule_atoms,
     signed_literals,
     traced_peak,
     verify_trace,
@@ -52,7 +53,7 @@ def choice_program(n, normal_rules=(), cardinality_constraints=(), nogoods=()):
     """Free choice over atoms 1..n under the given rules and constraints."""
     atoms = set(range(1, n + 1))
     for r in normal_rules:
-        atoms |= r.atoms()
+        atoms |= rule_atoms(r)
     return GroundProgram(
         signature=frozenset(atoms),
         normal_rules=tuple(normal_rules),

@@ -16,6 +16,7 @@ from optsort.asplang import (
     answer_lanes,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
+    guessed_atoms,
     in_sorted_order,
     lane_sum,
     least_model,
@@ -72,9 +73,8 @@ def part_below(p, bottom):
 
 
 def split_lanes(p, bottom):
-    """The answer lanes of p closed over the oracle's answer sets of its part below ``bottom``."""
-    below = models_as_lanes(enumerate_answer_sets(part_below(p, bottom)), bottom)
-    return answer_lanes(p, bottom, below)
+    """The answer lanes of p guessed as the oracle's answer sets of its part below ``bottom``."""
+    return answer_lanes(p, models_as_lanes(enumerate_answer_sets(part_below(p, bottom)), bottom))
 
 
 class TestExpandCardinality:
@@ -316,34 +316,30 @@ class TestSplitEnumeration:
         assert all(held and not held & ~answers for held in lanes.values())
         assert lane_models((lanes, answers)) == enumerate_answer_sets(p)
 
-    # The three refusals of closing a program over the answer sets below a
-    # splitting set; guessing over the whole program takes each program.
-
-    def test_split_refuses_an_upper_choice_rule(self):
-        p = program(
+    def test_a_guess_that_leaves_out_a_guessed_atom_is_refused(self):
+        # a choice head read by a later choice body, and two derived atoms
+        # that negate each other, must be guessed; guessing over the whole
+        # program takes each program
+        upper_choice = program(
             {1, 2},
             choices=[
                 ChoiceRule(frozenset({1})),
                 ChoiceRule(frozenset({2}), frozenset({1})),
             ],
         )
-        with pytest.raises(
-            SemanticsError, match=r"^choice rule for \[2\] lies above the splitting set$"
-        ):
-            answer_lanes(p, frozenset({1}), models_as_lanes([frozenset(), {1}], {1}))
-        assert lex(answer_sets(p)) == [[], [1], [1, 2]]
-
-    def test_split_refuses_a_negated_upper_atom(self):
-        p = program(
+        negated_upper = program(
             {1, 2, 3},
             rules=[rule(2, body=[1], not_body=[3]), rule(3, not_body=[2])],
             choices=[ChoiceRule(frozenset({1}))],
         )
-        with pytest.raises(
-            SemanticsError, match=r"^rule for 2 negates atoms \[3\] above the splitting set$"
-        ):
-            answer_lanes(p, frozenset({1}), models_as_lanes([frozenset(), {1}], {1}))
-        assert lex(answer_sets(p)) == [[1, 2], [1, 3], [3]]
+        below = models_as_lanes([frozenset(), {1}], {1})
+        for p, missing in [(upper_choice, "[2]"), (negated_upper, "[2, 3]")]:
+            with pytest.raises(
+                SemanticsError, match=rf"^the guess leaves out the guessed atoms \{missing}$"
+            ):
+                answer_lanes(p, below)
+        assert lex(answer_sets(upper_choice)) == [[], [1], [1, 2]]
+        assert lex(answer_sets(negated_upper)) == [[1, 2], [1, 3], [3]]
 
     def test_layered_enumeration_matches_direct(self):
         p = program(
@@ -354,9 +350,10 @@ class TestSplitEnumeration:
         assert lane_models(enumerate_answer_sets_layered(p)) == enumerate_answer_sets(p)
 
     def test_split_rejects_leaky_bottom(self):
+        # atom 1 is derived from atom 2, outside the guess; the lane that
+        # guesses 1 derives both, as the oracle's one answer set holds
         p = program({1, 2}, rules=[rule(1, body=[2]), rule(2)])
-        with pytest.raises(SemanticsError, match="^rule for 1 reaches outside the splitting set$"):
-            answer_lanes(p, frozenset({1}), models_as_lanes([frozenset({1})], {1}))
+        assert lex(lane_models(answer_lanes(p, models_as_lanes([frozenset({1})], {1})))) == [[1, 2]]
         assert lex(answer_sets(p)) == [[1, 2]]
 
     def test_straddling_nogoods_filter_combined_models(self):
@@ -526,12 +523,30 @@ def split_programs(draw):
 @given(split_programs())
 @settings(max_examples=300, deadline=None)
 def test_lane_enumeration_matches_the_brute_force_oracle(case):
-    # guessing over the whole program, or closing the upper rules over the
-    # answer sets of the part below the split, gives the oracle's answer sets
+    # guessing over the whole program, or taking the answer sets of the part
+    # below the split as the guess, gives the oracle's answer sets
     p, bottom = case
     expected = enumerate_answer_sets(p)
     assert lane_models(enumerate_answer_sets_layered(p)) == expected
     assert lane_models(split_lanes(p, bottom)) == expected
     # the enumerator's lanes of the part below, spread under its mask, too
-    below_lanes = enumerate_answer_sets_split(part_below(p, bottom))
-    assert lane_models(answer_lanes(p, bottom, below_lanes)) == expected
+    below_lanes, below = enumerate_answer_sets_split(part_below(p, bottom))
+    given = ({a: below_lanes.get(a, 0) for a in bottom}, below)
+    assert lane_models(answer_lanes(p, given)) == expected
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_given_guess_keeps_the_answer_sets_that_agree_with_one_of_its_lanes(data):
+    # any atoms that cover the guessed ones, past the signature too, and any
+    # models over them as the lanes, often an answer set's restriction
+    p = data.draw(unsplit_programs())
+    extra = data.draw(st.frozensets(st.integers(1, 8), max_size=4))
+    atoms = sorted(set(guessed_atoms(p)) | extra)
+    oracle = enumerate_answer_sets(p)
+    model = st.frozensets(st.sampled_from(atoms)) if atoms else st.just(frozenset())
+    if oracle:
+        model |= st.sampled_from([m & set(atoms) for m in oracle])
+    models = data.draw(st.lists(model, min_size=1, max_size=12, unique=True))
+    expected = [m for m in oracle if m & set(atoms) in models]
+    assert lane_models(answer_lanes(p, models_as_lanes(models, atoms))) == expected

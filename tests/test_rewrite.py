@@ -542,9 +542,9 @@ class TestVerifyRewrite:
         assert not report.ok and report.detail == KEEPS_NO_INPUT
 
     def test_guesses_no_more_atoms_than_the_input(self, monkeypatch):
-        # a negated objective literal over a derived chain becomes a bridge
-        # rule x :- not d4; the rewritten program's answer sets still come
-        # from the input's, so the guard sees only the input's four guesses
+        # level 1 of the sorter reads the negated objective literal not 8,
+        # the end of a derived chain, directly; the rewrite is guessed as the
+        # input's answer lanes, so the guard sees only the input's four guesses
         monkeypatch.setattr(asplang, "MAX_ENUM_ATOMS", 4)
         chain = "".join(f"1 0 1 {d} 0 1 {d - 1}\n" for d in range(5, 9))
         doc = aspif.parse(f"asp 1 0 0\n1 1 4 1 2 3 4 0 0\n{chain}2 0 2 -8 3 1 1\n0\n")
