@@ -316,30 +316,39 @@ class TestSplitEnumeration:
         assert all(held and not held & ~answers for held in lanes.values())
         assert lane_models((lanes, answers)) == enumerate_answer_sets(p)
 
-    def test_a_guess_that_leaves_out_a_guessed_atom_is_refused(self):
-        # a choice head read by a later choice body, and two derived atoms
-        # that negate each other, must be guessed; guessing over the whole
-        # program takes each program
-        upper_choice = program(
+    def test_split_refuses_an_upper_choice_rule(self):
+        # a choice head read by a later choice body must be guessed; a given
+        # guess over atom 1 alone leaves it out, guessing over the whole
+        # program takes the program
+        p = program(
             {1, 2},
             choices=[
                 ChoiceRule(frozenset({1})),
                 ChoiceRule(frozenset({2}), frozenset({1})),
             ],
         )
-        negated_upper = program(
+        with pytest.raises(
+            SemanticsError, match=r"^the guess leaves out the guessed atoms \[2\]$"
+        ):
+            answer_lanes(p, models_as_lanes([frozenset(), {1}], {1}))
+        assert lex(lane_models(answer_lanes(p))) == [[], [1], [1, 2]]
+        assert lex(answer_sets(p)) == [[], [1], [1, 2]]
+
+    def test_split_refuses_a_negated_upper_atom(self):
+        # two derived atoms that negate each other must be guessed; a given
+        # guess over atom 1 alone leaves them out, guessing over the whole
+        # program takes the program
+        p = program(
             {1, 2, 3},
             rules=[rule(2, body=[1], not_body=[3]), rule(3, not_body=[2])],
             choices=[ChoiceRule(frozenset({1}))],
         )
-        below = models_as_lanes([frozenset(), {1}], {1})
-        for p, missing in [(upper_choice, "[2]"), (negated_upper, "[2, 3]")]:
-            with pytest.raises(
-                SemanticsError, match=rf"^the guess leaves out the guessed atoms \{missing}$"
-            ):
-                answer_lanes(p, below)
-        assert lex(answer_sets(upper_choice)) == [[], [1], [1, 2]]
-        assert lex(answer_sets(negated_upper)) == [[1, 2], [1, 3], [3]]
+        with pytest.raises(
+            SemanticsError, match=r"^the guess leaves out the guessed atoms \[2, 3\]$"
+        ):
+            answer_lanes(p, models_as_lanes([frozenset(), {1}], {1}))
+        assert lex(lane_models(answer_lanes(p))) == [[1, 2], [1, 3], [3]]
+        assert lex(answer_sets(p)) == [[1, 2], [1, 3], [3]]
 
     def test_layered_enumeration_matches_direct(self):
         p = program(
