@@ -18,12 +18,11 @@ the kinds apart.
 
 from __future__ import annotations
 
-import math
 from itertools import chain, takewhile
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .asplang import CardinalityConstraint, ChoiceRule, GroundProgram, Nogood, NormalRule
+from .asplang import ChoiceRule, GroundProgram, Nogood, NormalRule, WeightConstraint
 
 DISJUNCTIVE = 0
 CHOICE = 1
@@ -307,35 +306,6 @@ def write(doc: AspifDocument) -> str:
     return "\n".join([header, *map(_render_statement, doc.statements), "0\n"])
 
 
-def _constraint_from_weight_body(body: WeightBody) -> CardinalityConstraint | Nogood | None:
-    """Integrity constraint over a weight body, when weights are uniform.
-
-    Returns None when the constraint can never fire, an empty nogood when it
-    always fires, and an at-least constraint over complemented literals
-    otherwise.
-    """
-    merged: dict[int, int] = {}
-    for lit, w in body.terms:
-        merged[lit] = merged.get(lit, 0) + w
-    weights = set(merged.values())
-    if len(weights) > 1 or any(w < 0 for w in weights):
-        raise UnsupportedStatementError(
-            "weight body with non-uniform weights cannot be bridged"
-        )
-    n = len(merged)
-    w = weights.pop() if weights else 0
-    if w == 0:
-        fires = body.lower_bound <= 0
-        return Nogood(frozenset()) if fires else None
-    needed = math.ceil(body.lower_bound / w)
-    if needed <= 0:
-        return Nogood(frozenset())
-    if needed > n:
-        return None
-    complements = tuple(-lit for lit in sorted(merged))
-    return CardinalityConstraint(complements, n - needed + 1)
-
-
 def _atoms_of(literals: Sequence[int]) -> Iterator[int]:
     """The atoms of a statement's literals.  ``parse`` refuses literal 0, so
     only a document built in code can hold it; it is refused here."""
@@ -352,13 +322,14 @@ Bridged = tuple[GroundProgram, dict[int, tuple[tuple[int, int], ...]]]
 def to_ground_program(doc: AspifDocument) -> Bridged:
     """Bridge the document to brute-force semantics.
 
-    Supports normal rules, integrity constraints (normal or uniform-weight
-    bodies), choice rules with normal bodies, minimize and output statements.
-    Anything else, raw statements too, raises UnsupportedStatementError.
+    Supports normal rules, integrity constraints, choice rules with normal
+    bodies, minimize and output statements.  A constraint's weight body is
+    kept as written, as a ``WeightConstraint``.  Anything else, raw
+    statements too, raises UnsupportedStatementError.
     """
     normal_rules: list[NormalRule] = []
     choice_rules: list[ChoiceRule] = []
-    cardinality: list[CardinalityConstraint] = []
+    weight_constraints: list[WeightConstraint] = []
     nogoods: list[Nogood] = []
     objective_terms: dict[int, list[tuple[int, int]]] = {}
     atoms: set[int] = set()
@@ -380,11 +351,7 @@ def to_ground_program(doc: AspifDocument) -> Bridged:
                     "weight bodies are only bridged on integrity constraints"
                 )
             atoms.update(_atoms_of([l for l, _ in s.body.terms]))
-            constraint = _constraint_from_weight_body(s.body)
-            if isinstance(constraint, CardinalityConstraint):
-                cardinality.append(constraint)
-            elif isinstance(constraint, Nogood):
-                nogoods.append(constraint)
+            weight_constraints.append(WeightConstraint(s.body.terms, s.body.lower_bound))
             continue
         lits = s.body.literals
         atoms.update(_atoms_of(lits))
@@ -406,7 +373,7 @@ def to_ground_program(doc: AspifDocument) -> Bridged:
         signature=frozenset(atoms),
         normal_rules=tuple(normal_rules),
         choice_rules=tuple(choice_rules),
-        cardinality_constraints=tuple(cardinality),
+        weight_constraints=tuple(weight_constraints),
         nogoods=tuple(nogoods),
     )
     objectives = {p: tuple(terms) for p, terms in sorted(objective_terms.items())}

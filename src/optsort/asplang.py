@@ -1,10 +1,10 @@
 """Ground answer-set programs and their brute-force semantics.
 
-Programs mix normal rules, choice rules, cardinality constraints and nogoods
-over positive integer atoms.  A literal is an int as in aspif: ``a`` for
-atom a, ``-a`` for its default negation.  Everything here is meant for
-desk-scale verification: answer sets are enumerated exhaustively, every guess
-at once as one bit lane of a Python integer, guarded by an atom-count limit.
+Programs mix normal rules, choice rules, weight constraints and nogoods over
+positive integer atoms.  A literal is an int as in aspif: ``a`` for atom a,
+``-a`` for its default negation.  Everything here is meant for desk-scale
+verification: answer sets are enumerated exhaustively, every guess at once as
+one bit lane of a Python integer, guarded by an atom-count limit.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ class ChoiceRule(NamedTuple):
     body: frozenset[int] = frozenset()
 
 
-class CardinalityConstraint(NamedTuple):
-    """Requires at least ``lower_bound`` of the listed literals to hold."""
+class WeightConstraint(NamedTuple):
+    """Forbids every assignment where sum(w_i * [l_i]) >= bound over its
+    (literal, weight) terms, kept as written, for any integer weights."""
 
-    literals: tuple[int, ...]
-    lower_bound: int
+    terms: tuple[tuple[int, int], ...]
+    bound: int
 
 
 class Nogood(NamedTuple):
@@ -55,7 +56,7 @@ class GroundProgram(NamedTuple):
     signature: frozenset[int]
     normal_rules: tuple[NormalRule, ...] = ()
     choice_rules: tuple[ChoiceRule, ...] = ()
-    cardinality_constraints: tuple[CardinalityConstraint, ...] = ()
+    weight_constraints: tuple[WeightConstraint, ...] = ()
     nogoods: tuple[Nogood, ...] = ()
 
 
@@ -258,9 +259,10 @@ def answer_lanes(
     read from the guess, and a choice head is derivable only where it is
     guessed.  A lane is stable when the atoms it derives equal its guess on
     every atom it guesses; every other atom is derived.  The stable lanes that
-    pass the nogoods and cardinality constraints are the answer sets, and
-    ``answers`` is their mask.  An atom's lanes may also hold lanes outside
-    it.
+    pass the nogoods and weight constraints are the answer sets, and
+    ``answers`` is their mask.  A weight constraint fires in the lanes where
+    sum(w_i * [l_i]) >= bound, decided by one ``lane_sum`` over its atoms' own
+    lanes.  An atom's lanes may also hold lanes outside it.
     """
     guessed = guessed_atoms(program)
     if given is None:
@@ -306,7 +308,9 @@ def answer_lanes(
         for literal in ng.literals:
             conflict &= holds(literal)
         answers &= ~conflict
-    for cc in program.cardinality_constraints:
-        count = [(holds(l), 1) for l in set(cc.literals)]
-        answers &= ~lane_sum([*count, (all_lanes, -cc.lower_bound)])[-1]
+    for wc in program.weight_constraints:
+        # keep the lanes where bound - 1 - sum >= 0; a term (-a, w) weighs w - w*[a]
+        slack = [(true_in.get(abs(l), 0), w if l < 0 else -w) for l, w in wc.terms]
+        constant = wc.bound - 1 - sum(w for l, w in wc.terms if l < 0)
+        answers &= ~lane_sum([*slack, (all_lanes, constant)])[-1]
     return true_in, answers

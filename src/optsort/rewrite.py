@@ -292,7 +292,7 @@ def _keeps_input(before: GroundProgram, after: GroundProgram) -> bool:
     return (
         below == set(before.normal_rules)
         and set(after.choice_rules) == set(before.choice_rules)
-        and set(after.cardinality_constraints) >= set(before.cardinality_constraints)
+        and set(after.weight_constraints) >= set(before.weight_constraints)
         and set(after.nogoods) >= set(before.nogoods)
     )
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from optsort import aspif
 from optsort.analysis import Propagator, PropagatorTrace, attach_network, binomial_document
 from optsort.asplang import (
-    CardinalityConstraint,
     ChoiceRule,
     GroundProgram,
     Nogood,
     NormalRule,
     SemanticsError,
+    WeightConstraint,
 )
 from optsort.network import ConfinedNetwork, Decomposition, Network, NetworkError
 from optsort.propagate import WeightError, WeightMatrix
@@ -246,14 +246,22 @@ _BOTH_SIGNS = st.builds(
 
 
 @st.composite
-def _uniform_constraint(draw):
-    """An integrity constraint over a weight body whose distinct literals
-    share one weight, its bound on both sides of what they can reach."""
-    literals = draw(st.lists(_LITERALS, min_size=1, max_size=4, unique=True))
-    weight = draw(st.integers(0, 3))
-    bound = draw(st.integers(-1, weight * len(literals) + 1))
-    body = aspif.WeightBody(bound, tuple((lit, weight) for lit in literals))
-    return aspif.Rule(aspif.DISJUNCTIVE, (), body)
+def weight_terms(draw, literals: st.SearchStrategy[int]):
+    """(terms, bound) of a weight constraint: up to four terms, repeated
+    literals allowed, each weighing -3..5, and the bound on both sides of
+    the sums they can reach."""
+    term = st.tuples(literals, st.integers(-3, 5))
+    terms = tuple(draw(st.lists(term, min_size=1, max_size=4)))
+    low = sum(w for _, w in terms if w < 0)
+    high = sum(w for _, w in terms if w > 0)
+    return terms, draw(st.integers(low - 1, high + 1))
+
+
+@st.composite
+def _weight_constraint(draw):
+    """An integrity constraint over a weight body drawn by ``weight_terms``."""
+    terms, bound = draw(weight_terms(_LITERALS))
+    return aspif.Rule(aspif.DISJUNCTIVE, (), aspif.WeightBody(bound, terms))
 
 
 @st.composite
@@ -266,8 +274,8 @@ def _contradictory_constraint(draw):
 
 def bridgeable_documents():
     """Documents that ``to_ground_program`` bridges: choice rules, normal
-    rules and constraints with literals of both signs, uniform-weight
-    constraints, contradictory constraints and minimize statements."""
+    rules and constraints with literals of both signs, weight constraints,
+    contradictory constraints and minimize statements."""
     statements = st.one_of(
         st.builds(
             aspif.Rule,
@@ -281,7 +289,7 @@ def bridgeable_documents():
             st.lists(_ATOMS, max_size=1).map(tuple),
             st.builds(aspif.NormalBody, st.one_of(_BODIES, _BOTH_SIGNS)),
         ),
-        _uniform_constraint(),
+        _weight_constraint(),
         _contradictory_constraint(),
         st.builds(aspif.Minimize, st.integers(-1, 2), _WEIGHTED),
     )
@@ -334,15 +342,23 @@ def literal_holds(literal: int, interpretation: frozenset[int]) -> bool:
     return (abs(literal) in interpretation) == (literal > 0)
 
 
-def constraint_holds(constraint: CardinalityConstraint, interpretation: frozenset[int]) -> bool:
-    """At least the bound of the constraint's distinct literals hold."""
-    held = sum(1 for l in set(constraint.literals) if literal_holds(l, interpretation))
-    return held >= constraint.lower_bound
+def constraint_holds(constraint: WeightConstraint, interpretation: frozenset[int]) -> bool:
+    """The constraint's true terms weigh less than its bound."""
+    return evaluate(constraint.terms, interpretation) < constraint.bound
 
 
-def constraint_atoms(constraint: CardinalityConstraint | Nogood) -> frozenset[int]:
-    """The atoms of a cardinality constraint's or a nogood's literals."""
+def constraint_atoms(constraint: WeightConstraint | Nogood) -> frozenset[int]:
+    """The atoms of a weight constraint's terms or a nogood's literals."""
+    if isinstance(constraint, WeightConstraint):
+        return frozenset(abs(l) for l, _ in constraint.terms)
     return frozenset(map(abs, constraint.literals))
+
+
+def at_least(literals: Iterable[int], k: int) -> WeightConstraint:
+    """The weight constraint that requires at least ``k`` of the distinct
+    literals to hold: it fires where n - k + 1 of their complements hold."""
+    distinct = sorted(set(literals))
+    return WeightConstraint(tuple((-l, 1) for l in distinct), len(distinct) - k + 1)
 
 
 def rule_atoms(r: NormalRule | ChoiceRule) -> frozenset[int]:
@@ -360,18 +376,15 @@ def nogood_holds(ng: Nogood, interpretation: frozenset[int]) -> bool:
 def assert_well_formed(program: GroundProgram) -> None:
     """The invariants of every program that ``to_ground_program`` and
     ``attach_network`` build: the signature holds every atom used and each
-    atom is >= 1, choice heads are nonempty, no nogood holds an atom with
-    both signs, and each cardinality bound lies in 0..n + 1 for its n
-    distinct literals."""
+    atom is >= 1, choice heads are nonempty and no nogood holds an atom
+    with both signs."""
     rules = [*program.normal_rules, *program.choice_rules]
-    constraints = [*program.cardinality_constraints, *program.nogoods]
+    constraints = [*program.weight_constraints, *program.nogoods]
     used = set().union(*map(rule_atoms, rules), *map(constraint_atoms, constraints))
     assert used <= program.signature, sorted(used - program.signature)
     assert all(a >= 1 for a in program.signature)
     assert all(c.head_atoms for c in program.choice_rules)
     assert all(len(constraint_atoms(ng)) == len(ng.literals) for ng in program.nogoods)
-    for cc in program.cardinality_constraints:
-        assert 0 <= cc.lower_bound <= len(set(cc.literals)) + 1, cc
 
 
 def evaluate(terms: Iterable[tuple[int, int]], interpretation: frozenset[int]) -> int:
@@ -455,11 +468,11 @@ def body_holds(r: NormalRule, interpretation: frozenset[int]) -> bool:
 
 
 def satisfies(program: GroundProgram, interpretation: frozenset[int]) -> bool:
-    """Classical satisfaction of rules, cardinality constraints and nogoods."""
+    """Classical satisfaction of rules, weight constraints and nogoods."""
     rules = program.normal_rules
     return (
         all(r.head in interpretation or not body_holds(r, interpretation) for r in rules)
-        and all(constraint_holds(cc, interpretation) for cc in program.cardinality_constraints)
+        and all(constraint_holds(cc, interpretation) for cc in program.weight_constraints)
         and all(nogood_holds(ng, interpretation) for ng in program.nogoods)
     )
 
@@ -649,7 +662,7 @@ def reference_candidates(program):
         (
             m
             for m in models
-            if all(constraint_holds(cc, m) for cc in program.cardinality_constraints)
+            if all(constraint_holds(cc, m) for cc in program.weight_constraints)
             and all(nogood_holds(ng, m) for ng in program.nogoods)
         ),
         key=lambda m: tuple(sorted(m)),
@@ -722,7 +735,7 @@ def verify_trace(
         signature=program.signature,
         normal_rules=program.normal_rules,
         choice_rules=program.choice_rules,
-        cardinality_constraints=program.cardinality_constraints,
+        weight_constraints=program.weight_constraints,
         nogoods=program.nogoods + tuple(nogood(true_atoms=ng) for ng in trace.nogoods),
     )
     return trace.complete == (not enumerate_answer_sets(constrained))

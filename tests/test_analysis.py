@@ -13,7 +13,6 @@ from optsort.analysis import (
     run_pch,
 )
 from optsort.asplang import (
-    CardinalityConstraint,
     ChoiceRule,
     GroundProgram,
     SemanticsError,
@@ -23,6 +22,7 @@ from optsort.network import oe_sorter
 
 from conftest import (
     assert_well_formed,
+    at_least,
     binomial_opt_program,
     binomial_program,
     binomial_with_sorter,
@@ -49,7 +49,7 @@ def assert_matches_reference(program, propagator):
     assert (trace.assignments, trace.nogoods, trace.complete) == expected
 
 
-def choice_program(n, normal_rules=(), cardinality_constraints=(), nogoods=()):
+def choice_program(n, normal_rules=(), weight_constraints=(), nogoods=()):
     """Free choice over atoms 1..n under the given rules and constraints."""
     atoms = set(range(1, n + 1))
     for r in normal_rules:
@@ -58,7 +58,7 @@ def choice_program(n, normal_rules=(), cardinality_constraints=(), nogoods=()):
         signature=frozenset(atoms),
         normal_rules=tuple(normal_rules),
         choice_rules=(ChoiceRule(frozenset(range(1, n + 1))),) if n else (),
-        cardinality_constraints=tuple(cardinality_constraints),
+        weight_constraints=tuple(weight_constraints),
         nogoods=tuple(nogoods),
     )
 
@@ -179,7 +179,7 @@ class TestReferencePch:
             signature=base.signature | {5},
             normal_rules=(rule(2, body=[1]), rule(5, body=[2, 3]), rule(4, body=[5])),
             choice_rules=base.choice_rules,
-            cardinality_constraints=base.cardinality_constraints,
+            weight_constraints=base.weight_constraints,
         )
         assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2))
 
@@ -211,12 +211,12 @@ class TestReferencePch:
 
     @pytest.mark.parametrize("bound", range(6))
     def test_cardinality_over_negated_derived_and_duplicated_literals(self, bound):
-        # four distinct literals, so bounds 0 (always) to 5 (never) are legal
+        # four distinct literals, so bound 0 always holds and 5 never does
         literals = (-1, 6, 6, -7, 2)
         program = choice_program(
             4,
             normal_rules=(rule(6, body=[1, 2]), rule(7, body=[3])),
-            cardinality_constraints=(CardinalityConstraint(literals, bound),),
+            weight_constraints=(at_least(literals, bound),),
         )
         assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2))
 
@@ -282,7 +282,7 @@ def test_bit_sliced_at_least_counter_matches_satisfied_by(data):
     for bound in range(len(count) + 2):
         # the count minus the bound has a clear sign plane where the bound is met
         sign = lane_sum([*count, ((1 << lanes) - 1, -bound)])[-1]
-        constraint = CardinalityConstraint(tuple(literals), bound)
+        constraint = at_least(literals, bound)
         assert [not sign >> i & 1 for i in range(lanes)] == [
             constraint_holds(constraint, m) for m in models
         ]
@@ -370,7 +370,7 @@ class TestNetworkedPch:
             signature=program.signature | {9},
             normal_rules=(rule(9, not_body=[1]),),
             choice_rules=program.choice_rules,
-            cardinality_constraints=program.cardinality_constraints,
+            weight_constraints=program.weight_constraints,
         )
         refusal = "^candidate enumeration needs negation-free rules$"
         with pytest.raises(SemanticsError, match=refusal):
@@ -392,7 +392,7 @@ class TestNetworkedPch:
             signature=program.signature | {8, 9},
             normal_rules=(rule(8, body=[9]), rule(9, body=[8])),
             choice_rules=program.choice_rules,
-            cardinality_constraints=program.cardinality_constraints,
+            weight_constraints=program.weight_constraints,
         )
         with pytest.raises(SemanticsError, match="^positive rule cycle defeats candidate closure$"):
             run_pch(spoiled, card_propagator([1, 2], 1))

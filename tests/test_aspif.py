@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from optsort import aspif
 from optsort.analysis import binomial_document
-from optsort.asplang import CardinalityConstraint, NormalRule
+from optsort.asplang import NormalRule, WeightConstraint, enumerate_answer_sets_split
 from optsort.rewrite import RewriteConfig, rewrite_objective
 
 from conftest import (
@@ -18,6 +18,7 @@ from conftest import (
     bridgeable_documents,
     enumerate_answer_sets,
     evaluate,
+    lane_models,
     optimal_value,
     traced_peak,
 )
@@ -286,6 +287,13 @@ class TestRawText:
             aspif.parse(aspif.write(doc))
 
 
+def assert_same_answer_sets(program, count):
+    """The lane enumerator finds the oracle's answer sets, ``count`` of them."""
+    models = lane_models(enumerate_answer_sets_split(program))
+    assert models == enumerate_answer_sets(program)
+    assert len(models) == count
+
+
 class TestGroundProgramBridge:
     def test_binomial_document_yields_the_expected_answer_sets(self):
         from optsort.analysis import binomial_document
@@ -317,18 +325,23 @@ class TestGroundProgramBridge:
         assert_well_formed(program)
 
     def test_uniform_weight_constraint_becomes_cardinality(self):
+        # a uniform-weight body is kept as written, not reduced to an
+        # at-least constraint over complemented literals
         program, _ = aspif.to_ground_program(
             aspif.parse("asp 1 0 0\n1 0 0 1 2 3 -1 1 -2 1 -3 1\n0\n")
         )
-        (cc,) = program.cardinality_constraints
-        assert isinstance(cc, CardinalityConstraint)
-        assert cc.lower_bound == 2  # at least 2 of the three atoms
+        assert program.weight_constraints == (WeightConstraint(((-1, 1), (-2, 1), (-3, 1)), 2),)
+        assert not program.nogoods
 
     def test_unfireable_weight_constraint_is_dropped(self):
+        # a body that can never reach its bound is kept as written, and keeps
+        # every answer set of the choice
         program, _ = aspif.to_ground_program(
-            aspif.parse("asp 1 0 0\n1 0 0 1 3 2 1 1 2 1\n0\n")
+            aspif.parse("asp 1 0 0\n1 1 2 1 2 0 0\n1 0 0 1 3 2 1 1 2 1\n0\n")
         )
-        assert not program.cardinality_constraints and not program.nogoods
+        assert program.weight_constraints == (WeightConstraint(((1, 1), (2, 1)), 3),)
+        assert not program.nogoods
+        assert_same_answer_sets(program, 4)
 
     def test_weight_body_with_head_is_unsupported(self):
         with pytest.raises(aspif.UnsupportedStatementError):
@@ -337,10 +350,13 @@ class TestGroundProgramBridge:
             )
 
     def test_non_uniform_weight_constraint_is_unsupported(self):
-        with pytest.raises(aspif.UnsupportedStatementError):
-            aspif.to_ground_program(
-                aspif.parse("asp 1 0 0\n1 0 0 1 4 2 1 2 2 3\n0\n")
-            )
+        # non-uniform weights are kept as written too: 2*[1] + 3*[2] >= 4
+        # fires only where both atoms hold
+        program, _ = aspif.to_ground_program(
+            aspif.parse("asp 1 0 0\n1 1 2 1 2 0 0\n1 0 0 1 4 2 1 2 2 3\n0\n")
+        )
+        assert program.weight_constraints == (WeightConstraint(((1, 2), (2, 3)), 4),)
+        assert_same_answer_sets(program, 3)
 
     def test_disjunctive_heads_are_unsupported(self):
         with pytest.raises(aspif.UnsupportedStatementError):
@@ -373,6 +389,16 @@ class TestGroundProgramBridge:
                 aspif.to_ground_program(doc)
         else:
             assert_well_formed(aspif.to_ground_program(doc)[0])
+
+    def test_a_sum_constraint_keeps_its_repeated_and_non_uniform_terms(self):
+        # :- #sum{3: 1; 2: 2; 2: not 3; 1: 4; 1: 4; 4: 5} >= 6 over a free
+        # choice of atoms 1..5, with two elements on atom 4
+        path = CORPUS[[p.name for p in CORPUS].index("26_sum_constraint.aspif")]
+        program, objectives = aspif.to_ground_program(aspif.parse(path.read_text()))
+        terms = ((1, 3), (2, 2), (-3, 2), (4, 1), (4, 1), (5, 4))
+        assert program.weight_constraints == (WeightConstraint(terms, 6),)
+        assert set(objectives) == {0}
+        assert_same_answer_sets(program, 12)
 
     def test_minimize_objectives_are_collected_per_priority(self):
         _, objectives = aspif.to_ground_program(
@@ -443,10 +469,10 @@ def test_random_statement_lines_parse_or_raise_a_parse_error(text):
     assert aspif.parse(aspif.write(doc)).statements == doc.statements
 
 
-# In three runs of 300 drawn documents, 145-148 held a choice rule, 45-49 a
-# normal rule whose body has literals of both signs, 102-119 a uniform-weight
-# constraint (39-56 one that bridges to a cardinality constraint) and
-# 149-170 a constraint on both a and -a.
+# In three runs of 300 drawn documents, 119-148 held a choice rule, 44-60 a
+# normal rule whose body has literals of both signs, 111-121 a weight
+# constraint (67-85 one with non-uniform weights) and 106-157 a constraint
+# on both a and -a.
 @given(bridgeable_documents())
 @settings(max_examples=300)
 def test_random_documents_that_bridge_are_well_formed(document):
@@ -468,7 +494,7 @@ BRIDGEABLE_KINDS = {
         for r in _normal_rules(d)
         if r.head_kind == aspif.DISJUNCTIVE
     ),
-    "cardinality": lambda d: aspif.to_ground_program(d)[0].cardinality_constraints,
+    "cardinality": lambda d: aspif.to_ground_program(d)[0].weight_constraints,
     "contradictory": lambda d: any(
         not r.head_atoms and any(-l in r.body.literals for l in r.body.literals)
         for r in _normal_rules(d)

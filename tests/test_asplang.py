@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optsort.asplang import (
-    CardinalityConstraint,
     ChoiceRule,
     GroundProgram,
     LaneRule,
     Nogood,
     SemanticsError,
+    WeightConstraint,
     answer_lanes,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
@@ -23,6 +23,7 @@ from optsort.asplang import (
 )
 
 from conftest import (
+    at_least,
     closure,
     constraint_atoms,
     enumerate_answer_sets,
@@ -37,15 +38,16 @@ from conftest import (
     lane_models,
     rule,
     signed_literals,
+    weight_terms,
 )
 
 
-def program(sig, rules=(), choices=(), cardinality=(), nogoods=()):
+def program(sig, rules=(), choices=(), weights=(), nogoods=()):
     return GroundProgram(
         frozenset(sig),
         tuple(rules),
         tuple(choices),
-        tuple(cardinality),
+        tuple(weights),
         tuple(nogoods),
     )
 
@@ -67,7 +69,7 @@ def part_below(p, bottom):
         bottom,
         [r for r in p.normal_rules if r.head in bottom],
         p.choice_rules,
-        [cc for cc in p.cardinality_constraints if constraint_atoms(cc) <= bottom],
+        [wc for wc in p.weight_constraints if constraint_atoms(wc) <= bottom],
         [ng for ng in p.nogoods if constraint_atoms(ng) <= bottom],
     )
 
@@ -85,8 +87,7 @@ class TestExpandCardinality:
         # a free choice kept to at least k of n atoms has one answer set per
         # subset of size k or more: the binomial tail sum_{j >= k} C(n, j)
         atoms = frozenset(range(1, n + 1))
-        constraint = CardinalityConstraint(tuple(sorted(atoms)), k)
-        p = program(atoms, choices=[ChoiceRule(atoms)], cardinality=[constraint])
+        p = program(atoms, choices=[ChoiceRule(atoms)], weights=[at_least(atoms, k)])
         models = answer_sets(p)
         assert len(models) == sum(math.comb(n, j) for j in range(k, n + 1))
         assert all(len(m) >= k for m in models)
@@ -280,12 +281,11 @@ class TestSplitEnumeration:
             body = rng.sample(everything, k=rng.randint(0, 3))
             not_body = rng.sample(sorted(bottom), k=rng.randint(0, 2))
             rules.append(rule(rng.choice(sorted(top)), body, not_body))
-        cardinality = []
+        weights = []
         for _ in range(rng.randint(0, 2)):
             picked = rng.sample(everything, k=rng.randint(2, min(4, len(everything))))
             lits = tuple(a if rng.random() < 0.6 else -a for a in picked)
-            bound = rng.randint(1, len(lits) - 1)
-            cardinality.append(CardinalityConstraint(lits, bound))
+            weights.append(at_least(lits, rng.randint(1, len(lits) - 1)))
         nogoods = []
         for _ in range(rng.randint(0, 2)):
             atoms = rng.sample(everything, k=rng.randint(2, 3))
@@ -294,7 +294,7 @@ class TestSplitEnumeration:
             bottom | top,
             rules=rules,
             choices=[ChoiceRule(free)],
-            cardinality=cardinality,
+            weights=weights,
             nogoods=nogoods,
         )
         direct = enumerate_answer_sets(p)
@@ -309,7 +309,7 @@ class TestSplitEnumeration:
         p = program(
             atoms,
             choices=[ChoiceRule(atoms)],
-            cardinality=[CardinalityConstraint(tuple(sorted(atoms)), 3)],
+            weights=[at_least(atoms, 3)],
         )
         lanes, answers = enumerate_answer_sets_split(p)
         assert answers.bit_count() == 5 and answers.bit_length() == 16
@@ -389,7 +389,7 @@ class TestObjectives:
         p = program(
             atoms,
             choices=[ChoiceRule(atoms)],
-            cardinality=[CardinalityConstraint(tuple(sorted(atoms)), 2)],
+            weights=[at_least(atoms, 2)],
         )
         objective = tuple((a, 1) for a in sorted(atoms))
         assert optimal_value(p, objective) == 2
@@ -449,19 +449,17 @@ def subsets(pool, most):
 
 @st.composite
 def constraints(draw, atoms):
-    """Cardinality constraints and nogoods over the atoms."""
-    cardinality = []
-    for _ in range(draw(st.integers(0, 2))):
-        literal = signed_literals(st.sampled_from(atoms))
-        literals = draw(st.lists(literal, min_size=1, max_size=4))
-        bound = draw(st.integers(0, len(set(literals)) + 1))
-        cardinality.append(CardinalityConstraint(tuple(literals), bound))
+    """Weight constraints and nogoods over the atoms."""
+    literal = signed_literals(st.sampled_from(atoms))
+    weights = [
+        WeightConstraint(*draw(weight_terms(literal))) for _ in range(draw(st.integers(0, 2)))
+    ]
     signs = st.dictionaries(st.sampled_from(atoms), st.booleans(), min_size=1, max_size=3)
     nogoods = [
         Nogood(frozenset(a if positive else -a for a, positive in draw(signs).items()))
         for _ in range(draw(st.integers(0, 2)))
     ]
-    return cardinality, nogoods
+    return weights, nogoods
 
 
 @st.composite
@@ -484,8 +482,8 @@ def unsplit_programs(draw):
         rule(draw(st.sampled_from(atoms)), draw(subsets(atoms, 2)), draw(subsets(atoms, 2)))
         for _ in range(draw(st.integers(0, 6)))
     ]
-    cardinality, nogoods = draw(constraints(atoms))
-    return program(atoms, rules, choices, cardinality, nogoods)
+    weights, nogoods = draw(constraints(atoms))
+    return program(atoms, rules, choices, weights, nogoods)
 
 
 @given(unsplit_programs())
@@ -500,7 +498,7 @@ def split_programs(draw):
 
     Below: choice rules with positive and negative bodies, and normal rules
     with negation and positive cycles.  Above: rules over every atom, positive
-    cycles included, that negate bottom atoms.  Nogoods and cardinality
+    cycles included, that negate bottom atoms.  Nogoods and weight
     constraints range over every atom.
     """
     n_bottom, n_top = draw(st.integers(1, 5)), draw(st.integers(0, 4))
@@ -524,8 +522,8 @@ def split_programs(draw):
         )
         for _ in range(draw(st.integers(0, 2 * n_top)))
     ]
-    cardinality, nogoods = draw(constraints(everything))
-    p = program(everything, rules, choices, cardinality, nogoods)
+    weights, nogoods = draw(constraints(everything))
+    p = program(everything, rules, choices, weights, nogoods)
     return p, frozenset(bottom)
 
 

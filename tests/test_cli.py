@@ -323,6 +323,37 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert out.count(" ok answer_sets=") == 30 and "FAIL" not in out
 
+    def test_weights_past_two_to_the_53_are_summed_exactly(self, capsys, monkeypatch):
+        # the three terms reach at most 3 * 10^16, below the bound, so the
+        # constraint never fires and all 8 subsets of the choice are answer
+        # sets; a bound divided as a float rounds to three terms and drops one
+        doc = (
+            "asp 1 0 0\n1 1 3 1 2 3 0 0\n1 0 0 1 30000000000000001 3 "
+            "1 10000000000000000 2 10000000000000000 3 10000000000000000\n0\n"
+        )
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin=doc)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 30 and out.count(" ok answer_sets=8\n") == 30
+
+    def test_sum_constraints_with_negative_zero_and_repeated_weights_verify(
+        self, capsys, monkeypatch
+    ):
+        # a choice over 1..6 under 3[1] + 2[2] + 2[not 3] + [4] + [4] + 4[5]
+        # + 0[not 6] >= 7 and [1] - [not 2] + 2[3] >= 2, each forbidden
+        doc = (
+            "asp 1 0 0\n1 1 6 1 2 3 4 5 6 0 0\n1 0 0 1 7 7 1 3 2 2 -3 2 4 1 4 1 5 4 -6 0\n"
+            "1 0 0 1 2 3 1 1 -2 -1 3 2\n2 0 4 1 2 -2 3 5 1 6 4\n0\n"
+        )
+        program, _ = aspif.to_ground_program(aspif.parse(doc))
+        assert len(enumerate_answer_sets(program)) == 20
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin=doc)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 30 and out.count(" ok answer_sets=20\n") == 30
+        _, rewritten, _ = run(capsys, monkeypatch, ["rewrite"], stdin=doc)
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin=rewritten)
+        assert (code, err) == (0, "")
+        assert out.count(" ok ") == 30
+
     def test_max_atoms_is_a_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as stop:
             run(capsys, monkeypatch, ["verify", "--max-atoms", "16"], stdin=TWO_TERM_DOC)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from optsort.asplang import CardinalityConstraint, ChoiceRule, GroundProgram, Nogood, NormalRule
+from optsort.asplang import ChoiceRule, GroundProgram, Nogood, NormalRule, WeightConstraint
 from optsort.network import ConfinedNetwork, Decomposition
 from optsort.propagate import WeightError, WeightMatrix
 from optsort.rewrite import RewriteConfig
@@ -183,7 +183,7 @@ def test_a_validating_record_checks_at_construction_and_stays_frozen(
 # The records that do not validate their fields are frozen all the same.
 PLAIN_RECORDS = [
     ChoiceRule(frozenset({1})),
-    CardinalityConstraint((1,), 1),
+    WeightConstraint(((1, 1),), 1),
     Nogood(frozenset({1})),
     GroundProgram(frozenset({1}), (NormalRule(1),)),
     ConfinedNetwork(frozenset({1}), 1, 1),

@@ -20,7 +20,7 @@ from conftest import (
 )
 
 
-class TestWireAtomMap:
+class TestDenseWireAtomMap:
     def test_dense_allocation_is_level_major(self):
         # the input literals, then one block of wire atoms, level by level
         assert dense_wire_atom_map((3, -1), 10, 2) == ((3, -1), range(10, 12), range(12, 14))

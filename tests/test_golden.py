@@ -117,9 +117,9 @@ CORPUS_GOLDEN = {
     "12_minimize_mixed_weights.aspif": "6e85baac5767a6a7a319eacce963aededec545aa1b58aed0935454182b45a314",
     "13_output.aspif": "f00df6033ed3817819fb8a9f40318783597582ddaa0899401249ed49c3610875",
     "14_output_spaces.aspif": "f14c649cfcc6232c167fcbcf11923dd2566988a977a53380f349bd9fd301d924",
-    "15_external.aspif": "07d976cf446cadecf13bc2c2082f5e0b8858b96d9219f3b8bcd1b80b175c1dd1",
-    "16_edge.aspif": "1f0b418e6a5b7315bba5999755f8bfb4e03e95ae472aafe0b9a1bfaac28bfd58",
-    "17_heuristic.aspif": "d0e69f4f5251753fbdcf0542b7a4504ea406b8adab42a1cf618715b376f0906e",
+    "15_external.aspif": "d0e00b5fdd4204c50472036a0ed1a5dc4dcf30da0b9a673e1a2a982e4bd7cb2d",
+    "16_edge.aspif": "255595a4c2a742d3b2405e572615577f1ff9a7c420daaf68fc87c449c00265cb",
+    "17_heuristic.aspif": "61b0c8d307a90e6491ecabfa5bb01d0e3d0dfb0d684c4e5e1c934c981cdf1527",
     "18_theory.aspif": "70ba58914486774a555ae0c2fc61de14302a1c002f15071d13cf902c342c24f0",
     "19_comment.aspif": "96d9b4cd71c54bf626a321db4d35ea511a931140c2150db1b3efd6d612068090",
     "20_binomial.aspif": "16f7c213ec67a9dfecf98ad5bc45dea6408ffaaac7671a7e734a7c99b876b24e",
@@ -128,6 +128,7 @@ CORPUS_GOLDEN = {
     "23_messy_spacing.aspif": "63b478c5535ca3cf917408303fed483b5a7b37bcea3bab92093353f03275abed",
     "24_big_ids.aspif": "8c83a9b3ddbf7f97a3dbbd0fc919f767fd0c5310525993e70bbf5199cdc72234",
     "25_header_tags.aspif": "ae74a078f0d348a6b70fa5dcd82d7f2506f55791a139142ccbcf9c0367645e5b",
+    "26_sum_constraint.aspif": "9f66092b0e4f857dcee9f566c5cf9f1861d1e9172a31b11c18f02d4c0e6a03b0",
 }
 
 
