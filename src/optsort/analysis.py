@@ -1,9 +1,12 @@
 """Binomial benchmark family and the abstract branch-and-bound propagator model.
 
 The simulator replays the final unsatisfiability phase of branch-and-bound
-optimization: it repeatedly presents total supported-model candidates to a
+optimization: it repeatedly presents the program's answer sets to a
 cardinality propagator, accumulating the learned nogoods (never deleting any)
-until no candidate survives.  The trace length measures solving difficulty.
+until no answer set survives.  The trace length measures solving difficulty.
+The total assignments a solver hands its propagator are the supported
+models; for a tight program, such as a free choice under a sorter's definite
+acyclic rules, these are exactly its answer sets (Fages 1994).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from . import aspif
 from .asplang import (
     GroundProgram,
     SemanticsError,
-    _dependency_order,
     enumerate_answer_sets_split,
     in_sorted_order,
 )
@@ -144,42 +146,20 @@ def check_candidate_cost(choice_atoms: int, rules: int) -> None:
     )
 
 
-def _supported_candidates(program: GroundProgram) -> tuple[dict[int, int], int]:
-    """Total supported-model candidates as (atom lanes, candidates mask), one per lane.
-
-    See ``enumerate_answer_sets_split``.  Requires empty-bodied choice rules
-    and negation-free, acyclic normal rules.  Such a program is tight, so its
-    supported models are its answer sets.  With no negation the choice atoms
-    are all the enumerator guesses, so each choice subset is one bit lane and
-    the budget counts its lanes.
-    """
-    choice_atoms: set[int] = set()
-    for c in program.choice_rules:
-        if c.body:
-            raise SemanticsError("candidate enumeration needs empty choice bodies")
-        choice_atoms |= c.head_atoms
-    for r in program.normal_rules:
-        if r.neg_body:
-            raise SemanticsError("candidate enumeration needs negation-free rules")
-    if _dependency_order(program.normal_rules)[1]:
-        raise SemanticsError("positive rule cycle defeats candidate closure")
-    check_candidate_cost(len(choice_atoms), len(program.normal_rules))
-    return enumerate_answer_sets_split(program)
-
-
 def run_pch(program: GroundProgram, propagator: Propagator) -> PropagatorTrace:
-    """Drive the propagator with supported-model candidates until none remain.
+    """Drive the propagator with the program's answer sets until none remain.
 
-    Candidates are visited in lexicographic order; each conflicting one
-    contributes its explanation, the atoms of a nogood forbidding them all
-    true, to the pool of learned nogoods, which immediately prunes the
-    remaining candidates.
-    A surviving non-conflicting candidate would be an answer set, ending the
-    history incomplete.
+    The candidates are the answer lanes of ``enumerate_answer_sets_split``,
+    so any ground program runs under its guard on guessed atoms; for a tight
+    program they are its supported models (Fages 1994).  Candidates are
+    visited in lexicographic order; each conflicting one contributes its
+    explanation, the atoms of a nogood forbidding them all true, to the pool
+    of learned nogoods, which immediately prunes the remaining candidates.
+    A candidate that does not conflict ends the history incomplete.
     """
     # Each candidate has a lane: in remaining while no learned nogood prunes
     # it, and in an atom's lanes when the candidate holds the atom.
-    lanes, remaining = _supported_candidates(program)
+    lanes, remaining = enumerate_answer_sets_split(program)
     assignments: list[frozenset[int]] = []
     learned: list[tuple[int, ...]] = []
     for model, _ in in_sorted_order(lanes, lambda: remaining):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # The most atoms an enumeration guesses: each guess is one bit lane, so every
 # atom's lane vector then takes 2 MB.
@@ -68,23 +68,20 @@ class LaneRule(NamedTuple):
     lanes: int
 
 
-_Rule = TypeVar("_Rule", NormalRule, LaneRule)
-
-
-def _dependency_order(rules: Sequence[_Rule]) -> tuple[list[_Rule], bool]:
+def _dependency_order(rules: Sequence[LaneRule]) -> tuple[list[LaneRule], bool]:
     """The rules ordered so that each follows every rule deriving its body atoms.
 
     Only a positive cycle prevents such an order; the flag says whether one
     does, and the rules come in depth-first finishing order all the same.
     """
-    by_head: dict[int, list[_Rule]] = {}
+    by_head: dict[int, list[LaneRule]] = {}
     for r in rules:
         by_head.setdefault(r.head, []).append(r)
     graph = {
         h: set().union(*(r.pos_body for r in group)) & by_head.keys()
         for h, group in by_head.items()
     }
-    ordered: list[_Rule] = []
+    ordered: list[LaneRule] = []
     cyclic = False
     state: dict[int, int] = {}
     for start in graph:

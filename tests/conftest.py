@@ -673,8 +673,10 @@ def reference_pch(program, propagator, shuffle_rng=None, candidates=None):
     """``run_pch`` by per-subset closures and a frozenset nogood filter.
 
     The candidates are visited in sorted order, or shuffled with
-    ``shuffle_rng``.  ``candidates``, when given, must be
-    ``reference_candidates(program)``.
+    ``shuffle_rng``.  ``candidates``, when given, replace
+    ``reference_candidates(program)``; ``run_pch`` walks
+    ``enumerate_answer_sets(program)``, which differ where a rule reads a
+    negated atom or a choice rule has a body.
     """
     candidates = list(reference_candidates(program) if candidates is None else candidates)
     if shuffle_rng is not None:

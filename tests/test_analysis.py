@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optsort import analysis, aspif
@@ -26,6 +26,7 @@ from conftest import (
     binomial_opt_program,
     binomial_program,
     binomial_with_sorter,
+    bridgeable_documents,
     constraint_holds,
     constraint_nogoods,
     enumerate_answer_sets,
@@ -43,10 +44,18 @@ from conftest import (
 )
 
 
-def assert_matches_reference(program, propagator):
+def assert_matches_reference(program, propagator, candidates=None):
     trace = run_pch(program, propagator)
-    expected = reference_pch(program, propagator)
+    expected = reference_pch(program, propagator, candidates=candidates)
     assert (trace.assignments, trace.nogoods, trace.complete) == expected
+    return trace
+
+
+def assert_walks_answer_sets(program, propagator):
+    """``run_pch`` against the frozenset filter over the program's answer sets."""
+    trace = assert_matches_reference(program, propagator, enumerate_answer_sets(program))
+    assert verify_trace(program, propagator, trace)
+    return trace
 
 
 def choice_program(n, normal_rules=(), weight_constraints=(), nogoods=()):
@@ -364,40 +373,58 @@ class TestNetworkedPch:
         assert list(outputs) == [1]
         assert attached == binomial_program(1, 1)
 
-    def test_rejects_programs_with_negation(self):
+    def test_runs_programs_with_negation_over_their_answer_sets(self):
+        # 9 :- not 1 puts 9 only in the answer set {2, 9}; closing the choice
+        # subsets without the reduct would put 9 in every candidate
         program = binomial_program(2, 1)
-        spoiled = type(program)(
+        negated = type(program)(
             signature=program.signature | {9},
             normal_rules=(rule(9, not_body=[1]),),
             choice_rules=program.choice_rules,
             weight_constraints=program.weight_constraints,
         )
-        refusal = "^candidate enumeration needs negation-free rules$"
-        with pytest.raises(SemanticsError, match=refusal):
-            run_pch(spoiled, card_propagator([1, 2], 1))
+        propagator = card_propagator([1, 2], 1)
+        trace = assert_walks_answer_sets(negated, propagator)
+        assert trace.assignments == (frozenset({1}), frozenset({2, 9}))
+        assert trace.assignments != reference_pch(negated, propagator)[0]
 
-    def test_rejects_choice_rules_with_bodies(self):
+    def test_runs_choice_rules_with_bodies_over_their_answer_sets(self):
+        # 2 is chosen only beside 1, so {2} is no candidate
         program = binomial_program(2, 1)
-        spoiled = type(program)(
+        guarded = type(program)(
             signature=program.signature,
-            choice_rules=(ChoiceRule(frozenset({2}), frozenset({1})),),
+            choice_rules=(ChoiceRule(frozenset({1})), ChoiceRule(frozenset({2}), frozenset({1}))),
+            weight_constraints=program.weight_constraints,
         )
-        refusal = "^candidate enumeration needs empty choice bodies$"
-        with pytest.raises(SemanticsError, match=refusal):
-            run_pch(spoiled, card_propagator([1, 2], 1))
+        trace = assert_walks_answer_sets(guarded, card_propagator([1, 2], 1))
+        assert trace.summary() == "m=1 complete=true"
 
-    def test_rejects_positive_cycles(self):
+    def test_runs_positive_cycles_over_their_answer_sets(self):
+        # 8 and 9 support only each other, so no answer set holds them
         program = binomial_program(2, 1)
-        spoiled = type(program)(
+        cyclic = type(program)(
             signature=program.signature | {8, 9},
             normal_rules=(rule(8, body=[9]), rule(9, body=[8])),
             choice_rules=program.choice_rules,
             weight_constraints=program.weight_constraints,
         )
-        with pytest.raises(SemanticsError, match="^positive rule cycle defeats candidate closure$"):
-            run_pch(spoiled, card_propagator([1, 2], 1))
+        trace = assert_walks_answer_sets(cyclic, card_propagator([1, 2], 1))
+        assert trace.assignments == (frozenset({1}), frozenset({2}))
 
-    def test_rejects_a_rule_that_needs_its_own_head(self):
-        program = choice_program(2, normal_rules=(rule(8, body=[8, 1]),))
-        with pytest.raises(SemanticsError, match="^positive rule cycle defeats candidate closure$"):
-            run_pch(program, card_propagator([1, 2], 1))
+    def test_runs_a_rule_that_needs_its_own_head_over_the_answer_sets(self):
+        program = choice_program(
+            2, normal_rules=(rule(8, body=[8, 1]),), weight_constraints=(at_least([1, 2], 1),)
+        )
+        trace = assert_walks_answer_sets(program, card_propagator([1, 2], 1))
+        assert trace.assignments == (frozenset({1}), frozenset({2}))
+
+
+@settings(max_examples=300)
+@given(bridgeable_documents(), st.data())
+def test_pch_walks_the_answer_sets_of_bridged_programs(document, data):
+    # negation, choice bodies, weight constraints and nogoods all run
+    program, _ = aspif.to_ground_program(document)
+    atoms = sorted(program.signature) or [1]
+    watched = data.draw(st.lists(st.sampled_from(atoms), max_size=4, unique=True))
+    k = data.draw(st.integers(0, len(watched)))
+    assert_walks_answer_sets(program, card_propagator(watched, k))

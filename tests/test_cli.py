@@ -564,6 +564,37 @@ class TestPchCommand:
         assert err.startswith("error: closing 2^2048 choice subsets over 193535 rules costs about ")
         assert err.endswith(" steps, over the budget of 4194304\n")
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["15", "7", "--network", "full"],
+                "closing 2^15 choice subsets over 209 rules costs about 7340032 steps, "
+                "over the budget of 4194304",
+            ),
+            (
+                ["18", "9"],
+                "closing 2^18 choice subsets over 0 rules costs about 4718592 steps, "
+                "over the budget of 4194304",
+            ),
+        ],
+        ids=["full-15", "bare-18"],
+    )
+    def test_the_pre_check_alone_refuses_just_past_the_budget(
+        self, capsys, monkeypatch, argv, error
+    ):
+        # run_pch checks no cost itself: the CLI refuses before it builds
+        def attach(*args):
+            raise AssertionError("attach_network ran")
+
+        monkeypatch.setattr("optsort.cli.attach_network", attach)
+        code, out, err = run(capsys, monkeypatch, ["pch", *argv])
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    def test_a_full_sorter_just_within_the_budget_runs(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["pch", "14", "7", "--network", "full"])
+        assert (code, out, err) == (0, "m=8 complete=true\n", "")
+
 
 class TestRenderCommand:
     def test_bare_diagram(self, capsys, monkeypatch):

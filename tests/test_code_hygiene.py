@@ -1,6 +1,8 @@
 """Static checks on the package and its tests, read from their syntax trees.
 
 - No module in ``src/optsort`` or ``tests`` imports a name it never uses.
+- No module in ``src/optsort`` imports a private name (one starting with
+  ``_``) from another optsort module: what a module shares is public.
 - Every top-level function and class in ``src/optsort``, and every method of
   those classes, is referenced from ``src/optsort`` or ``perfbench``.  The
   dotted names that ``perfbench/tracing.py`` wraps count as references.
@@ -115,6 +117,19 @@ def test_no_unused_imports():
     paths = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    private = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "optsort")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_every_definition_is_referenced():
