@@ -26,8 +26,9 @@ from .rewrite import RewriteConfig, rewrite_objective
 def binomial_document(n: int, k: int, opt: bool = False) -> aspif.AspifDocument:
     """Free choice over n atoms constrained to keep at least k of them.
 
-    The constraint fires when at least n - k + 1 atoms are false; with n = 0
-    and k > 0 it has no terms and always fires.  ``opt`` adds the unit-weight
+    The constraint fires when at least n - k + 1 atoms are false.  For
+    k > n it always fires, and its bound is written as 0, never negative,
+    so that it fits any 32-bit reader.  ``opt`` adds the unit-weight
     objective over the atoms.
     """
     if n < 0 or k < 0:
@@ -41,7 +42,7 @@ def binomial_document(n: int, k: int, opt: bool = False) -> aspif.AspifDocument:
             aspif.Rule(
                 aspif.DISJUNCTIVE,
                 (),
-                aspif.WeightBody(n - k + 1, tuple((-a, 1) for a in atoms)),
+                aspif.WeightBody(max(n - k + 1, 0), tuple((-a, 1) for a in atoms)),
             )
         )
     if opt:

@@ -22,7 +22,7 @@ from itertools import chain, takewhile
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .asplang import ChoiceRule, GroundProgram, Nogood, NormalRule, WeightConstraint
+from .asplang import GroundProgram, GroundRule, Nogood, WeightConstraint
 
 DISJUNCTIVE = 0
 CHOICE = 1
@@ -323,12 +323,12 @@ def to_ground_program(doc: AspifDocument) -> Bridged:
     """Bridge the document to brute-force semantics.
 
     Supports normal rules, integrity constraints, choice rules with normal
-    bodies, minimize and output statements.  A constraint's weight body is
+    bodies, minimize and output statements.  A choice rule becomes one
+    choice ``GroundRule`` per head atom, and a constraint's weight body is
     kept as written, as a ``WeightConstraint``.  Anything else, raw
     statements too, raises UnsupportedStatementError.
     """
-    normal_rules: list[NormalRule] = []
-    choice_rules: list[ChoiceRule] = []
+    rules: list[GroundRule] = []
     weight_constraints: list[WeightConstraint] = []
     nogoods: list[Nogood] = []
     objective_terms: dict[int, list[tuple[int, int]]] = {}
@@ -356,23 +356,21 @@ def to_ground_program(doc: AspifDocument) -> Bridged:
         lits = s.body.literals
         atoms.update(_atoms_of(lits))
         atoms.update(s.head_atoms)
+        pos_body = frozenset(l for l in lits if l > 0)
+        neg_body = frozenset(-l for l in lits if l < 0)
         if s.head_kind == CHOICE:
-            if s.head_atoms:
-                choice_rules.append(ChoiceRule(frozenset(s.head_atoms), frozenset(lits)))
+            rules += (GroundRule(a, pos_body, neg_body, True) for a in s.head_atoms)
             continue
         if len(s.head_atoms) > 1:
             raise UnsupportedStatementError("disjunctive heads are not bridged")
-        pos_body = frozenset(l for l in lits if l > 0)
-        neg_body = frozenset(-l for l in lits if l < 0)
         if s.head_atoms:
-            normal_rules.append(NormalRule(s.head_atoms[0], pos_body, neg_body))
+            rules.append(GroundRule(s.head_atoms[0], pos_body, neg_body))
         elif not pos_body & neg_body:
             # a constraint needing some atom both true and false never fires
             nogoods.append(Nogood(frozenset(lits)))
     program = GroundProgram(
         signature=frozenset(atoms),
-        normal_rules=tuple(normal_rules),
-        choice_rules=tuple(choice_rules),
+        rules=tuple(rules),
         weight_constraints=tuple(weight_constraints),
         nogoods=tuple(nogoods),
     )

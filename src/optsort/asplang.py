@@ -1,6 +1,6 @@
 """Ground answer-set programs and their brute-force semantics.
 
-Programs mix normal rules, choice rules, weight constraints and nogoods over
+Programs mix normal and choice rules, weight constraints and nogoods over
 positive integer atoms.  A literal is an int as in aspif: ``a`` for atom a,
 ``-a`` for its default negation.  Everything here is meant for desk-scale
 verification: answer sets are enumerated exhaustively, every guess at once as
@@ -22,17 +22,14 @@ class SemanticsError(ValueError):
     """Raised for malformed programs or blown enumeration guards."""
 
 
-class NormalRule(NamedTuple):
+class GroundRule(NamedTuple):
+    """``head :- pos_body, not neg_body``, or ``{head} :- ...`` with ``choice``:
+    the body may justify the head but does not force it."""
+
     head: int
     pos_body: frozenset[int] = frozenset()
     neg_body: frozenset[int] = frozenset()
-
-
-class ChoiceRule(NamedTuple):
-    """Justifies any subset of its head atoms when the body holds."""
-
-    head_atoms: frozenset[int]
-    body: frozenset[int] = frozenset()
+    choice: bool = False
 
 
 class WeightConstraint(NamedTuple):
@@ -54,8 +51,7 @@ class Nogood(NamedTuple):
 
 class GroundProgram(NamedTuple):
     signature: frozenset[int]
-    normal_rules: tuple[NormalRule, ...] = ()
-    choice_rules: tuple[ChoiceRule, ...] = ()
+    rules: tuple[GroundRule, ...] = ()
     weight_constraints: tuple[WeightConstraint, ...] = ()
     nogoods: tuple[Nogood, ...] = ()
 
@@ -210,13 +206,10 @@ def guessed_atoms(program: GroundProgram) -> list[int]:
     These are the choice heads and the negated atoms that some rule derives.
     Every other atom is derived from them, or false where no rule derives it.
     """
-    heads = {r.head for r in program.normal_rules}
-    read: set[int] = set()
-    for r in program.normal_rules:
+    heads = {r.head for r in program.rules}
+    read = {r.head for r in program.rules if r.choice}
+    for r in program.rules:
         read |= r.neg_body
-    for c in program.choice_rules:
-        heads |= c.head_atoms
-        read |= c.head_atoms | {-l for l in c.body if l < 0}
     return sorted(heads & read)
 
 
@@ -282,15 +275,13 @@ def answer_lanes(
             lanes &= all_lanes ^ guess.get(atom, 0)
         return lanes
 
-    rules = [LaneRule(r.head, r.pos_body, unguessed(r.neg_body)) for r in program.normal_rules]
-    for c in program.choice_rules:
-        pos_body = frozenset(l for l in c.body if l > 0)
-        negated = [-l for l in c.body if l < 0]
-        lanes = unguessed(negated)
-        # without a negated body a head takes its guess's own int: no new lane vector
-        rules += (
-            LaneRule(a, pos_body, lanes & guess[a] if negated else guess[a]) for a in c.head_atoms
-        )
+    rules = []
+    for r in program.rules:
+        lanes = unguessed(r.neg_body)
+        if r.choice:
+            # without a negated body a head takes its guess's own int: no new lane vector
+            lanes = lanes & guess[r.head] if r.neg_body else guess[r.head]
+        rules.append(LaneRule(r.head, r.pos_body, lanes))
     true_in = least_model(rules)
 
     def holds(literal: int) -> int:

@@ -79,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--random", action="store_true", help="sweep seeded random programs instead of reading input"
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--count", type=int, default=20, help="number of random programs")
+    p_verify.add_argument("--seed", type=int, help="first random seed (default: 0)")
+    p_verify.add_argument("--count", type=int, help="number of random programs (default: 20)")
 
     p_pch = sub.add_parser("pch", help="simulate the propagator call history on a binomial program")
     p_pch.add_argument("n", type=int)
@@ -171,16 +171,24 @@ def _verify_document(doc: aspif.AspifDocument) -> tuple[bool, list[str]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # a flag that does not apply is refused before any input is read
     if not args.random:
+        if args.seed is not None or args.count is not None:
+            flag = "--seed" if args.seed is not None else "--count"
+            raise ValueError(f"{flag} applies only with --random")
         ok, lines = _verify_document(_read_document(args.input))
         print("\n".join(lines))
         return 0 if ok else 1
-    if args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
-    check_random_count(args.count)
+    if args.input is not None:
+        raise ValueError(f"verify --random reads no input, got the file {args.input!r}")
+    first = 0 if args.seed is None else args.seed
+    count = 20 if args.count is None else args.count
+    if count < 0:
+        raise ValueError(f"--count must be >= 0, got {count}")
+    check_random_count(count)
     # every program is checked before any line is printed, so a refusal
     # leaves stdout empty
-    seeds = range(args.seed, args.seed + args.count)
+    seeds = range(first, first + count)
     verdicts = [_verify_document(random_opt_document(random.Random(s)))[0] for s in seeds]
     for seed, ok in zip(seeds, verdicts):
         print(f"program seed={seed} {'ok' if ok else 'FAIL'}")

@@ -288,10 +288,9 @@ def _keeps_input(before: GroundProgram, after: GroundProgram) -> bool:
     Then the part of ``after`` below the input's signature has the input's
     answer sets, and the rules above it need only be closed over them.
     """
-    below = {r for r in after.normal_rules if r.head in before.signature}
+    kept = {r for r in after.rules if r.choice or r.head in before.signature}
     return (
-        below == set(before.normal_rules)
-        and set(after.choice_rules) == set(before.choice_rules)
+        kept == set(before.rules)
         and set(after.weight_constraints) >= set(before.weight_constraints)
         and set(after.nogoods) >= set(before.nogoods)
     )

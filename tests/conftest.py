@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from optsort import aspif
 from optsort.analysis import Propagator, PropagatorTrace, attach_network, binomial_document
 from optsort.asplang import (
-    ChoiceRule,
     GroundProgram,
+    GroundRule,
     Nogood,
-    NormalRule,
     SemanticsError,
     WeightConstraint,
 )
@@ -323,12 +322,17 @@ def signed_literals(atoms: st.SearchStrategy[int]) -> st.SearchStrategy[int]:
     return st.builds(lambda atom, positive: atom if positive else -atom, atoms, st.booleans())
 
 
-def rule(head: int, body=(), not_body=()) -> NormalRule:
-    return NormalRule(head, frozenset(body), frozenset(not_body))
+def rule(head: int, body=(), not_body=()) -> GroundRule:
+    return GroundRule(head, frozenset(body), frozenset(not_body))
 
 
-def fact(head: int) -> NormalRule:
-    return NormalRule(head)
+def fact(head: int) -> GroundRule:
+    return GroundRule(head)
+
+
+def choice(heads: Iterable[int], body=(), not_body=()) -> list[GroundRule]:
+    """``{heads} :- body, not not_body`` as one choice rule per head atom."""
+    return [GroundRule(a, frozenset(body), frozenset(not_body), True) for a in heads]
 
 
 def nogood(true_atoms=(), false_atoms=()) -> Nogood:
@@ -361,11 +365,9 @@ def at_least(literals: Iterable[int], k: int) -> WeightConstraint:
     return WeightConstraint(tuple((-l, 1) for l in distinct), len(distinct) - k + 1)
 
 
-def rule_atoms(r: NormalRule | ChoiceRule) -> frozenset[int]:
-    """The atoms of a normal rule's head and body, or of a choice rule's heads and body literals."""
-    if isinstance(r, NormalRule):
-        return frozenset({r.head}) | r.pos_body | r.neg_body
-    return r.head_atoms | frozenset(map(abs, r.body))
+def rule_atoms(r: GroundRule) -> frozenset[int]:
+    """The atoms of a rule's head and body."""
+    return frozenset({r.head}) | r.pos_body | r.neg_body
 
 
 def nogood_holds(ng: Nogood, interpretation: frozenset[int]) -> bool:
@@ -376,14 +378,11 @@ def nogood_holds(ng: Nogood, interpretation: frozenset[int]) -> bool:
 def assert_well_formed(program: GroundProgram) -> None:
     """The invariants of every program that ``to_ground_program`` and
     ``attach_network`` build: the signature holds every atom used and each
-    atom is >= 1, choice heads are nonempty and no nogood holds an atom
-    with both signs."""
-    rules = [*program.normal_rules, *program.choice_rules]
+    atom is >= 1 and no nogood holds an atom with both signs."""
     constraints = [*program.weight_constraints, *program.nogoods]
-    used = set().union(*map(rule_atoms, rules), *map(constraint_atoms, constraints))
+    used = set().union(*map(rule_atoms, program.rules), *map(constraint_atoms, constraints))
     assert used <= program.signature, sorted(used - program.signature)
     assert all(a >= 1 for a in program.signature)
-    assert all(c.head_atoms for c in program.choice_rules)
     assert all(len(constraint_atoms(ng)) == len(ng.literals) for ng in program.nogoods)
 
 
@@ -463,13 +462,13 @@ def value_mismatch(source: str, rewritten: str, top: int, seed: int) -> str | No
     return None
 
 
-def body_holds(r: NormalRule, interpretation: frozenset[int]) -> bool:
+def body_holds(r: GroundRule, interpretation: frozenset[int]) -> bool:
     return r.pos_body <= interpretation and not r.neg_body & interpretation
 
 
 def satisfies(program: GroundProgram, interpretation: frozenset[int]) -> bool:
-    """Classical satisfaction of rules, weight constraints and nogoods."""
-    rules = program.normal_rules
+    """Classical satisfaction of normal rules, weight constraints and nogoods."""
+    rules = [r for r in program.rules if not r.choice]
     return (
         all(r.head in interpretation or not body_holds(r, interpretation) for r in rules)
         and all(constraint_holds(cc, interpretation) for cc in program.weight_constraints)
@@ -480,29 +479,23 @@ def satisfies(program: GroundProgram, interpretation: frozenset[int]) -> bool:
 def is_answer_set(program: GroundProgram, interpretation: frozenset[int]) -> bool:
     """Satisfaction, and equality with the least model of the reduct.
 
-    The reduct keeps each normal rule whose negative body the interpretation
-    leaves false, and turns each choice head in the interpretation into a
-    rule over its body's positive part when the negative part holds.
+    The reduct keeps the positive part of each rule whose negative body the
+    interpretation leaves false, a choice rule only where its head is in the
+    interpretation.
     """
     if not satisfies(program, interpretation):
         return False
     reduct = [
         (r.head, r.pos_body)
-        for r in program.normal_rules
-        if not r.neg_body & interpretation
+        for r in program.rules
+        if not r.neg_body & interpretation and (not r.choice or r.head in interpretation)
     ]
-    for c in program.choice_rules:
-        if all(l > 0 or -l not in interpretation for l in c.body):
-            body = frozenset(l for l in c.body if l > 0)
-            reduct += [(a, body) for a in c.head_atoms & interpretation]
     return closure(reduct) == interpretation
 
 
 def enumerate_answer_sets(program: GroundProgram) -> list[frozenset[int]]:
     """Every answer set, in order of their sorted atoms, by testing each set of head atoms."""
-    heads = sorted(
-        {r.head for r in program.normal_rules}.union(*(c.head_atoms for c in program.choice_rules))
-    )
+    heads = sorted({r.head for r in program.rules})
     subsets = (
         frozenset(a for bit, a in enumerate(heads) if mask >> bit & 1)
         for mask in range(1 << len(heads))
@@ -652,8 +645,8 @@ def constraint_nogoods(propagator: Propagator) -> list[tuple[int, ...]]:
 
 def reference_candidates(program):
     """Supported-model candidates by per-subset closures, in order of their sorted atoms."""
-    choice = sorted(set().union(*(c.head_atoms for c in program.choice_rules)))
-    derivations = [(r.head, r.pos_body) for r in program.normal_rules]
+    choice = sorted({r.head for r in program.rules if r.choice})
+    derivations = [(r.head, r.pos_body) for r in program.rules if not r.choice]
     models = {
         closure(derivations + [(a, frozenset()) for b, a in enumerate(choice) if mask >> b & 1])
         for mask in range(1 << len(choice))
@@ -700,12 +693,7 @@ def is_supported_model(program: GroundProgram, interpretation: frozenset[int]) -
     if not satisfies(program, interpretation):
         return False
     for a in interpretation:
-        supported = any(
-            r.head == a and body_holds(r, interpretation) for r in program.normal_rules
-        ) or any(
-            a in c.head_atoms and all(literal_holds(l, interpretation) for l in c.body)
-            for c in program.choice_rules
-        )
+        supported = any(r.head == a and body_holds(r, interpretation) for r in program.rules)
         if not supported:
             return False
     return True
@@ -733,12 +721,8 @@ def verify_trace(
             return False
         if not assignment.issuperset(trace.nogoods[idx]):
             return False
-    constrained = GroundProgram(
-        signature=program.signature,
-        normal_rules=program.normal_rules,
-        choice_rules=program.choice_rules,
-        weight_constraints=program.weight_constraints,
-        nogoods=program.nogoods + tuple(nogood(true_atoms=ng) for ng in trace.nogoods),
+    constrained = program._replace(
+        nogoods=program.nogoods + tuple(nogood(true_atoms=ng) for ng in trace.nogoods)
     )
     return trace.complete == (not enumerate_answer_sets(constrained))
 

@@ -12,12 +12,7 @@ from optsort.analysis import (
     check_candidate_cost,
     run_pch,
 )
-from optsort.asplang import (
-    ChoiceRule,
-    GroundProgram,
-    SemanticsError,
-    lane_sum,
-)
+from optsort.asplang import GroundProgram, SemanticsError
 from optsort.network import oe_sorter
 
 from conftest import (
@@ -27,18 +22,16 @@ from conftest import (
     binomial_program,
     binomial_with_sorter,
     bridgeable_documents,
-    constraint_holds,
+    choice,
     constraint_nogoods,
     enumerate_answer_sets,
     evaluate,
     fact,
-    literal_holds,
     nogood,
     optimal_value,
     reference_pch,
     rule,
     rule_atoms,
-    signed_literals,
     traced_peak,
     verify_trace,
 )
@@ -65,8 +58,7 @@ def choice_program(n, normal_rules=(), weight_constraints=(), nogoods=()):
         atoms |= rule_atoms(r)
     return GroundProgram(
         signature=frozenset(atoms),
-        normal_rules=tuple(normal_rules),
-        choice_rules=(ChoiceRule(frozenset(range(1, n + 1))),) if n else (),
+        rules=(*normal_rules, *choice(range(1, n + 1))),
         weight_constraints=tuple(weight_constraints),
         nogoods=tuple(nogoods),
     )
@@ -186,8 +178,7 @@ class TestReferencePch:
         base = binomial_program(4, 2)
         program = type(base)(
             signature=base.signature | {5},
-            normal_rules=(rule(2, body=[1]), rule(5, body=[2, 3]), rule(4, body=[5])),
-            choice_rules=base.choice_rules,
+            rules=(rule(2, body=[1]), rule(5, body=[2, 3]), rule(4, body=[5]), *base.rules),
             weight_constraints=base.weight_constraints,
         )
         assert_matches_reference(program, card_propagator([1, 2, 3, 4], 2))
@@ -277,26 +268,6 @@ class TestPchMemory:
         assert (trace.assignments, trace.nogoods, trace.complete) == expected
 
 
-@given(st.data())
-def test_bit_sliced_at_least_counter_matches_satisfied_by(data):
-    lanes = data.draw(st.integers(1, 24))
-    models = data.draw(
-        st.lists(st.frozensets(st.integers(1, 5)), min_size=lanes, max_size=lanes)
-    )
-    literals = data.draw(st.lists(signed_literals(st.integers(1, 5))))
-    count = [
-        (sum(1 << i for i, m in enumerate(models) if literal_holds(l, m)), 1)
-        for l in set(literals)
-    ]
-    for bound in range(len(count) + 2):
-        # the count minus the bound has a clear sign plane where the bound is met
-        sign = lane_sum([*count, ((1 << lanes) - 1, -bound)])[-1]
-        constraint = at_least(literals, bound)
-        assert [not sign >> i & 1 for i in range(lanes)] == [
-            constraint_holds(constraint, m) for m in models
-        ]
-
-
 class TestNetworkedPch:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_sorter_outputs_cap_the_history_linearly(self, n):
@@ -332,7 +303,7 @@ class TestNetworkedPch:
                 network = oe_sorter(n, depth)
                 program = binomial_program(n, n // 2)
                 attached, _ = binomial_with_sorter(n, n // 2, depth)
-                added = len(attached.normal_rules) - len(program.normal_rules)
+                added = len(attached.rules) - len(program.rules)
                 assert added == network.width * network.depth + network.size(), (n, depth)
 
     def test_attached_programs_are_well_formed(self):
@@ -361,8 +332,9 @@ class TestNetworkedPch:
         last = 7 + 3 * (network.depth - 1)
         assert outputs == range(last + 1, last + 4)
         assert attached.signature == frozenset({1, 2, 3, 7, *range(8, last + 4)})
-        assert min(rule.head for rule in attached.normal_rules) == 8
-        assert {a for rule in attached.normal_rules for a in rule.pos_body} >= {1, 2, 3}
+        added = [rule for rule in attached.rules if not rule.choice]
+        assert min(rule.head for rule in added) == 8
+        assert {a for rule in added for a in rule.pos_body} >= {1, 2, 3}
 
     def test_a_network_without_levels_outputs_its_inputs(self):
         # depth 0 wires nothing, and one term is not wired at any depth
@@ -379,8 +351,7 @@ class TestNetworkedPch:
         program = binomial_program(2, 1)
         negated = type(program)(
             signature=program.signature | {9},
-            normal_rules=(rule(9, not_body=[1]),),
-            choice_rules=program.choice_rules,
+            rules=(rule(9, not_body=[1]), *program.rules),
             weight_constraints=program.weight_constraints,
         )
         propagator = card_propagator([1, 2], 1)
@@ -393,7 +364,7 @@ class TestNetworkedPch:
         program = binomial_program(2, 1)
         guarded = type(program)(
             signature=program.signature,
-            choice_rules=(ChoiceRule(frozenset({1})), ChoiceRule(frozenset({2}), frozenset({1}))),
+            rules=(*choice([1]), *choice([2], body=[1])),
             weight_constraints=program.weight_constraints,
         )
         trace = assert_walks_answer_sets(guarded, card_propagator([1, 2], 1))
@@ -404,8 +375,7 @@ class TestNetworkedPch:
         program = binomial_program(2, 1)
         cyclic = type(program)(
             signature=program.signature | {8, 9},
-            normal_rules=(rule(8, body=[9]), rule(9, body=[8])),
-            choice_rules=program.choice_rules,
+            rules=(rule(8, body=[9]), rule(9, body=[8]), *program.rules),
             weight_constraints=program.weight_constraints,
         )
         trace = assert_walks_answer_sets(cyclic, card_propagator([1, 2], 1))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from optsort import aspif
 from optsort.analysis import binomial_document
-from optsort.asplang import NormalRule, WeightConstraint, enumerate_answer_sets_split
+from optsort.asplang import GroundRule, WeightConstraint, enumerate_answer_sets_split
 from optsort.rewrite import RewriteConfig, rewrite_objective
 
 from conftest import (
@@ -264,10 +264,10 @@ class TestRawText:
     def test_bridges_like_the_rules_it_holds(self):
         doc = aspif.AspifDocument(statements=(self.RULES,))
         program, _ = aspif.to_ground_program(aspif.parse(aspif.write(doc)))
-        assert program.normal_rules == (
-            NormalRule(5, frozenset({1, 2})),
-            NormalRule(6, frozenset(), frozenset({3})),
-            NormalRule(7, frozenset({4})),
+        assert program.rules == (
+            GroundRule(5, frozenset({1, 2})),
+            GroundRule(6, frozenset(), frozenset({3})),
+            GroundRule(7, frozenset({4})),
         )
         assert program.signature == frozenset(range(1, 8))
 
@@ -304,12 +304,14 @@ class TestGroundProgramBridge:
         assert optimal_value(program, objectives[0]) == 2
 
     def test_choice_statement_maps_to_a_choice_rule(self):
+        # one choice rule per head atom, each with the statement's body
         program, _ = aspif.to_ground_program(
             aspif.parse("asp 1 0 0\n1 1 2 1 2 0 1 -3\n0\n")
         )
-        (choice,) = program.choice_rules
-        assert choice.head_atoms == frozenset({1, 2})
-        assert choice.body == frozenset({-3})
+        assert program.rules == (
+            GroundRule(1, frozenset(), frozenset({3}), True),
+            GroundRule(2, frozenset(), frozenset({3}), True),
+        )
 
     def test_constraint_maps_to_a_nogood(self):
         program, _ = aspif.to_ground_program(

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optsort.asplang import (
-    ChoiceRule,
     GroundProgram,
     LaneRule,
     Nogood,
@@ -24,8 +23,10 @@ from optsort.asplang import (
 
 from conftest import (
     at_least,
+    choice,
     closure,
     constraint_atoms,
+    constraint_holds,
     enumerate_answer_sets,
     evaluate,
     fact,
@@ -36,6 +37,7 @@ from conftest import (
     nogood_holds,
     optimal_value,
     lane_models,
+    literal_holds,
     rule,
     signed_literals,
     weight_terms,
@@ -43,13 +45,7 @@ from conftest import (
 
 
 def program(sig, rules=(), choices=(), weights=(), nogoods=()):
-    return GroundProgram(
-        frozenset(sig),
-        tuple(rules),
-        tuple(choices),
-        tuple(weights),
-        tuple(nogoods),
-    )
+    return GroundProgram(frozenset(sig), (*rules, *choices), tuple(weights), tuple(nogoods))
 
 
 def lex(models):
@@ -67,10 +63,9 @@ def part_below(p, bottom):
     """The rules defining the bottom atoms, the choice rules and the constraints over the bottom alone."""
     return program(
         bottom,
-        [r for r in p.normal_rules if r.head in bottom],
-        p.choice_rules,
-        [wc for wc in p.weight_constraints if constraint_atoms(wc) <= bottom],
-        [ng for ng in p.nogoods if constraint_atoms(ng) <= bottom],
+        [r for r in p.rules if r.choice or r.head in bottom],
+        weights=[wc for wc in p.weight_constraints if constraint_atoms(wc) <= bottom],
+        nogoods=[ng for ng in p.nogoods if constraint_atoms(ng) <= bottom],
     )
 
 
@@ -87,7 +82,7 @@ class TestExpandCardinality:
         # a free choice kept to at least k of n atoms has one answer set per
         # subset of size k or more: the binomial tail sum_{j >= k} C(n, j)
         atoms = frozenset(range(1, n + 1))
-        p = program(atoms, choices=[ChoiceRule(atoms)], weights=[at_least(atoms, k)])
+        p = program(atoms, choices=choice(atoms), weights=[at_least(atoms, k)])
         models = answer_sets(p)
         assert len(models) == sum(math.comb(n, j) for j in range(k, n + 1))
         assert all(len(m) >= k for m in models)
@@ -173,12 +168,12 @@ class TestAnswerSets:
         assert answer_sets(program(set())) == [frozenset()]
 
     def test_choice_generates_all_justified_subsets(self):
-        p = program({1, 2}, choices=[ChoiceRule(frozenset({1, 2}))])
+        p = program({1, 2}, choices=choice({1, 2}))
         assert lex(answer_sets(p)) == [[], [1], [1, 2], [2]]
 
     def test_guard_rejects_oversized_programs(self):
         atoms = frozenset(range(1, 26))
-        p = program(atoms, choices=[ChoiceRule(atoms)])
+        p = program(atoms, choices=choice(atoms))
         with pytest.raises(SemanticsError, match="25 atoms exceed the brute-force guard of 24"):
             enumerate_answer_sets_layered(p)
 
@@ -191,7 +186,7 @@ class TestSupportedModels:
 
     def test_choice_supports_any_subset(self):
         atoms = [1, 2, 3]
-        p = program(atoms, choices=[ChoiceRule(frozenset(atoms))])
+        p = program(atoms, choices=choice(atoms))
         subsets = [frozenset(s) for size in range(4) for s in itertools.combinations(atoms, size)]
         assert all(is_supported_model(p, s) for s in subsets)
 
@@ -206,7 +201,7 @@ class TestSupportedModels:
             not_body = set(rng.sample(sorted(atoms), k=rng.randint(0, 1)))
             rules.append(rule(head, body, not_body))
         choices = (
-            [ChoiceRule(frozenset(rng.sample(sorted(atoms), k=2)))]
+            choice(rng.sample(sorted(atoms), k=2))
             if len(atoms) >= 2 and rng.random() < 0.5
             else []
         )
@@ -222,7 +217,7 @@ class TestMonotoneNogoods:
         p = program(
             atoms,
             rules=[rule(4, body=[1], not_body=[2])],
-            choices=[ChoiceRule(frozenset({1, 2, 3}))],
+            choices=choice({1, 2, 3}),
         )
         extra = []
         for _ in range(rng.randint(1, 3)):
@@ -233,8 +228,7 @@ class TestMonotoneNogoods:
                 extra.append(Nogood(signed))
         constrained = program(
             atoms,
-            rules=p.normal_rules,
-            choices=p.choice_rules,
+            rules=p.rules,
             nogoods=extra,
         )
         expected = [
@@ -258,7 +252,7 @@ class TestSplitEnumeration:
             body = rng.sample(pool, k=rng.randint(0, min(2, len(pool))))
             not_body = rng.sample(sorted(bottom), k=rng.randint(0, 1))
             rules.append(rule(t, body, not_body))
-        p = program(bottom | top, rules=rules, choices=[ChoiceRule(bottom)])
+        p = program(bottom | top, rules=rules, choices=choice(bottom))
         direct = enumerate_answer_sets(p)
         assert lane_models(enumerate_answer_sets_split(p)) == direct
         assert lane_models(split_lanes(p, bottom)) == direct
@@ -293,7 +287,7 @@ class TestSplitEnumeration:
         p = program(
             bottom | top,
             rules=rules,
-            choices=[ChoiceRule(free)],
+            choices=choice(free),
             weights=weights,
             nogoods=nogoods,
         )
@@ -308,7 +302,7 @@ class TestSplitEnumeration:
         atoms = frozenset(range(1, 5))
         p = program(
             atoms,
-            choices=[ChoiceRule(atoms)],
+            choices=choice(atoms),
             weights=[at_least(atoms, 3)],
         )
         lanes, answers = enumerate_answer_sets_split(p)
@@ -322,10 +316,7 @@ class TestSplitEnumeration:
         # program takes the program
         p = program(
             {1, 2},
-            choices=[
-                ChoiceRule(frozenset({1})),
-                ChoiceRule(frozenset({2}), frozenset({1})),
-            ],
+            choices=[*choice([1]), *choice([2], body=[1])],
         )
         with pytest.raises(
             SemanticsError, match=r"^the guess leaves out the guessed atoms \[2\]$"
@@ -341,7 +332,7 @@ class TestSplitEnumeration:
         p = program(
             {1, 2, 3},
             rules=[rule(2, body=[1], not_body=[3]), rule(3, not_body=[2])],
-            choices=[ChoiceRule(frozenset({1}))],
+            choices=choice({1}),
         )
         with pytest.raises(
             SemanticsError, match=r"^the guess leaves out the guessed atoms \[2, 3\]$"
@@ -354,7 +345,7 @@ class TestSplitEnumeration:
         p = program(
             {1, 2, 3, 4},
             rules=[rule(3, body=[1]), rule(4, body=[3, 2])],
-            choices=[ChoiceRule(frozenset({1, 2}))],
+            choices=choice({1, 2}),
         )
         assert lane_models(enumerate_answer_sets_layered(p)) == enumerate_answer_sets(p)
 
@@ -369,7 +360,7 @@ class TestSplitEnumeration:
         p = program(
             {1, 2},
             rules=[rule(2, body=[1])],
-            choices=[ChoiceRule(frozenset({1}))],
+            choices=choice({1}),
             nogoods=[nogood(true_atoms=[2])],
         )
         assert lane_models(enumerate_answer_sets_split(p)) == [frozenset()]
@@ -388,7 +379,7 @@ class TestObjectives:
         atoms = frozenset(range(1, 5))
         p = program(
             atoms,
-            choices=[ChoiceRule(atoms)],
+            choices=choice(atoms),
             weights=[at_least(atoms, 2)],
         )
         objective = tuple((a, 1) for a in sorted(atoms))
@@ -426,6 +417,26 @@ def test_lane_values_match_the_per_model_oracle(models, terms):
     ]
     assert decoded == [evaluate(tuple(terms), m) for m in models]
     assert not any(lane_sum([(0, w) for _, w in terms]))
+
+
+@given(st.data())
+def test_lane_sum_at_least_counter_matches_constraint_holds(data):
+    lanes = data.draw(st.integers(1, 24))
+    models = data.draw(
+        st.lists(st.frozensets(st.integers(1, 5)), min_size=lanes, max_size=lanes)
+    )
+    literals = data.draw(st.lists(signed_literals(st.integers(1, 5))))
+    count = [
+        (sum(1 << i for i, m in enumerate(models) if literal_holds(l, m)), 1)
+        for l in set(literals)
+    ]
+    for bound in range(len(count) + 2):
+        # the count minus the bound has a clear sign plane where the bound is met
+        sign = lane_sum([*count, ((1 << lanes) - 1, -bound)])[-1]
+        constraint = at_least(literals, bound)
+        assert [not sign >> i & 1 for i in range(lanes)] == [
+            constraint_holds(constraint, m) for m in models
+        ]
 
 
 @given(st.data())
@@ -471,13 +482,11 @@ def unsplit_programs(draw):
     """
     atoms = list(range(1, draw(st.integers(1, 6)) + 1))
     literal = signed_literals(st.sampled_from(atoms))
-    choices = [
-        ChoiceRule(
-            frozenset(draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))),
-            frozenset(draw(st.lists(literal, max_size=2))),
-        )
-        for _ in range(draw(st.integers(0, 2)))
-    ]
+    choices = []
+    for _ in range(draw(st.integers(0, 2))):
+        heads = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))
+        body = draw(st.lists(literal, max_size=2))
+        choices += choice(heads, [l for l in body if l > 0], [-l for l in body if l < 0])
     rules = [
         rule(draw(st.sampled_from(atoms)), draw(subsets(atoms, 2)), draw(subsets(atoms, 2)))
         for _ in range(draw(st.integers(0, 6)))
@@ -507,9 +516,7 @@ def split_programs(draw):
     choices = []
     for _ in range(draw(st.integers(0, 2))):
         heads = draw(st.lists(st.sampled_from(bottom), min_size=1, max_size=3, unique=True))
-        body = draw(subsets(bottom, 2))
-        body += [-a for a in draw(subsets(bottom, 2))]
-        choices.append(ChoiceRule(frozenset(heads), frozenset(body)))
+        choices += choice(heads, draw(subsets(bottom, 2)), draw(subsets(bottom, 2)))
     rules = [
         rule(draw(st.sampled_from(bottom)), draw(subsets(bottom, 2)), draw(subsets(bottom, 2)))
         for _ in range(draw(st.integers(0, 4)))

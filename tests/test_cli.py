@@ -224,9 +224,13 @@ class TestGenerators:
         assert any(isinstance(s, aspif.Minimize) for s in doc.statements)
 
     def test_gen_binomial_warns_on_unsatisfiable_bounds(self, capsys, monkeypatch):
-        for n, k in [("2", "3"), ("0", "3")]:
+        # the always-firing constraint's bound is written as 0, never negative
+        huge = "99999999999999999999999"
+        for n, k in [("2", "3"), ("0", "3"), ("3", "5"), ("3", huge)]:
             code, out, err = run(capsys, monkeypatch, ["gen-binomial", n, k])
             assert code == 0 and "no answer sets" in err
+            (constraint,) = [line for line in out.split("\n") if line.startswith("1 0 0 1 ")]
+            assert constraint.split(" ")[4] == "0", (n, k)
             program, _ = aspif.to_ground_program(aspif.parse(out))
             assert enumerate_answer_sets(program) == [], (n, k)
 
@@ -303,6 +307,31 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "verified 3 programs x 30 configurations" in out1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--seed", "3"], "--seed applies only with --random"),
+            (["verify", "--count", "5"], "--count applies only with --random"),
+            (["verify", "--seed", "3", "--count", "5"], "--seed applies only with --random"),
+            (
+                ["verify", "missing.aspif", "--random"],
+                "verify --random reads no input, got the file 'missing.aspif'",
+            ),
+        ],
+    )
+    def test_a_flag_that_does_not_apply_is_refused_before_any_input_is_read(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # at a terminal a read of stdin would wait; the file does not exist
+        class Unread(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr("sys.stdin", Unread())
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
     def test_a_terminal_stdin_is_read_as_the_document(self, capsys, monkeypatch):
         class Terminal(io.StringIO):

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from optsort.asplang import ChoiceRule, GroundProgram, Nogood, NormalRule, WeightConstraint
+from optsort.asplang import GroundProgram, GroundRule, Nogood, WeightConstraint
 from optsort.network import ConfinedNetwork, Decomposition
 from optsort.propagate import WeightError, WeightMatrix
 from optsort.rewrite import RewriteConfig
@@ -197,10 +197,10 @@ def test_a_validating_record_checks_at_construction_and_stays_frozen(
 
 # The records that do not validate their fields are frozen all the same.
 PLAIN_RECORDS = [
-    ChoiceRule(frozenset({1})),
+    GroundRule(1),
     WeightConstraint(((1, 1),), 1),
     Nogood(frozenset({1})),
-    GroundProgram(frozenset({1}), (NormalRule(1),)),
+    GroundProgram(frozenset({1}), (GroundRule(1),)),
     ConfinedNetwork(frozenset({1}), 1, 1),
     Decomposition(),
     RewriteConfig(),

@@ -7,7 +7,8 @@ a digest only for a deliberate change of the encoding, after the verify
 grid has passed.
 
 The ``pch --trace`` goldens pin the simulated call history the same way:
-every visited candidate's size and every learned nogood, in order.
+every visited candidate's size and every learned nogood, in order, and the
+``render --weights`` goldens the drawn weight placement.
 """
 
 import hashlib
@@ -137,6 +138,53 @@ def test_rewrite_digests(name):
     document = INPUTS[name]()
     got = {config: digest(document, CONFIGS[config]) for config in CONFIGS}
     assert got == GOLDEN[name]
+
+
+# Unit weights give one digest at any sparseness (see the binomial goldens
+# above), so the weighted objective alone pins where the weights are placed.
+WEIGHT_PLACEMENT_CONFIGS = {
+    "depth-1": RewriteConfig(depth_limit=1),
+    "depth-2": RewriteConfig(depth_limit=2),
+    "sparseness-3": RewriteConfig(sparseness=3),
+    "depth-8-sparseness-2": RewriteConfig(depth_limit=8, sparseness=2),
+    "depth-8-sparseness-inf": RewriteConfig(depth_limit=8, sparseness=None),
+}
+
+WEIGHT_PLACEMENT_GOLDEN = {
+    "depth-1": "169d2029ae13899f18e82b66ec66e8abbcddc726078ba8dfd9af351a021125e4",
+    "depth-2": "595c9721969d7cac1a233b28d01020bceab31de3e5cf61dd2b19478d16189b1b",
+    "sparseness-3": "db3c322c20001a17c46e886f370912a80627db82c5733056130ec5f102946fa5",
+    "depth-8-sparseness-2": "664f9206e990b37f0ede4cd6b1e877685aad23008ad87b010023710afbea0d5e",
+    "depth-8-sparseness-inf": "5605148a7843a2bfa468d92b189e760437f5007d43cb1ae9d0761167814642c6",
+}
+
+
+def test_weight_placement_digests():
+    document = INPUTS["weighted-128"]()
+    got = {name: digest(document, config) for name, config in WEIGHT_PLACEMENT_CONFIGS.items()}
+    assert got == WEIGHT_PLACEMENT_GOLDEN
+
+
+def seeded_weights(seed: int, n: int) -> str:
+    """``render --weights`` text: n weights drawn from 1..1000."""
+    rng = random.Random(seed)
+    return ",".join(str(rng.randint(1, 1000)) for _ in range(n))
+
+
+RENDER_WEIGHTS_GOLDEN = {
+    ("--sparseness", "1"): "8206deae507a1db921cf92309a118bbe628d45f8e981d728e096a8d1b63b6196",
+    ("--sparseness", "2"): "3f61f75dd20b2088c3ea99232e10046d72e0fa5bb908cdcd692e89992a6e4a9c",
+    ("--sparseness", "inf"): "ea6df67c2db1a63c2a4f482a8fde8ce6575af5d3ecaaf92679e25ccd1bbaf696",
+    ("--no-propagate",): "1564d8b31815b926009ec5586092f88b8affe42a8f04faa872beed157646203e",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(RENDER_WEIGHTS_GOLDEN))
+def test_render_weights_digests(capsysbinary, flags):
+    # the drawing labels each position with the weight that place_weights puts there
+    assert main(["render", "16", "--weights", seeded_weights(7, 16), *flags]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == RENDER_WEIGHTS_GOLDEN[flags]
 
 
 def test_corpus_digests():

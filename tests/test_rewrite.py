@@ -473,12 +473,12 @@ def test_negated_and_repeated_literals_read_back_as_written():
     parsed = aspif.parse(aspif.write(doc))
     assert parsed == raw_as_parsed(doc)
     program, _ = aspif.to_ground_program(parsed)
-    assert program.normal_rules[:4] == (
-        asplang.NormalRule(4, frozenset({2}), frozenset({1})),
-        asplang.NormalRule(5, frozenset(), frozenset({1})),
-        asplang.NormalRule(5, frozenset({2})),
-        asplang.NormalRule(6, frozenset(), frozenset({3})),
-    )
+    assert [r for r in program.rules if not r.choice][:4] == [
+        asplang.GroundRule(4, frozenset({2}), frozenset({1})),
+        asplang.GroundRule(5, frozenset(), frozenset({1})),
+        asplang.GroundRule(5, frozenset({2})),
+        asplang.GroundRule(6, frozenset(), frozenset({3})),
+    ]
     assert parsed.max_atom_id() == doc.max_atom_id()
 
 
@@ -539,6 +539,15 @@ class TestVerifyRewrite:
             changed if s == doc.statements[1] else s for s in out.statements
         )
         report = verified(doc, aspif.AspifDocument(statements=statements))
+        assert not report.ok and report.detail == KEEPS_NO_INPUT
+
+    def test_detects_an_added_choice_rule(self):
+        # a choice over a fresh atom is a rule of the rewrite that the input
+        # lacks, though it defines no input atom
+        doc = aspif.parse("asp 1 0 0\n1 1 2 1 2 0 0\n2 0 2 1 4 2 6\n0\n")
+        out, _ = rewrite_objective(doc, RewriteConfig())
+        fresh = aspif.Rule(aspif.CHOICE, (out.max_atom_id() + 1,), aspif.NormalBody(()))
+        report = verified(doc, aspif.AspifDocument(statements=(*out.statements, fresh)))
         assert not report.ok and report.detail == KEEPS_NO_INPUT
 
     def test_guesses_no_more_atoms_than_the_input(self, monkeypatch):
