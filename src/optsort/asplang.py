@@ -46,6 +46,11 @@ class Nogood(NamedTuple):
     literals: frozenset[int]
 
     def conflicts_with(self, interpretation: frozenset[int]) -> bool:
+        """Whether every literal holds in the interpretation.
+
+        Only the tests call it, and the benchmark's tracer counts its calls;
+        ``pch`` prunes its candidates by lanes instead.
+        """
         return all((abs(l) in interpretation) == (l > 0) for l in self.literals)
 
 

@@ -116,9 +116,10 @@ def _read_document(path: str | None) -> aspif.AspifDocument:
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
-    doc = _read_document(args.input)
+    # refused before any input is read: at a terminal a read of stdin would wait
     if args.depth is not None and args.depth < 0:
         raise ValueError(f"depth limit must be >= 0, got {args.depth}")
+    doc = _read_document(args.input)
     config = RewriteConfig(args.depth, args.sparseness, not args.no_propagate)
     rewritten, report = rewrite_objective(doc, config)
     text = aspif.write(rewritten)

@@ -65,7 +65,11 @@ def oe_sorter(n: int, depth: int | None = None) -> Network:
 
 
 def limit_depth(network: Network, d_max: int) -> Network:
-    """Sub-network of the levels up to d_max; width unchanged."""
+    """Sub-network of the levels up to d_max; width unchanged.
+
+    Only the tests call it, as the reference for ``oe_sorter``'s own limit,
+    and the benchmark's tracer spans it.
+    """
     if d_max < 0:
         raise NetworkError(f"depth limit must be >= 0, got {d_max}")
     return Network(network.width, network.levels[:d_max])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from operator import or_
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import aspif
 from .asplang import (
@@ -130,16 +130,13 @@ def _passthrough_report(priority: int, input_terms: int, kept_terms: int) -> Lev
 REWRITE_RULE_BUDGET = 1 << 21
 
 
-def _sorter_depth(n: int, depth_limit: int | None) -> int:
-    """Levels of the odd-even sorter on n >= 1 wires, cut to ``depth_limit``."""
-    p = (n - 1).bit_length()  # the sorter is built on 2^p wires
-    depth = p * (p + 1) // 2
-    return depth if depth_limit is None else min(depth, depth_limit)
-
-
 def _rule_bound(n: int, depth_limit: int | None) -> int:
     """Most rules that wiring n terms into an odd-even sorter can add."""
-    return 3 * n * _sorter_depth(n, depth_limit) // 2
+    p = (n - 1).bit_length()  # the sorter is built on 2^p wires
+    depth = p * (p + 1) // 2
+    if depth_limit is not None:
+        depth = min(depth, depth_limit)
+    return 3 * n * depth // 2
 
 
 def check_rule_budget(sizes: list[int], depth_limit: int | None, wiring: str) -> None:
@@ -158,21 +155,6 @@ def _minimize_levels(document: aspif.AspifDocument) -> dict[int, list[tuple[int,
         if isinstance(s, aspif.Minimize):
             by_priority.setdefault(s.priority, []).extend(s.terms)
     return by_priority
-
-
-def _wired_sizes(normalized: Iterable[tuple[_Terms, _Terms, _Terms]]) -> list[int]:
-    """How many terms each normalized level wires into a sorter, for the levels that wire any."""
-    return [len(rewritable) for rewritable, _, _ in normalized if len(rewritable) >= 2]
-
-
-def _check_wiring(
-    normalized: Iterable[tuple[_Terms, _Terms, _Terms]], depth_limit: int | None
-) -> None:
-    """Refuse wiring the normalized levels into sorters past ``REWRITE_RULE_BUDGET``."""
-    wired = _wired_sizes(normalized)
-    check_rule_budget(
-        wired, depth_limit, f"wiring {sum(wired)} objective terms into sorting networks"
-    )
 
 
 def place_weights(
@@ -248,7 +230,10 @@ def rewrite_objective(
         return document, RewriteReport(levels)
 
     normalized = {p: _normalize(tuple(terms)) for p, terms in sorted(by_priority.items())}
-    _check_wiring(normalized.values(), config.depth_limit)
+    wired = [len(rewritable) for rewritable, _, _ in normalized.values() if len(rewritable) >= 2]
+    check_rule_budget(
+        wired, config.depth_limit, f"wiring {sum(wired)} objective terms into sorting networks"
+    )
 
     top = highest = document.max_atom_id()
     replacements: dict[int, list[aspif.Statement]] = {}
@@ -387,30 +372,27 @@ def verify_grid(
 ) -> list[tuple[RewriteConfig, VerifyReport]]:
     """Rewrite under every ``VERIFY_GRID`` configuration and verify each result.
 
-    ``before`` is the document's own ground program.  Its answer sets are
+    ``before`` is the document's own ground program.  The full-depth
+    rewrite runs first.  It adds the most rules and atoms of any
+    configuration, so it raises whatever one of them would, with the error
+    ``optsort rewrite`` gives, and its atom blocks size the lane budget;
+    both before anything is enumerated.  The input's answer sets are then
     enumerated once for the whole grid.  Each distinct ``aspif.write`` text
     is parsed back and verified once, as a solver would read it;
     configurations often share one (depth 0 ignores the other knobs, small
     networks reach full depth early).
     """
-    # what a configuration's rewrite would refuse is refused before any
-    # configuration is checked, with the error the first such one gives
-    levels = sorted(_minimize_levels(document).items())
-    normalized = [_normalize(tuple(terms)) for _, terms in levels]
-    for depth in dict.fromkeys(c.depth_limit for c in VERIFY_GRID if c.depth_limit != 0):
-        _check_wiring(normalized, depth)
+    _, full = rewrite_objective(document, RewriteConfig(propagate=False))
     # past the brute-force guard the enumeration refuses first, with its own error
     program = before[0]
     guessed = len(guessed_atoms(program))
-    atoms = len(program.signature) + sum(
-        n * _sorter_depth(n, None) for n in _wired_sizes(normalized)
-    )
+    atoms = len(program.signature) + sum(len(level.atoms) for level in full.levels)
     if guessed <= MAX_ENUM_ATOMS and atoms << guessed > VERIFY_LANE_BUDGET:
         raise RewriteError(
             f"closing {atoms} atoms over 2^{guessed} answer lanes would take "
             f"{atoms << guessed} lane bits, over the budget of {VERIFY_LANE_BUDGET}"
         )
-    before_lanes = enumerate_answer_sets_layered(before[0])
+    before_lanes = enumerate_answer_sets_layered(program)
     reports: dict[str, VerifyReport] = {}
     results = []
     for config in VERIFY_GRID:

@@ -326,7 +326,7 @@ class TestGroundProgramBridge:
         assert program.nogoods == ()
         assert_well_formed(program)
 
-    def test_uniform_weight_constraint_becomes_cardinality(self):
+    def test_uniform_weight_constraint_is_kept_as_written(self):
         # a uniform-weight body is kept as written, not reduced to an
         # at-least constraint over complemented literals
         program, _ = aspif.to_ground_program(
@@ -335,7 +335,7 @@ class TestGroundProgramBridge:
         assert program.weight_constraints == (WeightConstraint(((-1, 1), (-2, 1), (-3, 1)), 2),)
         assert not program.nogoods
 
-    def test_unfireable_weight_constraint_is_dropped(self):
+    def test_unfireable_weight_constraint_keeps_every_answer_set(self):
         # a body that can never reach its bound is kept as written, and keeps
         # every answer set of the choice
         program, _ = aspif.to_ground_program(
@@ -351,7 +351,7 @@ class TestGroundProgramBridge:
                 aspif.parse("asp 1 0 0\n1 0 1 5 1 4 2 1 2 2 3\n0\n")
             )
 
-    def test_non_uniform_weight_constraint_is_unsupported(self):
+    def test_non_uniform_weight_constraint_is_kept_as_written(self):
         # non-uniform weights are kept as written too: 2*[1] + 3*[2] >= 4
         # fires only where both atoms hold
         program, _ = aspif.to_ground_program(

@@ -404,7 +404,7 @@ _TERMS = st.tuples(
     st.lists(st.frozensets(st.integers(1, 4)), min_size=1, max_size=9),
     st.lists(_TERMS, max_size=6),
 )
-def test_lane_values_match_the_per_model_oracle(models, terms):
+def test_lane_sum_matches_the_per_model_oracle(models, terms):
     # atoms 5 and 6 are in no model: positive they hold in no lane, negated
     # in every lane; weights past 2^40 exercise the plane width and the sign
     lanes, everything = models_as_lanes(models, range(1, 7))

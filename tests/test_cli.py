@@ -67,20 +67,20 @@ class TestRewriteCommand:
             "network 2x1 size 1, atoms +2 (3..4), rules +3\n"
         )
 
-    def test_a_negative_depth_is_refused_after_the_document_is_read(
+    def test_a_negative_depth_is_refused_before_the_document_is_read(
         self, capsys, monkeypatch
     ):
-        # the document's own error comes first, even where nothing is wired
+        # at a terminal a read of stdin would wait, so even a malformed or
+        # empty document gets the depth error
         refused = "error: depth limit must be >= 0, got -1\n"
-        warned = "warning: missing terminator, one will be appended\n"
-        malformed = "error: line 2: non-integer token 'x' for head atom\n"
-        for stdin, err in [
-            (TWO_TERM_DOC, refused),
-            ("asp 1 0 0\n0\n", refused),
-            ("asp 1 0 0\n1 1 1 1 0 0\n", warned + refused),
-            ("asp 1 0 0\n1 0 1 x 0 0\n0\n", malformed),
+        for stdin in [
+            TWO_TERM_DOC,
+            "asp 1 0 0\n0\n",
+            "asp 1 0 0\n1 1 1 1 0 0\n",
+            "asp 1 0 0\n1 0 1 x 0 0\n0\n",
+            "",
         ]:
-            assert run(capsys, monkeypatch, ["rewrite", "--depth", "-1"], stdin) == (2, "", err)
+            assert run(capsys, monkeypatch, ["rewrite", "--depth", "-1"], stdin) == (2, "", refused)
 
     @pytest.mark.parametrize("command", ["rewrite", "render 4"])
     def test_a_sparseness_below_one_is_refused(self, capsys, monkeypatch, command):
@@ -415,8 +415,8 @@ class TestVerifyCommand:
         def started(*args):
             raise AssertionError("the grid started")
 
-        monkeypatch.setattr("optsort.rewrite.rewrite_objective", started)
         monkeypatch.setattr("optsort.rewrite.enumerate_answer_sets_layered", started)
+        monkeypatch.setattr("optsort.rewrite.verify_rewrite", started)
         start = time.perf_counter()
         code, out, err = run(capsys, monkeypatch, ["verify"], stdin="\n".join(lines))
         assert time.perf_counter() - start < 1.0
@@ -444,13 +444,14 @@ class TestVerifyCommand:
     def test_an_over_budget_rewrite_is_refused_before_the_grid_starts(
         self, capsys, monkeypatch
     ):
-        # nothing is enumerated or rewritten: the full-depth configuration's
+        # nothing is enumerated, verified or built: the full-depth rewrite's
         # rule budget refuses 20 000 terms with the error rewrite gives
         def started(*args):
             raise AssertionError("the grid started")
 
-        monkeypatch.setattr("optsort.rewrite.rewrite_objective", started)
         monkeypatch.setattr("optsort.rewrite.enumerate_answer_sets_layered", started)
+        monkeypatch.setattr("optsort.rewrite.verify_rewrite", started)
+        monkeypatch.setattr("optsort.rewrite.oe_sorter", started)
         terms = " ".join(f"{a} 1" for a in range(1, 20_001))
         doc = f"asp 1 0 0\n2 0 20000 {terms}\n0\n"
         start = time.perf_counter()
@@ -463,6 +464,27 @@ class TestVerifyCommand:
         )
         monkeypatch.undo()
         assert run(capsys, monkeypatch, ["rewrite"], stdin=doc)[2] == err
+
+    @pytest.mark.parametrize(
+        "first,budget,error",
+        [
+            (1, 300, "wiring 64 objective terms into sorting networks could add 2016 rules, "
+             "over the budget of 300"),
+            (2**31 - 201, None, "fresh atom 2147484854 leaves the 32-bit range"),
+        ],
+        ids=["rule-budget", "32-bit"],
+    )
+    def test_verify_refuses_with_the_line_rewrite_prints(
+        self, capsys, monkeypatch, first, budget, error
+    ):
+        # 64 unit terms: the depth-4 rewrite alone would refuse with another
+        # line, at 384 rules or at fresh atom 2147483766
+        if budget is not None:
+            monkeypatch.setattr("optsort.rewrite.REWRITE_RULE_BUDGET", budget)
+        terms = " ".join(f"{a} 1" for a in range(first, first + 64))
+        doc = f"asp 1 0 0\n2 0 64 {terms}\n0\n"
+        for command in ("rewrite", "verify"):
+            assert run(capsys, monkeypatch, [command], doc) == (2, "", f"error: {error}\n")
 
     def test_negative_count_is_refused(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["verify", "--random", "--count", "-3"])
