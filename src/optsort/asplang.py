@@ -4,7 +4,10 @@ Programs mix normal and choice rules, weight constraints and nogoods over
 positive integer atoms.  A literal is an int as in aspif: ``a`` for atom a,
 ``-a`` for its default negation.  Everything here is meant for desk-scale
 verification: answer sets are enumerated exhaustively, every guess at once as
-one bit lane of a Python integer, guarded by an atom-count limit.
+one bit lane of a Python integer, guarded by an atom-count limit.  One
+enumerator, ``enumerate_answer_sets_split``, serves ``verify`` and ``pch``:
+it guesses the subsets of a program's guessed atoms, or the lanes it is
+given, such as another program's answer lanes.
 """
 
 from __future__ import annotations
@@ -219,28 +222,17 @@ def guessed_atoms(program: GroundProgram) -> list[int]:
 
 
 def enumerate_answer_sets_layered(program: GroundProgram) -> tuple[dict[int, int], int]:
-    """The same as ``enumerate_answer_sets_split``.
+    """The same as ``enumerate_answer_sets_split`` without a given guess.
 
     Both names stay only because the benchmark's tracer spans each:
-    ``verify`` calls this one, ``pch`` the other.  A change to the benchmark
+    ``verify`` enumerates its input with this one and guesses each rewrite
+    with the other, and ``pch`` calls the other.  A change to the benchmark
     can drop one of them.
     """
     return enumerate_answer_sets_split(program)
 
 
-def enumerate_answer_sets_split(program: GroundProgram) -> tuple[dict[int, int], int]:
-    """Answer sets as (atom lanes, answers), one answer set per answer lane.
-
-    ``answers`` is the mask of lanes that hold an answer set, and each atom
-    that some answer set holds maps to the answer lanes that hold it.  See
-    ``answer_lanes`` for the guess and the lanes.
-    """
-    true_in, answers = answer_lanes(program)
-    lanes = {a: held for a, derived in true_in.items() if (held := derived & answers)}
-    return lanes, answers
-
-
-def answer_lanes(
+def enumerate_answer_sets_split(
     program: GroundProgram, given: tuple[dict[int, int], int] | None = None
 ) -> tuple[dict[int, int], int]:
     """Answer sets as (atom lanes, answers), one answer set per answer lane.
@@ -257,7 +249,8 @@ def answer_lanes(
     pass the nogoods and weight constraints are the answer sets, and
     ``answers`` is their mask.  A weight constraint fires in the lanes where
     sum(w_i * [l_i]) >= bound, decided by one ``lane_sum`` over its atoms' own
-    lanes.  An atom's lanes may also hold lanes outside it.
+    lanes.  Each atom that some answer set holds maps to the answer lanes
+    that hold it.
     """
     guessed = guessed_atoms(program)
     if given is None:
@@ -306,4 +299,7 @@ def answer_lanes(
         slack = [(true_in.get(abs(l), 0), w if l < 0 else -w) for l, w in wc.terms]
         constant = wc.bound - 1 - sum(w for l, w in wc.terms if l < 0)
         answers &= ~lane_sum([*slack, (all_lanes, constant)])[-1]
-    return true_in, answers
+    if answers == all_lanes:
+        # every lane passed, as in a rewrite that verifies: nothing to mask
+        return {a: lanes for a, lanes in true_in.items() if lanes}, answers
+    return {a: held for a, lanes in true_in.items() if (held := lanes & answers)}, answers

@@ -153,10 +153,9 @@ def _cmd_gen_sorter(args: argparse.Namespace) -> int:
 
 
 def _verify_document(doc: aspif.AspifDocument) -> tuple[bool, list[str]]:
-    before = aspif.to_ground_program(doc)
     lines = []
     ok = True
-    for config, report in verify_grid(doc, before):
+    for config, report in verify_grid(doc):
         depth, sparseness = config.depth_limit, config.sparseness
         label = (
             f"depth={'inf' if depth is None else depth} "

@@ -3,14 +3,16 @@
 A weight matrix attaches a non-negative integer to every (wire, level)
 position of a network.  Propagation moves the minimum boundary weight of a
 region from its input column to its output column; the induced linear weight
-function over wire values is preserved exactly.
+function over wire values is preserved exactly.  ``propagate_decomposition``
+folds that move over the regions of a decomposition, such as the level
+blocks that ``network.decompose_sparse`` cuts.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .network import ConfinedNetwork, Decomposition, Network, decompose_sparse
+from .network import ConfinedNetwork, Decomposition
 
 
 class WeightError(ValueError):
@@ -104,18 +106,3 @@ def propagate_decomposition(weights: WeightMatrix, decomposition: Decomposition)
     for component in decomposition.components:
         weights = propagate_confined(weights, component)
     return weights
-
-
-def propagate_sparse(
-    weights: WeightMatrix, network: Network, sparseness: int | None
-) -> WeightMatrix:
-    """Propagate over the sparse decomposition of the network into level blocks.
-
-    ``sparseness`` is the block size; None means one block over the whole
-    depth, so weight lands only on the input and output columns.  A depth-0
-    network has nothing to propagate over: the weights come back unchanged.
-    """
-    if network.depth == 0:
-        return weights
-    k = network.depth if sparseness is None else sparseness
-    return propagate_decomposition(weights, decompose_sparse(network, k))

@@ -22,15 +22,15 @@ from . import aspif
 from .asplang import (
     MAX_ENUM_ATOMS,
     GroundProgram,
-    answer_lanes,
     enumerate_answer_sets_layered,
+    enumerate_answer_sets_split,
     guessed_atoms,
     in_sorted_order,
     lane_sum,
 )
 from .encode import asp_of_network, dense_wire_atom_map
-from .network import Network, oe_sorter
-from .propagate import from_input_weights, propagate_sparse
+from .network import Network, decompose_sparse, oe_sorter
+from .propagate import from_input_weights, propagate_decomposition
 
 
 class RewriteError(ValueError):
@@ -162,12 +162,14 @@ def place_weights(
 ) -> list[tuple[int, int, int]]:
     """The (wire, level, weight) terms that carry the input weights over the network.
 
-    With ``config.propagate`` off the weights stay on the input column;
-    otherwise they move over blocks of ``config.sparseness`` levels.
+    With ``config.propagate`` off, or over a network without levels, the
+    weights stay on the input column; otherwise they move over the network's
+    sparse decomposition into blocks of ``config.sparseness`` levels.
     """
     matrix = from_input_weights(weights, network.depth)
-    if config.propagate:
-        matrix = propagate_sparse(matrix, network, config.sparseness)
+    if config.propagate and network.depth:
+        k = network.depth if config.sparseness is None else config.sparseness
+        matrix = propagate_decomposition(matrix, decompose_sparse(network, k))
     return matrix.nonzero_entries()
 
 
@@ -292,7 +294,8 @@ def verify_rewrite(
     guessed as the input's answer sets, each in its own lane: every lane
     must survive its constraints (a bijection onto the input's answer sets)
     and keep every level's value (hence also at the optimum).
-    ``before_lanes`` must be the input's ``enumerate_answer_sets_layered``.
+    ``before_lanes`` must be the input's ``enumerate_answer_sets_layered``,
+    and ``enumerate_answer_sets_split`` closes the rewrite over them.
     """
     before_program, before_objectives = before
     after_program, after_objectives = after
@@ -305,7 +308,7 @@ def verify_rewrite(
             False, count, "the rewrite does not keep the input's rules and constraints"
         )
     guess = {a: base_lanes.get(a, 0) for a in before_program.signature}
-    lanes, answers = answer_lanes(after_program, (guess, all_lanes))
+    lanes, answers = enumerate_answer_sets_split(after_program, (guess, all_lanes))
     if answers != all_lanes:
         return VerifyReport(
             False, count, f"answer set counts differ: {count} vs {answers.bit_count()}"
@@ -366,23 +369,23 @@ def check_random_count(count: int) -> None:
 VERIFY_LANE_BUDGET = 1 << 32
 
 
-def verify_grid(
-    document: aspif.AspifDocument,
-    before: aspif.Bridged,
-) -> list[tuple[RewriteConfig, VerifyReport]]:
+def verify_grid(document: aspif.AspifDocument) -> list[tuple[RewriteConfig, VerifyReport]]:
     """Rewrite under every ``VERIFY_GRID`` configuration and verify each result.
 
-    ``before`` is the document's own ground program.  The full-depth
-    rewrite runs first.  It adds the most rules and atoms of any
-    configuration, so it raises whatever one of them would, with the error
-    ``optsort rewrite`` gives, and its atom blocks size the lane budget;
-    both before anything is enumerated.  The input's answer sets are then
-    enumerated once for the whole grid.  Each distinct ``aspif.write`` text
-    is parsed back and verified once, as a solver would read it;
-    configurations often share one (depth 0 ignores the other knobs, small
-    networks reach full depth early).
+    The document is bridged to its ground program first.  The full-depth,
+    propagate-off rewrite runs next.  It adds the most rules and atoms of
+    any configuration, so it raises whatever one of them would, with the
+    error ``optsort rewrite`` gives, and its atom blocks size the lane
+    budget; both before anything is enumerated.  The grid takes that
+    rewrite as it stands for its own configuration.  The input's answer sets
+    are then enumerated once for the whole grid.  Each distinct
+    ``aspif.write`` text is parsed back and verified once, as a solver would
+    read it; configurations often share one (depth 0 ignores the other
+    knobs, small networks reach full depth early).
     """
-    _, full = rewrite_objective(document, RewriteConfig(propagate=False))
+    before = aspif.to_ground_program(document)
+    priced = RewriteConfig(propagate=False)
+    full_rewrite, full = rewrite_objective(document, priced)
     # past the brute-force guard the enumeration refuses first, with its own error
     program = before[0]
     guessed = len(guessed_atoms(program))
@@ -396,7 +399,7 @@ def verify_grid(
     reports: dict[str, VerifyReport] = {}
     results = []
     for config in VERIFY_GRID:
-        rewritten, _ = rewrite_objective(document, config)
+        rewritten = full_rewrite if config == priced else rewrite_objective(document, config)[0]
         text = aspif.write(rewritten)
         if text not in reports:
             after = aspif.to_ground_program(aspif.parse(text))

@@ -216,8 +216,7 @@ def test_05_network_translation_has_one_answer_set_per_input():
 
 
 def _verify_document_on_grid(doc, label):
-    before = aspif.to_ground_program(doc)
-    for config, report in verify_grid(doc, before):
+    for config, report in verify_grid(doc):
         assert report.ok, (label, config, report.detail)
 
 

@@ -12,7 +12,6 @@ from optsort.asplang import (
     Nogood,
     SemanticsError,
     WeightConstraint,
-    answer_lanes,
     enumerate_answer_sets_layered,
     enumerate_answer_sets_split,
     guessed_atoms,
@@ -71,7 +70,8 @@ def part_below(p, bottom):
 
 def split_lanes(p, bottom):
     """The answer lanes of p guessed as the oracle's answer sets of its part below ``bottom``."""
-    return answer_lanes(p, models_as_lanes(enumerate_answer_sets(part_below(p, bottom)), bottom))
+    below = models_as_lanes(enumerate_answer_sets(part_below(p, bottom)), bottom)
+    return enumerate_answer_sets_split(p, below)
 
 
 class TestExpandCardinality:
@@ -321,8 +321,8 @@ class TestSplitEnumeration:
         with pytest.raises(
             SemanticsError, match=r"^the guess leaves out the guessed atoms \[2\]$"
         ):
-            answer_lanes(p, models_as_lanes([frozenset(), {1}], {1}))
-        assert lex(lane_models(answer_lanes(p))) == [[], [1], [1, 2]]
+            enumerate_answer_sets_split(p, models_as_lanes([frozenset(), {1}], {1}))
+        assert lex(lane_models(enumerate_answer_sets_split(p))) == [[], [1], [1, 2]]
         assert lex(answer_sets(p)) == [[], [1], [1, 2]]
 
     def test_split_refuses_a_negated_upper_atom(self):
@@ -337,8 +337,8 @@ class TestSplitEnumeration:
         with pytest.raises(
             SemanticsError, match=r"^the guess leaves out the guessed atoms \[2, 3\]$"
         ):
-            answer_lanes(p, models_as_lanes([frozenset(), {1}], {1}))
-        assert lex(lane_models(answer_lanes(p))) == [[1, 2], [1, 3], [3]]
+            enumerate_answer_sets_split(p, models_as_lanes([frozenset(), {1}], {1}))
+        assert lex(lane_models(enumerate_answer_sets_split(p))) == [[1, 2], [1, 3], [3]]
         assert lex(answer_sets(p)) == [[1, 2], [1, 3], [3]]
 
     def test_layered_enumeration_matches_direct(self):
@@ -353,7 +353,8 @@ class TestSplitEnumeration:
         # atom 1 is derived from atom 2, outside the guess; the lane that
         # guesses 1 derives both, as the oracle's one answer set holds
         p = program({1, 2}, rules=[rule(1, body=[2]), rule(2)])
-        assert lex(lane_models(answer_lanes(p, models_as_lanes([frozenset({1})], {1})))) == [[1, 2]]
+        given = models_as_lanes([frozenset({1})], {1})
+        assert lex(lane_models(enumerate_answer_sets_split(p, given))) == [[1, 2]]
         assert lex(answer_sets(p)) == [[1, 2]]
 
     def test_straddling_nogoods_filter_combined_models(self):
@@ -546,7 +547,19 @@ def test_lane_enumeration_matches_the_brute_force_oracle(case):
     # the enumerator's lanes of the part below, spread under its mask, too
     below_lanes, below = enumerate_answer_sets_split(part_below(p, bottom))
     given = ({a: below_lanes.get(a, 0) for a in bottom}, below)
-    assert lane_models(answer_lanes(p, given)) == expected
+    assert lane_models(enumerate_answer_sets_split(p, given)) == expected
+
+
+@given(split_programs())
+@settings(max_examples=300, deadline=None)
+def test_every_atom_holds_only_answer_lanes_with_and_without_a_given_guess(case):
+    # no atom maps to no lane, and no atom keeps a lane that failed, whether
+    # the lanes guess the whole program or the answer sets below the split
+    p, bottom = case
+    expected = enumerate_answer_sets(p)
+    for lanes, answers in (enumerate_answer_sets_split(p), split_lanes(p, bottom)):
+        assert all(held and not held & ~answers for held in lanes.values())
+        assert lane_models((lanes, answers)) == expected
 
 
 @given(st.data())
@@ -563,4 +576,4 @@ def test_a_given_guess_keeps_the_answer_sets_that_agree_with_one_of_its_lanes(da
         model |= st.sampled_from([m & set(atoms) for m in oracle])
     models = data.draw(st.lists(model, min_size=1, max_size=12, unique=True))
     expected = [m for m in oracle if m & set(atoms) in models]
-    assert lane_models(answer_lanes(p, models_as_lanes(models, atoms))) == expected
+    assert lane_models(enumerate_answer_sets_split(p, models_as_lanes(models, atoms))) == expected

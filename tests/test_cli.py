@@ -494,7 +494,7 @@ class TestVerifyCommand:
     def test_an_over_budget_count_is_refused_before_any_program_is_checked(
         self, capsys, monkeypatch
     ):
-        def checked(*args):
+        def checked(document):
             raise AssertionError("a program was checked")
 
         monkeypatch.setattr("optsort.cli.verify_grid", checked)
@@ -800,3 +800,34 @@ class TestUsage:
             assert captured.out == "", argv
             assert "unrecognized arguments" in captured.err, argv
             assert "Traceback" not in captured.err, argv
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """Each ``$ optsort ...`` line in a README code block, with the lines shown under it."""
+    examples, current, fenced = [], None, False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced, current = not fenced, None
+        elif fenced and line.startswith("$ optsort "):
+            current = (line.removeprefix("$ optsort ").split(), [])
+            examples.append(current)
+        elif current is not None:
+            current[1].append(line)
+    return examples
+
+
+class TestReadmeExamples:
+    def test_the_readme_shows_pch_and_a_weighted_drawing(self):
+        commands = [argv[0] for argv, _ in readme_examples()]
+        assert commands.count("pch") >= 2 and "render" in commands
+
+    @pytest.mark.parametrize(
+        "argv,shown", [pytest.param(*case, id=" ".join(case[0])) for case in readme_examples()]
+    )
+    def test_each_example_prints_what_the_readme_shows(self, capsys, monkeypatch, argv, shown):
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == shown

@@ -7,11 +7,13 @@ a digest only for a deliberate change of the encoding, after the verify
 grid has passed.
 
 The ``pch --trace`` goldens pin the simulated call history the same way:
-every visited candidate's size and every learned nogood, in order, and the
-``render --weights`` goldens the drawn weight placement.
+every visited candidate's size and every learned nogood, in order, the
+``render --weights`` goldens the drawn weight placement, and the ``verify``
+golden the grid that ``optsort verify`` prints for each corpus file.
 """
 
 import hashlib
+import io
 import random
 from pathlib import Path
 
@@ -193,6 +195,25 @@ def test_corpus_digests():
         for path in sorted(CORPUS.glob("*.aspif"))
     }
     assert got == CORPUS_GOLDEN
+
+
+# `optsort verify` on each corpus file as written and on what `optsort
+# rewrite` makes of it: every configuration's answer-set count, and the six
+# files whose statements have no ground-program bridge, each refused
+VERIFY_CORPUS_GOLDEN = "580f7c5c036429638b8f8fa8ed6a3e95dd53babbf183b3592333d6879012e0f7"
+
+
+def test_verify_corpus_digest(capsys, monkeypatch):
+    hashed = hashlib.sha256()
+    for path in sorted(CORPUS.glob("*.aspif")):
+        main(["rewrite", str(path)])
+        rewritten = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO(rewritten))
+        for mode, argv in (("written", ["verify", str(path)]), ("rewritten", ["verify"])):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            hashed.update(f"{path.name}\0{mode}\0{code}\0{out}\0{err}\0".encode())
+    assert hashed.hexdigest() == VERIFY_CORPUS_GOLDEN
 
 
 PCH_TRACE_GOLDEN = {

@@ -17,7 +17,7 @@ from optsort.network import (
     oe_sorter,
     render_diagram,
 )
-from optsort.propagate import from_input_weights, propagate_sparse
+from optsort.rewrite import RewriteConfig, place_weights
 
 from conftest import (
     FIG_COMPARATORS,
@@ -448,8 +448,9 @@ class TestRenderDiagram:
         rng = random.Random(n)
         for depth in (None, 3):
             net = oe_sorter(n, depth)
-            weights = from_input_weights([rng.randint(0, 999) for _ in range(n)], net.depth)
-            labelled = {(i, j): str(w) for i, j, w in propagate_sparse(weights, net, 2).nonzero_entries()}
+            weights = [rng.randint(0, 999) for _ in range(n)]
+            placed = place_weights(weights, net, RewriteConfig(sparseness=2))
+            labelled = {(i, j): str(w) for i, j, w in placed}
             if n:
                 labelled[(n, net.depth)] = "é"
             for annotations in (None, labelled):

@@ -17,8 +17,8 @@ from optsort.propagate import (
     from_input_weights,
     propagate_confined,
     propagate_decomposition,
-    propagate_sparse,
 )
+from optsort.rewrite import RewriteConfig, place_weights
 
 from conftest import (
     binary_vectors,
@@ -272,21 +272,23 @@ class TestPreservation:
             assert all(w <= max(weights) for _, _, w in result.nonzero_entries())
 
 
-class TestPropagateSparse:
+class TestPlaceWeights:
     def test_matches_the_fold_over_the_sparse_decomposition(self):
+        # rewrite and render --weights both place weights here; a network
+        # without levels, or propagation off, keeps them on the input column
         rng = random.Random(31)
         for n in range(9):
             full = oe_sorter(n)
             for d in range(full.depth + 1):
                 net = limit_depth(full, d)
-                weights = random_matrix(rng, net.width, net.depth)
+                weights = [rng.randint(0, 40) for _ in range(net.width)]
+                matrix = from_input_weights(weights, net.depth)
                 for sparseness in (1, 2, None):
                     k = sparseness or net.depth
                     expected = (
-                        propagate_decomposition(weights, decompose_sparse(net, k))
-                        if k
-                        else weights
+                        propagate_decomposition(matrix, decompose_sparse(net, k)) if k else matrix
                     )
-                    assert propagate_sparse(weights, net, sparseness) == expected, (
-                        n, d, sparseness
-                    )
+                    placed = place_weights(weights, net, RewriteConfig(sparseness=sparseness))
+                    assert placed == expected.nonzero_entries(), (n, d, sparseness)
+                    kept = place_weights(weights, net, RewriteConfig(None, sparseness, False))
+                    assert kept == matrix.nonzero_entries(), (n, d, sparseness)

@@ -557,7 +557,7 @@ class TestVerifyRewrite:
         monkeypatch.setattr(asplang, "MAX_ENUM_ATOMS", 4)
         chain = "".join(f"1 0 1 {d} 0 1 {d - 1}\n" for d in range(5, 9))
         doc = aspif.parse(f"asp 1 0 0\n1 1 4 1 2 3 4 0 0\n{chain}2 0 2 -8 3 1 1\n0\n")
-        for config, report in verify_grid(doc, bridge(doc)):
+        for config, report in verify_grid(doc):
             assert report.ok and report.answer_sets == 16, (config, report.detail)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -567,7 +567,7 @@ class TestVerifyRewrite:
         before = bridge(doc)
         expected = enumerate_answer_sets(before[0])
         assert lane_models(enumerate_answer_sets_layered(before[0])) == expected
-        results = verify_grid(doc, before)
+        results = verify_grid(doc)
         assert [config for config, _ in results] == list(VERIFY_GRID)
         for config, report in results:
             assert report.ok, (seed, config, report.detail)
@@ -581,7 +581,7 @@ def _grid_reference(document):
     for config in VERIFY_GRID:
         rewritten, _ = rewrite_objective(document, config)
         results.append((config, verify_rewrite(before, bridge(rewritten), before_lanes)))
-    return results, before
+    return results
 
 
 class TestVerifyReadsTheWrittenText:
@@ -597,7 +597,7 @@ class TestVerifyReadsTheWrittenText:
             ],
         )
         document = binomial_document(6, 3, opt=True)
-        results = verify_grid(document, bridge(document))
+        results = verify_grid(document)
         assert [report.ok for _, report in results] == [
             config.depth_limit == 0 or not config.propagate for config in VERIFY_GRID
         ]
@@ -607,30 +607,38 @@ class TestVerifyReadsTheWrittenText:
 
 
 class TestVerifyGridSharing:
-    def _counted_grid(self, monkeypatch, document, before):
+    def _counted_grid(self, monkeypatch, document, name="verify_rewrite"):
         calls = []
-        original = rewrite.verify_rewrite
+        original = getattr(rewrite, name)
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(rewrite, "verify_rewrite", counted)
-        return verify_grid(document, before), len(calls)
+        monkeypatch.setattr(rewrite, name, counted)
+        return verify_grid(document), len(calls)
 
     def test_binomial_ten_five_verifies_nine_distinct_rewrites(self, monkeypatch):
         document = binomial_document(10, 5, opt=True)
-        expected, before = _grid_reference(document)
-        results, calls = self._counted_grid(monkeypatch, document, before)
+        expected = _grid_reference(document)
+        results, calls = self._counted_grid(monkeypatch, document)
         assert results == expected
         assert calls == 9
         assert all(report.ok and report.answer_sets == 638 for _, report in results)
 
+    def test_the_pricing_rewrite_serves_its_own_configuration(self, monkeypatch):
+        # the full-depth, propagate-off rewrite that sizes the lane budget is
+        # one of the thirty configurations, so it is not rewritten again
+        document = binomial_document(10, 5, opt=True)
+        results, calls = self._counted_grid(monkeypatch, document, "rewrite_objective")
+        assert results == _grid_reference(document)
+        assert calls == len(VERIFY_GRID) == 30
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_programs_verify_each_distinct_text_once(self, monkeypatch, seed):
         document = random_opt_document(random.Random(seed))
-        expected, before = _grid_reference(document)
-        results, calls = self._counted_grid(monkeypatch, document, before)
+        expected = _grid_reference(document)
+        results, calls = self._counted_grid(monkeypatch, document)
         assert results == expected
         texts = {
             aspif.write(rewrite_objective(document, config)[0]) for config in VERIFY_GRID
@@ -643,7 +651,7 @@ class TestVerifyMemory:
         # A frozenset for each of the 9908 answer sets, turned back into
         # lanes, peaked at 6.9 MB; the rows and their lanes stay below 3 MB
         document = binomial_document(14, 7, opt=True)
-        results, peak = traced_peak(verify_grid, document, bridge(document))
+        results, peak = traced_peak(verify_grid, document)
         assert all(report.ok and report.answer_sets == 9908 for _, report in results)
         assert peak < 3 * 2**20
 
